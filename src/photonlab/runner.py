@@ -36,7 +36,6 @@ from .field_synthesis import (
     translation_check_1d,
 )
 from .fock_algebra import (
-    FockVector,
     ModeSet,
     apply_annihilate,
     apply_create,
@@ -44,7 +43,6 @@ from .fock_algebra import (
     inner_product,
     longitudinal_cancellation_residual,
     n_photon_state,
-    vacuum,
 )
 from .mode_space import (
     WaveVectorGrid,
@@ -168,14 +166,6 @@ def dipole_source() -> SourceCurrent:
     return gaussian_dipole_source(
         (0.0, 0.0, 1.0), 1.0, 0.352, 0.08, 37, t0=-1.2, delta_t=0.04, n_times=176
     )
-
-
-def clear_fixture_caches() -> None:
-    for fn in (
-        desk_grid, desk_spatial, desk_packet, desk_snapshot, transport_packet,
-        collinear_pair, broadband_packet, dipole_source,
-    ):
-        fn.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +460,6 @@ ACCEPTANCE_CHECKS: tuple[tuple[str, object], ...] = (
 )
 
 
-def run_acceptance() -> list[CheckResult]:
-    return [fn() for _, fn in ACCEPTANCE_CHECKS]
-
-
 # ---------------------------------------------------------------------------
 # Negative controls (deliberate fault injection, selftest only)
 
@@ -505,8 +491,8 @@ def control_corrupted_convention() -> CheckResult:
 def control_nonconserved_source() -> CheckResult:
     """A current deficit must blow up conservation and gauge residuals."""
     src = dipole_source()
-    broken = SourceCurrent(
-        src.rho, 0.5 * src.current, src.delta_x, src.origin, src.t0, src.delta_t
+    broken = SourceCurrent.from_table(
+        src.table * (1.0, 0.5, 0.5, 0.5), src.delta_x, src.origin, src.t0, src.delta_t
     )
     conservation = broken.conservation_residual()
     gauge = _dipole_gauge_residual(broken, 0.5, 0.2)
@@ -573,14 +559,23 @@ def write_array(path: str, data: np.ndarray, kind: str, t: float, units: str = "
 
 
 def read_array(path: str) -> tuple[np.ndarray, dict[str, str]]:
+    """Read an array file written by :func:`write_array`; errors name the file."""
     with open(path, "rb") as handle:
-        header = handle.readline().decode("ascii").rstrip("\n")
+        header = handle.readline().decode("ascii", errors="replace").rstrip("\n")
         payload = handle.read()
     fields = header.split(" ")
     if " ".join(fields[:2]) != _ARRAY_MAGIC:
         raise ValueError(f"{path}: not a photonlab array file")
-    meta = dict(item.split("=", 1) for item in fields[2:])
-    shape = tuple(int(n) for n in meta["shape"].split(","))
+    try:
+        meta = dict(item.split("=", 1) for item in fields[2:])
+        shape = tuple(int(n) for n in meta["shape"].split(","))
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed array header: {exc}") from exc
+    expected = 8 * math.prod(shape)
+    if len(payload) != expected:
+        raise ValueError(
+            f"{path}: payload holds {len(payload)} bytes, shape {shape} needs {expected}"
+        )
     data = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     return data, meta
 

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import os
+import re
 
+import numpy as np
 import pytest
 
 from photonlab import __version__
 from photonlab.cli import main
+from photonlab.runner import read_array, write_array
 
 CONFIG = """\
 grid.n_per_axis = 32
@@ -153,3 +156,28 @@ def test_selftest_runs_registry_and_controls(capsys):
     ):
         assert f"PASS {name}:" in out
     assert "\nOK (" in out or out.rstrip().splitlines()[-1].startswith("OK ")
+
+
+def test_array_file_round_trip(tmp_path):
+    data = np.arange(24.0).reshape(2, 3, 4) / 7.0
+    path = tmp_path / "number_t0.f64"
+    write_array(str(path), data, "number", 0.25)
+    back, meta = read_array(str(path))
+    assert np.array_equal(back, data)
+    assert meta["kind"] == "number" and meta["shape"] == "2,3,4"
+    assert float(meta["time"]) == 0.25
+
+
+def test_truncated_or_garbled_array_files_name_the_file(tmp_path):
+    path = tmp_path / "energy_t0.f64"
+    write_array(str(path), np.ones((4, 5)), "energy", 0.0)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-3])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: payload holds 157 bytes")):
+        read_array(str(path))
+    path.write_bytes(raw.replace(b"shape=4,5", b"shape=4,x"))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: malformed array header")):
+        read_array(str(path))
+    path.write_bytes(b"\xff\xfe\x00 binary\n" + raw)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not a photonlab array file")):
+        read_array(str(path))

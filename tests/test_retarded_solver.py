@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from photonlab import retarded_solver
 from photonlab.retarded_solver import (
     PotentialField,
     SourceCurrent,
+    _shift_groups,
     faraday_tensor,
     fields_from_potential,
     gauge_residual,
@@ -33,6 +35,33 @@ def small_dipole():
     return gaussian_dipole_source(
         (0.0, 0.0, 1.0), 1.0, 0.4, 0.2, 9, t0=0.0, delta_t=0.5, n_times=8
     )
+
+
+@pytest.fixture(scope="module")
+def long_dipole():
+    """Same dipole with a finer and longer time window, for multi-time stencils."""
+    return gaussian_dipole_source(
+        (0.0, 0.0, 1.0), 1.0, 0.4, 0.2, 9, t0=0.0, delta_t=0.1, n_times=100
+    )
+
+
+def _stencil_grid() -> SpatialGrid:
+    h = 0.3
+    return SpatialGrid((5, 5, 5), (h, h, h), (-2 * h, -2 * h, 3.0 - 2 * h))
+
+
+def _reference_potential(src: SourceCurrent, points: np.ndarray, t_eval: float) -> np.ndarray:
+    """Direct quadrature as gathered per (point, cell) pair; (points, 4) values."""
+    centres = src.grid.coordinates.reshape(-1, 3)
+    dist = np.linalg.norm(points[:, None, :] - centres[None, :, :], axis=-1)
+    dist = np.maximum(dist, 0.5 * min(src.delta_x))
+    offset = np.clip((t_eval - dist - src.t0) / src.delta_t, 0.0, src.n_times - 1.0)
+    index = np.minimum(offset.astype(int), src.n_times - 2)
+    frac = (offset - index)[..., None]
+    samples = src.table.reshape(src.n_times, -1, 4)
+    cells = np.arange(centres.shape[0])
+    interpolated = (1.0 - frac) * samples[index, cells] + frac * samples[index + 1, cells]
+    return src.cell_volume / (4.0 * math.pi) * np.einsum("pc,pck->pk", 1.0 / dist, interpolated)
 
 
 def _coulomb_error(src: SourceCurrent, charge: float, radius: float) -> float:
@@ -179,6 +208,95 @@ def test_causality_is_discretely_exact(small_dipole):
     assert not np.array_equal(late_a.phi_over_c, late_b.phi_over_c)
 
 
+@pytest.mark.parametrize(
+    "times, group_sizes",
+    [
+        (5.0 + 0.5 * np.arange(5), [5]),  # 5 delta_t apart, as the coarse gauge stencil
+        (5.0 + 0.25 * np.arange(5), [3, 2]),  # 2.5 delta_t apart, as the fine one
+        (np.array([5.0, 5.37, 6.01, 5.73]), [1, 1, 1, 1]),
+    ],
+)
+def test_multi_time_evaluation_matches_single_times(long_dipole, times, group_sizes):
+    src = long_dipole
+    assert [len(group) for group in _shift_groups(times, src)] == group_sizes
+    grid = _stencil_grid()
+    together = retarded_potential(src, grid, times)
+    for k, t_eval in enumerate(times):
+        alone = retarded_potential(src, grid, t_eval)
+        reference = _reference_potential(src, grid.coordinates.reshape(-1, 3), t_eval)
+        for joint, single, direct in (
+            (together.phi_over_c, alone.phi_over_c, reference[:, 0]),
+            (together.A, alone.A, reference[:, 1:]),
+        ):
+            scale = np.max(np.abs(direct))
+            assert scale > 0.0
+            assert np.max(np.abs(joint[k] - single[0])) <= 1e-13 * scale
+            assert np.max(np.abs(joint[k].reshape(direct.shape) - direct)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("block_pairs", [1, 2250])
+def test_cell_blocks_add_up_to_the_whole_source(long_dipole, ball, monkeypatch, block_pairs):
+    """Blocks of one z-row, or of two with a last block of one, match one block."""
+    grid = _stencil_grid()
+    times = 5.0 + 0.5 * np.arange(3)
+    points = 3.0 * np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0.6, 0.0, 0.8]])
+
+    def evaluate():
+        return [
+            retarded_potential(long_dipole, grid, times),  # time-dependent, shared operator
+            retarded_potential(long_dipole, points, [5.0, 5.37]),  # one operator per time
+            retarded_potential(ball, points, 0.0),  # static
+        ]
+
+    monkeypatch.setattr(retarded_solver, "_BLOCK_PAIRS", 2**40)
+    whole = evaluate()
+    monkeypatch.setattr(retarded_solver, "_BLOCK_PAIRS", block_pairs)
+    blocked = evaluate()
+    for one, many in zip(whole, blocked):
+        scale = max(np.max(np.abs(one.phi_over_c)), np.max(np.abs(one.A)))
+        assert scale > 0.0
+        assert np.max(np.abs(one.phi_over_c - many.phi_over_c)) <= 1e-13 * scale
+        assert np.max(np.abs(one.A - many.A)) <= 1e-13 * scale
+
+
+def test_multi_time_grid_causality_is_discretely_exact(long_dipole):
+    src = long_dipole
+    grid = _stencil_grid()
+    times = 5.03 + 0.5 * np.arange(4)
+    separation = grid.coordinates.reshape(-1, 1, 3) - src.grid.coordinates.reshape(1, -1, 3)
+    nearest = max(float(np.min(np.linalg.norm(separation, axis=-1))), 0.5 * src.delta_x[0])
+    latest = (times[-1] - nearest - src.t0) / src.delta_t
+    assert 0.1 < latest % 1.0 < 0.9  # the latest bracket is not at a rounding edge
+    cut = int(latest) + 2  # first slice strictly later than every bracket
+    table = src.table.copy()
+    table[cut:] += (1e3, 7e2, 7e2, 7e2)
+    edited = SourceCurrent.from_table(table, src.delta_x, src.origin, src.t0, src.delta_t)
+
+    before_a = retarded_potential(src, grid, times)
+    before_b = retarded_potential(edited, grid, times)
+    leak = max(
+        np.max(np.abs(before_a.phi_over_c - before_b.phi_over_c)),
+        np.max(np.abs(before_a.A - before_b.A)),
+    )
+    assert leak == 0.0
+
+    later = times + 0.5
+    after_a = retarded_potential(src, grid, later)
+    after_b = retarded_potential(edited, grid, later)
+    assert not np.array_equal(after_a.phi_over_c, after_b.phi_over_c)
+
+
+def test_window_check_covers_every_evaluation_time(small_dipole):
+    points = np.array([[3.0, 0.0, 0.0], [0.0, 2.5, 1.0]])
+    assert retarded_potential(small_dipole, points, [4.0, 4.5]).phi_over_c.shape == (2, 2)
+    # Only the last time needs samples beyond the window's end.
+    with pytest.raises(ValueError) as excinfo:
+        retarded_potential(small_dipole, points, [4.0, 4.5, 5.5])
+    assert str(excinfo.value) == (
+        "retarded time outside source window: need [1.53515, 3.78828] inside [0, 3.5]"
+    )
+
+
 def test_window_violation_names_the_required_range(small_dipole):
     far_point = np.array([[30.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="retarded time outside source window"):
@@ -272,6 +390,30 @@ def test_source_shape_validation():
         SourceCurrent(
             np.zeros((2, 3, 3, 3)), np.zeros((2, 3, 3, 3, 3)), (0.1,) * 3, (0.0,) * 3
         )
+
+
+def test_source_samples_are_read_only_views_of_one_table(small_dipole):
+    src = small_dipole
+    assert src.table.shape == (8, 9, 9, 9, 4)
+    assert np.shares_memory(src.rho, src.table)
+    assert np.shares_memory(src.current, src.table)
+    for samples in (src.rho, src.current, src.table):
+        with pytest.raises(ValueError, match="read-only"):
+            samples[0, 0, 0, 0] = 1.0
+
+
+def test_constructor_packs_user_arrays_once():
+    rho = np.ones((2, 3, 3, 3))
+    current = np.zeros((2, 3, 3, 3, 3))
+    current[..., 2] = 0.5
+    src = SourceCurrent(rho, current, (0.1,) * 3, (0.0,) * 3, 0.0, 0.25)
+    rho[...] = 7.0  # the source holds its own packed copy
+    assert np.array_equal(src.rho, np.ones((2, 3, 3, 3)))
+    assert np.array_equal(src.table[..., 3], np.full((2, 3, 3, 3), 0.5))
+    with pytest.raises(ValueError, match="table must have shape"):
+        SourceCurrent.from_table(np.zeros((2, 3, 3, 3, 3)), (0.1,) * 3, (0.0,) * 3)
+    with pytest.raises(ValueError, match="non-finite"):
+        SourceCurrent.from_table(np.full((1, 3, 3, 3, 4), np.nan), (0.1,) * 3, (0.0,) * 3)
 
 
 def test_columnar_round_trip_is_bit_exact(small_dipole, tmp_path):
