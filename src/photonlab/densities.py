@@ -4,13 +4,18 @@ All densities are bilinears of the positive-frequency fields,
 
     rho  = sigma * (1/2) [ -i A+ . E-  + c.c. ]  =  sigma * Im(A+ . conj(E+))
     J    = sigma * (1/2) [ -i A+ x cB- + c.c. ]
-    H    = sigma * (1/2) [  i E+ . (omega A)- + c.c. ]
+    H    = sigma * (1/2) [  i E+ . (omega A)- + c.c. ]  =  -sigma |E+|^2
     P_j  = sigma * (1/2) [  i E+ . (k_j A)-   + c.c. ]
 
-with the spectral operators (omega A), (k_j A) applied mode-wise.  ``sigma``
-is a global sign fixed once by a self-calibration: the sign that makes the
-number density of a single propagating mode positive.  It is logged on first
-use and never varied per state.
+with the spectral operators (omega A), (k_j A) applied mode-wise.  Because
+E+ = i omega A+ mode by mode, (omega A)+ = -i E+ and the energy density is
+the plain |E+|^2 (times -sigma): no transform at all.  The three momentum
+components are one batched inverse FFT of the k_j A+ amplitudes, taken from
+the snapshot's mode amplitudes through the grid pair's spectral engine
+(:mod:`photonlab.field_synthesis`).  ``sigma`` is a global sign fixed once
+by a self-calibration: the sign that makes the number density of a single
+propagating mode positive.  It is logged on first use and never varied per
+state.
 
 The comparison wave fields are, per helicity lambda,
 
@@ -20,7 +25,13 @@ The comparison wave fields are, per helicity lambda,
 where Omega is the spectral multiplier c|k|.  Both carry a 1/sqrt(2) on top
 of the sqrt(epsilon_0/2)-style prefactors so that they share the photon-number
 normalization of rho: a monochromatic mode then satisfies |F|^2 = omega rho
-pointwise, and F = i Omega^{1/2} psi holds spectrally either way.
+pointwise, and F = i Omega^{1/2} psi holds spectrally either way.  F is built
+from the real fields E and B (B+ is transformed on first access).  In psi
+the negative-frequency parts cancel, (1/2) Omega^{1/2} (A- - A-) = 0, and the
+positive ones add, so psi = Omega^{1/2} A+: one inverse FFT of
+sqrt(omega) times the mode amplitudes, with no forward transform.  The
+half-power identity F = i Omega^{1/2} psi is then checked against F from the
+real fields, and stays a test of the two constructions, not a tautology.
 """
 
 from __future__ import annotations
@@ -48,8 +59,6 @@ DENSITY_KINDS = frozenset(
         "lp_number",
     }
 )
-
-_IMAG_RESIDUE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -87,55 +96,73 @@ def density_sign() -> int:
     return sign
 
 
-def _real_part(z, what):
-    """Take the real part, asserting the imaginary residue is negligible."""
-    scale = float(np.max(np.abs(z))) or 1.0
-    residue = float(np.max(np.abs(np.imag(z))))
-    if residue > _IMAG_RESIDUE_TOL * scale:
-        raise AssertionError(f"{what}: imaginary residue {residue} exceeds tolerance")
-    return np.real(z)
+def _im_dot(a, b, subscripts="...c,...c->..."):
+    """Im(conj(a) . b) contracted per ``subscripts``, in real arithmetic."""
+    out = np.einsum(subscripts, a.real, b.imag)
+    out -= np.einsum(subscripts, a.imag, b.real)
+    return out
 
 
 def number_density(f: fs.FieldSnapshot) -> DensityField:
-    """rho = sigma/2 (-i A+ . E- + c.c.); integrates to the k-space norm."""
-    z = -1j * np.sum(f.A_plus * np.conj(f.E_plus), axis=-1)
-    rho = density_sign() * _real_part(0.5 * (z + np.conj(z)), "number density")
+    """rho = sigma/2 (-i A+ . E- + c.c.) = sigma Im(A+ . conj(E+)).
+
+    Integrates to the k-space norm.
+    """
+    rho = density_sign() * _im_dot(f.E_plus, f.A_plus)
     return DensityField("number", rho, f.t, f.sgrid)
 
 
 def photon_current(f: fs.FieldSnapshot) -> DensityField:
-    """J = sigma/2 (-i A+ x cB- + c.c.) (c = 1 here)."""
-    z = -1j * np.cross(f.A_plus, np.conj(f.B_plus))
-    cur = density_sign() * _real_part(0.5 * (z + np.conj(z)), "photon current")
+    """J = sigma/2 (-i A+ x cB- + c.c.) = sigma Im(A+ x conj(cB+)) (c = 1 here)."""
+    a_plus, b_plus = f.A_plus, f.B_plus
+    cur = np.cross(a_plus.imag, b_plus.real)
+    cur -= np.cross(a_plus.real, b_plus.imag)
+    cur *= density_sign()
     return DensityField("current", cur, f.t, f.sgrid)
 
 
-def _operator_density(f: fs.FieldSnapshot, symbol):
-    """sigma/2 ( i E+ . conj(op A+) + c.c. ) for a real spectral symbol."""
-    coeffs = f.a_coeffs * np.asarray(symbol)[..., None]
-    op_a = fs.spectrum_to_field(coeffs, f.kgrid, f.sgrid)
-    z = 1j * np.sum(f.E_plus * np.conj(op_a), axis=-1)
-    return density_sign() * _real_part(0.5 * (z + np.conj(z)), "operator density")
+def _operator_density(f: fs.FieldSnapshot, op_coeffs):
+    """sigma/2 ( i E+ . conj(op A+) + c.c. ) = sigma Im(conj(E+) . op A+).
+
+    ``op_coeffs`` holds the mode amplitudes of op A+: (nx, ny, nz, 3) for one
+    operator, or (nx, ny, nz, m, 3) for m operators transformed together;
+    it is used as the work array.
+    """
+    op_a = fs.spectral_engine(f.kgrid, f.sgrid).to_field(op_coeffs, overwrite=True)
+    subscripts = "...c,...c->..." if op_a.ndim == 4 else "...c,...jc->...j"
+    out = _im_dot(f.E_plus, op_a, subscripts)
+    out *= density_sign()
+    return out
+
+
+def _energy(f: fs.FieldSnapshot):
+    """H = -sigma |E+|^2, the omega-multiplier form without a transform."""
+    e_plus = f.E_plus
+    out = np.einsum("...c,...c->...", e_plus.real, e_plus.real)
+    out += np.einsum("...c,...c->...", e_plus.imag, e_plus.imag)
+    out *= -density_sign()
+    return out
+
+
+def _momentum(f: fs.FieldSnapshot):
+    """(P_x, P_y, P_z) on the trailing axis from one 9-component transform."""
+    op_coeffs = f.kgrid.k_vectors[..., :, None] * f.amplitude[..., None, :]
+    op_coeffs *= f.time_phase[..., None, None]
+    return _operator_density(f, op_coeffs)
 
 
 def four_momentum_density(f: fs.FieldSnapshot) -> DensityField:
-    """(H, P): energy from the omega multiplier, momentum from the k multiplier."""
-    omega = f.kgrid.omega
-    k = f.kgrid.k_vectors
-    h = _operator_density(f, omega)
-    parts = [h] + [_operator_density(f, k[..., a]) for a in range(3)]
-    data = np.stack(parts, axis=-1)
+    """(H, P): energy as -sigma |E+|^2, momentum from the k multipliers."""
+    data = np.concatenate([_energy(f)[..., None], _momentum(f)], axis=-1)
     return DensityField("four_momentum", data, f.t, f.sgrid)
 
 
 def energy_density(f: fs.FieldSnapshot) -> DensityField:
-    return DensityField("energy", _operator_density(f, f.kgrid.omega), f.t, f.sgrid)
+    return DensityField("energy", _energy(f), f.t, f.sgrid)
 
 
 def momentum_density(f: fs.FieldSnapshot) -> DensityField:
-    k = f.kgrid.k_vectors
-    data = np.stack([_operator_density(f, k[..., a]) for a in range(3)], axis=-1)
-    return DensityField("momentum", data, f.t, f.sgrid)
+    return DensityField("momentum", _momentum(f), f.t, f.sgrid)
 
 
 def helicity_density(f: fs.FieldSnapshot) -> np.ndarray:
@@ -150,17 +177,17 @@ def helicity_density(f: fs.FieldSnapshot) -> np.ndarray:
         0.0,
         kgrid.k_vectors / np.where(kgrid.exclusion_mask, 1.0, kgrid.omega)[..., None],
     )
-    coeffs = 1j * np.cross(khat, f.a_coeffs)
-    op_a = fs.spectrum_to_field(coeffs, f.kgrid, f.sgrid)
-    z = 1j * np.sum(f.E_plus * np.conj(op_a), axis=-1)
-    return density_sign() * _real_part(0.5 * (z + np.conj(z)), "helicity density")
+    coeffs = np.cross(khat, f.a_coeffs)
+    coeffs *= 1j
+    return _operator_density(f, coeffs)
 
 
 def spin_angular_momentum_density(f: fs.FieldSnapshot) -> DensityField:
     """Spin part Re(E+ x A-); sign fixed so a pure-lambda state integrates
     to lambda * khat (checked against the k-space oracle)."""
-    z = np.cross(f.E_plus, np.conj(f.A_plus))
-    data = _real_part(0.5 * (z + np.conj(z)), "spin density")
+    e_plus, a_plus = f.E_plus, f.A_plus
+    data = np.cross(e_plus.real, a_plus.real)
+    data += np.cross(e_plus.imag, a_plus.imag)
     return DensityField("angular_momentum", data, f.t, f.sgrid)
 
 
@@ -168,8 +195,16 @@ def orbital_angular_momentum_density(f: fs.FieldSnapshot, origin) -> DensityFiel
     """Orbital part r x P with P the momentum density (so that shifting the
     reference origin by d changes the integral by -d x total momentum)."""
     p = momentum_density(f).data
-    r = f.sgrid.coordinates - np.asarray(origin, dtype=float)
-    return DensityField("angular_momentum", np.cross(r, p), f.t, f.sgrid)
+    # r per axis as a broadcastable 1-D array, so no (nx, ny, nz, 3) position array
+    r = [
+        (f.sgrid.axes[a] - float(origin[a])).reshape([-1 if b == a else 1 for b in range(3)])
+        for a in range(3)
+    ]
+    data = np.empty_like(p)
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        data[..., a] = r[b] * p[..., c] - r[c] * p[..., b]
+    return DensityField("angular_momentum", data, f.t, f.sgrid)
 
 
 def angular_momentum_density(f: fs.FieldSnapshot, origin) -> DensityField:
@@ -221,16 +256,16 @@ class PhotonWaveFields:
 
 
 def photon_wave_fields(f: fs.FieldSnapshot, s: PhotonSpectrum) -> PhotonWaveFields:
-    """Build F and psi from the real fields of a pure-helicity state."""
+    """F from the real fields E and B, psi = Omega^{1/2} A+ (see module docs)."""
     lam = s.pure_helicity()
     if lam is None:
         raise ValueError("mixed-helicity spectrum: F and psi need a pure helicity")
-    A, E, B = fs.real_fields(f)
+    E = 2.0 * np.real(f.E_plus)
+    B = 2.0 * np.real(f.B_plus)
     half = 0.5  # = (1/sqrt 2) * sqrt(1/2): photon-number normalization, cf. module docs
     F = half * (E + 1j * lam * B)
-    om_a = apply_frequency_operator(A.astype(np.complex128), f.kgrid, f.sgrid, 0.5)
-    om_e = apply_frequency_operator(E.astype(np.complex128), f.kgrid, f.sgrid, -0.5)
-    psi = half * (om_a - 1j * om_e)
+    psi_coeffs = np.sqrt(f.kgrid.omega)[..., None] * f.a_coeffs
+    psi = fs.spectral_engine(f.kgrid, f.sgrid).to_field(psi_coeffs, overwrite=True)
     return PhotonWaveFields(helicity=lam, F=F, psi=psi, t=f.t, grid=f.sgrid)
 
 

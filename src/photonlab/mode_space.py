@@ -117,10 +117,6 @@ class WaveVectorGrid:
     def n_samples(self):
         return self.n_per_axis[0] * self.n_per_axis[1] * self.n_per_axis[2]
 
-    @property
-    def unmasked_count(self):
-        return int(self.n_samples - np.count_nonzero(self.exclusion_mask))
-
     def same_grid(self, other):
         return (
             self.n_per_axis == other.n_per_axis
@@ -152,13 +148,6 @@ class PolarizationBasis:
     e_par: np.ndarray
     e_plus: np.ndarray
     e_minus: np.ndarray
-
-    def for_helicity(self, lam):
-        if lam == +1:
-            return self.e_plus
-        if lam == -1:
-            return self.e_minus
-        raise ValueError(f"helicity must be +1 or -1, got {lam!r}")
 
 
 def build_basis(grid: WaveVectorGrid) -> PolarizationBasis:

@@ -94,10 +94,10 @@ def _circular_distances(sgrid: fs.SpatialGrid, center):
 
 def _divergence(vec, kgrid, sgrid):
     """Spectral divergence of a real vector field on the paired grid."""
-    coeffs = fs.field_to_spectrum(vec, kgrid, sgrid)
-    k = kgrid.k_vectors
-    div_coeffs = 1j * np.sum(k * coeffs, axis=-1)
-    return np.real(fs.spectrum_to_field(div_coeffs[..., None], kgrid, sgrid)[..., 0])
+    engine = fs.spectral_engine(kgrid, sgrid)
+    coeffs = engine.to_spectrum(vec)
+    div_coeffs = 1j * np.sum(kgrid.k_vectors * coeffs, axis=-1)
+    return np.real(engine.to_field(div_coeffs))
 
 
 def continuity_residual(s: PhotonSpectrum, sgrid: fs.SpatialGrid, t: float, dt: float) -> float:
@@ -108,14 +108,19 @@ def continuity_residual(s: PhotonSpectrum, sgrid: fs.SpatialGrid, t: float, dt: 
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    return _continuity_residual(s, fs.synthesize(s, sgrid, t), dt)
+
+
+def _continuity_residual(s: PhotonSpectrum, snap: fs.FieldSnapshot, dt: float) -> float:
+    """continuity_residual about the time of an existing snapshot of ``s``."""
+    sgrid, t = snap.sgrid, snap.t
     omega_max = float(np.max(s.grid.omega))
     if dt * omega_max > 0.01:
         warnings.warn("dt too large for the continuity stencil (omega_max dt > 0.01)",
-                      stacklevel=2)
+                      stacklevel=3)
     rho_p = dn.number_density(fs.synthesize(s, sgrid, t + dt)).data
     rho_m = dn.number_density(fs.synthesize(s, sgrid, t - dt)).data
     drho = (rho_p - rho_m) / (2.0 * dt)
-    snap = fs.synthesize(s, sgrid, t)
     cur = dn.photon_current(snap).data
     div = _divergence(cur, s.grid, sgrid)
     num = float(np.linalg.norm(drho + div))
@@ -137,14 +142,21 @@ def transport_speed(s: PhotonSpectrum, sgrid: fs.SpatialGrid, t0: float, t1: flo
     """
     if t1 == t0:
         raise ValueError("zero interval: t1 must differ from t0")
+    rho0 = dn.number_density(fs.synthesize(s, sgrid, t0))
+    return _transport_speed(s, rho0, t1, guard_fraction)
+
+
+def _transport_speed(s: PhotonSpectrum, rho0: dn.DensityField, t1: float,
+                     guard_fraction: float) -> float:
+    """transport_speed from an existing number density at the start time."""
+    sgrid, t0 = rho0.grid, rho0.t
     centers = []
-    for t in (t0, t1):
-        rho = dn.number_density(fs.synthesize(s, sgrid, t))
+    for rho in (rho0, dn.number_density(fs.synthesize(s, sgrid, t1))):
         c = _circular_mean(rho.data, sgrid)
         r90 = _containment_radius(rho.data, sgrid, c, 0.90)
         if r90 > guard_fraction * min(sgrid.box_lengths):
             raise ValueError("wraparound: packet leaves the guard band "
-                             f"(r90={r90:.3g} at t={t:.3g})")
+                             f"(r90={r90:.3g} at t={rho.t:.3g})")
         centers.append(c)
     disp = _wrapped_difference(centers[1], centers[0], sgrid)
     return float(np.linalg.norm(disp) / abs(t1 - t0))
@@ -222,10 +234,10 @@ def expectations(s: PhotonSpectrum, sgrid: fs.SpatialGrid, t: float,
 
     omega_max = float(np.max(s.grid.omega))
     dt = 1e-3 / omega_max
-    cont = continuity_residual(s, sgrid, t, dt)
+    cont = _continuity_residual(s, snap, dt)
 
     probe = 3.0 * max(sgrid.delta_x)
-    speed = transport_speed(s, sgrid, t, t + probe)
+    speed = _transport_speed(s, rho, t + probe, GUARD_FRACTION)
 
     fields = [rho]
     if s.pure_helicity() is not None:

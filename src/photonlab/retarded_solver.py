@@ -59,7 +59,8 @@ import numpy as np
 from scipy import sparse
 
 from .diskio import atomic_write_text
-from .field_synthesis import SpatialGrid, _triple
+from .field_synthesis import SpatialGrid
+from .mode_space import _triple
 
 FOUR_PI = 4.0 * math.pi
 
@@ -203,13 +204,13 @@ class SourceCurrent:
         ``max(||div J||_2, eps)``, so a static source scores exactly zero and
         a source with vanishing current but moving charge scores enormous.
         """
-        dt_rho = _time_derivative(self.rho, self.delta_t)
-        div_j = np.zeros_like(self.rho)
-        for axis in range(3):
-            div_j += _space_derivative(self.current[..., axis], axis + 1, self.delta_x[axis])
         core = _interior_slices(self.rho.shape)
-        numerator = float(np.linalg.norm((dt_rho + div_j)[core]))
-        denominator = float(np.linalg.norm(div_j[core]))
+        dt_rho = _interior_derivative(self.rho, 0, self.delta_t, core)
+        div_j = _interior_derivative(self.current[..., 0], 1, self.delta_x[0], core)
+        for axis in (1, 2):
+            div_j += _interior_derivative(self.current[..., axis], axis + 1, self.delta_x[axis], core)
+        numerator = float(np.linalg.norm(dt_rho + div_j))
+        denominator = float(np.linalg.norm(div_j))
         return numerator / max(denominator, _DENOMINATOR_FLOOR)
 
 
@@ -218,47 +219,41 @@ def _interior_slices(shape: tuple[int, ...]) -> tuple[slice, ...]:
     margins = []
     for n in shape[:4]:
         margins.append(2 if n >= 5 else (1 if n >= 3 else 0))
-    return tuple(slice(m, n - m if m else None) for m, n in zip(margins, shape[:4]))
+    return tuple(slice(m, n - m) for m, n in zip(margins, shape[:4]))
 
 
-def _time_derivative(arr: np.ndarray, step: float) -> np.ndarray:
-    n = arr.shape[0]
-    if n == 1:
-        return np.zeros_like(arr)
-    if n == 2:
-        first = (arr[1] - arr[0]) / step
-        return np.stack([first, first])
-    return _space_derivative(arr, 0, step)
+def _interior_derivative(
+    arr: np.ndarray, axis: int, step: float, core: tuple[slice, ...]
+) -> np.ndarray:
+    """Centred difference along ``axis``, evaluated on the ``core`` slices only.
 
-
-def _space_derivative(arr: np.ndarray, axis: int, step: float) -> np.ndarray:
-    """Centred difference along ``axis``: fourth order for >=5 samples."""
+    Fourth order where the axis has >= 5 samples, second order for 3-4.
+    Below that the derivative is zero, except along time (axis 0) with two
+    samples, where both get the one forward difference.
+    """
     n = arr.shape[axis]
-    out = np.zeros_like(arr)
-    if n < 3:
-        return out
 
-    def take(offset: int, core: slice):
-        index = [slice(None)] * arr.ndim
-        index[axis] = slice(core.start + offset, core.stop + offset)
+    def shifted(offset: int) -> np.ndarray:
+        index = list(core)
+        index[axis] = slice(core[axis].start + offset, core[axis].stop + offset)
         return arr[tuple(index)]
 
-    def assign(core: slice, value: np.ndarray) -> None:
-        index = [slice(None)] * arr.ndim
-        index[axis] = core
-        out[tuple(index)] = value
-
     if n >= 5:
-        core = slice(2, n - 2)
-        assign(
-            core,
-            (-take(2, core) + 8.0 * take(1, core) - 8.0 * take(-1, core) + take(-2, core))
-            / (12.0 * step),
-        )
-    else:
-        core = slice(1, n - 1)
-        assign(core, (take(1, core) - take(-1, core)) / (2.0 * step))
-    return out
+        # (-f[+2] + 8 f[+1] - 8 f[-1] + f[-2]) / (12 step), one temporary at a time
+        out = np.negative(shifted(2))
+        out += 8.0 * shifted(1)
+        out -= 8.0 * shifted(-1)
+        out += shifted(-2)
+        out /= 12.0 * step
+        return out
+    if n >= 3:
+        out = shifted(1) - shifted(-1)
+        out /= 2.0 * step
+        return out
+    region = arr[core]
+    if axis == 0 and n == 2:
+        return np.broadcast_to((arr[1] - arr[0])[core[1:]] / step, region.shape).copy()
+    return np.zeros_like(region)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ from .field_synthesis import (
     FieldSnapshot,
     SpatialGrid,
     synthesize,
-    synthesize_at_points,
     translation_check_1d,
+    vector_potential_at_points,
 )
 from .fock_algebra import (
     ModeSet,
@@ -213,23 +213,19 @@ def check_number_norm() -> CheckResult:
     return CheckResult("number-norm", (Metric("norm_drift", worst, tol),))
 
 
-def _spectral_oracles():
-    summary = spectral_summary(desk_packet())
+def _direction_oracle(mass):
+    """k-space mode sum of ``mass`` times the unit wave vector (zero on the excluded mode)."""
     grid = desk_grid()
-    packet = desk_packet()
-    weight = grid.cell_weight
-    mass = np.sum(np.abs(packet.c) ** 2, axis=0)
     omega = np.where(grid.exclusion_mask, 1.0, grid.omega)
     direction = np.where(
         grid.exclusion_mask[..., None], 0.0, grid.k_vectors / omega[..., None]
     )
-    current_oracle = weight * np.einsum("ijk,ijkx->x", mass, direction)
-    return summary, current_oracle
+    return grid.cell_weight * np.einsum("ijk,ijkx->x", mass, direction)
 
 
 def check_current_integral() -> CheckResult:
     snap = desk_snapshot()
-    _, oracle = _spectral_oracles()
+    oracle = _direction_oracle(np.sum(np.abs(desk_packet().c) ** 2, axis=0))
     measured = densities.photon_current(snap).integral()
     scale = float(np.linalg.norm(oracle))
     err = float(np.linalg.norm(np.asarray(measured) - oracle)) / scale
@@ -239,7 +235,7 @@ def check_current_integral() -> CheckResult:
 
 def check_energy_momentum() -> CheckResult:
     snap = desk_snapshot()
-    summary, _ = _spectral_oracles()
+    summary = spectral_summary(desk_packet())
     energy = densities.energy_density(snap).integral()
     momentum = np.asarray(densities.momentum_density(snap).integral())
     energy_err = abs(energy - summary.energy) / abs(summary.energy)
@@ -282,20 +278,13 @@ def check_continuity() -> CheckResult:
 
 def check_helicity_spin() -> CheckResult:
     snap = desk_snapshot()
-    grid = desk_grid()
-    packet = desk_packet()
     spatial = desk_spatial()
     tol = DEFAULT_TOLERANCES["helicity"]
     helicity_total = float(
         np.sum(densities.helicity_density(snap)) * spatial.cell_volume
     )
-    weight = grid.cell_weight
-    mass = np.abs(packet.c) ** 2
-    omega = np.where(grid.exclusion_mask, 1.0, grid.omega)
-    direction = np.where(
-        grid.exclusion_mask[..., None], 0.0, grid.k_vectors / omega[..., None]
-    )
-    spin_oracle = weight * np.einsum("ijk,ijkx->x", mass[0] - mass[1], direction)
+    mass = np.abs(desk_packet().c) ** 2
+    spin_oracle = _direction_oracle(mass[0] - mass[1])
     spin_total = np.asarray(
         densities.spin_angular_momentum_density(snap).integral()
     )
@@ -473,14 +462,9 @@ def control_corrupted_convention() -> CheckResult:
     proving the suite would catch a silent convention drift.
     """
     packet = desk_packet()
-    spatial = desk_spatial()
-    original = field_synthesis._MODE_WEIGHT_SCALE
-    try:
-        field_synthesis._MODE_WEIGHT_SCALE = (2.0 * math.pi) ** 1.5
-        snap = synthesize(packet, spatial, 0.0)
-        total = densities.number_density(snap).integral()
-    finally:
-        field_synthesis._MODE_WEIGHT_SCALE = original
+    weight = (2.0 * math.pi) ** 1.5 * field_synthesis.mode_weight(desk_grid())
+    snap = field_synthesis._synthesize_with_weight(packet, desk_spatial(), 0.0, weight)
+    total = densities.number_density(snap).integral()
     drift = abs(total - 1.0)
     return CheckResult(
         "control-corrupted-convention",
@@ -676,7 +660,7 @@ def _spot_check(cfg: ScenarioConfig, spectrum, spatial: SpatialGrid, snap: Field
         [rng.integers(0, n, size=4) for n in shape], axis=1
     )
     points = spatial.coordinates[tuple(indices.T)]
-    direct, _, _ = synthesize_at_points(spectrum, points, snap.t)
+    direct = vector_potential_at_points(spectrum, points, snap.t)
     via_fft = snap.A_plus[tuple(indices.T)]
     scale = max(float(np.max(np.abs(snap.A_plus))), 1e-300)
     err = float(np.max(np.abs(direct - via_fft))) / scale
@@ -741,6 +725,8 @@ def run_scenario(cfg: ScenarioConfig, outdir: str) -> RunReport:
             results.append(CheckResult("fft-quadrature", (spot,)))
         for kind in cfg.outputs.densities:
             field = _density_field(kind, snap, spectrum)
+            if kind == "number":
+                number = field
             filename = f"{kind}_t{t_index}.f64"
             write_array(os.path.join(outdir, filename), field.data, kind, t)
             artifacts[filename] = _sha256(os.path.join(outdir, filename))
@@ -751,7 +737,7 @@ def run_scenario(cfg: ScenarioConfig, outdir: str) -> RunReport:
                 for label, value in zip("xyzt", np.atleast_1d(integral)):
                     summary_values[f"integral.{kind}.{label}.t{t_index}"] = f"{float(value):.17g}"
         if t_index == 0 and "number" in cfg.outputs.densities:
-            total = densities.number_density(snap).integral()
+            total = number.integral()
             results.append(
                 CheckResult(
                     "number-norm",
