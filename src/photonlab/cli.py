@@ -10,8 +10,9 @@ Subcommands:
   plane of a density field as CSV.
 * ``version`` — print the package version.
 
-Exit codes: 0 success, 1 failed check or runtime error (the failing check is
-named on stderr), 2 configuration error (with file/line diagnostics).
+Exit codes: 0 success, 1 failed check or runtime error (the failing check, or
+the artifact path that could not be written, is named on stderr), 2
+configuration error (with file/line diagnostics).
 """
 
 from __future__ import annotations
@@ -84,6 +85,10 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"run failed: {exc}", file=sys.stderr)
             return 1
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"run failed: cannot write artifacts to {outdir}: {reason}", file=sys.stderr)
+            return 1
         for result in report.results:
             print(result.line())
         if report.summary_path is not None:
@@ -101,6 +106,10 @@ def main(argv: list[str] | None = None) -> int:
             written = export_slice(cfg, args.kind, args.plane, out_path)
         except ValueError as exc:
             print(f"export failed: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"export failed: cannot write {out_path}: {reason}", file=sys.stderr)
             return 1
         print(f"wrote {written}")
         return 0

@@ -26,6 +26,7 @@ length unit); array data stays in natural units either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .densities import DENSITY_KINDS
@@ -90,7 +91,6 @@ class UnitSection:
 @dataclass(frozen=True)
 class RunSection:
     seed: int = 7
-    guard_fraction: float = 0.25
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,8 @@ def _parse_floats(raw: str, count: int | None, source: str, lineno: int, key: st
         values = tuple(float(item) for item in items)
     except ValueError:
         _fail(source, lineno, f"key '{key}': expected numbers, got '{raw.strip()}'")
+    if not all(math.isfinite(value) for value in values):
+        _fail(source, lineno, f"key '{key}': expected finite numbers, got '{raw.strip()}'")
     if count is not None and len(values) not in (1, count):
         _fail(source, lineno, f"key '{key}': expected 1 or {count} values, got {len(values)}")
     if count is not None and len(values) == 1:
@@ -259,11 +261,6 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         elif section == "run":
             if name == "seed":
                 run = _replace(run, seed=_parse_ints(raw, 1, source, lineno, key)[0])
-            elif name == "guard_fraction":
-                fraction = _parse_floats(raw, None, source, lineno, key)[0]
-                if not 0.0 < fraction < 0.5:
-                    _fail(source, lineno, f"key '{key}': guard fraction must be in (0, 0.5)")
-                run = _replace(run, guard_fraction=fraction)
             else:
                 _fail(source, lineno, f"unknown key '{key}'")
         elif section == "tolerances":

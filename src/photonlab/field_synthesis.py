@@ -28,8 +28,8 @@ into an inverse DFT.  The time-independent amplitude g * i omega^{-1/2}
 (c+ e+ + c- e-) is formed once per spectrum; each time then costs one
 exp(-i omega t) multiplier and one inverse FFT of the six components of A+
 and E+.  B+ is transformed on first access only, so number-only runs never
-pay for it.  The direct quadrature (``method="direct"``,
-:func:`synthesize_at_points`) builds its own basis and never reads the
+pay for it.  The direct quadrature (:func:`synthesize_at_points`,
+:func:`vector_potential_at_points`) builds its own basis and never reads the
 engine: it is the oracle the FFT path is checked against.
 """
 
@@ -44,8 +44,6 @@ import numpy as np
 from scipy import fft as _sfft
 
 from .mode_space import PhotonSpectrum, TWO_PI, WaveVectorGrid, _triple, build_basis
-
-_DIRECT_OP_LIMIT = 2**27
 
 
 def _workers():
@@ -317,29 +315,10 @@ def _direct_amplitude(s: PhotonSpectrum, t: float):
     return coeffs
 
 
-def synthesize(s: PhotonSpectrum, sgrid: SpatialGrid, t: float, method="fft") -> FieldSnapshot:
-    """Synthesize A+, E+ and (lazily) B+ at time t on ``sgrid``.
-
-    method="fft" needs FFT-paired grids; method="direct" evaluates the naive
-    quadrature sum (only sensible on small grids, used as an oracle).
-    """
-    if method == "fft":
-        engine = spectral_engine(s.grid, sgrid)
-        return engine.snapshot(engine.amplitude(s), float(t))
-    if method != "direct":
-        raise ValueError(f"unknown synthesis method {method!r}")
-    kgrid = s.grid
-    if kgrid.n_samples * sgrid.n_samples > _DIRECT_OP_LIMIT:
-        raise ValueError("direct synthesis requested on too large a grid pair")
-    amplitude = _direct_amplitude(s, 0.0)
-    coeffs = amplitude * np.exp(-1j * kgrid.omega * float(t))[..., None]
-    pts = sgrid.coordinates.reshape(-1, 3)
-    A, E, B = (f.reshape(sgrid.n_per_axis + (3,)) for f in _direct_fields(coeffs, kgrid, pts))
-    snap = FieldSnapshot(
-        t=float(t), A_plus=A, E_plus=E, amplitude=amplitude, kgrid=kgrid, sgrid=sgrid,
-    )
-    vars(snap)["B_plus"] = B  # the quadrature value, not the lazy FFT
-    return snap
+def synthesize(s: PhotonSpectrum, sgrid: SpatialGrid, t: float) -> FieldSnapshot:
+    """Synthesize A+, E+ and (lazily) B+ at time t on the FFT-paired ``sgrid``."""
+    engine = spectral_engine(s.grid, sgrid)
+    return engine.snapshot(engine.amplitude(s), float(t))
 
 
 def _synthesize_with_weight(s: PhotonSpectrum, sgrid: SpatialGrid, t: float, weight: float):

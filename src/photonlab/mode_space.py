@@ -76,9 +76,9 @@ class WaveVectorGrid:
         return cls(n, dk, k_min)
 
     @classmethod
-    def collinear(cls, n_z, delta_kz, delta_k_perp=1.0):
-        """1 x 1 x n_z grid with all samples on the z axis."""
-        return cls.centered((1, 1, int(n_z)), (delta_k_perp, delta_k_perp, delta_kz))
+    def collinear(cls, n_z, delta_kz):
+        """1 x 1 x n_z grid with all samples on the z axis (unit transverse spacing)."""
+        return cls.centered((1, 1, int(n_z)), (1.0, 1.0, delta_kz))
 
     @cached_property
     def axes(self):
@@ -137,21 +137,20 @@ class WaveVectorGrid:
 
 @dataclass(frozen=True)
 class PolarizationBasis:
-    """Right-handed helicity triad per grid sample.
+    """Helicity pair per grid sample.
 
-    e_par = k/|k|, e_plus/e_minus = (e_theta +/- i e_phi)/sqrt(2).  At the
+    e_plus/e_minus = (e_theta +/- i e_phi)/sqrt(2), transverse to k.  At the
     poles (k parallel to +/-z) the azimuth is fixed to phi = 0, which gives
     e_theta = (+/-1, 0, 0) and e_phi = (0, 1, 0).  Masked samples carry zero
     vectors.
     """
 
-    e_par: np.ndarray
     e_plus: np.ndarray
     e_minus: np.ndarray
 
 
 def build_basis(grid: WaveVectorGrid) -> PolarizationBasis:
-    """Construct the helicity triad on every unmasked sample of ``grid``."""
+    """Construct the helicity pair on every unmasked sample of ``grid``."""
     k = grid.k_vectors
     kn = grid.omega
     mask = grid.exclusion_mask
@@ -173,16 +172,15 @@ def build_basis(grid: WaveVectorGrid) -> PolarizationBasis:
     )
 
     keep = ~mask[..., None]
-    e_par = np.where(keep, k / safe[..., None], 0.0)
     e_theta = np.where(keep, e_theta, 0.0)
     e_phi = np.where(keep, e_phi, 0.0)
 
     inv_rt2 = 1.0 / np.sqrt(2.0)
     e_plus = (e_theta + 1j * e_phi) * inv_rt2
     e_minus = (e_theta - 1j * e_phi) * inv_rt2
-    for arr in (e_par, e_plus, e_minus):
+    for arr in (e_plus, e_minus):
         arr.flags.writeable = False
-    return PolarizationBasis(e_par=e_par, e_plus=e_plus, e_minus=e_minus)
+    return PolarizationBasis(e_plus=e_plus, e_minus=e_minus)
 
 
 @dataclass(frozen=True)

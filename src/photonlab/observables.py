@@ -16,7 +16,7 @@ from . import densities as dn
 from . import field_synthesis as fs
 from .mode_space import PhotonSpectrum
 
-#: default guard band: a packet should occupy less than this fraction of the box
+#: guard band: a packet's 90% containment radius must stay below this fraction of the box
 GUARD_FRACTION = 0.25
 
 
@@ -131,8 +131,7 @@ def _continuity_residual(s: PhotonSpectrum, snap: fs.FieldSnapshot, dt: float) -
     return num / den
 
 
-def transport_speed(s: PhotonSpectrum, sgrid: fs.SpatialGrid, t0: float, t1: float,
-                    guard_fraction: float = GUARD_FRACTION) -> float:
+def transport_speed(s: PhotonSpectrum, sgrid: fs.SpatialGrid, t0: float, t1: float) -> float:
     """Centroid speed |x(t1) - x(t0)| / (t1 - t0) via circular means.
 
     The guard band uses the 90% containment radius about the centroid: the
@@ -143,18 +142,17 @@ def transport_speed(s: PhotonSpectrum, sgrid: fs.SpatialGrid, t0: float, t1: flo
     if t1 == t0:
         raise ValueError("zero interval: t1 must differ from t0")
     rho0 = dn.number_density(fs.synthesize(s, sgrid, t0))
-    return _transport_speed(s, rho0, t1, guard_fraction)
+    return _transport_speed(s, rho0, t1)
 
 
-def _transport_speed(s: PhotonSpectrum, rho0: dn.DensityField, t1: float,
-                     guard_fraction: float) -> float:
+def _transport_speed(s: PhotonSpectrum, rho0: dn.DensityField, t1: float) -> float:
     """transport_speed from an existing number density at the start time."""
     sgrid, t0 = rho0.grid, rho0.t
     centers = []
     for rho in (rho0, dn.number_density(fs.synthesize(s, sgrid, t1))):
         c = _circular_mean(rho.data, sgrid)
         r90 = _containment_radius(rho.data, sgrid, c, 0.90)
-        if r90 > guard_fraction * min(sgrid.box_lengths):
+        if r90 > GUARD_FRACTION * min(sgrid.box_lengths):
             raise ValueError("wraparound: packet leaves the guard band "
                              f"(r90={r90:.3g} at t={rho.t:.3g})")
         centers.append(c)
@@ -237,7 +235,7 @@ def expectations(s: PhotonSpectrum, sgrid: fs.SpatialGrid, t: float,
     cont = _continuity_residual(s, snap, dt)
 
     probe = 3.0 * max(sgrid.delta_x)
-    speed = _transport_speed(s, rho, t + probe, GUARD_FRACTION)
+    speed = _transport_speed(s, rho, t + probe)
 
     fields = [rho]
     if s.pure_helicity() is not None:

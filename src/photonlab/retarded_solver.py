@@ -42,6 +42,9 @@ evaluation points inside the source box are rejected.
 
 Conventions for derived quantities:
 
+* One centred-difference helper serves the source-conservation, gauge and
+  field stencils; its order on each axis is set by the margin the evaluated
+  interior leaves there (fourth order for two samples, second for one).
 * Lorenz-gauge residual: d(phi_over_c)/dt + div A, normalized by the L2 norm
   of div A, both via centred differences on interior samples.
 * Fields: E = -dA/dt - grad(phi), B = curl A, again centred differences; the
@@ -204,14 +207,9 @@ class SourceCurrent:
         ``max(||div J||_2, eps)``, so a static source scores exactly zero and
         a source with vanishing current but moving charge scores enormous.
         """
-        core = _interior_slices(self.rho.shape)
-        dt_rho = _interior_derivative(self.rho, 0, self.delta_t, core)
-        div_j = _interior_derivative(self.current[..., 0], 1, self.delta_x[0], core)
-        for axis in (1, 2):
-            div_j += _interior_derivative(self.current[..., axis], axis + 1, self.delta_x[axis], core)
-        numerator = float(np.linalg.norm(dt_rho + div_j))
-        denominator = float(np.linalg.norm(div_j))
-        return numerator / max(denominator, _DENOMINATOR_FLOOR)
+        return _continuity_defect(
+            self.rho, self.current, self.delta_t, self.delta_x, _interior_slices(self.rho.shape)
+        )
 
 
 def _interior_slices(shape: tuple[int, ...]) -> tuple[slice, ...]:
@@ -227,18 +225,20 @@ def _interior_derivative(
 ) -> np.ndarray:
     """Centred difference along ``axis``, evaluated on the ``core`` slices only.
 
-    Fourth order where the axis has >= 5 samples, second order for 3-4.
-    Below that the derivative is zero, except along time (axis 0) with two
-    samples, where both get the one forward difference.
+    The order follows the margin ``core`` leaves on that axis: fourth order
+    for two samples or more, second order for one.  With no margin the
+    derivative is zero, except along time (axis 0) with two samples, where
+    both get the one forward difference.
     """
     n = arr.shape[axis]
+    margin = min(core[axis].start, n - core[axis].stop)
 
     def shifted(offset: int) -> np.ndarray:
         index = list(core)
         index[axis] = slice(core[axis].start + offset, core[axis].stop + offset)
         return arr[tuple(index)]
 
-    if n >= 5:
+    if margin >= 2:
         # (-f[+2] + 8 f[+1] - 8 f[-1] + f[-2]) / (12 step), one temporary at a time
         out = np.negative(shifted(2))
         out += 8.0 * shifted(1)
@@ -246,7 +246,7 @@ def _interior_derivative(
         out += shifted(-2)
         out /= 12.0 * step
         return out
-    if n >= 3:
+    if margin == 1:
         out = shifted(1) - shifted(-1)
         out /= 2.0 * step
         return out
@@ -254,6 +254,21 @@ def _interior_derivative(
     if axis == 0 and n == 2:
         return np.broadcast_to((arr[1] - arr[0])[core[1:]] / step, region.shape).copy()
     return np.zeros_like(region)
+
+
+def _continuity_defect(
+    scalar: np.ndarray,
+    vector: np.ndarray,
+    step_t: float,
+    steps_x: tuple[float, float, float],
+    core: tuple[slice, ...],
+) -> float:
+    """``||d(scalar)/dt + div(vector)||_2 / max(||div(vector)||_2, eps)`` on ``core``."""
+    div = _interior_derivative(vector[..., 0], 1, steps_x[0], core)
+    for axis in (1, 2):
+        div += _interior_derivative(vector[..., axis], axis + 1, steps_x[axis], core)
+    numerator = float(np.linalg.norm(_interior_derivative(scalar, 0, step_t, core) + div))
+    return numerator / max(float(np.linalg.norm(div)), _DENOMINATOR_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -534,26 +549,9 @@ def _require_stencil(pf: PotentialField) -> tuple[float, tuple[float, float, flo
     return pf.time_step, pf.grid.delta_x
 
 
-def _centred_time(arr: np.ndarray, step: float) -> np.ndarray:
-    return (arr[2:] - arr[:-2]) / (2.0 * step)
-
-
-def _centred_space(arr: np.ndarray, axis: int, step: float) -> np.ndarray:
-    """Interior centred difference; also trims the other spatial axes."""
-    upper = [slice(None)] * arr.ndim
-    lower = [slice(None)] * arr.ndim
-    for ax in range(1, 4):
-        if ax == axis:
-            upper[ax] = slice(2, None)
-            lower[ax] = slice(None, -2)
-        else:
-            upper[ax] = slice(1, -1)
-            lower[ax] = slice(1, -1)
-    return (arr[tuple(upper)] - arr[tuple(lower)]) / (2.0 * step)
-
-
-def _trim_interior(arr: np.ndarray) -> np.ndarray:
-    return arr[:, 1:-1, 1:-1, 1:-1]
+def _stencil_core(pf: PotentialField) -> tuple[slice, ...]:
+    """All but the first and last sample on each of the four axes."""
+    return tuple(slice(1, n - 1) for n in pf.phi_over_c.shape)
 
 
 def gauge_residual(pf: PotentialField) -> float:
@@ -563,13 +561,7 @@ def gauge_residual(pf: PotentialField) -> float:
     centred differences over interior time slices and interior grid points.
     """
     step_t, steps_x = _require_stencil(pf)
-    dphi = _trim_interior(_centred_time(pf.phi_over_c, step_t))
-    div = np.zeros_like(dphi)
-    for axis in range(3):
-        div += _centred_space(pf.A[1:-1, ..., axis], axis + 1, steps_x[axis])
-    numerator = float(np.linalg.norm(dphi + div))
-    denominator = float(np.linalg.norm(div))
-    return numerator / max(denominator, _DENOMINATOR_FLOOR)
+    return _continuity_defect(pf.phi_over_c, pf.A, step_t, steps_x, _stencil_core(pf))
 
 
 def fields_from_potential(pf: PotentialField) -> tuple[np.ndarray, np.ndarray]:
@@ -579,21 +571,17 @@ def fields_from_potential(pf: PotentialField) -> tuple[np.ndarray, np.ndarray]:
     aligned with ``pf.times[1:-1]`` and the interior grid points.
     """
     step_t, steps_x = _require_stencil(pf)
-    shape = pf.phi_over_c.shape
-    interior = (shape[0] - 2, shape[1] - 2, shape[2] - 2, shape[3] - 2)
+    core = _stencil_core(pf)
 
-    e_field = np.empty(interior + (3,))
-    dt_a = _trim_interior(_centred_time(pf.A, step_t))
-    for axis in range(3):
-        grad_phi = _centred_space(pf.phi_over_c[1:-1], axis + 1, steps_x[axis])
-        e_field[..., axis] = -dt_a[..., axis] - grad_phi
+    def d_dx(arr: np.ndarray, axis: int) -> np.ndarray:
+        return _interior_derivative(arr, axis + 1, steps_x[axis], core)
 
-    b_field = np.empty(interior + (3,))
-    mid = pf.A[1:-1]
-    for axis, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        b_field[..., axis] = _centred_space(mid[..., k], j + 1, steps_x[j]) - _centred_space(
-            mid[..., j], k + 1, steps_x[k]
-        )
+    grad_phi = np.stack([d_dx(pf.phi_over_c, axis) for axis in range(3)], axis=-1)
+    e_field = -_interior_derivative(pf.A, 0, step_t, core) - grad_phi
+    b_field = np.stack(
+        [d_dx(pf.A[..., k], j) - d_dx(pf.A[..., j], k) for j, k in ((1, 2), (2, 0), (0, 1))],
+        axis=-1,
+    )
     return e_field, b_field
 
 

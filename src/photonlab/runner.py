@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import sys
 import time as _time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -495,14 +494,12 @@ CONTROL_CHECKS: tuple[tuple[str, object], ...] = (
 )
 
 
-def self_test(stream=None) -> int:
+def self_test() -> int:
     """Run every acceptance check plus the negative controls; 0 iff green."""
-    out = stream if stream is not None else sys.stdout
     started = _time.perf_counter()
     print(
         f"photonlab {__version__} selftest: "
-        f"number-density sign calibration = {densities.density_sign():+d}",
-        file=out,
+        f"number-density sign calibration = {densities.density_sign():+d}"
     )
     all_ok = True
     for name, fn in ACCEPTANCE_CHECKS + CONTROL_CHECKS:
@@ -511,15 +508,14 @@ def self_test(stream=None) -> int:
             result = fn()
         except Exception as exc:  # surface, then keep going
             all_ok = False
-            print(f"FAIL {name}: raised {type(exc).__name__}: {exc}", file=out)
+            print(f"FAIL {name}: raised {type(exc).__name__}: {exc}")
             continue
         all_ok &= result.ok
-        print(f"{result.line()}  [{_time.perf_counter() - tick:.1f}s]", file=out)
+        print(f"{result.line()}  [{_time.perf_counter() - tick:.1f}s]")
     print(
         f"{'OK' if all_ok else 'FAILED'} "
         f"({len(ACCEPTANCE_CHECKS)} checks, {len(CONTROL_CHECKS)} controls, "
-        f"{_time.perf_counter() - started:.1f}s)",
-        file=out,
+        f"{_time.perf_counter() - started:.1f}s)"
     )
     return 0 if all_ok else 1
 
@@ -531,13 +527,13 @@ _ARRAY_MAGIC = "photonlab-array v1"
 _SUMMARY_MAGIC = "photonlab-summary v1"
 
 
-def write_array(path: str, data: np.ndarray, kind: str, t: float, units: str = "natural") -> None:
+def write_array(path: str, data: np.ndarray, kind: str, t: float) -> None:
     """One ASCII header line, then raw little-endian float64 bytes (C order)."""
     arr = np.ascontiguousarray(np.asarray(data, dtype="<f8"))
     shape = ",".join(str(n) for n in arr.shape)
     header = (
         f"{_ARRAY_MAGIC} kind={kind} shape={shape} dtype=<f8 order=C "
-        f"time={t:.17g} units={units}\n"
+        f"time={t:.17g} units=natural\n"
     )
     atomic_write_bytes(path, header.encode("ascii") + arr.tobytes())
 
@@ -564,6 +560,11 @@ def read_array(path: str) -> tuple[np.ndarray, dict[str, str]]:
     return data, meta
 
 
+def _component_labels(kind: str) -> str:
+    """Names of a vector density's components, in summaries and CSV headers alike."""
+    return "txyz" if kind == "four_momentum" else "xyz"
+
+
 def write_slice_csv(
     path: str,
     plane_axis: int,
@@ -582,7 +583,7 @@ def write_slice_csv(
     if data.ndim == 2:
         columns = [labels[0], labels[1], "value"]
     else:
-        columns = [labels[0], labels[1]] + [f"value_{c}" for c in "xyz"[: data.shape[2]]]
+        columns = [labels[0], labels[1]] + [f"value_{c}" for c in _component_labels(kind)]
     lines.append(",".join(columns))
     first, second = axes
     for i, u in enumerate(first):
@@ -734,7 +735,7 @@ def run_scenario(cfg: ScenarioConfig, outdir: str) -> RunReport:
             if np.ndim(integral) == 0:
                 summary_values[f"integral.{kind}.t{t_index}"] = f"{float(integral):.17g}"
             else:
-                for label, value in zip("xyzt", np.atleast_1d(integral)):
+                for label, value in zip(_component_labels(kind), integral, strict=True):
                     summary_values[f"integral.{kind}.{label}.t{t_index}"] = f"{float(value):.17g}"
         if t_index == 0 and "number" in cfg.outputs.densities:
             total = number.integral()
@@ -769,7 +770,7 @@ def run_scenario(cfg: ScenarioConfig, outdir: str) -> RunReport:
 
 
 def _config_echo(cfg: ScenarioConfig) -> list[str]:
-    grid, packet, run = cfg.grid, cfg.packet, cfg.run
+    grid, packet = cfg.grid, cfg.packet
     lines = [
         f"config.grid.delta_k = {','.join(f'{v:.17g}' for v in grid.delta_k)}",
         f"config.grid.k_min = "
@@ -780,8 +781,7 @@ def _config_echo(cfg: ScenarioConfig) -> list[str]:
         f"config.packet.k0 = {','.join(f'{v:.17g}' for v in packet.k0)}",
         f"config.packet.kind = {packet.kind}",
         f"config.packet.sigma = {packet.sigma:.17g}",
-        f"config.run.guard_fraction = {run.guard_fraction:.17g}",
-        f"config.run.seed = {run.seed}",
+        f"config.run.seed = {cfg.run.seed}",
         f"config.time.t_list = {','.join(f'{v:.17g}' for v in cfg.time.t_list)}",
         f"config.units.system = {cfg.units.system}",
     ]

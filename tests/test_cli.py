@@ -87,9 +87,19 @@ def test_seed_changes_nothing_but_the_summary_seed_line(capsys, tmp_path, config
 def test_config_errors_exit_2_with_location(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("grid.n_per_axis = 32\npacket.sigma_x = 2\n")
-    code, out, err = invoke(capsys, "run", str(bad))
+    code, out, err = invoke(capsys, "run", str(bad), "--outdir", str(tmp_path / "o"))
     assert code == 2
     assert f"{bad}:2: unknown key 'packet.sigma_x'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_config_number_exits_2_with_location(capsys, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CONFIG.replace("sigma = 1.0", "sigma = nan"))
+    code, out, err = invoke(capsys, "run", str(bad), "--outdir", str(tmp_path / "o"))
+    assert code == 2
+    assert f"{bad}:5: key 'packet.sigma': expected finite" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_config_exits_2(capsys, tmp_path):
@@ -133,6 +143,68 @@ def test_export_slice_rejects_bad_requests(capsys, tmp_path, config_path):
         "--out", out_csv,
     )
     assert code == 1 and "plane must look like" in err
+
+
+def test_four_momentum_components_are_labelled_t_x_y_z(capsys, tmp_path):
+    cfg = tmp_path / "tilted.cfg"
+    cfg.write_text(
+        CONFIG.replace("packet.k0 = 0, 0, 10", "packet.k0 = 0, 6, 8")
+        .replace("0.0, 0.3", "0.0")
+        .replace("number, energy", "energy, momentum, four_momentum")
+    )
+    outdir = tmp_path / "out"
+    assert invoke(capsys, "run", str(cfg), "--outdir", str(outdir))[0] == 0
+    summary = (outdir / "summary.txt").read_text().splitlines()
+    values = dict(line.split(" = ") for line in summary if line.startswith("integral."))
+    values = {key: float(value) for key, value in values.items()}
+    same = pytest.approx(values["integral.energy.t0"], rel=1e-12)
+    assert values["integral.four_momentum.t.t0"] == same
+    for axis in "xyz":
+        same = pytest.approx(values[f"integral.momentum.{axis}.t0"], rel=1e-12, abs=1e-12)
+        assert values[f"integral.four_momentum.{axis}.t0"] == same
+    assert values["integral.momentum.y.t0"] == pytest.approx(6.0, rel=1e-3)
+    assert values["integral.momentum.z.t0"] == pytest.approx(8.0, rel=1e-3)
+    assert values["integral.energy.t0"] == pytest.approx(10.0, rel=2e-2)
+    assert not any(key.startswith("integral.momentum.t.") for key in values)
+
+    for kind, header in (
+        ("four_momentum", "x,y,value_t,value_x,value_y,value_z"),
+        ("momentum", "x,y,value_x,value_y,value_z"),
+    ):
+        out_csv = tmp_path / f"{kind}.csv"
+        code, _, err = invoke(
+            capsys, "export-slice", str(cfg), "--kind", kind, "--plane", "z=0",
+            "--out", str(out_csv),
+        )
+        assert code == 0, err
+        lines = out_csv.read_text().splitlines()
+        assert lines[1] == header
+        assert {len(line.split(",")) for line in lines[2:]} == {len(header.split(","))}
+
+
+def test_export_slice_into_missing_directory_exits_1_naming_the_path(
+    capsys, tmp_path, config_path
+):
+    out_csv = tmp_path / "missing" / "x.csv"
+    code, _, err = invoke(
+        capsys, "export-slice", str(config_path), "--kind", "number", "--plane", "z=0",
+        "--out", str(out_csv),
+    )
+    assert code == 1
+    assert f"export failed: cannot write {out_csv}" in err
+    assert "Traceback" not in err
+
+
+def test_run_with_a_file_as_outdir_parent_exits_1_naming_the_path(
+    capsys, tmp_path, config_path
+):
+    blocker = tmp_path / "regular_file"
+    blocker.write_text("not a directory\n")
+    outdir = blocker / "out"
+    code, out, err = invoke(capsys, "run", str(config_path), "--outdir", str(outdir))
+    assert code == 1
+    assert f"run failed: cannot write artifacts to {outdir}" in err
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_selftest_runs_registry_and_controls(capsys):

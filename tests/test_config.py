@@ -44,7 +44,6 @@ def test_defaults_apply_when_unset():
     assert cfg.grid.n_per_axis == (64, 64, 64)
     assert cfg.units.system == "natural"
     assert cfg.outputs.summary is True
-    assert cfg.run.guard_fraction == pytest.approx(0.25)
 
 
 def test_tolerance_overrides_and_defaults():
@@ -73,7 +72,12 @@ def test_time_range_expansion():
         ("outputs.summary = maybe\n", "expected a boolean"),
         ("units.system = imperial\n", "unknown unit system 'imperial'"),
         ("units.length_scale_m = -2\n", "length scale must be positive"),
-        ("run.guard_fraction = 0.7\n", "guard fraction must be in (0, 0.5)"),
+        ("run.guard_fraction = 0.7\n", "bad.cfg:1: unknown key 'run.guard_fraction'"),
+        ("packet.sigma = nan\n", "bad.cfg:1: key 'packet.sigma': expected finite numbers"),
+        ("time.t_list = 0, inf\n", "bad.cfg:1: key 'time.t_list': expected finite numbers"),
+        ("grid.n_per_axis = inf\n", "bad.cfg:1: key 'grid.n_per_axis': expected finite numbers"),
+        ("grid.n_per_axis = nan\n", "bad.cfg:1: key 'grid.n_per_axis': expected finite numbers"),
+        ("run.seed = 1e400\n", "bad.cfg:1: key 'run.seed': expected finite numbers"),
         ("tolerances.magic = 1e-3\n", "unknown tolerance 'magic'"),
         ("just some words\n", "expected 'key = value'"),
         ("toplevel = 3\n", "keys must look like 'section.field'"),

@@ -342,6 +342,76 @@ def test_plane_wave_fields_travel_at_light_speed():
     assert np.max(np.abs(b_field[..., 0])) == 0.0 and np.max(np.abs(b_field[..., 2])) == 0.0
 
 
+def test_derivative_order_follows_the_core_margin():
+    """On a cubic the fourth-order stencil is exact and the second-order one
+    is off by exactly h^2, so the result shows which order the margin chose."""
+    h = 0.3
+    x = h * np.arange(9) - 1.0
+    cubic = np.broadcast_to((x**3)[None, :, None, None], (3, 9, 4, 4))
+    slope = 3.0 * x**2
+    for margin, expected in ((2, slope), (3, slope), (1, slope + h**2)):
+        core = (slice(1, 2), slice(margin, 9 - margin), slice(1, 3), slice(0, 4))
+        got = retarded_solver._interior_derivative(cubic, 1, h, core)
+        assert got.shape == (1, 9 - 2 * margin, 2, 4)
+        want = np.broadcast_to(expected[None, margin:9 - margin, None, None], got.shape)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_derivative_without_margin_is_forward_in_time_or_zero():
+    values = np.arange(2 * 3 * 1 * 2, dtype=float).reshape(2, 3, 1, 2) ** 2
+    core = (slice(0, 2), slice(0, 3), slice(0, 1), slice(0, 2))
+    forward = retarded_solver._interior_derivative(values, 0, 0.25, core)
+    step = (values[1] - values[0]) / 0.25
+    assert np.array_equal(forward, np.stack([step, step]))
+    # one sample along the axis (and no margin along time with three slices)
+    flat = retarded_solver._interior_derivative(values, 2, 0.1, core)
+    assert flat.shape == values.shape and not flat.any()
+    three = np.concatenate([values, values[:1]])
+    core3 = (slice(0, 3),) + core[1:]
+    assert not retarded_solver._interior_derivative(three, 0, 0.25, core3).any()
+
+
+def _second_order_reference(pf: PotentialField):
+    """Gauge defect, E and B from plain centred differences on the interior."""
+    ht = pf.times[1] - pf.times[0]
+    hx = pf.grid.delta_x
+    inner = (slice(1, -1),) * 4
+
+    def d(arr, axis, step):
+        up, down = list(inner), list(inner)
+        up[axis], down[axis] = slice(2, None), slice(None, -2)
+        return (arr[tuple(up)] - arr[tuple(down)]) / (2.0 * step)
+
+    phi, vec = pf.phi_over_c, pf.A
+    div = sum(d(vec[..., a], a + 1, hx[a]) for a in range(3))
+    gauge = np.linalg.norm(d(phi, 0, ht) + div) / np.linalg.norm(div)
+    e_field = np.stack(
+        [-d(vec[..., a], 0, ht) - d(phi, a + 1, hx[a]) for a in range(3)], axis=-1
+    )
+    b_field = np.stack(
+        [d(vec[..., k], j + 1, hx[j]) - d(vec[..., j], k + 1, hx[k])
+         for j, k in ((1, 2), (2, 0), (0, 1))],
+        axis=-1,
+    )
+    return gauge, e_field, b_field
+
+
+def test_gauge_and_fields_match_a_second_order_reference():
+    rng = np.random.default_rng(404)
+    grid = SpatialGrid((5, 6, 7), (0.3, 0.2, 0.45), (0.0, 1.0, 2.0))
+    times = 0.7 + 0.15 * np.arange(6)
+    shape = (times.size,) + grid.n_per_axis
+    field = PotentialField(
+        rng.standard_normal(shape), rng.standard_normal(shape + (3,)), tuple(times), grid=grid
+    )
+    gauge, e_ref, b_ref = _second_order_reference(field)
+    e_field, b_field = fields_from_potential(field)
+    assert e_field.shape == b_field.shape == (4, 3, 4, 5, 3)
+    np.testing.assert_allclose(e_field, e_ref, rtol=1e-13, atol=1e-12)
+    np.testing.assert_allclose(b_field, b_ref, rtol=1e-13, atol=1e-12)
+    assert gauge_residual(field) == pytest.approx(gauge, rel=1e-13)
+
+
 def test_faraday_tensor_layout_and_antisymmetry(rng):
     e_field = rng.normal(size=(4, 3))
     b_field = rng.normal(size=(4, 3))
