@@ -18,6 +18,11 @@ total — every problem raises ``ValueError`` with the file name, line number
 and offending key — and unknown keys are rejected rather than ignored, so a
 typo cannot silently fall back to a default.
 
+A ``time.t0/t1/steps`` range may hold at most :data:`MAX_TIME_STEPS` steps;
+the bound is checked before the list of times is built, so a huge step count
+is a located diagnostic, not an exhausted memory.  ``run.seed`` must be a
+non-negative integer (it seeds ``numpy.random.default_rng``).
+
 Units: internally everything is natural (hbar = c = 1, unit vacuum
 permittivity).  Choosing ``units.system = si`` adds conversion factors to
 exported summaries based on ``units.length_scale_m`` (metres per natural
@@ -32,6 +37,8 @@ from dataclasses import dataclass, field
 from .densities import DENSITY_KINDS
 
 PACKET_KINDS = ("gaussian", "single_mode", "localized", "collinear")
+# Largest time.steps accepted: every time costs one full-grid synthesis
+MAX_TIME_STEPS = 10_000
 UNIT_SYSTEMS = ("natural", "si")
 
 # Every tolerance a scenario may override, with its documented default.
@@ -260,7 +267,11 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
                 _fail(source, lineno, f"unknown key '{key}'")
         elif section == "run":
             if name == "seed":
-                run = _replace(run, seed=_parse_ints(raw, 1, source, lineno, key)[0])
+                seed = _parse_ints(raw, 1, source, lineno, key)[0]
+                if seed < 0:
+                    _fail(source, lineno,
+                          f"key '{key}': expected a non-negative integer, got '{raw.strip()}'")
+                run = _replace(run, seed=seed)
             else:
                 _fail(source, lineno, f"unknown key '{key}'")
         elif section == "tolerances":
@@ -283,9 +294,11 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
             lineno = min(ln for k, (ln, _) in values.items() if k.startswith("time."))
             _fail(source, lineno, f"time range needs t0, t1 and steps (missing {', '.join(sorted(missing))})")
         steps = int(t_parts["steps"])
+        lineno, raw = values["time.steps"]
         if steps < 1 or t_parts["steps"] != steps:
-            lineno = values["time.steps"][0]
             _fail(source, lineno, "key 'time.steps': expected a positive integer")
+        if steps > MAX_TIME_STEPS:
+            _fail(source, lineno, f"key 'time.steps': at most {MAX_TIME_STEPS} steps, got '{raw}'")
         t0, t1 = t_parts["t0"], t_parts["t1"]
         step = (t1 - t0) / steps
         time = TimeSection(tuple(t0 + step * i for i in range(steps + 1)))

@@ -32,6 +32,17 @@ positive ones add, so psi = Omega^{1/2} A+: one inverse FFT of
 sqrt(omega) times the mode amplitudes, with no forward transform.  The
 half-power identity F = i Omega^{1/2} psi is then checked against F from the
 real fields, and stays a test of the two constructions, not a tautology.
+
+Everything several output kinds need is computed once per
+:class:`~photonlab.field_synthesis.FieldSnapshot` and kept in the snapshot's
+instance dict, the way ``B_plus`` is, so it is freed with the snapshot: the
+real momentum density P (read by the momentum, four-momentum and orbital
+angular-momentum densities; the 9-component transform behind it is not
+kept) and the wave fields F and psi, one pair per helicity (read by the
+|F|^2 and |psi|^2 densities).  All eight output kinds of one snapshot thus
+cost four inverse FFTs in total: the synthesis, B+, the momentum transform
+and psi.  The kept arrays are shared by every caller and are read-only;
+``momentum_density`` returns P itself, so copy its data before modifying it.
 """
 
 from __future__ import annotations
@@ -96,6 +107,14 @@ def density_sign() -> int:
     return sign
 
 
+def _shared(f: fs.FieldSnapshot, key: str, build):
+    """``build()`` once per snapshot, kept in its instance dict (see module docs)."""
+    kept = vars(f)
+    if key not in kept:
+        kept[key] = build()
+    return kept[key]
+
+
 def _im_dot(a, b, subscripts="...c,...c->..."):
     """Im(conj(a) . b) contracted per ``subscripts``, in real arithmetic."""
     out = np.einsum(subscripts, a.real, b.imag)
@@ -115,8 +134,8 @@ def number_density(f: fs.FieldSnapshot) -> DensityField:
 def photon_current(f: fs.FieldSnapshot) -> DensityField:
     """J = sigma/2 (-i A+ x cB- + c.c.) = sigma Im(A+ x conj(cB+)) (c = 1 here)."""
     a_plus, b_plus = f.A_plus, f.B_plus
-    cur = np.cross(a_plus.imag, b_plus.real)
-    cur -= np.cross(a_plus.real, b_plus.imag)
+    cur = fs._cross(a_plus.imag, b_plus.real)
+    cur -= fs._cross(a_plus.real, b_plus.imag)
     cur *= density_sign()
     return DensityField("current", cur, f.t, f.sgrid)
 
@@ -145,10 +164,17 @@ def _energy(f: fs.FieldSnapshot):
 
 
 def _momentum(f: fs.FieldSnapshot):
-    """(P_x, P_y, P_z) on the trailing axis from one 9-component transform."""
-    op_coeffs = f.kgrid.k_vectors[..., :, None] * f.amplitude[..., None, :]
-    op_coeffs *= f.time_phase[..., None, None]
-    return _operator_density(f, op_coeffs)
+    """(P_x, P_y, P_z) on the trailing axis from one 9-component transform.
+
+    Computed once per snapshot and kept read-only (see module docs).
+    """
+
+    def build():
+        op_coeffs = f.kgrid.k_vectors[..., :, None] * f.amplitude[..., None, :]
+        op_coeffs *= f.time_phase[..., None, None]
+        return fs._read_only(_operator_density(f, op_coeffs))
+
+    return _shared(f, "_momentum", build)
 
 
 def four_momentum_density(f: fs.FieldSnapshot) -> DensityField:
@@ -177,7 +203,7 @@ def helicity_density(f: fs.FieldSnapshot) -> np.ndarray:
         0.0,
         kgrid.k_vectors / np.where(kgrid.exclusion_mask, 1.0, kgrid.omega)[..., None],
     )
-    coeffs = np.cross(khat, f.a_coeffs)
+    coeffs = fs._cross(khat, f.a_coeffs)
     coeffs *= 1j
     return _operator_density(f, coeffs)
 
@@ -186,15 +212,15 @@ def spin_angular_momentum_density(f: fs.FieldSnapshot) -> DensityField:
     """Spin part Re(E+ x A-); sign fixed so a pure-lambda state integrates
     to lambda * khat (checked against the k-space oracle)."""
     e_plus, a_plus = f.E_plus, f.A_plus
-    data = np.cross(e_plus.real, a_plus.real)
-    data += np.cross(e_plus.imag, a_plus.imag)
+    data = fs._cross(e_plus.real, a_plus.real)
+    data += fs._cross(e_plus.imag, a_plus.imag)
     return DensityField("angular_momentum", data, f.t, f.sgrid)
 
 
 def orbital_angular_momentum_density(f: fs.FieldSnapshot, origin) -> DensityField:
     """Orbital part r x P with P the momentum density (so that shifting the
     reference origin by d changes the integral by -d x total momentum)."""
-    p = momentum_density(f).data
+    p = _momentum(f)
     # r per axis as a broadcastable 1-D array, so no (nx, ny, nz, 3) position array
     r = [
         (f.sgrid.axes[a] - float(origin[a])).reshape([-1 if b == a else 1 for b in range(3)])
@@ -256,17 +282,25 @@ class PhotonWaveFields:
 
 
 def photon_wave_fields(f: fs.FieldSnapshot, s: PhotonSpectrum) -> PhotonWaveFields:
-    """F from the real fields E and B, psi = Omega^{1/2} A+ (see module docs)."""
+    """F from the real fields E and B, psi = Omega^{1/2} A+ (see module docs).
+
+    Built once per snapshot and helicity; F and psi are read-only.
+    """
     lam = s.pure_helicity()
     if lam is None:
         raise ValueError("mixed-helicity spectrum: F and psi need a pure helicity")
-    E = 2.0 * np.real(f.E_plus)
-    B = 2.0 * np.real(f.B_plus)
-    half = 0.5  # = (1/sqrt 2) * sqrt(1/2): photon-number normalization, cf. module docs
-    F = half * (E + 1j * lam * B)
-    psi_coeffs = np.sqrt(f.kgrid.omega)[..., None] * f.a_coeffs
-    psi = fs.spectral_engine(f.kgrid, f.sgrid).to_field(psi_coeffs, overwrite=True)
-    return PhotonWaveFields(helicity=lam, F=F, psi=psi, t=f.t, grid=f.sgrid)
+
+    def build():
+        E = 2.0 * np.real(f.E_plus)
+        B = 2.0 * np.real(f.B_plus)
+        half = 0.5  # = (1/sqrt 2) * sqrt(1/2): photon-number normalization, cf. module docs
+        F = half * (E + 1j * lam * B)
+        psi_coeffs = np.sqrt(f.kgrid.omega)[..., None] * f.a_coeffs
+        psi = fs.spectral_engine(f.kgrid, f.sgrid).to_field(psi_coeffs, overwrite=True)
+        return PhotonWaveFields(helicity=lam, F=fs._read_only(F), psi=fs._read_only(psi),
+                                t=f.t, grid=f.sgrid)
+
+    return _shared(f, f"_wave_fields{lam:+d}", build)
 
 
 def bb_energy_density(wf: PhotonWaveFields) -> DensityField:

@@ -2,7 +2,8 @@
 
 Output files are written to a temporary sibling and renamed into place so a
 reader never observes a half-written artifact and reruns replace files
-atomically.
+atomically.  A failure raises an ``OSError`` that names the requested path,
+never the temporary sibling.
 """
 
 from __future__ import annotations
@@ -14,14 +15,17 @@ import tempfile
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write ``data`` to ``path`` via a temporary file in the same directory."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp_path = None
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
         os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
+    except BaseException as exc:
+        if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -30,7 +30,11 @@ exp(-i omega t) multiplier and one inverse FFT of the six components of A+
 and E+.  B+ is transformed on first access only, so number-only runs never
 pay for it.  The direct quadrature (:func:`synthesize_at_points`,
 :func:`vector_potential_at_points`) builds its own basis and never reads the
-engine: it is the oracle the FFT path is checked against.
+engine: it is the oracle the FFT path is checked against.  It forms
+exp(i k.x) at each point as the outer product of the three per-axis factors
+exp(i k_a x_a) over ``kgrid.axes``, computed in place and never through the
+engine's phase helper or an FFT, so it checks the engine's origin and k_min
+phases independently.
 """
 
 from __future__ import annotations
@@ -132,6 +136,20 @@ def _require_paired(kgrid, sgrid):
 def _read_only(arr):
     arr.flags.writeable = False
     return arr
+
+
+def _cross(a, b):
+    """a x b over the trailing axis from componentwise products.
+
+    The same products and differences as ``np.cross`` (so bit-identical
+    results), without its copies of both operands.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(a[..., j], b[..., k], out=out[..., i])
+        out[..., i] -= a[..., k] * b[..., j]
+    return out
 
 
 def _separable_phase(angles):
@@ -272,6 +290,8 @@ class FieldSnapshot:
     that spectral operators can be applied later without a forward FFT.
     ``time_phase`` (exp(-i omega t) per mode) and ``B_plus`` are formed on
     first access, ``a_coeffs`` (the amplitude times the time phase) on each.
+    :mod:`photonlab.densities` keeps its per-snapshot intermediates in the
+    same instance dict, so they are freed with the snapshot.
     """
 
     t: float
@@ -291,7 +311,7 @@ class FieldSnapshot:
 
     @cached_property
     def B_plus(self):
-        b_coeffs = np.cross(self.kgrid.k_vectors, self.a_coeffs)
+        b_coeffs = _cross(self.kgrid.k_vectors, self.a_coeffs)
         b_coeffs *= 1j
         return spectral_engine(self.kgrid, self.sgrid).to_field(b_coeffs, overwrite=True)
 
@@ -332,13 +352,17 @@ def _synthesize_with_weight(s: PhotonSpectrum, sgrid: SpatialGrid, t: float, wei
 
 
 def _direct_eval(coeffs, kgrid, points):
-    """sum_k coeffs(k) exp(i k.x) at each point; any number of trailing components."""
-    k_flat = kgrid.k_vectors.reshape(-1, 3)
-    c_flat = coeffs.reshape(k_flat.shape[0], -1)
+    """sum_k coeffs(k) exp(i k.x) at each point; any number of trailing components.
+
+    exp(i k.x) is the outer product of exp(i k_a x_a) over the three axes of
+    ``kgrid.axes``: 3 n complex exponentials per point instead of n^3.
+    """
+    c_flat = coeffs.reshape(kgrid.n_samples, -1)
     out = np.empty((points.shape[0], c_flat.shape[1]), dtype=np.complex128)
     for i, x in enumerate(points):
-        phase = np.exp(1j * (k_flat @ x))
-        out[i] = phase @ c_flat
+        ex, ey, ez = (np.exp(1j * (k * xa)) for k, xa in zip(kgrid.axes, x))
+        phase = ex[:, None, None] * ey[None, :, None] * ez[None, None, :]
+        out[i] = phase.reshape(-1) @ c_flat
     return out
 
 

@@ -527,15 +527,20 @@ _ARRAY_MAGIC = "photonlab-array v1"
 _SUMMARY_MAGIC = "photonlab-summary v1"
 
 
-def write_array(path: str, data: np.ndarray, kind: str, t: float) -> None:
-    """One ASCII header line, then raw little-endian float64 bytes (C order)."""
+def write_array(path: str, data: np.ndarray, kind: str, t: float) -> str:
+    """One ASCII header line, then raw little-endian float64 bytes (C order).
+
+    Returns the SHA-256 hex digest of the bytes written.
+    """
     arr = np.ascontiguousarray(np.asarray(data, dtype="<f8"))
     shape = ",".join(str(n) for n in arr.shape)
     header = (
         f"{_ARRAY_MAGIC} kind={kind} shape={shape} dtype=<f8 order=C "
         f"time={t:.17g} units=natural\n"
     )
-    atomic_write_bytes(path, header.encode("ascii") + arr.tobytes())
+    payload = b"".join((header.encode("ascii"), arr.data))
+    atomic_write_bytes(path, payload)
+    return hashlib.sha256(payload).hexdigest()
 
 
 def read_array(path: str) -> tuple[np.ndarray, dict[str, str]]:
@@ -595,14 +600,6 @@ def write_slice_csv(
                 tail = ",".join(f"{w:.17g}" for w in cell)
             lines.append(f"{u:.17g},{v:.17g},{tail}")
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +726,7 @@ def run_scenario(cfg: ScenarioConfig, outdir: str) -> RunReport:
             if kind == "number":
                 number = field
             filename = f"{kind}_t{t_index}.f64"
-            write_array(os.path.join(outdir, filename), field.data, kind, t)
-            artifacts[filename] = _sha256(os.path.join(outdir, filename))
+            artifacts[filename] = write_array(os.path.join(outdir, filename), field.data, kind, t)
             integral = field.integral()
             if np.ndim(integral) == 0:
                 summary_values[f"integral.{kind}.t{t_index}"] = f"{float(integral):.17g}"

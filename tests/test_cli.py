@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 
@@ -99,6 +100,15 @@ def test_non_finite_config_number_exits_2_with_location(capsys, tmp_path):
     code, out, err = invoke(capsys, "run", str(bad), "--outdir", str(tmp_path / "o"))
     assert code == 2
     assert f"{bad}:5: key 'packet.sigma': expected finite" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_seed_exits_2_with_location(capsys, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CONFIG.replace("run.seed = 3", "run.seed = -1"))
+    code, out, err = invoke(capsys, "run", str(bad), "--outdir", str(tmp_path / "o"))
+    assert code == 2
+    assert f"{bad}:8: key 'run.seed': expected a non-negative integer" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -233,11 +243,25 @@ def test_selftest_runs_registry_and_controls(capsys):
 def test_array_file_round_trip(tmp_path):
     data = np.arange(24.0).reshape(2, 3, 4) / 7.0
     path = tmp_path / "number_t0.f64"
-    write_array(str(path), data, "number", 0.25)
+    digest = write_array(str(path), data, "number", 0.25)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     back, meta = read_array(str(path))
     assert np.array_equal(back, data)
     assert meta["kind"] == "number" and meta["shape"] == "2,3,4"
     assert float(meta["time"]) == 0.25
+
+
+def test_write_errors_name_the_requested_path(tmp_path):
+    missing = tmp_path / "missing" / "number_t0.f64"
+    with pytest.raises(FileNotFoundError) as excinfo:  # from tempfile.mkstemp
+        write_array(str(missing), np.ones(3), "number", 0.0)
+    assert excinfo.value.filename == str(missing)
+    occupied = tmp_path / "occupied"
+    occupied.mkdir()
+    with pytest.raises(IsADirectoryError) as excinfo:  # from os.replace
+        write_array(str(occupied), np.ones(3), "number", 0.0)
+    assert excinfo.value.filename == str(occupied)
+    assert os.listdir(tmp_path) == ["occupied"] and os.listdir(occupied) == []
 
 
 def test_truncated_or_garbled_array_files_name_the_file(tmp_path):

@@ -84,6 +84,9 @@ def test_time_range_expansion():
         ("time.t0 = 0\ntime.t1 = 1\n", "time range needs t0, t1 and steps (missing steps)"),
         ("time.t0 = 0\ntime.t1 = 1\ntime.steps = 4\ntime.t_list = 0\n", "not both"),
         ("time.t0 = 0\ntime.t1 = 1\ntime.steps = 0\n", "positive integer"),
+        ("time.t0 = 0\ntime.t1 = 1\ntime.steps = 1e300\n",
+         "bad.cfg:3: key 'time.steps': at most 10000 steps"),
+        ("run.seed = -1\n", "bad.cfg:1: key 'run.seed': expected a non-negative integer"),
         ("packet.kind = single_mode\n", "requires packet.index"),
         ("packet.sigma = -1\n", "packet.sigma must be positive"),
         ("packet.kind = collinear\n", "grid.n_per_axis = 1,1,N"),

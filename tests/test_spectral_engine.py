@@ -9,7 +9,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonlab import densities, field_synthesis, runner
+from photonlab import config, densities, field_synthesis, runner
 from photonlab.field_synthesis import (
     SpatialGrid,
     spectral_engine,
@@ -17,7 +17,13 @@ from photonlab.field_synthesis import (
     synthesize,
     synthesize_at_points,
 )
-from photonlab.mode_space import PhotonSpectrum, WaveVectorGrid, normalize, spectral_summary
+from photonlab.mode_space import (
+    PhotonSpectrum,
+    WaveVectorGrid,
+    gaussian_spectrum,
+    normalize,
+    spectral_summary,
+)
 
 
 def _random_spectrum(grid, seed):
@@ -58,6 +64,12 @@ def test_fft_fields_match_direct_quadrature(pair, seed, t1, t2):
         assert "B_plus" not in vars(snap)
         for fast, slow in ((snap.A_plus, A), (snap.E_plus, E), (snap.B_plus, B)):
             assert _close(fast.reshape(-1, 3), slow)
+    # the separable-phase oracle against the plain exp(i k.x) mode sum
+    coeffs = field_synthesis._direct_amplitude(s, t1)
+    k_flat = kgrid.k_vectors.reshape(-1, 3)
+    c_flat = coeffs.reshape(k_flat.shape[0], -1)
+    full_phase = np.array([np.exp(1j * (k_flat @ x)) @ c_flat for x in points])
+    assert _close(field_synthesis._direct_eval(coeffs, kgrid, points), full_phase, 1e-13)
 
 
 @settings(max_examples=40, deadline=None)
@@ -169,3 +181,56 @@ def test_fft_counts_per_density(fft_calls, small_grid, small_spatial, small_pack
     densities.photon_current(snap)  # reuses B+
     assert len(fft_calls["ifftn"]) == 4
     assert fft_calls["fftn"] == []
+
+
+ALL_KINDS = ("number", "current", "energy", "momentum",
+             "four_momentum", "angular_momentum", "bb_energy", "lp_number")
+
+
+def test_all_kinds_share_four_transforms(fft_calls, small_grid, small_spatial, small_packet):
+    densities.density_sign()
+    snap = synthesize(small_packet, small_spatial, 0.2)
+    for kind in ALL_KINDS:
+        runner._density_field(kind, snap, small_packet)
+    n = small_grid.n_per_axis
+    # synthesis, B+, the momentum transform, psi
+    assert fft_calls["ifftn"] == [n + (6,), n + (3,), n + (3, 3), n + (3,)]
+    assert fft_calls["fftn"] == []
+
+
+def test_shared_kinds_equal_each_kind_computed_alone(small_spatial, small_packet):
+    snap = synthesize(small_packet, small_spatial, 0.2)
+    shared = {kind: runner._density_field(kind, snap, small_packet) for kind in ALL_KINDS}
+    for kind in ALL_KINDS:
+        alone = runner._density_field(kind, synthesize(small_packet, small_spatial, 0.2),
+                                      small_packet)
+        assert np.array_equal(shared[kind].data, alone.data), kind
+
+
+def test_wave_fields_are_kept_per_helicity(small_grid, small_spatial, small_packet):
+    minus = gaussian_spectrum(small_grid, (0.0, 0.0, 3.2), 0.55, (0.0, 1.0))
+    snap = synthesize(small_packet, small_spatial, 0.2)
+    for s in (small_packet, minus, small_packet):
+        kept = densities.photon_wave_fields(snap, s)
+        alone = densities.photon_wave_fields(synthesize(small_packet, small_spatial, 0.2), s)
+        assert kept.helicity == s.pure_helicity()
+        assert np.array_equal(kept.F, alone.F)
+        assert np.array_equal(kept.psi, alone.psi)
+    assert densities.photon_wave_fields(snap, small_packet) is kept
+
+
+def test_kept_momentum_and_wave_fields_are_read_only(small_spatial, small_packet):
+    snap = synthesize(small_packet, small_spatial, 0.2)
+    momentum = densities.momentum_density(snap).data
+    assert densities.momentum_density(snap).data is momentum
+    wave = densities.photon_wave_fields(snap, small_packet)
+    for arr in (momentum, wave.F, wave.psi):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1.0
+
+
+def test_zero_spot_check_tolerance_fails_the_quadrature_check(tmp_path):
+    text = ("grid.n_per_axis = 12\ngrid.delta_k = 0.9\npacket.k0 = 0, 0, 3.2\n"
+            "packet.sigma = 0.55\ntolerances.spot_check = 0\n")
+    report = runner.run_scenario(config.parse_scenario(text, "zero.cfg"), str(tmp_path))
+    assert report.failed_names() == ["fft-quadrature:spot_check"]
