@@ -21,7 +21,9 @@ typo cannot silently fall back to a default.
 A ``time.t0/t1/steps`` range may hold at most :data:`MAX_TIME_STEPS` steps;
 the bound is checked before the list of times is built, so a huge step count
 is a located diagnostic, not an exhausted memory.  ``run.seed`` must be a
-non-negative integer (it seeds ``numpy.random.default_rng``).
+non-negative integer (it seeds ``numpy.random.default_rng``).  A grid may
+hold at most :data:`MAX_GRID_POINTS` points, checked at the
+``grid.n_per_axis`` line before anything is allocated.
 
 Units: internally everything is natural (hbar = c = 1, unit vacuum
 permittivity).  Choosing ``units.system = si`` adds conversion factors to
@@ -39,6 +41,8 @@ from .densities import DENSITY_KINDS
 PACKET_KINDS = ("gaussian", "single_mode", "localized", "collinear")
 # Largest time.steps accepted: every time costs one full-grid synthesis
 MAX_TIME_STEPS = 10_000
+# Largest grid accepted (128^3): at ~0.6 KB per point for all densities, ~1.3 GB
+MAX_GRID_POINTS = 128**3
 UNIT_SYSTEMS = ("natural", "si")
 
 # Every tolerance a scenario may override, with its documented default.
@@ -195,7 +199,11 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         section, _, name = key.partition(".")
         if section == "grid":
             if name == "n_per_axis":
-                grid = _replace(grid, n_per_axis=_parse_ints(raw, 3, source, lineno, key))
+                n = _parse_ints(raw, 3, source, lineno, key)
+                if min(n) > 0 and math.prod(n) > MAX_GRID_POINTS:
+                    _fail(source, lineno,
+                          f"key '{key}': at most {MAX_GRID_POINTS} grid points, got '{raw.strip()}'")
+                grid = _replace(grid, n_per_axis=n)
             elif name == "delta_k":
                 grid = _replace(grid, delta_k=_parse_floats(raw, 3, source, lineno, key))
             elif name == "k_min":

@@ -12,10 +12,8 @@ E+ = i omega A+ mode by mode, (omega A)+ = -i E+ and the energy density is
 the plain |E+|^2 (times -sigma): no transform at all.  The three momentum
 components are one batched inverse FFT of the k_j A+ amplitudes, taken from
 the snapshot's mode amplitudes through the grid pair's spectral engine
-(:mod:`photonlab.field_synthesis`).  ``sigma`` is a global sign fixed once
-by a self-calibration: the sign that makes the number density of a single
-propagating mode positive.  It is logged on first use and never varied per
-state.
+(:mod:`photonlab.field_synthesis`).  ``sigma`` is the constant
+:data:`SIGMA`, fixed by the convention E+ = i omega A+ (see there).
 
 The comparison wave fields are, per helicity lambda,
 
@@ -47,16 +45,15 @@ and psi.  The kept arrays are shared by every caller and are read-only;
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import field_synthesis as fs
-from .mode_space import PhotonSpectrum, WaveVectorGrid, single_mode_spectrum
+from .mode_space import PhotonSpectrum, WaveVectorGrid
 
-logger = logging.getLogger(__name__)
+# E+ = i omega A+ gives Im(A+ . conj(E+)) = -omega |A+|^2, so sigma = -1 makes rho >= 0
+SIGMA = -1
 
 DENSITY_KINDS = frozenset(
     {
@@ -91,22 +88,6 @@ class DensityField:
         return self.grid.cell_volume * np.sum(self.data, axis=spatial)
 
 
-@lru_cache(maxsize=1)
-def density_sign() -> int:
-    """Global density sign, calibrated once on a single propagating mode.
-
-    Contracts the raw -i A+ . E- + c.c. bilinear for one populated mode and
-    returns the sign that makes the resulting number density positive.
-    """
-    kgrid = WaveVectorGrid.centered((4, 4, 4), (1.0, 1.0, 1.0))
-    s = single_mode_spectrum(kgrid, (2, 2, 3), +1)
-    f = fs.synthesize(s, fs.SpatialGrid.paired(kgrid), 0.0)
-    raw = float(np.mean(np.imag(np.sum(f.A_plus * np.conj(f.E_plus), axis=-1))))
-    sign = 1 if raw > 0 else -1
-    logger.info("number-density sign calibrated to %+d", sign)
-    return sign
-
-
 def _shared(f: fs.FieldSnapshot, key: str, build):
     """``build()`` once per snapshot, kept in its instance dict (see module docs)."""
     kept = vars(f)
@@ -127,7 +108,7 @@ def number_density(f: fs.FieldSnapshot) -> DensityField:
 
     Integrates to the k-space norm.
     """
-    rho = density_sign() * _im_dot(f.E_plus, f.A_plus)
+    rho = SIGMA * _im_dot(f.E_plus, f.A_plus)
     return DensityField("number", rho, f.t, f.sgrid)
 
 
@@ -136,7 +117,7 @@ def photon_current(f: fs.FieldSnapshot) -> DensityField:
     a_plus, b_plus = f.A_plus, f.B_plus
     cur = fs._cross(a_plus.imag, b_plus.real)
     cur -= fs._cross(a_plus.real, b_plus.imag)
-    cur *= density_sign()
+    cur *= SIGMA
     return DensityField("current", cur, f.t, f.sgrid)
 
 
@@ -150,7 +131,7 @@ def _operator_density(f: fs.FieldSnapshot, op_coeffs):
     op_a = fs.spectral_engine(f.kgrid, f.sgrid).to_field(op_coeffs, overwrite=True)
     subscripts = "...c,...c->..." if op_a.ndim == 4 else "...c,...jc->...j"
     out = _im_dot(f.E_plus, op_a, subscripts)
-    out *= density_sign()
+    out *= SIGMA
     return out
 
 
@@ -159,7 +140,7 @@ def _energy(f: fs.FieldSnapshot):
     e_plus = f.E_plus
     out = np.einsum("...c,...c->...", e_plus.real, e_plus.real)
     out += np.einsum("...c,...c->...", e_plus.imag, e_plus.imag)
-    out *= -density_sign()
+    out *= -SIGMA
     return out
 
 

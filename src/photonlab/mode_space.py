@@ -189,15 +189,12 @@ class PhotonSpectrum:
 
     ``c`` has shape (2, nx, ny, nz); c[0] is the lambda = +1 block and c[1]
     the lambda = -1 block.  ``normalized`` marks states with unit k-space
-    norm; ``physical`` is False for idealized constructions (e.g. the
-    localized basis) that are not meant to be normalizable in the continuum
-    limit.
+    norm.
     """
 
     grid: WaveVectorGrid
     c: np.ndarray
     normalized: bool = False
-    physical: bool = True
 
     def __post_init__(self):
         expected = (2,) + self.grid.n_per_axis
@@ -255,15 +252,13 @@ def normalize(s: PhotonSpectrum) -> PhotonSpectrum:
     n = float(np.real(scalar_product(s, s)))
     if not np.isfinite(n) or n <= 0.0:
         raise ValueError("unnormalizable spectrum (zero or non-finite norm)")
-    return PhotonSpectrum(s.grid, s.c / np.sqrt(n), normalized=True, physical=s.physical)
+    return PhotonSpectrum(s.grid, s.c / np.sqrt(n), normalized=True)
 
 
 def evolve(s: PhotonSpectrum, dt: float) -> PhotonSpectrum:
     """Free propagation: multiply each amplitude by exp(-i omega dt)."""
     phase = np.exp(-1j * s.grid.omega * float(dt))
-    return PhotonSpectrum(
-        s.grid, s.c * phase[None, ...], normalized=s.normalized, physical=s.physical
-    )
+    return PhotonSpectrum(s.grid, s.c * phase[None, ...], normalized=s.normalized)
 
 
 def gaussian_spectrum(grid, k0, sigma, helicity_weights=(1.0, 0.0)) -> PhotonSpectrum:
@@ -307,13 +302,13 @@ def single_mode_spectrum(grid, index, helicity=+1) -> PhotonSpectrum:
 def localized_spectrum(grid, x0) -> PhotonSpectrum:
     """Localized-basis amplitudes c_lambda(k) = exp(-i k . x0) on both helicities.
 
-    The continuum version is not normalizable, so the result is flagged
-    non-physical; on a finite grid it is still a valid band-limited state.
+    The continuum version is not normalizable; on a finite grid it is still
+    a valid band-limited state (left unnormalized).
     """
     x0 = _triple(x0, "x0")
     phase = np.exp(-1j * np.tensordot(grid.k_vectors, np.asarray(x0), axes=([-1], [0])))
     c = np.stack([phase, phase], axis=0)
-    return PhotonSpectrum(grid, c, normalized=False, physical=False)
+    return PhotonSpectrum(grid, c)
 
 
 def spectral_summary(s: PhotonSpectrum) -> SpectralSummary:

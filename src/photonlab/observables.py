@@ -30,7 +30,6 @@ class ObservableReport:
     continuity_residual_rel: float
     group_speed: float
     localization_widths: dict[str, float] = field(default_factory=dict)
-    lightcone_leak: float | None = None
 
     def as_mapping(self):
         """Flat, deterministically ordered key/value view for export."""
@@ -49,8 +48,6 @@ class ObservableReport:
         }
         for kind in sorted(self.localization_widths):
             out[f"width_{kind}"] = self.localization_widths[kind]
-        if self.lightcone_leak is not None:
-            out["lightcone_leak"] = self.lightcone_leak
         return out
 
 
@@ -209,8 +206,7 @@ def lightcone_leak(s: PhotonSpectrum, sgrid: fs.SpatialGrid, radius: float, t: f
     return float(np.sum(rho_t.data[outside])) * sgrid.cell_volume
 
 
-def expectations(s: PhotonSpectrum, sgrid: fs.SpatialGrid, t: float,
-                 lightcone_radius: float | None = None) -> ObservableReport:
+def expectations(s: PhotonSpectrum, sgrid: fs.SpatialGrid, t: float) -> ObservableReport:
     """Assemble the standard observable report at time t.
 
     All expectation values are density integrals (position from the number
@@ -243,10 +239,6 @@ def expectations(s: PhotonSpectrum, sgrid: fs.SpatialGrid, t: float,
         fields += [dn.bb_energy_density(wf), dn.lp_number_density(wf)]
     widths = localization_widths(fields)
 
-    leak = None
-    if lightcone_radius is not None:
-        leak = lightcone_leak(s, sgrid, lightcone_radius, t)
-
     return ObservableReport(
         number=number,
         energy=energy,
@@ -256,5 +248,4 @@ def expectations(s: PhotonSpectrum, sgrid: fs.SpatialGrid, t: float,
         continuity_residual_rel=cont,
         group_speed=speed,
         localization_widths=widths,
-        lightcone_leak=leak,
     )

@@ -8,11 +8,12 @@ direct quadrature:
     phi_over_c(x, t) = (1/4pi) * sum_cells V_cell * rho(x', t - R) / R
     A(x, t)          = (1/4pi) * sum_cells V_cell * J(x', t - R) / R
 
-where R = max(|x - x'|, regularization_radius).  The quadrature is the
-midpoint rule over source cells; the retarded time t - R is resolved by
-linear interpolation between the two bracketing source slices (second-order
-accurate in the source time step).  A single-slice source is treated as
-static, i.e. time-independent.
+where R = max(|x - x'|, r_reg) and the regularization radius r_reg is half
+the smallest source cell spacing, so points inside the source box stay
+finite.  The quadrature is the midpoint rule over source cells; the retarded
+time t - R is resolved by linear interpolation between the two bracketing
+source slices (second-order accurate in the source time step).  A
+single-slice source is treated as static, i.e. time-independent.
 
 The samples live in one packed table of ``[rho, Jx, Jy, Jz]`` rows, slice
 after slice (see :class:`SourceCurrent`), so slice ``i`` is the block of
@@ -35,10 +36,6 @@ static source is the dense product of the kernels with its single slice.
 Causality is discrete and exact: each contribution reads only the two source
 slices bracketing its retarded time, so editing the source strictly later
 than every bracket leaves the evaluated potentials bitwise unchanged.
-
-The default regularization radius is half the smallest source cell spacing.
-Passing ``regularization_radius=0.0`` disables softening, in which case
-evaluation points inside the source box are rejected.
 
 Conventions for derived quantities:
 
@@ -311,21 +308,6 @@ class PotentialField:
         return float(steps[0])
 
 
-def _require_points_outside_source(src: SourceCurrent, points: np.ndarray) -> None:
-    low = np.asarray(src.origin) - 0.5 * np.asarray(src.delta_x)
-    high = (
-        np.asarray(src.origin)
-        + (np.asarray(src.n_per_axis) - 0.5) * np.asarray(src.delta_x)
-    )
-    inside = np.all((points >= low) & (points <= high), axis=1)
-    if np.any(inside):
-        where = points[int(np.argmax(inside))]
-        raise ValueError(
-            "evaluation point inside a source cell without a regularization radius: "
-            f"{tuple(round(v, 6) for v in where)}"
-        )
-
-
 def _squares(points: np.ndarray, grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
     """Squared offsets from the points to the cell centres, split in two.
 
@@ -426,13 +408,7 @@ def _interpolation_operator(
     return operator, first, n_slices
 
 
-def retarded_potential(
-    src: SourceCurrent,
-    eval_points,
-    t,
-    *,
-    regularization_radius: float | None = None,
-) -> PotentialField:
+def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
     """Evaluate the causal potentials of ``src`` at points and times.
 
     ``eval_points`` is either an (P, 3) array of positions (point mode) or a
@@ -459,14 +435,7 @@ def retarded_potential(
         if points.ndim != 2 or points.shape[1] != 3:
             raise ValueError("evaluation points must have shape (n_points, 3)")
 
-    if regularization_radius is None:
-        r_reg = 0.5 * min(src.delta_x)
-    else:
-        r_reg = float(regularization_radius)
-        if r_reg < 0:
-            raise ValueError("regularization radius must be non-negative")
-        if r_reg == 0.0:
-            _require_points_outside_source(src, points)
+    r_reg = 0.5 * min(src.delta_x)
 
     table = src.table.reshape(-1, 4)
     n_times = src.n_times

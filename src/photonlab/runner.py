@@ -499,7 +499,7 @@ def self_test() -> int:
     started = _time.perf_counter()
     print(
         f"photonlab {__version__} selftest: "
-        f"number-density sign calibration = {densities.density_sign():+d}"
+        f"number-density sign calibration = {densities.SIGMA:+d}"
     )
     all_ok = True
     for name, fn in ACCEPTANCE_CHECKS + CONTROL_CHECKS:
@@ -809,6 +809,8 @@ def export_slice(cfg: ScenarioConfig, kind: str, plane: str, out_path: str) -> s
         coordinate = float(coordinate_text)
     except ValueError as exc:
         raise ValueError(f"plane coordinate is not a number: '{coordinate_text}'") from exc
+    if not math.isfinite(coordinate):
+        raise ValueError(f"plane coordinate must be finite, got '{coordinate_text.strip()}'")
     axis = "xyz".index(axis_name)
 
     grid = build_grid(cfg)

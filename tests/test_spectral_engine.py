@@ -86,7 +86,7 @@ def test_parseval_and_transform_free_densities(pair, seed, t):
     def operator_form(symbol):
         op_a = spectrum_to_field(snap.a_coeffs * symbol[..., None], kgrid, sgrid)
         z = 1j * np.sum(snap.E_plus * np.conj(op_a), axis=-1)
-        return densities.density_sign() * np.real(0.5 * (z + np.conj(z)))
+        return densities.SIGMA * np.real(0.5 * (z + np.conj(z)))
 
     assert _close(energy.data, operator_form(kgrid.omega), 1e-12)
     momentum = densities.momentum_density(snap).data
@@ -169,7 +169,6 @@ def fft_calls(monkeypatch):
 
 
 def test_fft_counts_per_density(fft_calls, small_grid, small_spatial, small_packet):
-    densities.density_sign()
     snap = synthesize(small_packet, small_spatial, 0.1)
     assert fft_calls["ifftn"] == [small_grid.n_per_axis + (6,)]
     densities.number_density(snap)
@@ -188,7 +187,6 @@ ALL_KINDS = ("number", "current", "energy", "momentum",
 
 
 def test_all_kinds_share_four_transforms(fft_calls, small_grid, small_spatial, small_packet):
-    densities.density_sign()
     snap = synthesize(small_packet, small_spatial, 0.2)
     for kind in ALL_KINDS:
         runner._density_field(kind, snap, small_packet)
