@@ -13,17 +13,14 @@ A scenario file is line oriented::
     run.seed = 7
 
 Rules: one ``key = value`` pair per line; ``#`` starts a comment; keys are
-dotted ``section.field`` names; list values are comma separated.  Parsing is
-total — every problem raises ``ValueError`` with the file name, line number
-and offending key — and unknown keys are rejected rather than ignored, so a
-typo cannot silently fall back to a default.
-
-A ``time.t0/t1/steps`` range may hold at most :data:`MAX_TIME_STEPS` steps;
-the bound is checked before the list of times is built, so a huge step count
-is a located diagnostic, not an exhausted memory.  ``run.seed`` must be a
-non-negative integer (it seeds ``numpy.random.default_rng``).  A grid may
-hold at most :data:`MAX_GRID_POINTS` points, checked at the
-``grid.n_per_axis`` line before anything is allocated.
+dotted ``section.field`` names; list values are comma separated.  :data:`KEYS`
+is the list of keys, plus ``tolerances.<name>`` for each name in
+:data:`DEFAULT_TOLERANCES`: each key maps to the parser that reads its value
+and checks its range and finiteness.  Every error is located: an unknown key,
+a bad value or a conflict between two keys raises ``ValueError`` starting
+``<file>:<line>: ``, at the line of the key that is wrong, and the bounds
+:data:`MAX_TIME_STEPS` and :data:`MAX_GRID_POINTS` are checked before
+anything is built or allocated.
 
 Units: internally everything is natural (hbar = c = 1, unit vacuum
 permittivity).  Choosing ``units.system = si`` adds conversion factors to
@@ -120,223 +117,172 @@ class ScenarioConfig:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
 
-class _ConfigError(ValueError):
-    pass
-
-
 def _fail(source: str, lineno: int, message: str) -> None:
-    raise _ConfigError(f"{source}:{lineno}: {message}")
+    raise ValueError(f"{source}:{lineno}: {message}")
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
 
 
 def _split_list(raw: str) -> list[str]:
     return [item.strip() for item in raw.split(",") if item.strip() != ""]
 
 
-def _parse_floats(raw: str, count: int | None, source: str, lineno: int, key: str):
-    items = _split_list(raw)
+def _numbers(raw: str, count: int | None = None, integer: bool = False) -> tuple:
+    """Finite numbers: any count, exactly one, or ``count`` of them (one broadcasts);
+    with ``integer``, non-negative integers."""
     try:
-        values = tuple(float(item) for item in items)
+        values = tuple(float(item) for item in _split_list(raw))
     except ValueError:
-        _fail(source, lineno, f"key '{key}': expected numbers, got '{raw.strip()}'")
-    if not all(math.isfinite(value) for value in values):
-        _fail(source, lineno, f"key '{key}': expected finite numbers, got '{raw.strip()}'")
-    if count is not None and len(values) not in (1, count):
-        _fail(source, lineno, f"key '{key}': expected 1 or {count} values, got {len(values)}")
-    if count is not None and len(values) == 1:
-        values = values * count
+        raise ValueError(f"expected numbers, got '{raw}'") from None
+    _check(all(map(math.isfinite, values)), f"expected finite numbers, got '{raw}'")
+    if count == 1:
+        _check(len(values) == 1, f"expected 1 value, got {len(values)}")
+    elif count is not None:
+        _check(len(values) in (1, count), f"expected 1 or {count} values, got {len(values)}")
+        if len(values) == 1:
+            values *= count
+    if integer:
+        _check(all(v == int(v) for v in values), f"expected integers, got '{raw}'")
+        _check(min(values) >= 0, f"expected a non-negative integer, got '{raw}'")
+        values = tuple(int(v) for v in values)
     return values
 
 
-def _parse_ints(raw: str, count: int, source: str, lineno: int, key: str):
-    values = _parse_floats(raw, count, source, lineno, key)
-    out = []
-    for value in values:
-        if value != int(value):
-            _fail(source, lineno, f"key '{key}': expected integers, got '{raw.strip()}'")
-        out.append(int(value))
-    return tuple(out)
+def _numeric(count: int = 1, integer: bool = False, positive: str = ""):
+    """Parser of ``count`` numbers (a scalar if 1), all > 0 if ``positive`` names them."""
+    def parse(raw: str):
+        values = _numbers(raw, count, integer)
+        _check(not positive or min(values) > 0, f"{positive} must be positive, got '{raw}'")
+        return values if count > 1 else values[0]
+    return parse
 
 
-def _parse_bool(raw: str, source: str, lineno: int, key: str) -> bool:
-    token = raw.strip().lower()
-    if token in ("true", "yes", "on", "1"):
-        return True
-    if token in ("false", "no", "off", "0"):
-        return False
-    _fail(source, lineno, f"key '{key}': expected a boolean, got '{raw.strip()}'")
-    raise AssertionError  # unreachable
+def _list(length_ok, message: str):
+    """Parser of any number of numbers; ``message`` if their count fails ``length_ok``."""
+    def parse(raw: str) -> tuple[float, ...]:
+        values = _numbers(raw)
+        _check(length_ok(len(values)), message)
+        return values
+    return parse
+
+
+def _choice(options, what: str):
+    def parse(raw: str) -> str:
+        _check(raw.lower() in options,
+               f"unknown {what} '{raw}' (choose from {', '.join(options)})")
+        return raw.lower()
+    return parse
+
+
+def _grid_shape(raw: str) -> tuple[int, int, int]:
+    shape = _numeric(3, integer=True, positive="entries")(raw)
+    _check(math.prod(shape) <= MAX_GRID_POINTS,
+           f"at most {MAX_GRID_POINTS} grid points, got '{raw}'")
+    return shape
+
+
+def _steps(raw: str) -> int:
+    steps = _numbers(raw, 1)[0]
+    _check(steps >= 1 and steps == int(steps), "expected a positive integer")
+    _check(steps <= MAX_TIME_STEPS, f"at most {MAX_TIME_STEPS} steps, got '{raw}'")
+    return int(steps)
+
+
+def _densities(raw: str) -> tuple[str, ...]:
+    return tuple(map(_choice(sorted(DENSITY_KINDS), "density"), _split_list(raw)))
+
+
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
+
+
+def _boolean(raw: str) -> bool:
+    _check(raw.lower() in _BOOLEANS, f"expected a boolean, got '{raw}'")
+    return _BOOLEANS[raw.lower()]
+
+
+# Each key names a field of its section, except the range parts time.t0/t1/steps,
+# which parse_scenario expands into TimeSection.t_list.
+KEYS = {
+    "grid.n_per_axis": _grid_shape,
+    "grid.delta_k": _numeric(3, positive="entries"),
+    "grid.k_min": lambda raw: None if raw.lower() == "auto" else _numbers(raw, 3),
+    "packet.kind": _choice(PACKET_KINDS, "packet kind"),
+    "packet.k0": _numeric(3),
+    "packet.sigma": _numeric(positive="packet.sigma"),
+    "packet.helicity_weights": _list(lambda n: n == 2, "expected exactly 2 weights"),
+    "packet.index": _numeric(3, integer=True),
+    "packet.x0": _numeric(3),
+    "time.t_list": _list(bool, "at least one evaluation time is required"),
+    "time.t0": _numeric(),
+    "time.t1": _numeric(),
+    "time.steps": _steps,
+    "outputs.densities": _densities,
+    "outputs.summary": _boolean,
+    "units.system": _choice(UNIT_SYSTEMS, "unit system"),
+    "units.length_scale_m": _numeric(positive="length scale"),
+    "run.seed": _numeric(integer=True),
+}
+_SECTIONS = {"grid": GridSection, "packet": PacketSection, "time": TimeSection,
+             "outputs": OutputSection, "units": UnitSection, "run": RunSection}
 
 
 def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
-    """Parse scenario text; raise ``ValueError`` with line diagnostics."""
-    values: dict[str, tuple[int, str]] = {}
+    """Parse scenario text; every problem raises ``ValueError`` naming ``source:line``."""
+    lines: dict[str, int] = {}
+    sections: dict[str, dict] = {name: {} for name in (*_SECTIONS, "tolerances")}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             _fail(source, lineno, f"expected 'key = value', got '{line}'")
-        key, _, raw_value = line.partition("=")
-        key = key.strip()
-        raw_value = raw_value.strip()
+        key, _, raw = (part.strip() for part in line.partition("="))
         if not key or "." not in key:
             _fail(source, lineno, f"keys must look like 'section.field', got '{key}'")
-        if key in values:
-            _fail(source, lineno, f"duplicate key '{key}' (first set on line {values[key][0]})")
-        values[key] = (lineno, raw_value)
-
-    grid = GridSection()
-    packet = PacketSection()
-    time = TimeSection()
-    outputs = OutputSection()
-    units = UnitSection()
-    run = RunSection()
-    tolerances: dict[str, float] = {}
-
-    t_parts: dict[str, float] = {}
-
-    for key, (lineno, raw) in values.items():
+        if key in lines:
+            _fail(source, lineno, f"duplicate key '{key}' (first set on line {lines[key]})")
+        lines[key] = lineno
         section, _, name = key.partition(".")
-        if section == "grid":
-            if name == "n_per_axis":
-                n = _parse_ints(raw, 3, source, lineno, key)
-                if min(n) > 0 and math.prod(n) > MAX_GRID_POINTS:
-                    _fail(source, lineno,
-                          f"key '{key}': at most {MAX_GRID_POINTS} grid points, got '{raw.strip()}'")
-                grid = _replace(grid, n_per_axis=n)
-            elif name == "delta_k":
-                grid = _replace(grid, delta_k=_parse_floats(raw, 3, source, lineno, key))
-            elif name == "k_min":
-                if raw.strip().lower() == "auto":
-                    grid = _replace(grid, k_min=None)
-                else:
-                    grid = _replace(grid, k_min=_parse_floats(raw, 3, source, lineno, key))
-            else:
-                _fail(source, lineno, f"unknown key '{key}'")
-        elif section == "packet":
-            if name == "kind":
-                kind = raw.strip().lower()
-                if kind not in PACKET_KINDS:
-                    _fail(
-                        source, lineno,
-                        f"key '{key}': unknown packet kind '{raw.strip()}' "
-                        f"(choose from {', '.join(PACKET_KINDS)})",
-                    )
-                packet = _replace(packet, kind=kind)
-            elif name == "k0":
-                packet = _replace(packet, k0=_parse_floats(raw, 3, source, lineno, key))
-            elif name == "sigma":
-                packet = _replace(packet, sigma=_parse_floats(raw, None, source, lineno, key)[0])
-            elif name == "helicity_weights":
-                weights = _parse_floats(raw, None, source, lineno, key)
-                if len(weights) != 2:
-                    _fail(source, lineno, f"key '{key}': expected exactly 2 weights")
-                packet = _replace(packet, helicity_weights=weights)
-            elif name == "index":
-                packet = _replace(packet, index=_parse_ints(raw, 3, source, lineno, key))
-            elif name == "x0":
-                packet = _replace(packet, x0=_parse_floats(raw, 3, source, lineno, key))
-            else:
-                _fail(source, lineno, f"unknown key '{key}'")
-        elif section == "time":
-            if name == "t_list":
-                time = _replace(time, t_list=_parse_floats(raw, None, source, lineno, key))
-            elif name in ("t0", "t1", "steps"):
-                t_parts[name] = _parse_floats(raw, None, source, lineno, key)[0]
-            else:
-                _fail(source, lineno, f"unknown key '{key}'")
-        elif section == "outputs":
-            if name == "densities":
-                kinds = tuple(item.lower() for item in _split_list(raw))
-                for kind in kinds:
-                    if kind not in DENSITY_KINDS:
-                        _fail(
-                            source, lineno,
-                            f"key '{key}': unknown density '{kind}' "
-                            f"(choose from {', '.join(sorted(DENSITY_KINDS))})",
-                        )
-                outputs = _replace(outputs, densities=kinds)
-            elif name == "summary":
-                outputs = _replace(outputs, summary=_parse_bool(raw, source, lineno, key))
-            else:
-                _fail(source, lineno, f"unknown key '{key}'")
-        elif section == "units":
-            if name == "system":
-                system = raw.strip().lower()
-                if system not in UNIT_SYSTEMS:
-                    _fail(source, lineno, f"key '{key}': unknown unit system '{raw.strip()}'")
-                units = _replace(units, system=system)
-            elif name == "length_scale_m":
-                scale = _parse_floats(raw, None, source, lineno, key)[0]
-                if scale <= 0:
-                    _fail(source, lineno, f"key '{key}': length scale must be positive")
-                units = _replace(units, length_scale_m=scale)
-            else:
-                _fail(source, lineno, f"unknown key '{key}'")
-        elif section == "run":
-            if name == "seed":
-                seed = _parse_ints(raw, 1, source, lineno, key)[0]
-                if seed < 0:
-                    _fail(source, lineno,
-                          f"key '{key}': expected a non-negative integer, got '{raw.strip()}'")
-                run = _replace(run, seed=seed)
-            else:
-                _fail(source, lineno, f"unknown key '{key}'")
-        elif section == "tolerances":
-            if name not in DEFAULT_TOLERANCES:
-                _fail(
-                    source, lineno,
-                    f"key '{key}': unknown tolerance '{name}' "
-                    f"(choose from {', '.join(sorted(DEFAULT_TOLERANCES))})",
-                )
-            tolerances[name] = _parse_floats(raw, None, source, lineno, key)[0]
-        else:
+        if section == "tolerances" and name not in DEFAULT_TOLERANCES:
+            _fail(source, lineno, f"key '{key}': unknown tolerance '{name}' "
+                  f"(choose from {', '.join(sorted(DEFAULT_TOLERANCES))})")
+        parse = _numeric() if section == "tolerances" else KEYS.get(key)
+        if parse is None:
             _fail(source, lineno, f"unknown key '{key}'")
+        try:
+            sections[section][name] = parse(raw)
+        except ValueError as exc:
+            _fail(source, lineno, f"key '{key}': {exc}")
 
-    if t_parts:
-        if "t_list" in {k.partition(".")[2] for k in values if k.startswith("time.")}:
-            lineno = min(ln for k, (ln, _) in values.items() if k.startswith("time."))
-            _fail(source, lineno, "give either time.t_list or time.t0/t1/steps, not both")
-        missing = {"t0", "t1", "steps"} - set(t_parts)
+    time = sections["time"]
+    if time.keys() & {"t0", "t1", "steps"}:
+        first = min(ln for key, ln in lines.items() if key.startswith("time."))
+        if "t_list" in time:
+            _fail(source, first, "give either time.t_list or time.t0/t1/steps, not both")
+        missing = {"t0", "t1", "steps"} - time.keys()
         if missing:
-            lineno = min(ln for k, (ln, _) in values.items() if k.startswith("time."))
-            _fail(source, lineno, f"time range needs t0, t1 and steps (missing {', '.join(sorted(missing))})")
-        steps = int(t_parts["steps"])
-        lineno, raw = values["time.steps"]
-        if steps < 1 or t_parts["steps"] != steps:
-            _fail(source, lineno, "key 'time.steps': expected a positive integer")
-        if steps > MAX_TIME_STEPS:
-            _fail(source, lineno, f"key 'time.steps': at most {MAX_TIME_STEPS} steps, got '{raw}'")
-        t0, t1 = t_parts["t0"], t_parts["t1"]
+            _fail(source, first,
+                  f"time range needs t0, t1 and steps (missing {', '.join(sorted(missing))})")
+        t0, t1, steps = time.pop("t0"), time.pop("t1"), time.pop("steps")
         step = (t1 - t0) / steps
-        time = TimeSection(tuple(t0 + step * i for i in range(steps + 1)))
+        time["t_list"] = tuple(t0 + step * i for i in range(steps + 1))
 
-    cfg = ScenarioConfig(grid, packet, time, outputs, units, run, tolerances)
-    _validate(cfg, source)
+    cfg = ScenarioConfig(**{name: cls(**sections[name]) for name, cls in _SECTIONS.items()},
+                         tolerances=sections["tolerances"])
+    packet, shape = cfg.packet, cfg.grid.n_per_axis
+    if packet.kind == "single_mode" and packet.index is None:
+        _fail(source, lines["packet.kind"], "packet.kind = single_mode requires packet.index")
+    if packet.kind == "collinear" and shape[:2] != (1, 1):
+        _fail(source, lines["packet.kind"],
+              "packet.kind = collinear requires grid.n_per_axis = 1,1,N")
+    if packet.index is not None and any(i >= n for i, n in zip(packet.index, shape)):
+        _fail(source, lines["packet.index"],
+              f"key 'packet.index': {packet.index} lies outside grid.n_per_axis = {shape}")
     return cfg
-
-
-def _replace(section, **changes):
-    import dataclasses
-
-    return dataclasses.replace(section, **changes)
-
-
-def _validate(cfg: ScenarioConfig, source: str) -> None:
-    if any(n < 1 for n in cfg.grid.n_per_axis):
-        raise _ConfigError(f"{source}: grid.n_per_axis entries must be positive")
-    if any(d <= 0 for d in cfg.grid.delta_k):
-        raise _ConfigError(f"{source}: grid.delta_k entries must be positive")
-    if cfg.packet.kind == "single_mode" and cfg.packet.index is None:
-        raise _ConfigError(f"{source}: packet.kind = single_mode requires packet.index")
-    if cfg.packet.kind in ("gaussian", "collinear") and cfg.packet.sigma <= 0:
-        raise _ConfigError(f"{source}: packet.sigma must be positive")
-    if cfg.packet.kind == "collinear" and cfg.grid.n_per_axis[:2] != (1, 1):
-        raise _ConfigError(
-            f"{source}: packet.kind = collinear requires grid.n_per_axis = 1,1,N"
-        )
-    if not cfg.time.t_list:
-        raise _ConfigError(f"{source}: at least one evaluation time is required")
 
 
 def load_scenario(path: str) -> ScenarioConfig:

@@ -657,7 +657,7 @@ def _spot_check(cfg: ScenarioConfig, spectrum, spatial: SpatialGrid, snap: Field
     indices = np.stack(
         [rng.integers(0, n, size=4) for n in shape], axis=1
     )
-    points = spatial.coordinates[tuple(indices.T)]
+    points = np.stack([spatial.axes[a][indices[:, a]] for a in range(3)], axis=1)
     direct = vector_potential_at_points(spectrum, points, snap.t)
     via_fft = snap.A_plus[tuple(indices.T)]
     scale = max(float(np.max(np.abs(snap.A_plus))), 1e-300)
@@ -794,7 +794,8 @@ def export_slice(cfg: ScenarioConfig, kind: str, plane: str, out_path: str) -> s
     """Export one 2-D plane of a density as CSV; returns the output path.
 
     ``plane`` looks like ``z=0.25``: the axis letter and the coordinate of
-    the plane, snapped to the nearest grid plane.
+    the plane, snapped to the nearest grid plane.  A coordinate more than
+    half a cell outside the sampled axis is rejected.
     """
     if kind not in set(densities.DENSITY_KINDS):
         raise ValueError(
@@ -815,12 +816,19 @@ def export_slice(cfg: ScenarioConfig, kind: str, plane: str, out_path: str) -> s
 
     grid = build_grid(cfg)
     spatial = SpatialGrid.paired(grid)
+    positions = spatial.axes[axis]
+    half_cell = spatial.delta_x[axis] / 2
+    low, high = positions[0] - half_cell, positions[-1] + half_cell
+    if not low <= coordinate <= high:
+        raise ValueError(
+            f"plane coordinate {coordinate_text.strip()} lies outside the sampled "
+            f"{axis_name} range [{low:.6g}, {high:.6g}]"
+        )
     spectrum = build_spectrum(cfg, grid)
     t = cfg.time.t_list[0]
     snap = synthesize(spectrum, spatial, t)
     field = _density_field(kind, snap, spectrum)
 
-    positions = spatial.axes[axis]
     plane_index = int(np.argmin(np.abs(positions - coordinate)))
     data = np.take(field.data, plane_index, axis=axis)
     other = [a for a in range(3) if a != axis]

@@ -162,6 +162,17 @@ def test_oversized_grid_exits_2_with_location_before_allocating(capsys, tmp_path
     assert not (tmp_path / "o").exists()
 
 
+def test_out_of_grid_mode_index_exits_2_with_location(capsys, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CONFIG.replace(
+        "packet.kind = gaussian", "packet.kind = single_mode\npacket.index = 99, 0, 0"))
+    code, out, err = invoke(capsys, "run", str(bad), "--outdir", str(tmp_path / "o"))
+    assert code == 2
+    assert f"{bad}:4: key 'packet.index': (99, 0, 0) lies outside grid.n_per_axis" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_config_exits_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "run", str(tmp_path / "nope.cfg"))
     assert code == 2
@@ -214,6 +225,25 @@ def test_export_slice_rejects_a_non_finite_plane(capsys, tmp_path, config_path):
         )
         assert code == 1 and f"plane coordinate must be finite, got '{value}'" in err
     assert not os.path.exists(out_csv)
+
+
+def test_export_slice_rejects_a_plane_outside_the_box(capsys, tmp_path, config_path):
+    out_csv = tmp_path / "x.csv"
+    for value in ("1e9", "-1e9"):
+        code, _, err = invoke(
+            capsys, "export-slice", str(config_path), "--kind", "number", "--plane",
+            f"z={value}", "--out", str(out_csv),
+        )
+        assert code == 1
+        assert f"plane coordinate {value} lies outside the sampled z range [-4.3196" in err
+        assert not out_csv.exists()
+    # 32 planes at dx = 2 pi / 24 from -16 dx: z = 4.0 is within half a cell of the last one
+    code, _, _ = invoke(
+        capsys, "export-slice", str(config_path), "--kind", "number", "--plane", "z=4.0",
+        "--out", str(out_csv),
+    )
+    assert code == 0
+    assert "plane_coordinate=3.9269908169872414 " in out_csv.read_text().splitlines()[0]
 
 
 def test_four_momentum_components_are_labelled_t_x_y_z(capsys, tmp_path):

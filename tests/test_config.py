@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
 
 from photonlab.config import (
     DEFAULT_TOLERANCES,
+    KEYS,
     MAX_GRID_POINTS,
     ScenarioConfig,
     load_scenario,
@@ -60,9 +62,7 @@ def test_time_range_expansion():
     assert cfg.time.t_list == (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-@pytest.mark.parametrize(
-    "text, fragment",
-    [
+DIAGNOSTICS = [
         ("grid.n_per_axis = 32\npacket.sigma_x = 1.0\n", "bad.cfg:2: unknown key 'packet.sigma_x'"),
         ("mystery.flag = 1\n", "bad.cfg:1: unknown key 'mystery.flag'"),
         ("grid.n_per_axis = 32\ngrid.n_per_axis = 64\n", "duplicate key 'grid.n_per_axis'"),
@@ -94,12 +94,51 @@ def test_time_range_expansion():
         ("packet.sigma = -1\n", "packet.sigma must be positive"),
         ("packet.kind = collinear\n", "grid.n_per_axis = 1,1,N"),
         ("time.t_list =\n", "at least one evaluation time is required"),
-    ],
-)
+        ("grid.n_per_axis = 0\n", "bad.cfg:1: key 'grid.n_per_axis': entries must be positive"),
+        ("grid.delta_k = -1\n", "bad.cfg:1: key 'grid.delta_k': entries must be positive"),
+        ("packet.sigma = -1\n", "bad.cfg:1: key 'packet.sigma': packet.sigma must be positive"),
+        ("packet.kind = single_mode\npacket.index = 99,0,0\n",
+         "bad.cfg:2: key 'packet.index': (99, 0, 0) lies outside grid.n_per_axis"),
+        ("packet.kind = single_mode\npacket.index = -1,0,0\n",
+         "bad.cfg:2: key 'packet.index': expected a non-negative integer"),
+        ("time.t_list =\n", "bad.cfg:1: key 'time.t_list': at least one evaluation time"),
+        ("grid.n_per_axis = 8\npacket.kind = single_mode\npacket.index = 0, 8, 0\n",
+         "bad.cfg:3: key 'packet.index': (0, 8, 0) lies outside grid.n_per_axis = (8, 8, 8)"),
+        ("packet.kind = localized\npacket.sigma = 0\n", "bad.cfg:2: key 'packet.sigma'"),
+        ("packet.sigma =\n", "bad.cfg:1: key 'packet.sigma': expected 1 value, got 0"),
+        ("time.t0 = 0, 1\ntime.t1 = 2\ntime.steps = 2\n",
+         "bad.cfg:1: key 'time.t0': expected 1 value, got 2"),
+]
+
+
+@pytest.mark.parametrize("text, fragment", DIAGNOSTICS)
 def test_diagnostics_name_key_and_line(text, fragment):
     with pytest.raises(ValueError) as excinfo:
         parse_scenario(text, "bad.cfg")
     assert fragment in str(excinfo.value)
+
+
+def test_every_diagnostic_starts_with_file_and_line():
+    for text, _ in DIAGNOSTICS:
+        with pytest.raises(ValueError) as excinfo:
+            parse_scenario(text, "bad.cfg")
+        assert re.match(r"bad\.cfg:\d+: ", str(excinfo.value)), text
+
+
+def test_single_mode_index_on_the_last_grid_plane_parses():
+    text = "grid.n_per_axis = 8\npacket.kind = single_mode\npacket.index = 7, 0, 7\n"
+    cfg = parse_scenario(text, "edge.cfg")
+    assert cfg.packet.index == (7, 0, 7)
+
+
+def test_readme_configuration_table_lists_the_parser_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration format", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    expanded = []
+    for key in rows:
+        expanded += ["time.t0", "time.t1", "time.steps"] if key == "time.t0/t1/steps" else [key]
+    assert expanded == [*KEYS, "tolerances.<name>"]
 
 
 def test_grid_point_bound_is_checked_at_its_line():
