@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 from .densities import DENSITY_KINDS
+from .mode_space import WaveVectorGrid
 
 PACKET_KINDS = ("gaussian", "single_mode", "localized", "collinear")
 # Largest time.steps accepted: every time costs one full-grid synthesis
@@ -67,6 +68,11 @@ class GridSection:
     n_per_axis: tuple[int, int, int] = (64, 64, 64)
     delta_k: tuple[float, float, float] = (0.5, 0.5, 0.5)
     k_min: tuple[float, float, float] | None = None  # None: centred about 0
+
+    def wave_vector_grid(self) -> WaveVectorGrid:
+        if self.k_min is None:
+            return WaveVectorGrid.centered(self.n_per_axis, self.delta_k)
+        return WaveVectorGrid(self.n_per_axis, self.delta_k, self.k_min)
 
 
 @dataclass(frozen=True)
@@ -282,6 +288,9 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     if packet.index is not None and any(i >= n for i, n in zip(packet.index, shape)):
         _fail(source, lines["packet.index"],
               f"key 'packet.index': {packet.index} lies outside grid.n_per_axis = {shape}")
+    if packet.index is not None and cfg.grid.wave_vector_grid().excludes(packet.index):
+        _fail(source, lines["packet.index"],
+              f"key 'packet.index': {packet.index} is the excluded zero mode (omega = 0)")
     return cfg
 
 

@@ -41,6 +41,12 @@ kept) and the wave fields F and psi, one pair per helicity (read by the
 cost four inverse FFTs in total: the synthesis, B+, the momentum transform
 and psi.  The kept arrays are shared by every caller and are read-only;
 ``momentum_density`` returns P itself, so copy its data before modifying it.
+
+The coefficient arrays handed to the transforms (the (3, 3) momentum block,
+the helicity and psi amplitudes) are built component-major, the layout the
+engine transforms in place (see :mod:`photonlab.field_synthesis`).  Every
+``DensityField.data`` stays C-ordered (nx, ny, nz[, c]), because
+``integral`` sums in memory order: the same layout gives the same sums.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field_synthesis as fs
-from .mode_space import PhotonSpectrum, WaveVectorGrid
+from .mode_space import PhotonSpectrum, WaveVectorGrid, leading, trailing, vector_array
 
 # E+ = i omega A+ gives Im(A+ . conj(E+)) = -omega |A+|^2, so sigma = -1 makes rho >= 0
 SIGMA = -1
@@ -97,9 +103,9 @@ def _shared(f: fs.FieldSnapshot, key: str, build):
 
 
 def _im_dot(a, b, subscripts="...c,...c->..."):
-    """Im(conj(a) . b) contracted per ``subscripts``, in real arithmetic."""
-    out = np.einsum(subscripts, a.real, b.imag)
-    out -= np.einsum(subscripts, a.imag, b.real)
+    """Im(conj(a) . b) contracted per ``subscripts``, in real arithmetic, C-ordered."""
+    out = np.einsum(subscripts, a.real, b.imag, order="C")
+    out -= np.einsum(subscripts, a.imag, b.real, order="C")
     return out
 
 
@@ -125,8 +131,8 @@ def _operator_density(f: fs.FieldSnapshot, op_coeffs):
     """sigma/2 ( i E+ . conj(op A+) + c.c. ) = sigma Im(conj(E+) . op A+).
 
     ``op_coeffs`` holds the mode amplitudes of op A+: (nx, ny, nz, 3) for one
-    operator, or (nx, ny, nz, m, 3) for m operators transformed together;
-    it is used as the work array.
+    operator, or (nx, ny, nz, m, 3) for m operators transformed together,
+    stored component-major; it is used as the work array.
     """
     op_a = fs.spectral_engine(f.kgrid, f.sgrid).to_field(op_coeffs, overwrite=True)
     subscripts = "...c,...c->..." if op_a.ndim == 4 else "...c,...jc->...j"
@@ -151,9 +157,9 @@ def _momentum(f: fs.FieldSnapshot):
     """
 
     def build():
-        op_coeffs = f.kgrid.k_vectors[..., :, None] * f.amplitude[..., None, :]
-        op_coeffs *= f.time_phase[..., None, None]
-        return fs._read_only(_operator_density(f, op_coeffs))
+        op_coeffs = leading(f.kgrid.k_vectors)[:, None] * leading(f.amplitude)[None, :]
+        op_coeffs *= f.time_phase
+        return fs._read_only(_operator_density(f, trailing(op_coeffs, 2)))
 
     return _shared(f, "_momentum", build)
 
@@ -179,12 +185,10 @@ def helicity_density(f: fs.FieldSnapshot) -> np.ndarray:
     helicity mode, so the integral reproduces the k-space helicity sum.
     """
     kgrid = f.kgrid
-    khat = np.where(
-        kgrid.exclusion_mask[..., None],
-        0.0,
-        kgrid.k_vectors / np.where(kgrid.exclusion_mask, 1.0, kgrid.omega)[..., None],
-    )
-    coeffs = fs._cross(khat, f.a_coeffs)
+    mask = kgrid.exclusion_mask
+    khat = np.where(mask, 0.0, leading(kgrid.k_vectors) / np.where(mask, 1.0, kgrid.omega))
+    coeffs = fs._cross(trailing(khat, 1), f.a_coeffs,
+                       out=vector_array(kgrid.n_per_axis, np.complex128))
     coeffs *= 1j
     return _operator_density(f, coeffs)
 
@@ -276,8 +280,9 @@ def photon_wave_fields(f: fs.FieldSnapshot, s: PhotonSpectrum) -> PhotonWaveFiel
         B = 2.0 * np.real(f.B_plus)
         half = 0.5  # = (1/sqrt 2) * sqrt(1/2): photon-number normalization, cf. module docs
         F = half * (E + 1j * lam * B)
-        psi_coeffs = np.sqrt(f.kgrid.omega)[..., None] * f.a_coeffs
-        psi = fs.spectral_engine(f.kgrid, f.sgrid).to_field(psi_coeffs, overwrite=True)
+        psi_coeffs = np.sqrt(f.kgrid.omega) * leading(f.a_coeffs)
+        psi = fs.spectral_engine(f.kgrid, f.sgrid).to_field(trailing(psi_coeffs, 1),
+                                                            overwrite=True)
         return PhotonWaveFields(helicity=lam, F=fs._read_only(F), psi=fs._read_only(psi),
                                 t=f.t, grid=f.sgrid)
 

@@ -23,14 +23,25 @@ Every FFT goes through one :class:`SpectralEngine` per (WaveVectorGrid,
 SpatialGrid) pair (:func:`spectral_engine`, the two most recently used pairs
 are kept).  It holds, read-only, what depends on the grids alone: the
 helicity basis, the mode factor i / sqrt(omega) with the excluded zero mode
-set to zero, and the two phase factors that turn the grid-order mode sum
-into an inverse DFT.  The time-independent amplitude g * i omega^{-1/2}
+set to zero, the two phase factors that turn the grid-order mode sum into an
+inverse DFT, and the distinct frequencies of the grid with each mode's index
+into them.  The time-independent amplitude g * i omega^{-1/2}
 (c+ e+ + c- e-) is formed once per spectrum; each time then costs one
-exp(-i omega t) multiplier and one inverse FFT of the six components of A+
-and E+.  B+ is transformed on first access only, so number-only runs never
-pay for it.  The direct quadrature (:func:`synthesize_at_points`,
-:func:`vector_potential_at_points`) builds its own basis and never reads the
-engine: it is the oracle the FFT path is checked against.  It forms
+exp(-i omega t) per distinct frequency (1914 for the 262144 modes of the
+64^3 desk grid), gathered to the modes, and one inverse FFT of the six
+components of A+ and E+.  B+ is transformed on first access only, so
+number-only runs never pay for it.
+
+Per-mode vector arrays and synthesized fields are stored component-major
+(see :mod:`photonlab.mode_space`): every inverse and forward FFT runs over
+the three trailing, spatial axes of a C-contiguous array whose component
+axes lead, and callers see ``(..., 3)`` views of it.  An input in another
+layout is copied once into this one.
+
+The direct quadrature (:func:`synthesize_at_points`,
+:func:`vector_potential_at_points`) builds its own basis, evaluates its own
+exp(-i omega t) per mode and never reads the engine: it is the oracle the
+FFT path is checked against.  It forms
 exp(i k.x) at each point as the outer product of the three per-axis factors
 exp(i k_a x_a) over ``kgrid.axes``, computed in place and never through the
 engine's phase helper or an FFT, so it checks the engine's origin and k_min
@@ -47,7 +58,16 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy import fft as _sfft
 
-from .mode_space import PhotonSpectrum, TWO_PI, WaveVectorGrid, _triple, build_basis
+from .mode_space import (
+    PhotonSpectrum,
+    TWO_PI,
+    WaveVectorGrid,
+    _triple,
+    build_basis,
+    leading,
+    trailing,
+    vector_array,
+)
 
 
 def _workers():
@@ -138,13 +158,15 @@ def _read_only(arr):
     return arr
 
 
-def _cross(a, b):
+def _cross(a, b, out=None):
     """a x b over the trailing axis from componentwise products.
 
     The same products and differences as ``np.cross`` (so bit-identical
-    results), without its copies of both operands.
+    results), without its copies of both operands.  The result is C-ordered
+    unless ``out`` (for example a :func:`vector_array`) is given.
     """
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         np.multiply(a[..., j], b[..., k], out=out[..., i])
@@ -158,18 +180,14 @@ def _separable_phase(angles):
     return x[:, None, None] * y[None, :, None] * z[None, None, :]
 
 
-def _per_mode(arr, ndim):
-    """View a (nx, ny, nz) array with unit axes for ``ndim - 3`` component axes."""
-    return arr.reshape(arr.shape + (1,) * (ndim - 3))
-
-
 class SpectralEngine:
     """FFT machinery of one FFT-paired (WaveVectorGrid, SpatialGrid) pair.
 
     With k = k_min + j dk and x = origin + n dx, the grid-order mode sum
     sum_k c(k) exp(i k.x) is the inverse DFT of c(k) exp(i k.origin), times
     exp(i k_min.(x - origin)); ``phase_k`` and ``phase_x`` are those two
-    factors.  Build it through :func:`spectral_engine`.  All arrays are
+    factors.  :meth:`time_phase` evaluates exp(-i omega t) once per distinct
+    frequency.  Build it through :func:`spectral_engine`.  All arrays are
     read-only.
     """
 
@@ -189,37 +207,51 @@ class SpectralEngine:
         self.phase_x = _read_only(_separable_phase(
             [(x - o) * k for x, o, k in zip(sgrid.axes, sgrid.origin, kgrid.k_min)]
         ))
+        levels, index = np.unique(kgrid.omega, return_inverse=True)
+        self._levels = _read_only(levels)
+        self._level_index = _read_only(index.reshape(kgrid.n_per_axis))
         # (weak reference to the last spectrum, its amplitude)
         self._last_amplitude = None
+
+    def time_phase(self, t: float):
+        """exp(-i omega t) per mode, one exponential per distinct omega.
+
+        Each element is the same expression on the same float as
+        ``np.exp(-1j * omega * t)``, so the two are bitwise equal.
+        """
+        return np.exp(-1j * self._levels * t)[self._level_index]
 
     def to_field(self, coeffs, overwrite=False):
         """sum_k coeffs(k) exp(i k.x) on the spatial grid with one inverse FFT.
 
         ``coeffs`` is indexed in grid order; trailing component axes are
-        transformed together.  ``overwrite`` lets a complex128 work array of
-        the caller's be transformed in place.
+        transformed together, and the field comes back with the same
+        trailing axes, stored component-major.  ``overwrite`` lets a
+        component-major complex128 work array of the caller's be transformed
+        in place; any other layout costs one contiguous copy.
         """
-        phase_k = _per_mode(self.phase_k, coeffs.ndim)
-        if overwrite:
-            coeffs *= phase_k
+        work = leading(coeffs)
+        if overwrite and work.dtype == np.complex128 and work.flags.c_contiguous:
+            work *= self.phase_k
         else:
-            coeffs = coeffs * phase_k
-        return self._transform(coeffs)
+            work = np.multiply(work, self.phase_k, out=np.empty(work.shape, np.complex128))
+        return trailing(self._transform(work), coeffs.ndim - 3)
 
     def _transform(self, work):
-        """In-place inverse FFT of coefficients that already carry ``phase_k``."""
-        field = _sfft.ifftn(work, axes=(0, 1, 2), norm="forward",
+        """In-place inverse FFT of component-first coefficients that carry ``phase_k``."""
+        field = _sfft.ifftn(work, axes=(-3, -2, -1), norm="forward",
                             overwrite_x=True, workers=_workers())
-        field *= _per_mode(self.phase_x, field.ndim)
+        field *= self.phase_x
         return field
 
     def to_spectrum(self, field):
         """Inverse of :meth:`to_field` (exact for on-grid band-limited fields)."""
-        work = field * _per_mode(np.conj(self.phase_x), field.ndim)
-        coeffs = _sfft.fftn(work, axes=(0, 1, 2), norm="forward",
+        lead = leading(field)
+        work = np.multiply(lead, np.conj(self.phase_x), out=np.empty(lead.shape, np.complex128))
+        coeffs = _sfft.fftn(work, axes=(-3, -2, -1), norm="forward",
                             overwrite_x=True, workers=_workers())
-        coeffs *= _per_mode(np.conj(self.phase_k), coeffs.ndim)
-        return coeffs
+        coeffs *= np.conj(self.phase_k)
+        return trailing(coeffs, field.ndim - 3)
 
     def amplitude(self, s: PhotonSpectrum):
         """Time-independent grid-order amplitude g i omega^{-1/2} (c+ e+ + c- e-).
@@ -240,22 +272,23 @@ class SpectralEngine:
             self._last_amplitude = None
 
     def _weighted_amplitude(self, s: PhotonSpectrum, weight: float):
-        amp = s.c[0][..., None] * self.e_plus
-        amp += s.c[1][..., None] * self.e_minus
-        amp *= (weight * self.mode_factor)[..., None]
-        return amp
+        amp = s.c[0] * leading(self.e_plus)
+        amp += s.c[1] * leading(self.e_minus)
+        amp *= weight * self.mode_factor
+        return trailing(amp, 1)
 
     def snapshot(self, amplitude, t: float) -> FieldSnapshot:
         """A+ and E+ at time t from one inverse FFT of their six components."""
         omega = self.kgrid.omega
         # exp(-i omega t) and phase_k as one per-mode multiplier
-        factor = np.exp(-1j * omega * t)
+        factor = self.time_phase(t)
         factor *= self.phase_k
-        work = np.empty(omega.shape + (6,), dtype=np.complex128)
-        np.multiply(amplitude, factor[..., None], out=work[..., :3])
+        amp = leading(amplitude)
+        work = np.empty((6,) + omega.shape, dtype=np.complex128)
+        np.multiply(amp, factor, out=work[:3])
         factor *= 1j * omega
-        np.multiply(amplitude, factor[..., None], out=work[..., 3:])
-        fields = self._transform(work)
+        np.multiply(amp, factor, out=work[3:])
+        fields = trailing(self._transform(work), 1)
         return FieldSnapshot(
             t=t, A_plus=fields[..., :3], E_plus=fields[..., 3:],
             amplitude=amplitude, kgrid=self.kgrid, sgrid=self.sgrid,
@@ -288,8 +321,9 @@ class FieldSnapshot:
 
     ``amplitude`` is the time-independent vector mode amplitude of A+, so
     that spectral operators can be applied later without a forward FFT.
-    ``time_phase`` (exp(-i omega t) per mode) and ``B_plus`` are formed on
-    first access, ``a_coeffs`` (the amplitude times the time phase) on each.
+    ``time_phase`` (exp(-i omega t) per mode, from the engine's table of
+    distinct frequencies) and ``B_plus`` are formed on first access,
+    ``a_coeffs`` (the amplitude times the time phase) on each.
     :mod:`photonlab.densities` keeps its per-snapshot intermediates in the
     same instance dict, so they are freed with the snapshot.
     """
@@ -303,15 +337,16 @@ class FieldSnapshot:
 
     @cached_property
     def time_phase(self):
-        return np.exp(-1j * self.kgrid.omega * self.t)
+        return spectral_engine(self.kgrid, self.sgrid).time_phase(self.t)
 
     @property
     def a_coeffs(self):
-        return self.amplitude * self.time_phase[..., None]
+        return trailing(leading(self.amplitude) * self.time_phase, 1)
 
     @cached_property
     def B_plus(self):
-        b_coeffs = _cross(self.kgrid.k_vectors, self.a_coeffs)
+        b_coeffs = vector_array(self.kgrid.n_per_axis, np.complex128)
+        _cross(self.kgrid.k_vectors, self.a_coeffs, out=b_coeffs)
         b_coeffs *= 1j
         return spectral_engine(self.kgrid, self.sgrid).to_field(b_coeffs, overwrite=True)
 
@@ -328,10 +363,9 @@ def _direct_amplitude(s: PhotonSpectrum, t: float):
     safe = np.where(grid.exclusion_mask, 1.0, omega)
     amp = 1j * g / np.sqrt(safe) * np.exp(-1j * omega * float(t))
     amp = np.where(grid.exclusion_mask, 0.0, amp)
-    coeffs = (
-        amp[..., None] * s.c[0][..., None] * basis.e_plus
-        + amp[..., None] * s.c[1][..., None] * basis.e_minus
-    )
+    # C-ordered, so the quadrature's BLAS products sum in one fixed order
+    coeffs = np.multiply(amp[..., None] * s.c[0][..., None], basis.e_plus, order="C")
+    coeffs += amp[..., None] * s.c[1][..., None] * basis.e_minus
     return coeffs
 
 

@@ -13,6 +13,14 @@ pinned to zero and the 1/sqrt(omega) mode factor is never evaluated there.
 
 Scalar products are conjugate-linear in the first slot:
 (s1, s2) = sum w conj(c1) c2.
+
+Per-mode vector arrays (``k_vectors``, the helicity basis) are stored
+component-major: the component axes come first in memory, so each
+(nx, ny, nz) component is contiguous, and they are handed out as
+``(..., 3)`` views.  :func:`vector_array` allocates that layout and
+:func:`leading` turns such a view back into the component-first array, so
+element-wise products and the FFTs of :mod:`photonlab.field_synthesis` run
+over contiguous blocks.
 """
 
 from __future__ import annotations
@@ -27,6 +35,28 @@ TWO_PI = 2.0 * np.pi
 
 #: storage order of the helicity axis: index 0 is lambda = +1, index 1 is -1
 HELICITIES = (+1, -1)
+
+
+def vector_array(spatial_shape, dtype):
+    """Uninitialized ``spatial_shape + (3,)`` array stored component-major.
+
+    The returned array is a view, with the component axis trailing, of a
+    C-contiguous ``(3,) + spatial_shape`` buffer.
+    """
+    return trailing(np.empty((3,) + tuple(spatial_shape), dtype), 1)
+
+
+def trailing(arr, n_components):
+    """(c..., nx, ny, nz) -> (nx, ny, nz, c...) view."""
+    lead = range(n_components)
+    return np.moveaxis(arr, tuple(lead), tuple(i - n_components for i in lead))
+
+
+def leading(arr):
+    """(nx, ny, nz, c...) -> (c..., nx, ny, nz) view; inverse of :func:`trailing`."""
+    n_components = arr.ndim - 3
+    lead = range(n_components)
+    return np.moveaxis(arr, tuple(i - n_components for i in lead), tuple(lead))
 
 
 def _triple(value, name):
@@ -89,11 +119,10 @@ class WaveVectorGrid:
 
     @cached_property
     def k_vectors(self):
-        """(nx, ny, nz, 3) array of sample wavevectors."""
-        kx, ky, kz = np.meshgrid(*self.axes, indexing="ij")
-        k = np.stack([kx, ky, kz], axis=-1)
+        """(nx, ny, nz, 3) array of sample wavevectors (component-major)."""
+        k = np.stack(np.meshgrid(*self.axes, indexing="ij"))
         k.flags.writeable = False
-        return k
+        return trailing(k, 1)
 
     @cached_property
     def omega(self):
@@ -104,9 +133,22 @@ class WaveVectorGrid:
 
     @cached_property
     def exclusion_mask(self):
-        m = self.omega <= 1e-9 * min(self.delta_k)
+        m = self._excluded(self.omega)
         m.flags.writeable = False
         return m
+
+    def _excluded(self, omega):
+        """The exclusion rule: omega = |k| is zero to within 1e-9 of the spacing."""
+        return omega <= 1e-9 * min(self.delta_k)
+
+    def excludes(self, index):
+        """True when sample ``index`` is masked, without building the full grid.
+
+        |k| is formed the way ``omega`` forms it, so the answer equals
+        ``exclusion_mask[index]``.
+        """
+        k = [self.k_min[a] + self.delta_k[a] * int(index[a]) for a in range(3)]
+        return bool(self._excluded(np.linalg.norm(np.array([k]), axis=-1))[0])
 
     @cached_property
     def cell_weight(self):
@@ -150,13 +192,15 @@ class PolarizationBasis:
 
 
 def build_basis(grid: WaveVectorGrid) -> PolarizationBasis:
-    """Construct the helicity pair on every unmasked sample of ``grid``."""
-    k = grid.k_vectors
+    """Construct the helicity pair on every unmasked sample of ``grid``.
+
+    ``e_plus`` and ``e_minus`` are component-major ``(..., 3)`` views.
+    """
     kn = grid.omega
     mask = grid.exclusion_mask
     safe = np.where(mask, 1.0, kn)
 
-    kx, ky, kz = k[..., 0], k[..., 1], k[..., 2]
+    kx, ky, kz = leading(grid.k_vectors)
     k_perp = np.hypot(kx, ky)
     # phi = 0 on the z axis implements the pole convention automatically
     on_pole = k_perp <= 1e-12 * safe
@@ -164,14 +208,10 @@ def build_basis(grid: WaveVectorGrid) -> PolarizationBasis:
     cos_t = kz / safe
     sin_t = k_perp / safe
 
-    e_theta = np.stack(
-        [cos_t * np.cos(phi), cos_t * np.sin(phi), -sin_t], axis=-1
-    )
-    e_phi = np.stack(
-        [-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1
-    )
+    e_theta = np.stack([cos_t * np.cos(phi), cos_t * np.sin(phi), -sin_t])
+    e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)])
 
-    keep = ~mask[..., None]
+    keep = ~mask
     e_theta = np.where(keep, e_theta, 0.0)
     e_phi = np.where(keep, e_phi, 0.0)
 
@@ -180,7 +220,7 @@ def build_basis(grid: WaveVectorGrid) -> PolarizationBasis:
     e_minus = (e_theta - 1j * e_phi) * inv_rt2
     for arr in (e_plus, e_minus):
         arr.flags.writeable = False
-    return PolarizationBasis(e_plus=e_plus, e_minus=e_minus)
+    return PolarizationBasis(e_plus=trailing(e_plus, 1), e_minus=trailing(e_minus, 1))
 
 
 @dataclass(frozen=True)
@@ -306,7 +346,9 @@ def localized_spectrum(grid, x0) -> PhotonSpectrum:
     a valid band-limited state (left unnormalized).
     """
     x0 = _triple(x0, "x0")
-    phase = np.exp(-1j * np.tensordot(grid.k_vectors, np.asarray(x0), axes=([-1], [0])))
+    # BLAS sums k . x0 over rows of a C-ordered copy, independent of the storage order
+    k_rows = np.ascontiguousarray(grid.k_vectors)
+    phase = np.exp(-1j * np.tensordot(k_rows, np.asarray(x0), axes=([-1], [0])))
     c = np.stack([phase, phase], axis=0)
     return PhotonSpectrum(grid, c)
 

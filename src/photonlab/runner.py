@@ -216,9 +216,9 @@ def _direction_oracle(mass):
     """k-space mode sum of ``mass`` times the unit wave vector (zero on the excluded mode)."""
     grid = desk_grid()
     omega = np.where(grid.exclusion_mask, 1.0, grid.omega)
-    direction = np.where(
-        grid.exclusion_mask[..., None], 0.0, grid.k_vectors / omega[..., None]
-    )
+    # C-ordered, so the einsum sums the modes in one fixed order
+    unit = np.divide(grid.k_vectors, omega[..., None], order="C")
+    direction = np.where(grid.exclusion_mask[..., None], 0.0, unit)
     return grid.cell_weight * np.einsum("ijk,ijkx->x", mass, direction)
 
 
@@ -607,9 +607,7 @@ def write_slice_csv(
 
 
 def build_grid(cfg: ScenarioConfig) -> WaveVectorGrid:
-    if cfg.grid.k_min is None:
-        return WaveVectorGrid.centered(cfg.grid.n_per_axis, cfg.grid.delta_k)
-    return WaveVectorGrid(cfg.grid.n_per_axis, cfg.grid.delta_k, cfg.grid.k_min)
+    return cfg.grid.wave_vector_grid()
 
 
 def build_spectrum(cfg: ScenarioConfig, grid: WaveVectorGrid):

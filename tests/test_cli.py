@@ -173,6 +173,21 @@ def test_out_of_grid_mode_index_exits_2_with_location(capsys, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_zero_mode_index_exits_2_and_its_neighbour_runs(capsys, tmp_path):
+    single = CONFIG.replace("grid.n_per_axis = 32", "grid.n_per_axis = 8").replace(
+        "packet.kind = gaussian", "packet.kind = single_mode\npacket.index = {}")
+    bad = tmp_path / "zero.cfg"
+    bad.write_text(single.format("4, 4, 4"))
+    code, _, err = invoke(capsys, "run", str(bad), "--outdir", str(tmp_path / "o"))
+    assert code == 2
+    assert f"{bad}:4: key 'packet.index': (4, 4, 4) is the excluded zero mode" in err
+    assert not (tmp_path / "o").exists()
+    good = tmp_path / "next.cfg"
+    good.write_text(single.format("4, 4, 5"))
+    code, _, err = invoke(capsys, "run", str(good), "--outdir", str(tmp_path / "o"))
+    assert code == 0, err
+
+
 def test_missing_config_exits_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "run", str(tmp_path / "nope.cfg"))
     assert code == 2

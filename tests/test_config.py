@@ -108,6 +108,11 @@ DIAGNOSTICS = [
         ("packet.sigma =\n", "bad.cfg:1: key 'packet.sigma': expected 1 value, got 0"),
         ("time.t0 = 0, 1\ntime.t1 = 2\ntime.steps = 2\n",
          "bad.cfg:1: key 'time.t0': expected 1 value, got 2"),
+        ("grid.n_per_axis = 8\npacket.kind = single_mode\npacket.index = 4, 4, 4\n",
+         "bad.cfg:3: key 'packet.index': (4, 4, 4) is the excluded zero mode"),
+        ("grid.n_per_axis = 8\ngrid.delta_k = 0.5\ngrid.k_min = -1, -0.5, 0\n"
+         "packet.kind = single_mode\npacket.index = 2, 1, 0\n",
+         "bad.cfg:5: key 'packet.index': (2, 1, 0) is the excluded zero mode"),
 ]
 
 

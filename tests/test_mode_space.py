@@ -52,6 +52,29 @@ def test_omega_is_wave_number_magnitude():
     assert GRID.omega[GRID.exclusion_mask] == 0.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(*[st.integers(1, 6)] * 3),
+    st.tuples(*[st.floats(0.2, 1.5)] * 3),
+    st.tuples(*[st.integers(-6, 0)] * 3),
+)
+def test_single_sample_exclusion_follows_the_mask(n, dk, steps):
+    """``excludes`` decides one sample by the rule ``exclusion_mask`` applies."""
+    for grid in (WaveVectorGrid.centered(n, dk),
+                 WaveVectorGrid(n, dk, tuple(s * d for s, d in zip(steps, dk)))):
+        for index in np.ndindex(*n):
+            assert grid.excludes(index) == grid.exclusion_mask[index]
+
+
+def test_vector_arrays_are_component_major_views():
+    basis = build_basis(GRID)
+    for arr in (GRID.k_vectors, basis.e_plus, basis.e_minus):
+        assert arr.shape == (8, 8, 8, 3)
+        assert all(arr[..., a].flags.c_contiguous for a in range(3))
+        with pytest.raises(ValueError):
+            arr[0, 0, 0, 0] = 1.0
+
+
 def test_cell_weight_is_cell_volume_over_cube_of_two_pi():
     assert np.isclose(GRID.cell_weight, 1.1**3 / (2.0 * np.pi) ** 3)
 

@@ -9,7 +9,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonlab import config, densities, field_synthesis, runner
+from photonlab import config, densities, field_synthesis, observables, runner
 from photonlab.field_synthesis import (
     SpatialGrid,
     spectral_engine,
@@ -70,6 +70,15 @@ def test_fft_fields_match_direct_quadrature(pair, seed, t1, t2):
     c_flat = coeffs.reshape(k_flat.shape[0], -1)
     full_phase = np.array([np.exp(1j * (k_flat @ x)) @ c_flat for x in points])
     assert _close(field_synthesis._direct_eval(coeffs, kgrid, points), full_phase, 1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_pairs(), st.floats(-50.0, 50.0))
+def test_time_phase_equals_the_plain_exponential(pair, t):
+    """One exponential per distinct omega, bitwise equal to one per mode."""
+    kgrid, sgrid = pair
+    engine = spectral_engine(kgrid, sgrid)
+    assert np.array_equal(engine.time_phase(t), np.exp(-1j * kgrid.omega * t))
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,12 +164,18 @@ def test_unpaired_grids_build_no_engine(small_grid):
 
 @pytest.fixture()
 def fft_calls(monkeypatch):
-    """Count scipy.fft transforms, patched where the engine looks them up."""
+    """Count scipy.fft transforms, patched where the engine looks them up.
+
+    Every input must be C-contiguous and transformed over its three trailing
+    (spatial) axes, i.e. with its component axes leading.
+    """
     calls = {"ifftn": [], "fftn": []}
     for name in calls:
         original = getattr(scipy.fft, name)
 
         def counted(x, *args, _name=name, _original=original, **kwargs):
+            assert x.flags.c_contiguous, (_name, x.shape, x.strides)
+            assert tuple(a % x.ndim for a in kwargs["axes"]) == tuple(range(x.ndim - 3, x.ndim))
             calls[_name].append(x.shape)
             return _original(x, *args, **kwargs)
 
@@ -170,12 +185,12 @@ def fft_calls(monkeypatch):
 
 def test_fft_counts_per_density(fft_calls, small_grid, small_spatial, small_packet):
     snap = synthesize(small_packet, small_spatial, 0.1)
-    assert fft_calls["ifftn"] == [small_grid.n_per_axis + (6,)]
+    assert fft_calls["ifftn"] == [(6,) + small_grid.n_per_axis]
     densities.number_density(snap)
     densities.energy_density(snap)
     assert len(fft_calls["ifftn"]) == 1
     densities.momentum_density(snap)
-    assert fft_calls["ifftn"][-1] == small_grid.n_per_axis + (3, 3)
+    assert fft_calls["ifftn"][-1] == (3, 3) + small_grid.n_per_axis
     densities.photon_wave_fields(snap, small_packet)  # B+ on first access, then psi
     densities.photon_current(snap)  # reuses B+
     assert len(fft_calls["ifftn"]) == 4
@@ -192,7 +207,7 @@ def test_all_kinds_share_four_transforms(fft_calls, small_grid, small_spatial, s
         runner._density_field(kind, snap, small_packet)
     n = small_grid.n_per_axis
     # synthesis, B+, the momentum transform, psi
-    assert fft_calls["ifftn"] == [n + (6,), n + (3,), n + (3, 3), n + (3,)]
+    assert fft_calls["ifftn"] == [(6,) + n, (3,) + n, (3, 3) + n, (3,) + n]
     assert fft_calls["fftn"] == []
 
 
@@ -232,3 +247,65 @@ def test_zero_spot_check_tolerance_fails_the_quadrature_check(tmp_path):
             "packet.sigma = 0.55\ntolerances.spot_check = 0\n")
     report = runner.run_scenario(config.parse_scenario(text, "zero.cfg"), str(tmp_path))
     assert report.failed_names() == ["fft-quadrature:spot_check"]
+
+
+def test_every_layout_reaches_the_transforms_component_major(fft_calls, small_grid,
+                                                             small_spatial, small_packet):
+    """C-ordered and strided inputs are copied once into the transform layout."""
+    snap = synthesize(small_packet, small_spatial, 0.2)
+    n = small_grid.n_per_axis
+    c_ordered = np.ascontiguousarray(snap.a_coeffs)
+    assert np.array_equal(spectrum_to_field(c_ordered, small_grid, small_spatial),
+                          spectrum_to_field(snap.a_coeffs, small_grid, small_spatial))
+    real_e = 2.0 * np.real(snap.E_plus)
+    densities.apply_frequency_operator(real_e, small_grid, small_spatial, 0.5)
+    densities.apply_frequency_operator(real_e[..., 1], small_grid, small_spatial, -0.5)
+    current = densities.photon_current(snap).data
+    observables._divergence(current, small_grid, small_spatial)
+    assert fft_calls["ifftn"] == [(6,) + n, (3,) + n, (3,) + n, (3,) + n, (1,) + n, (3,) + n,
+                                  n]
+    assert fft_calls["fftn"] == [(3,) + n, (1,) + n, (3,) + n]
+
+
+def test_kinds_are_c_ordered_and_fields_keep_their_shape(small_grid, small_spatial,
+                                                         small_packet):
+    snap = synthesize(small_packet, small_spatial, 0.2)
+    shape = small_grid.n_per_axis + (3,)
+    for field in (snap.A_plus, snap.E_plus, snap.B_plus):
+        assert field.shape == shape
+    for kind in ALL_KINDS:
+        data = runner._density_field(kind, snap, small_packet).data
+        assert data.flags.c_contiguous, kind
+        assert data.shape[:3] == small_grid.n_per_axis, kind
+
+
+def test_a_corrupted_level_index_fails_the_spot_check(tmp_path):
+    """The quadrature oracle never reads the engine's level table, so it sees the fault."""
+    text = ("grid.n_per_axis = 12\ngrid.delta_k = 0.9\npacket.k0 = 0, 0, 3.2\n"
+            "packet.sigma = 0.55\ntime.t_list = 0.7\n")
+    cfg = config.parse_scenario(text, "levels.cfg")
+    grid = runner.build_grid(cfg)
+    spectral_engine.cache_clear()
+    try:
+        assert runner.run_scenario(cfg, str(tmp_path / "fresh")).ok
+        spectral_engine.cache_clear()
+        engine = spectral_engine(grid, SpatialGrid.paired(grid))
+        engine._level_index = np.roll(engine._level_index, 1)
+        report = runner.run_scenario(cfg, str(tmp_path / "corrupted"))
+    finally:
+        spectral_engine.cache_clear()
+    assert report.failed_names() == ["fft-quadrature:spot_check"]
+
+
+def test_fields_do_not_depend_on_the_thread_count(monkeypatch):
+    """README: results do not depend on PHOTONLAB_THREADS."""
+    grid = WaveVectorGrid.centered((16, 16, 16), (0.8, 0.8, 0.8))
+    s = _random_spectrum(grid, 11)
+    sgrid = SpatialGrid.paired(grid)
+    fields = {}
+    for threads in ("2", "1"):
+        monkeypatch.setenv("PHOTONLAB_THREADS", threads)
+        snap = synthesize(s, sgrid, 0.4)
+        fields[threads] = (snap.A_plus, snap.E_plus, snap.B_plus)
+    for two, one in zip(fields["2"], fields["1"]):
+        assert np.array_equal(two, one)
