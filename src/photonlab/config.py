@@ -14,13 +14,15 @@ A scenario file is line oriented::
 
 Rules: one ``key = value`` pair per line; ``#`` starts a comment; keys are
 dotted ``section.field`` names; list values are comma separated.  :data:`KEYS`
-is the list of keys, plus ``tolerances.<name>`` for each name in
-:data:`DEFAULT_TOLERANCES`: each key maps to the parser that reads its value
-and checks its range and finiteness.  Every error is located: an unknown key,
-a bad value or a conflict between two keys raises ``ValueError`` starting
-``<file>:<line>: ``, at the line of the key that is wrong, and the bounds
-:data:`MAX_TIME_STEPS` and :data:`MAX_GRID_POINTS` are checked before
-anything is built or allocated.
+is the list of keys: each key maps to the parser that reads its value and
+checks its range and finiteness.  The two ``tolerances.`` keys override the
+thresholds of the two checks a run makes.  Every error is located: an
+unknown key, a bad value or a conflict between keys raises ``ValueError``
+starting ``<file>:<line>: ``, at the line of the key that is wrong, and the
+bounds :data:`MAX_TIME_STEPS` and :data:`MAX_GRID_POINTS` are checked
+before anything is built or allocated.  So are the run's own preconditions:
+a packet centre outside the grid coverage, and a wave-field density asked
+of a packet with both helicities.
 
 Units: internally everything is natural (hbar = c = 1, unit vacuum
 permittivity).  Choosing ``units.system = si`` adds conversion factors to
@@ -43,7 +45,8 @@ MAX_TIME_STEPS = 10_000
 MAX_GRID_POINTS = 128**3
 UNIT_SYSTEMS = ("natural", "si")
 
-# Every tolerance a scenario may override, with its documented default.
+# Thresholds of the acceptance registry; a scenario file may override the two
+# that a run checks, number_norm and spot_check (see KEYS).
 DEFAULT_TOLERANCES: dict[str, float] = {
     "number_norm": 1e-8,
     "current_match": 1e-8,
@@ -231,6 +234,8 @@ KEYS = {
     "units.system": _choice(UNIT_SYSTEMS, "unit system"),
     "units.length_scale_m": _numeric(positive="length scale"),
     "run.seed": _numeric(integer=True),
+    "tolerances.number_norm": _numeric(),
+    "tolerances.spot_check": _numeric(),
 }
 _SECTIONS = {"grid": GridSection, "packet": PacketSection, "time": TimeSection,
              "outputs": OutputSection, "units": UnitSection, "run": RunSection}
@@ -252,13 +257,10 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         if key in lines:
             _fail(source, lineno, f"duplicate key '{key}' (first set on line {lines[key]})")
         lines[key] = lineno
-        section, _, name = key.partition(".")
-        if section == "tolerances" and name not in DEFAULT_TOLERANCES:
-            _fail(source, lineno, f"key '{key}': unknown tolerance '{name}' "
-                  f"(choose from {', '.join(sorted(DEFAULT_TOLERANCES))})")
-        parse = _numeric() if section == "tolerances" else KEYS.get(key)
+        parse = KEYS.get(key)
         if parse is None:
             _fail(source, lineno, f"unknown key '{key}'")
+        section, _, name = key.partition(".")
         try:
             sections[section][name] = parse(raw)
         except ValueError as exc:
@@ -288,9 +290,22 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     if packet.index is not None and any(i >= n for i, n in zip(packet.index, shape)):
         _fail(source, lines["packet.index"],
               f"key 'packet.index': {packet.index} lies outside grid.n_per_axis = {shape}")
-    if packet.index is not None and cfg.grid.wave_vector_grid().excludes(packet.index):
+    kgrid = cfg.grid.wave_vector_grid()
+    if packet.index is not None and kgrid.excludes(packet.index):
         _fail(source, lines["packet.index"],
               f"key 'packet.index': {packet.index} is the excluded zero mode (omega = 0)")
+    if packet.kind in ("gaussian", "collinear") and not kgrid.coverage_contains(packet.k0):
+        # a default k0 that the grid does not cover is reported at the first grid line
+        at = lines.get("packet.k0") or min(
+            ln for key, ln in lines.items() if key.startswith("grid."))
+        _fail(source, at, f"key 'packet.k0': {packet.k0} lies outside the grid coverage")
+    wave = [kind for kind in cfg.outputs.densities if kind in ("bb_energy", "lp_number")]
+    both = packet.kind == "localized" or (
+        packet.kind != "single_mode" and 0 not in packet.helicity_weights)
+    if wave and both:
+        _fail(source, lines["outputs.densities"],
+              f"key 'outputs.densities': {', '.join(wave)} (F and psi) need a pure helicity, "
+              f"but this {packet.kind} packet has both")
     return cfg
 
 

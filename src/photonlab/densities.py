@@ -33,7 +33,8 @@ real fields, and stays a test of the two constructions, not a tautology.
 
 Everything several output kinds need is computed once per
 :class:`~photonlab.field_synthesis.FieldSnapshot` and kept in the snapshot's
-instance dict, the way ``B_plus`` is, so it is freed with the snapshot: the
+instance dict by the package's one memo helper, ``field_synthesis._memo``
+(the way ``B_plus`` is cached), so it is freed with the snapshot: the
 real momentum density P (read by the momentum, four-momentum and orbital
 angular-momentum densities; the 9-component transform behind it is not
 kept) and the wave fields F and psi, one pair per helicity (read by the
@@ -92,14 +93,6 @@ class DensityField:
         """Cell-volume weighted sum over the box (per trailing component)."""
         spatial = tuple(range(3))
         return self.grid.cell_volume * np.sum(self.data, axis=spatial)
-
-
-def _shared(f: fs.FieldSnapshot, key: str, build):
-    """``build()`` once per snapshot, kept in its instance dict (see module docs)."""
-    kept = vars(f)
-    if key not in kept:
-        kept[key] = build()
-    return kept[key]
 
 
 def _im_dot(a, b, subscripts="...c,...c->..."):
@@ -161,7 +154,7 @@ def _momentum(f: fs.FieldSnapshot):
         op_coeffs *= f.time_phase
         return fs._read_only(_operator_density(f, trailing(op_coeffs, 2)))
 
-    return _shared(f, "_momentum", build)
+    return fs._memo(f, "_momentum", build)
 
 
 def four_momentum_density(f: fs.FieldSnapshot) -> DensityField:
@@ -286,7 +279,7 @@ def photon_wave_fields(f: fs.FieldSnapshot, s: PhotonSpectrum) -> PhotonWaveFiel
         return PhotonWaveFields(helicity=lam, F=fs._read_only(F), psi=fs._read_only(psi),
                                 t=f.t, grid=f.sgrid)
 
-    return _shared(f, f"_wave_fields{lam:+d}", build)
+    return fs._memo(f, f"_wave_fields{lam:+d}", build)
 
 
 def bb_energy_density(wf: PhotonWaveFields) -> DensityField:

@@ -26,8 +26,9 @@ helicity basis, the mode factor i / sqrt(omega) with the excluded zero mode
 set to zero, the two phase factors that turn the grid-order mode sum into an
 inverse DFT, and the distinct frequencies of the grid with each mode's index
 into them.  The time-independent amplitude g * i omega^{-1/2}
-(c+ e+ + c- e-) is formed once per spectrum; each time then costs one
-exp(-i omega t) per distinct frequency (1914 for the 262144 modes of the
+(c+ e+ + c- e-) is formed once per spectrum and kept with the spectrum, so
+the shared engine holds nothing of any one spectrum.  Each time then costs
+one exp(-i omega t) per distinct frequency (1914 for the 262144 modes of the
 64^3 desk grid), gathered to the modes, and one inverse FFT of the six
 components of A+ and E+.  B+ is transformed on first access only, so
 number-only runs never pay for it.
@@ -51,7 +52,6 @@ phases independently.
 from __future__ import annotations
 
 import os
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -132,10 +132,6 @@ class SpatialGrid:
     def box_lengths(self):
         return tuple(n * d for n, d in zip(self.n_per_axis, self.delta_x))
 
-    @property
-    def n_samples(self):
-        return self.n_per_axis[0] * self.n_per_axis[1] * self.n_per_axis[2]
-
     def is_paired_with(self, kgrid: WaveVectorGrid):
         if self.n_per_axis != kgrid.n_per_axis:
             return False
@@ -148,14 +144,21 @@ def mode_weight(kgrid: WaveVectorGrid) -> float:
     return kgrid.cell_weight
 
 
-def _require_paired(kgrid, sgrid):
-    if not sgrid.is_paired_with(kgrid):
-        raise ValueError("unpaired grids in FFT mode (delta_x != 2 pi / (n delta_k))")
-
-
 def _read_only(arr):
     arr.flags.writeable = False
     return arr
+
+
+def _memo(owner, key: str, build):
+    """``build()`` once per ``owner``, kept in its instance dict and freed with it.
+
+    The package's one cache of derived values: a spectrum keeps its amplitude
+    here, a snapshot the intermediates of :mod:`photonlab.densities`.
+    """
+    kept = vars(owner)
+    if key not in kept:
+        kept[key] = build()
+    return kept[key]
 
 
 def _cross(a, b, out=None):
@@ -187,12 +190,14 @@ class SpectralEngine:
     sum_k c(k) exp(i k.x) is the inverse DFT of c(k) exp(i k.origin), times
     exp(i k_min.(x - origin)); ``phase_k`` and ``phase_x`` are those two
     factors.  :meth:`time_phase` evaluates exp(-i omega t) once per distinct
-    frequency.  Build it through :func:`spectral_engine`.  All arrays are
-    read-only.
+    frequency.  Build it through :func:`spectral_engine`.  It is shared by
+    the whole process, so it keeps nothing of any one spectrum, and all its
+    arrays are read-only.
     """
 
     def __init__(self, kgrid: WaveVectorGrid, sgrid: SpatialGrid):
-        _require_paired(kgrid, sgrid)
+        if not sgrid.is_paired_with(kgrid):
+            raise ValueError("unpaired grids in FFT mode (delta_x != 2 pi / (n delta_k))")
         self.kgrid = kgrid
         self.sgrid = sgrid
         basis = build_basis(kgrid)
@@ -210,8 +215,6 @@ class SpectralEngine:
         levels, index = np.unique(kgrid.omega, return_inverse=True)
         self._levels = _read_only(levels)
         self._level_index = _read_only(index.reshape(kgrid.n_per_axis))
-        # (weak reference to the last spectrum, its amplitude)
-        self._last_amplitude = None
 
     def time_phase(self, t: float):
         """exp(-i omega t) per mode, one exponential per distinct omega.
@@ -256,20 +259,11 @@ class SpectralEngine:
     def amplitude(self, s: PhotonSpectrum):
         """Time-independent grid-order amplitude g i omega^{-1/2} (c+ e+ + c- e-).
 
-        The amplitude of the last spectrum asked for is kept, so a spectrum
-        synthesized at several times pays for it once.
+        Kept read-only with ``s`` (:func:`_memo`), so a spectrum synthesized
+        at several times pays for it once.
         """
-        last = self._last_amplitude
-        if last is not None and last[0]() is s:
-            return last[1]
-        amp = _read_only(self._weighted_amplitude(s, mode_weight(self.kgrid)))
-        self._last_amplitude = (weakref.ref(s, self._forget), amp)
-        return amp
-
-    def _forget(self, ref):
-        """Drop the kept amplitude together with its spectrum."""
-        if self._last_amplitude is not None and self._last_amplitude[0] is ref:
-            self._last_amplitude = None
+        return _memo(s, "_amplitude",
+                     lambda: _read_only(self._weighted_amplitude(s, mode_weight(self.kgrid))))
 
     def _weighted_amplitude(self, s: PhotonSpectrum, weight: float):
         amp = s.c[0] * leading(self.e_plus)
@@ -325,7 +319,8 @@ class FieldSnapshot:
     distinct frequencies) and ``B_plus`` are formed on first access,
     ``a_coeffs`` (the amplitude times the time phase) on each.
     :mod:`photonlab.densities` keeps its per-snapshot intermediates in the
-    same instance dict, so they are freed with the snapshot.
+    same instance dict through :func:`_memo`, so they are freed with the
+    snapshot.
     """
 
     t: float

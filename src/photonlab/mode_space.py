@@ -228,13 +228,11 @@ class PhotonSpectrum:
     """Transverse helicity amplitudes c_lambda(k) on a wavevector grid.
 
     ``c`` has shape (2, nx, ny, nz); c[0] is the lambda = +1 block and c[1]
-    the lambda = -1 block.  ``normalized`` marks states with unit k-space
-    norm.
+    the lambda = -1 block.
     """
 
     grid: WaveVectorGrid
     c: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         expected = (2,) + self.grid.n_per_axis
@@ -248,10 +246,6 @@ class PhotonSpectrum:
             c = np.where(mask[None, ...], 0.0 + 0.0j, c)
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
-        if self.normalized:
-            n = float(np.real(scalar_product(self, self)))
-            if abs(n - 1.0) > 1e-10:
-                raise ValueError(f"normalized flag set but norm is {n!r}")
 
     def helicity_block(self, lam):
         return self.c[HELICITIES.index(lam)]
@@ -292,13 +286,13 @@ def normalize(s: PhotonSpectrum) -> PhotonSpectrum:
     n = float(np.real(scalar_product(s, s)))
     if not np.isfinite(n) or n <= 0.0:
         raise ValueError("unnormalizable spectrum (zero or non-finite norm)")
-    return PhotonSpectrum(s.grid, s.c / np.sqrt(n), normalized=True)
+    return PhotonSpectrum(s.grid, s.c / np.sqrt(n))
 
 
 def evolve(s: PhotonSpectrum, dt: float) -> PhotonSpectrum:
     """Free propagation: multiply each amplitude by exp(-i omega dt)."""
     phase = np.exp(-1j * s.grid.omega * float(dt))
-    return PhotonSpectrum(s.grid, s.c * phase[None, ...], normalized=s.normalized)
+    return PhotonSpectrum(s.grid, s.c * phase[None, ...])
 
 
 def gaussian_spectrum(grid, k0, sigma, helicity_weights=(1.0, 0.0)) -> PhotonSpectrum:

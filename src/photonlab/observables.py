@@ -214,8 +214,9 @@ def expectations(s: PhotonSpectrum, sgrid: fs.SpatialGrid, t: float) -> Observab
     checks, not inputs.  Wave-field widths are included for pure-helicity
     states.
     """
-    if not s.normalized:
-        raise ValueError("expectations need a normalized spectrum")
+    norm = s.norm
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"expectations need a normalized spectrum, got norm {norm!r}")
     snap = fs.synthesize(s, sgrid, t)
     rho = dn.number_density(snap)
     number = float(rho.integral())

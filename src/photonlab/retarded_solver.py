@@ -583,11 +583,8 @@ def uniform_ball_source(
     radius: float,
     delta_x: float,
     n_per_axis: int,
-    *,
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    t0: float = 0.0,
 ) -> SourceCurrent:
-    """Static uniformly charged ball, sampled as a single time slice.
+    """Static uniformly charged ball about the origin, sampled as one time slice.
 
     Cells whose centre lies inside the ball carry equal charge density,
     normalized so the total sampled charge is exactly ``total_charge``; by
@@ -597,9 +594,9 @@ def uniform_ball_source(
     if radius <= 0 or delta_x <= 0 or n_per_axis < 1:
         raise ValueError("radius, delta_x and n_per_axis must be positive")
     spacing = (delta_x, delta_x, delta_x)
-    origin = tuple(c - 0.5 * (n_per_axis - 1) * delta_x for c in center)
+    origin = (0.5 * (1 - n_per_axis) * delta_x,) * 3
     grid = SpatialGrid((n_per_axis,) * 3, spacing, origin)
-    offsets = grid.coordinates - np.asarray(center)
+    offsets = grid.coordinates
     inside = np.einsum("...x,...x->...", offsets, offsets) <= radius * radius
     count = int(inside.sum())
     if count == 0:
@@ -609,7 +606,7 @@ def uniform_ball_source(
         raise ValueError("total_charge must be finite")
     table = np.zeros((1,) + grid.n_per_axis + (4,))
     table[0][inside, 0] = density
-    return SourceCurrent._wrap(table, spacing, origin, t0=t0)
+    return SourceCurrent._wrap(table, spacing, origin)
 
 
 def gaussian_dipole_source(
@@ -621,15 +618,13 @@ def gaussian_dipole_source(
     t0: float,
     delta_t: float,
     n_times: int,
-    *,
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0),
 ) -> SourceCurrent:
-    """Oscillating dipole carried by a normalized Gaussian profile.
+    """Oscillating dipole carried by a normalized Gaussian profile about the origin.
 
     With profile g(x) and polarization density P = p g(x) cos(w t), the
     sampled pair
 
-        rho = cos(w t) (p . (x - c)) g(x) / width^2 ,   J = -w sin(w t) p g(x)
+        rho = cos(w t) (p . x) g(x) / width^2 ,   J = -w sin(w t) p g(x)
 
     is exactly conserved in the continuum; the discrete conservation
     residual measures pure sampling error.  The width should be at least
@@ -641,9 +636,9 @@ def gaussian_dipole_source(
         raise ValueError("need a multi-slice time window with positive delta_t")
     moment_arr = np.asarray(moment, dtype=float)
     spacing = (delta_x, delta_x, delta_x)
-    origin = tuple(c - 0.5 * (n_per_axis - 1) * delta_x for c in center)
+    origin = (0.5 * (1 - n_per_axis) * delta_x,) * 3
     grid = SpatialGrid((n_per_axis,) * 3, spacing, origin)
-    offsets = grid.coordinates - np.asarray(center)
+    offsets = grid.coordinates
     profile = np.exp(-np.einsum("...x,...x->...", offsets, offsets) / (2.0 * width**2))
     profile /= (2.0 * math.pi) ** 1.5 * width**3
     projection = np.einsum("...x,x->...", offsets, moment_arr) / width**2

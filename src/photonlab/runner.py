@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import sys
 import time as _time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -94,6 +95,10 @@ class CheckResult:
     @property
     def ok(self) -> bool:
         return all(metric.ok for metric in self.metrics)
+
+    def failed_names(self) -> list[str]:
+        """``check:metric`` for each failing metric."""
+        return [f"{self.name}:{metric.label}" for metric in self.metrics if not metric.ok]
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -495,29 +500,35 @@ CONTROL_CHECKS: tuple[tuple[str, object], ...] = (
 
 
 def self_test() -> int:
-    """Run every acceptance check plus the negative controls; 0 iff green."""
+    """Run every acceptance check plus the negative controls; 0 iff green.
+
+    A failure names each failing ``check:metric`` (``check:raised`` for a
+    check that raised) on one stderr line.
+    """
     started = _time.perf_counter()
     print(
         f"photonlab {__version__} selftest: "
         f"number-density sign calibration = {densities.SIGMA:+d}"
     )
-    all_ok = True
+    failed = []
     for name, fn in ACCEPTANCE_CHECKS + CONTROL_CHECKS:
         tick = _time.perf_counter()
         try:
             result = fn()
         except Exception as exc:  # surface, then keep going
-            all_ok = False
+            failed.append(f"{name}:raised")
             print(f"FAIL {name}: raised {type(exc).__name__}: {exc}")
             continue
-        all_ok &= result.ok
+        failed += result.failed_names()
         print(f"{result.line()}  [{_time.perf_counter() - tick:.1f}s]")
     print(
-        f"{'OK' if all_ok else 'FAILED'} "
+        f"{'FAILED' if failed else 'OK'} "
         f"({len(ACCEPTANCE_CHECKS)} checks, {len(CONTROL_CHECKS)} controls, "
         f"{_time.perf_counter() - started:.1f}s)"
     )
-    return 0 if all_ok else 1
+    if failed:
+        print("failed checks: " + ", ".join(failed), file=sys.stderr)
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -674,14 +685,7 @@ class RunReport:
         return all(result.ok for result in self.results)
 
     def failed_names(self) -> list[str]:
-        names = []
-        for result in self.results:
-            names.extend(
-                f"{result.name}:{metric.label}"
-                for metric in result.metrics
-                if not metric.ok
-            )
-        return names
+        return [name for result in self.results for name in result.failed_names()]
 
 
 def _si_scale_lines(cfg: ScenarioConfig) -> list[str]:

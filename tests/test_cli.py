@@ -383,3 +383,50 @@ def test_truncated_or_garbled_array_files_name_the_file(tmp_path):
     path.write_bytes(b"\xff\xfe\x00 binary\n" + raw)
     with pytest.raises(ValueError, match=re.escape(f"{path}: not a photonlab array file")):
         read_array(str(path))
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    (("packet.k0 = 0, 0, 10", "packet.k0 = 0, 0, 30"),
+     ":4: key 'packet.k0': (0.0, 0.0, 30.0) lies outside the grid coverage"),
+    (("outputs.densities = number, energy",
+      "outputs.densities = number, bb_energy\npacket.helicity_weights = 1, 1"),
+     ":7: key 'outputs.densities': bb_energy (F and psi) need a pure helicity"),
+], ids=["k0-outside-coverage", "mixed-helicity-wave-fields"])
+def test_run_preconditions_exit_2_at_their_line_and_write_nothing(capsys, tmp_path, edit,
+                                                                  fragment):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CONFIG.replace(*edit))
+    code, out, err = invoke(capsys, "run", str(bad), "--outdir", str(tmp_path / "o"))
+    assert code == 2
+    assert f"{bad}{fragment}" in err
+    assert out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_selftest_names_failing_and_raising_checks_on_stderr(capsys, monkeypatch):
+    from photonlab import runner
+
+    def failing():
+        return runner.CheckResult("bad", (runner.Metric("m", 2.0, 1.0),
+                                          runner.Metric("fine", 0.5, 1.0)))
+
+    def raising():
+        raise OverflowError("occupation above n_max")
+
+    monkeypatch.setattr(runner, "ACCEPTANCE_CHECKS", (("bad", failing),))
+    monkeypatch.setattr(runner, "CONTROL_CHECKS", (("boom", raising),))
+    code, out, err = invoke(capsys, "selftest")
+    assert code == 1
+    assert err == "failed checks: bad:m, boom:raised\n"
+    assert "FAIL bad: m=2.000e+00<=1.0e+00, fine=5.000e-01<=1.0e+00" in out
+    assert "FAIL boom: raised OverflowError: occupation above n_max" in out
+    assert out.rstrip().splitlines()[-1].startswith("FAILED (1 checks, 1 controls")
+
+    def passing():
+        return runner.CheckResult("good", (runner.Metric("m", 0.5, 1.0),))
+
+    monkeypatch.setattr(runner, "ACCEPTANCE_CHECKS", (("good", passing),))
+    monkeypatch.setattr(runner, "CONTROL_CHECKS", ())
+    code, out, err = invoke(capsys, "selftest")
+    assert (code, err) == (0, "")
+    assert "PASS good: m=5.000e-01<=1.0e+00" in out

@@ -134,9 +134,7 @@ def test_helicity_integral_tracks_the_weights(small_grid, small_spatial):
 
 
 def test_densities_ignore_a_global_phase(small_grid, small_spatial, small_packet):
-    rotated = PhotonSpectrum(
-        small_grid, np.exp(0.7j) * small_packet.c, normalized=True
-    )
+    rotated = PhotonSpectrum(small_grid, np.exp(0.7j) * small_packet.c)
     a = number_density(synthesize(small_packet, small_spatial, 0.0)).data
     b = number_density(synthesize(rotated, small_spatial, 0.0)).data
     assert np.max(np.abs(a - b)) < 1e-14 * np.max(a)

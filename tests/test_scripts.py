@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+SCRIPT_DIR = Path(__file__).resolve().parents[1] / "scripts"
+SCRIPTS = sorted(SCRIPT_DIR.glob("*.py"))
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
@@ -18,3 +19,61 @@ def test_script_help_exits_0(script, capsys, monkeypatch):
         runpy.run_path(str(script), run_name="__main__")
     assert excinfo.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: {script.name} ")
+
+
+def _bench_pairs():
+    """The functions of scripts/bench_pairs.py, loaded without running it."""
+    return runpy.run_path(str(SCRIPT_DIR / "bench_pairs.py"))
+
+
+def _pair(parent, change):
+    return {"parent": {"metrics": parent}, "change": {"metrics": change}}
+
+
+BETTER = {"op_s_p50": "lower", "ops_per_s": "higher"}
+
+
+def test_bench_pairs_counts_strict_wins_in_the_metric_direction():
+    summarize = _bench_pairs()["summarize"]
+    base = {"op_s_p50": 1.0, "ops_per_s": 1.0}
+    runs = [
+        _pair(base, {"op_s_p50": 0.9, "ops_per_s": 1.1}),  # the change is better on both
+        _pair(base, dict(base)),  # a tie on both
+        _pair(base, {"op_s_p50": 1.2, "ops_per_s": 0.8}),  # the parent is better on both
+        _pair(base, {"op_s_p50": 0.8, "ops_per_s": 0.9}),  # faster op, lower rate
+    ]
+    out = summarize(runs, BETTER)
+    assert out["op_s_p50"]["change_wins"] == 2
+    assert out["ops_per_s"]["change_wins"] == 1
+    assert {entry["pairs"] for entry in out.values()} == {4}
+    assert {name: entry["better"] for name, entry in out.items()} == BETTER
+    # ties count for neither side: swapped, the parent wins the other pairs but the tie
+    swapped = summarize([{"parent": p["change"], "change": p["parent"]} for p in runs], BETTER)
+    assert swapped["op_s_p50"]["change_wins"] == 1
+    assert swapped["ops_per_s"]["change_wins"] == 2
+
+
+def test_bench_pairs_skips_a_pair_with_an_error_on_either_side():
+    summarize = _bench_pairs()["summarize"]
+    good = _pair({"op_s_p50": 2.0, "ops_per_s": 0.5}, {"op_s_p50": 1.0, "ops_per_s": 1.0})
+    runs = [
+        {"parent": {"error": "exit 1"}, "change": good["change"]},
+        good,
+        {"parent": good["parent"], "change": {"error": "exit 1"}},
+    ]
+    out = summarize(runs, BETTER)
+    assert out["op_s_p50"] == {
+        "better": "lower",
+        "parent": {"median": 2.0, "q1": 2.0, "q3": 2.0},
+        "change": {"median": 1.0, "q1": 1.0, "q3": 1.0},
+        "change_wins": 1,
+        "pairs": 1,
+    }
+    assert summarize(runs[::2], BETTER) == {}
+
+
+def test_bench_pairs_spread_gives_inclusive_quartiles():
+    spread = _bench_pairs()["spread"]
+    assert spread([5.0, 1.0, 4.0, 2.0, 3.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert spread([1.0, 2.0, 3.0, 4.0]) == {"median": 2.5, "q1": 1.75, "q3": 3.25}
+    assert spread([0.7]) == {"median": 0.7, "q1": 0.7, "q3": 0.7}

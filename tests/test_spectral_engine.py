@@ -3,6 +3,9 @@ Parseval, the transform-free density forms, caching and FFT counts."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -309,3 +312,22 @@ def test_fields_do_not_depend_on_the_thread_count(monkeypatch):
         fields[threads] = (snap.A_plus, snap.E_plus, snap.B_plus)
     for two, one in zip(fields["2"], fields["1"]):
         assert np.array_equal(two, one)
+
+
+def test_the_shared_engine_keeps_nothing_of_a_spectrum(small_grid, small_spatial,
+                                                       small_packet):
+    """Each spectrum keeps its own amplitude, freed with it; the engine's state stays put."""
+    engine = spectral_engine(small_grid, small_spatial)
+    state = dict(vars(engine))
+    other = _random_spectrum(small_grid, 5)
+    for s in (other, small_packet, other, small_packet):
+        synthesize(s, small_spatial, 0.3)
+    assert vars(engine).keys() == state.keys()
+    assert all(vars(engine)[key] is value for key, value in state.items())
+    kept = engine.amplitude(other)
+    assert engine.amplitude(other) is kept
+    assert engine.amplitude(small_packet) is not kept
+    freed = weakref.ref(kept)
+    del kept, other
+    gc.collect()
+    assert freed() is None
