@@ -66,7 +66,7 @@ def main() -> None:
         (0.0, 0.0, 1.0), args.omega, args.width,
         delta_x=0.08, n_per_axis=37, t0=-1.2, delta_t=0.04, n_times=n_times,
     )
-    print(f"source: {src.rho.shape[1]}^3 cells, {src.n_times} slices, "
+    print(f"source: {src.n_per_axis[0]}^3 cells, {src.n_times} slices, "
           f"conservation residual {src.conservation_residual():.3e}")
 
     coarse = stencil_gauge(src, 0.5, 0.2, t_mid=5.8)

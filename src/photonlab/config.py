@@ -178,6 +178,18 @@ def _list(length_ok, message: str):
     return parse
 
 
+def _weights(raw: str) -> tuple[float, float]:
+    weights = _list(lambda n: n == 2, "expected exactly 2 weights")(raw)
+    _check(any(weights), "helicity_weights must not both vanish")
+    return weights
+
+
+def _bound(raw: str) -> float:
+    value = _numbers(raw, 1)[0]
+    _check(value >= 0, f"a tolerance must be non-negative, got '{raw}'")
+    return value
+
+
 def _choice(options, what: str):
     def parse(raw: str) -> str:
         _check(raw.lower() in options,
@@ -222,7 +234,7 @@ KEYS = {
     "packet.kind": _choice(PACKET_KINDS, "packet kind"),
     "packet.k0": _numeric(3),
     "packet.sigma": _numeric(positive="packet.sigma"),
-    "packet.helicity_weights": _list(lambda n: n == 2, "expected exactly 2 weights"),
+    "packet.helicity_weights": _weights,
     "packet.index": _numeric(3, integer=True),
     "packet.x0": _numeric(3),
     "time.t_list": _list(bool, "at least one evaluation time is required"),
@@ -234,8 +246,8 @@ KEYS = {
     "units.system": _choice(UNIT_SYSTEMS, "unit system"),
     "units.length_scale_m": _numeric(positive="length scale"),
     "run.seed": _numeric(integer=True),
-    "tolerances.number_norm": _numeric(),
-    "tolerances.spot_check": _numeric(),
+    "tolerances.number_norm": _bound,
+    "tolerances.spot_check": _bound,
 }
 _SECTIONS = {"grid": GridSection, "packet": PacketSection, "time": TimeSection,
              "outputs": OutputSection, "units": UnitSection, "run": RunSection}

@@ -15,27 +15,33 @@ time t - R is resolved by linear interpolation between the two bracketing
 source slices (second-order accurate in the source time step).  A
 single-slice source is treated as static, i.e. time-independent.
 
-The samples live in one packed table of ``[rho, Jx, Jy, Jz]`` rows, slice
-after slice (see :class:`SourceCurrent`), so slice ``i`` is the block of
-``n_cells`` rows starting at row ``i * n_cells``.  The evaluation points
-are taken in chunks and the cells in blocks of whole z-rows, which lie next
-to each other in every slice.  For each chunk and block the distances,
-kernels ``V_cell / (4 pi R)``, bracketing slice indices and interpolation
-fractions are computed once and assembled into a sparse CSR operator with
-two nonzeros per (point, cell) pair, ``kernel * (1 - frac)`` on the earlier
-slice and ``kernel * frac`` on the later one.  Its columns cover only the
-slices the block's retarded times touch, all four components come out of
-one product with that window of the table, and the blocks' products add up.
-Evaluation times a whole number of source steps apart reuse the operator on
-a window shifted by as many slices.  A block is small enough that its
-operator and the table rows it reads stay in cache across those products;
-against a whole chunk of cells, every point would sweep the full window on
-its own and the product would wait on scattered reads from main memory.  A
-static source is the dense product of the kernels with its single slice.
+The source is held in factored form (see :class:`SourceCurrent`): ``r``
+time-coefficient columns of shape (n_times,) and ``r`` profile rows of
+``[rho, Jx, Jy, Jz]`` per cell, whose products sum to the samples.  The
+solver never forms that sum.  Interpolation and quadrature are both linear,
+so it interpolates the coefficients at each retarded time and contracts the
+result with the profile rows.  The evaluation points are taken in chunks and
+the cells in blocks of whole z-rows, which lie next to each other in every
+profile row.  For each chunk and block the distances, kernels
+``V_cell / (4 pi R)``, bracketing slice indices and interpolation fractions
+are computed once and assembled into a sparse CSR operator with one row per
+(point, cell) pair and two nonzeros in it, ``kernel * (1 - frac)`` on the
+earlier slice and ``kernel * frac`` on the later one.  Its columns are slice
+offsets from the earliest slice the block touches, so it applies to a short
+window of the (n_times, r) coefficients, a few kilobytes that stay in
+cache; the result, one interpolated and weighted coefficient per pair and
+rank, is then contracted rank by rank, in fixed rank order, with the block's
+profile rows.  The blocks' products add up.  Evaluation times a whole number
+of source steps apart reuse the operator on a coefficient window shifted by
+as many slices.  A static source contracts the kernels, times its single
+coefficient row, with the profile rows.
 
-Causality is discrete and exact: each contribution reads only the two source
-slices bracketing its retarded time, so editing the source strictly later
-than every bracket leaves the evaluated potentials bitwise unchanged.
+Causality is discrete and exact: each contribution reads only the two
+coefficient rows bracketing its retarded time, so editing the source
+strictly later than every bracket leaves the evaluated potentials bitwise
+unchanged.  An edit made as an extra rank adds exact zeros there, because
+its coefficients vanish on every bracketing slice and the ranks are added
+one at a time.
 
 Conventions for derived quantities:
 
@@ -44,9 +50,7 @@ Conventions for derived quantities:
   interior leaves there (fourth order for two samples, second for one).
 * Lorenz-gauge residual: d(phi_over_c)/dt + div A, normalized by the L2 norm
   of div A, both via centred differences on interior samples.
-* Fields: E = -dA/dt - grad(phi), B = curl A, again centred differences; the
-  antisymmetrized field-strength tensor uses F[0, i] = E_i, F[1, 2] = -B_z,
-  F[1, 3] = +B_y, F[2, 3] = -B_x.
+* Fields: E = -dA/dt - grad(phi), B = curl A, again centred differences.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .diskio import atomic_write_text
 from .field_synthesis import SpatialGrid
 from .mode_space import _triple
 
@@ -68,9 +71,10 @@ FOUR_PI = 4.0 * math.pi
 _EVAL_CHUNK = 256
 
 # (point, cell) pairs per block of whole z-rows of cells.  A block's work
-# arrays (512 kB per float64 array) and its interpolation operator (1.5 MB:
-# two nonzeros per pair, each a float64 weight and an int32 column) stay in
-# cache while the operator is built and applied at every time that reuses it.
+# arrays (512 kB per float64 array) and its interpolation operator (1.75 MB:
+# one row per pair with two nonzeros, each a float64 weight and an int32
+# column) stay in cache while the operator is built and applied at every
+# time that reuses it.
 _BLOCK_PAIRS = 2**16
 
 # Slack, in source steps, allowed when checking retarded times against the
@@ -84,6 +88,10 @@ _SHIFT_TOLERANCE = 16 * np.finfo(float).eps
 
 _DENOMINATOR_FLOOR = 1e-30
 
+# Space-time samples per chunk of slices in the factored conservation
+# residual (2 MB per float64 array).
+_CONSERVATION_CHUNK = 2**18
+
 
 def _as_float_array(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
@@ -94,65 +102,47 @@ def _as_float_array(value, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, init=False)
 class SourceCurrent:
-    """Conserved four-current sampled on a uniform space-time lattice.
+    """Four-current sampled on a uniform space-time lattice, in factored form.
 
-    The samples live in one packed, read-only ``table`` of shape
-    (n_times, nx, ny, nz, 4) holding ``[rho, Jx, Jy, Jz]`` per cell, so slice
-    ``i`` is the contiguous block of rows ``i*n_cells : (i+1)*n_cells`` of
-    ``table.reshape(-1, 4)``.  ``rho`` (n_times, nx, ny, nz) and ``current``
-    (n_times, nx, ny, nz, 3) are read-only views of it.  The cell centres are
+    The samples are a sum of ``r`` products of a time coefficient and a
+    spatial profile: slice ``i`` of ``[rho, Jx, Jy, Jz]`` is
+    ``sum_q time_coefficients[i, q] * profiles[q]``, with
+    ``time_coefficients`` of shape (n_times, r) and ``profiles`` of shape
+    (r, nx, ny, nz, 4).  The constructor keeps read-only copies of both
+    factors and never forms their product.  The cell centres are
     ``origin + index * delta_x``; slice ``i`` is at time ``t0 + i * delta_t``.
 
-    The constructor packs the given ``rho`` and ``current`` into a new table
-    once; :meth:`from_table` adopts an already packed buffer without copying.
+    ``table`` (n_times, nx, ny, nz, 4), ``rho`` and ``current`` compute the
+    product on every access; they cost the whole sampled table and serve
+    tests that need the samples themselves.
+
     Construction validates shapes and finiteness only.  Charge conservation
     is a property of the sampled data, measured by
     :meth:`conservation_residual`; deliberately non-conserved sources remain
     constructible so negative controls can be run against them.
     """
 
-    table: np.ndarray
+    time_coefficients: np.ndarray
+    profiles: np.ndarray
     delta_x: tuple[float, float, float]
     origin: tuple[float, float, float]
     t0: float = 0.0
     delta_t: float = 0.0
 
-    def __init__(self, rho, current, delta_x, origin, t0=0.0, delta_t=0.0) -> None:
-        rho = _as_float_array(rho, "rho")
-        current = _as_float_array(current, "current")
-        if rho.ndim != 4:
-            raise ValueError(f"rho must have shape (n_times, nx, ny, nz), got {rho.shape}")
-        if current.shape != rho.shape + (3,):
+    def __init__(self, time_coefficients, profiles, delta_x, origin, t0=0.0, delta_t=0.0) -> None:
+        coefficients = _read_only_copy(time_coefficients, "time_coefficients")
+        rows = _read_only_copy(profiles, "profiles")
+        if coefficients.ndim != 2 or coefficients.shape[1] < 1:
             raise ValueError(
-                f"current shape {current.shape} does not match rho shape {rho.shape} + (3,)"
+                f"time_coefficients must have shape (n_times, r), got {coefficients.shape}"
             )
-        table = np.empty(rho.shape + (4,))
-        table[..., 0] = rho
-        table[..., 1:] = current
-        self._adopt(table, delta_x, origin, t0, delta_t)
-
-    @classmethod
-    def from_table(cls, table, delta_x, origin, t0=0.0, delta_t=0.0) -> SourceCurrent:
-        """Adopt a packed (n_times, nx, ny, nz, 4) ``[rho, Jx, Jy, Jz]`` table.
-
-        A C-contiguous float64 table is used in place and made read-only, so
-        the caller must not keep writing to it; anything else is packed once.
-        """
-        table = np.ascontiguousarray(_as_float_array(table, "table"))
-        if table.ndim != 5 or table.shape[-1] != 4:
-            raise ValueError(f"table must have shape (n_times, nx, ny, nz, 4), got {table.shape}")
-        return cls._wrap(table, delta_x, origin, t0, delta_t)
-
-    @classmethod
-    def _wrap(cls, table, delta_x, origin, t0=0.0, delta_t=0.0) -> SourceCurrent:
-        """Adopt a packed table already known to be finite, without a pass over it."""
-        source = cls.__new__(cls)
-        source._adopt(table, delta_x, origin, t0, delta_t)
-        return source
-
-    def _adopt(self, table, delta_x, origin, t0, delta_t) -> None:
-        table.flags.writeable = False
-        object.__setattr__(self, "table", table)
+        if rows.shape[:1] != coefficients.shape[1:] or rows.ndim != 5 or rows.shape[-1] != 4:
+            raise ValueError(
+                f"profiles shape {rows.shape} does not match (r, nx, ny, nz, 4) "
+                f"with r = {coefficients.shape[1]}"
+            )
+        object.__setattr__(self, "time_coefficients", coefficients)
+        object.__setattr__(self, "profiles", rows)
         object.__setattr__(self, "delta_x", _triple(delta_x, "delta_x"))
         object.__setattr__(self, "origin", _triple(origin, "origin"))
         object.__setattr__(self, "t0", float(t0))
@@ -165,6 +155,13 @@ class SourceCurrent:
             raise ValueError("delta_t must be non-negative")
 
     @property
+    def table(self) -> np.ndarray:
+        rank = self.profiles.shape[0]
+        table = self.time_coefficients @ self.profiles.reshape(rank, -1)
+        table.flags.writeable = False
+        return table.reshape((self.n_times,) + self.profiles.shape[1:])
+
+    @property
     def rho(self) -> np.ndarray:
         return self.table[..., 0]
 
@@ -174,11 +171,11 @@ class SourceCurrent:
 
     @property
     def n_times(self) -> int:
-        return self.table.shape[0]
+        return self.time_coefficients.shape[0]
 
     @property
     def n_per_axis(self) -> tuple[int, int, int]:
-        return self.table.shape[1:4]
+        return self.profiles.shape[1:4]
 
     @cached_property
     def grid(self) -> SpatialGrid:
@@ -193,7 +190,8 @@ class SourceCurrent:
         return self.t0 + self.delta_t * np.arange(self.n_times)
 
     def total_charge(self, time_index: int = 0) -> float:
-        return float(self.rho[time_index].sum() * self.cell_volume)
+        charges = self.profiles[..., 0].reshape(self.profiles.shape[0], -1).sum(axis=1)
+        return float(self.time_coefficients[time_index] @ charges * self.cell_volume)
 
     def conservation_residual(self) -> float:
         """L2 residual of d(rho)/dt + div J over the interior, normalized.
@@ -203,10 +201,38 @@ class SourceCurrent:
         and to a zero derivative below that.  The residual is normalized by
         ``max(||div J||_2, eps)``, so a static source scores exactly zero and
         a source with vanishing current but moving charge scores enormous.
+
+        Both terms are linear in the factors: ``d(rho)/dt`` is the time
+        derivative of the coefficients against the profiles' rho rows, and
+        ``div J`` the coefficients against the profiles' divergence.  They
+        are formed a few slices at a time, never as a whole space-time array.
         """
-        return _continuity_defect(
-            self.rho, self.current, self.delta_t, self.delta_x, _interior_slices(self.rho.shape)
-        )
+        rank = self.profiles.shape[0]
+        core = _interior_slices((self.n_times,) + self.n_per_axis)
+        core_x = (slice(0, rank),) + core[1:]
+        rows = self.profiles
+        div = _interior_derivative(rows[..., 1], 1, self.delta_x[0], core_x)
+        for axis in (1, 2):
+            div += _interior_derivative(rows[..., axis + 1], axis + 1, self.delta_x[axis], core_x)
+        div = div.reshape(rank, -1)
+        charge = rows[..., 0][core_x].reshape(rank, -1)
+        coefficients = self.time_coefficients[core[0]]
+        rates = _interior_derivative(self.time_coefficients, 0, self.delta_t,
+                                     (core[0], slice(0, rank)))
+        numerator = denominator = 0.0
+        chunk = max(1, _CONSERVATION_CHUNK // div.shape[1])
+        for lo in range(0, coefficients.shape[0], chunk):
+            div_j = coefficients[lo:lo + chunk] @ div
+            denominator += float(np.vdot(div_j, div_j))
+            div_j += rates[lo:lo + chunk] @ charge
+            numerator += float(np.vdot(div_j, div_j))
+        return math.sqrt(numerator) / max(math.sqrt(denominator), _DENOMINATOR_FLOOR)
+
+
+def _read_only_copy(value, name: str) -> np.ndarray:
+    arr = np.array(_as_float_array(value, name))
+    arr.flags.writeable = False
+    return arr
 
 
 def _interior_slices(shape: tuple[int, ...]) -> tuple[slice, ...]:
@@ -251,21 +277,6 @@ def _interior_derivative(
     if axis == 0 and n == 2:
         return np.broadcast_to((arr[1] - arr[0])[core[1:]] / step, region.shape).copy()
     return np.zeros_like(region)
-
-
-def _continuity_defect(
-    scalar: np.ndarray,
-    vector: np.ndarray,
-    step_t: float,
-    steps_x: tuple[float, float, float],
-    core: tuple[slice, ...],
-) -> float:
-    """``||d(scalar)/dt + div(vector)||_2 / max(||div(vector)||_2, eps)`` on ``core``."""
-    div = _interior_derivative(vector[..., 0], 1, steps_x[0], core)
-    for axis in (1, 2):
-        div += _interior_derivative(vector[..., axis], axis + 1, steps_x[axis], core)
-    numerator = float(np.linalg.norm(_interior_derivative(scalar, 0, step_t, core) + div))
-    return numerator / max(float(np.linalg.norm(div)), _DENOMINATOR_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -335,7 +346,7 @@ def _distance_range(squares: tuple[np.ndarray, np.ndarray], r_reg: float) -> tup
 
 def _distances(squares: tuple[np.ndarray, np.ndarray], rows: slice, r_reg: float) -> np.ndarray:
     """(n_points, n_block) distances, floored at ``r_reg``, to the cells of
-    the z-rows ``rows``, numbered as in the packed table."""
+    the z-rows ``rows``, numbered as in the profile rows."""
     sxy, sz = squares
     dist = sxy[:, rows, None] + sz[:, None, :]
     np.sqrt(dist, out=dist)
@@ -368,42 +379,37 @@ def _shift_groups(times: np.ndarray, src: SourceCurrent) -> list[list[tuple[int,
 
 
 def _interpolation_operator(
-    kernel: np.ndarray, offset: np.ndarray, n_times: int, n_cells: int
+    kernel: np.ndarray, offset: np.ndarray, n_times: int
 ) -> tuple[sparse.csr_array, int, int]:
     """CSR operator of one block's retarded-time interpolation.
 
-    ``kernel`` and ``offset`` are (n_points, n_block) for a block of cells
-    that lie next to each other in the packed table, whose slices hold
-    ``n_cells`` rows; ``offset`` holds the retarded times in source steps
-    (overwritten).  Row ``p`` has two nonzeros per cell ``c``:
+    ``kernel`` and ``offset`` are (n_points, n_block); ``offset`` holds the
+    retarded times in source steps (overwritten).  Row ``p * n_block + c``
+    belongs to the pair of point ``p`` and cell ``c`` and has two nonzeros:
     ``kernel * (1 - frac)`` on slice ``index`` and ``kernel * frac`` on slice
     ``index + 1``, where ``offset`` clipped to the window is ``index + frac``.
-    Column ``(index - first) * n_cells + c`` is counted from the block's row
-    in slice ``first``; returns ``(operator, first, n_slices)``, the slices
-    the operator reads being ``first`` up to ``first + n_slices - 1``.
+    Columns are slice offsets from slice ``first``; returns ``(operator,
+    first, n_slices)``, the slices the operator reads being ``first`` up to
+    ``first + n_slices - 1``.
     """
-    n_points, n_block = kernel.shape
     n_nonzero = 2 * kernel.size
-    index_type = np.int32 if max(n_nonzero, n_times * n_cells) < 2**31 else np.int64
+    index_type = np.int32 if n_nonzero < 2**31 else np.int64
     np.clip(offset, 0.0, n_times - 1.0, out=offset)
     index = np.minimum(offset.astype(index_type), n_times - 2)
     frac = np.subtract(offset, index, out=offset)
     first = int(index.min())
     n_slices = int(index.max()) - first + 2
 
-    data = np.empty((n_points, 2, n_block))
-    np.subtract(1.0, frac, out=data[:, 0])
-    data[:, 0] *= kernel
-    np.multiply(kernel, frac, out=data[:, 1])
-    columns = np.empty((n_points, 2, n_block), dtype=index_type)
-    index -= first
-    index *= n_cells
-    np.add(index, np.arange(n_block, dtype=index_type), out=columns[:, 0])
-    np.add(columns[:, 0], n_cells, out=columns[:, 1])
-    row_starts = np.arange(0, n_nonzero + 1, 2 * n_block, dtype=index_type)
+    data = np.empty(kernel.shape + (2,))
+    np.subtract(1.0, frac, out=data[..., 0])
+    data[..., 0] *= kernel
+    np.multiply(kernel, frac, out=data[..., 1])
+    columns = np.empty(kernel.shape + (2,), dtype=index_type)
+    np.subtract(index, first, out=columns[..., 0])
+    np.add(columns[..., 0], 1, out=columns[..., 1])
+    row_starts = np.arange(0, n_nonzero + 1, 2, dtype=index_type)
     operator = sparse.csr_array(
-        (data.reshape(-1), columns.reshape(-1), row_starts),
-        shape=(n_points, (n_slices - 1) * n_cells + n_block),
+        (data.reshape(-1), columns.reshape(-1), row_starts), shape=(kernel.size, n_slices)
     )
     return operator, first, n_slices
 
@@ -437,9 +443,13 @@ def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
 
     r_reg = 0.5 * min(src.delta_x)
 
-    table = src.table.reshape(-1, 4)
-    n_times = src.n_times
-    n_cells = table.shape[0] // n_times
+    n_times, rank = src.time_coefficients.shape
+    # One contiguous coefficient column per rank: a sparse product with a
+    # contiguous vector beats one with an (n_slices, r) block and leaves
+    # each rank's result contiguous for its contraction.
+    coefficients = np.ascontiguousarray(src.time_coefficients.T)
+    profiles = src.profiles.reshape(rank, -1, 4)
+    n_cells = profiles.shape[1]
     n_points = points.shape[0]
     weight = src.cell_volume / FOUR_PI
     groups = _shift_groups(times, src) if n_times > 1 else []
@@ -471,15 +481,16 @@ def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
         for row in range(0, n_cells // n_z, block_rows):
             dist = _distances(squares, slice(row, row + block_rows), r_reg)
             kernel = weight / dist
-            first_row = row * n_z
+            cells = slice(row * n_z, row * n_z + kernel.shape[1])
             if n_times == 1:
-                values[:, lo:hi] += kernel @ table[first_row:first_row + kernel.shape[1]]
+                for q in range(rank):
+                    values[:, lo:hi] += (kernel * coefficients[q, 0]) @ profiles[q, cells]
                 continue
             for group in groups:
                 # The first unclipped time of a group builds the shared
                 # operator; a time `shift` steps later applies it to the
-                # table window `shift` slices on, when that window lies
-                # inside the table.
+                # coefficients `shift` slices on, when those lie inside the
+                # window.
                 shared = None
                 for k, shift in group:
                     start = None
@@ -491,11 +502,15 @@ def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
                     if start is None:
                         offset = (times[k] - dist - src.t0) / src.delta_t
                         operator, start, n_slices = _interpolation_operator(
-                            kernel, offset, n_times, n_cells)
+                            kernel, offset, n_times)
                         if shared is None and unclipped[k]:
                             shared = (operator, start, n_slices, shift)
-                    window = start * n_cells + first_row
-                    values[k, lo:hi] += operator @ table[window:window + operator.shape[1]]
+                    # Rank by rank, in fixed order, so a rank whose
+                    # coefficients vanish on every bracketing slice adds
+                    # exact zeros.
+                    for q in range(rank):
+                        weighted = operator @ coefficients[q, start:start + n_slices]
+                        values[k, lo:hi] += weighted.reshape(kernel.shape) @ profiles[q, cells]
 
     phi = np.ascontiguousarray(values[..., 0])
     vec = np.ascontiguousarray(values[..., 1:])
@@ -530,7 +545,12 @@ def gauge_residual(pf: PotentialField) -> float:
     centred differences over interior time slices and interior grid points.
     """
     step_t, steps_x = _require_stencil(pf)
-    return _continuity_defect(pf.phi_over_c, pf.A, step_t, steps_x, _stencil_core(pf))
+    core = _stencil_core(pf)
+    div = _interior_derivative(pf.A[..., 0], 1, steps_x[0], core)
+    for axis in (1, 2):
+        div += _interior_derivative(pf.A[..., axis], axis + 1, steps_x[axis], core)
+    numerator = float(np.linalg.norm(_interior_derivative(pf.phi_over_c, 0, step_t, core) + div))
+    return numerator / max(float(np.linalg.norm(div)), _DENOMINATOR_FLOOR)
 
 
 def fields_from_potential(pf: PotentialField) -> tuple[np.ndarray, np.ndarray]:
@@ -552,26 +572,6 @@ def fields_from_potential(pf: PotentialField) -> tuple[np.ndarray, np.ndarray]:
         axis=-1,
     )
     return e_field, b_field
-
-
-def faraday_tensor(e_field: np.ndarray, b_field: np.ndarray) -> np.ndarray:
-    """Antisymmetric field-strength tensor, shape ``(..., 4, 4)``.
-
-    Built as ``upper - upper.T`` so ``F + F.T`` vanishes identically, not
-    just to rounding.
-    """
-    e_arr = np.asarray(e_field, dtype=float)
-    b_arr = np.asarray(b_field, dtype=float)
-    if e_arr.shape != b_arr.shape or e_arr.shape[-1] != 3:
-        raise ValueError("E and B must share a (..., 3) shape")
-    upper = np.zeros(e_arr.shape[:-1] + (4, 4))
-    upper[..., 0, 1] = e_arr[..., 0]
-    upper[..., 0, 2] = e_arr[..., 1]
-    upper[..., 0, 3] = e_arr[..., 2]
-    upper[..., 1, 2] = -b_arr[..., 2]
-    upper[..., 1, 3] = b_arr[..., 1]
-    upper[..., 2, 3] = -b_arr[..., 0]
-    return upper - np.swapaxes(upper, -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +604,9 @@ def uniform_ball_source(
     density = total_charge / (count * grid.cell_volume)
     if not math.isfinite(density):
         raise ValueError("total_charge must be finite")
-    table = np.zeros((1,) + grid.n_per_axis + (4,))
-    table[0][inside, 0] = density
-    return SourceCurrent._wrap(table, spacing, origin)
+    profile = np.zeros((1,) + grid.n_per_axis + (4,))
+    profile[0][inside, 0] = density
+    return SourceCurrent(np.ones((1, 1)), profile, spacing, origin)
 
 
 def gaussian_dipole_source(
@@ -644,112 +644,10 @@ def gaussian_dipole_source(
     projection = np.einsum("...x,x->...", offsets, moment_arr) / width**2
 
     # Every slice is cos(w t) times the rho profile plus sin(w t) times the
-    # current profile, so one (n_times, 2) x (2, n_cells * 4) product fills
-    # the packed table in a single pass.  Each entry takes one nonzero term
-    # with a factor of modulus <= 1, so finite profiles give a finite table.
+    # current profile: rank 2.
     profiles = np.zeros((2,) + grid.n_per_axis + (4,))
     profiles[0, ..., 0] = projection * profile
     profiles[1, ..., 1:] = -angular_frequency * profile[..., None] * moment_arr
-    _as_float_array(profiles, "dipole profile")
-    phase = _as_float_array(angular_frequency * (t0 + delta_t * np.arange(n_times)), "phase")
+    phase = angular_frequency * (t0 + delta_t * np.arange(n_times))
     coefficients = np.stack([np.cos(phase), np.sin(phase)], axis=1)
-    table = np.empty((n_times,) + grid.n_per_axis + (4,))
-    np.matmul(coefficients, profiles.reshape(2, -1), out=table.reshape(n_times, -1))
-    return SourceCurrent._wrap(table, spacing, origin, t0=t0, delta_t=delta_t)
-
-
-# ---------------------------------------------------------------------------
-# Columnar text format
-
-_COLUMNAR_MAGIC = "# photonlab source-current v1"
-_COLUMNAR_KEYS = ("n_times", "n_per_axis", "delta_x", "origin", "t0", "delta_t")
-
-
-def write_columnar_source(src: SourceCurrent, path: str) -> None:
-    """Serialize a source as a sparse columnar text table.
-
-    Header lines carry the lattice metadata; data rows list time index, cell
-    index triple and the four sampled components for every cell with any
-    nonzero sample.  Values use ``%.17g`` so a round trip is bit exact.
-    """
-    lines = [_COLUMNAR_MAGIC]
-    nx, ny, nz = src.n_per_axis
-    lines.append(f"# n_times = {src.n_times}")
-    lines.append(f"# n_per_axis = {nx},{ny},{nz}")
-    lines.append("# delta_x = " + ",".join(f"{v:.17g}" for v in src.delta_x))
-    lines.append("# origin = " + ",".join(f"{v:.17g}" for v in src.origin))
-    lines.append(f"# t0 = {src.t0:.17g}")
-    lines.append(f"# delta_t = {src.delta_t:.17g}")
-    lines.append("# columns: time_index ix iy iz rho jx jy jz")
-    nonzero = np.nonzero(
-        (src.rho != 0.0) | np.any(src.current != 0.0, axis=-1)
-    )
-    for it, ix, iy, iz in zip(*nonzero):
-        jx, jy, jz = src.current[it, ix, iy, iz]
-        lines.append(
-            f"{it} {ix} {iy} {iz} "
-            f"{src.rho[it, ix, iy, iz]:.17g} {jx:.17g} {jy:.17g} {jz:.17g}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_columnar_source(path: str) -> SourceCurrent:
-    """Parse the columnar source format; errors carry line numbers."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0].strip() != _COLUMNAR_MAGIC:
-        raise ValueError(f"{path}: not a source-current table (missing magic line)")
-
-    header: dict[str, str] = {}
-    rows: list[tuple[int, ...]] = []
-    values: list[tuple[float, ...]] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                key = key.strip()
-                if key in _COLUMNAR_KEYS:
-                    header[key] = value.strip()
-            continue
-        fields = line.split()
-        if len(fields) != 8:
-            raise ValueError(
-                f"{path}:{lineno}: expected 8 columns "
-                f"(time_index ix iy iz rho jx jy jz), got {len(fields)}"
-            )
-        try:
-            rows.append(tuple(int(f) for f in fields[:4]))
-            values.append(tuple(float(f) for f in fields[4:]))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-
-    missing = [key for key in _COLUMNAR_KEYS if key not in header]
-    if missing:
-        raise ValueError(f"{path}: missing header keys: {', '.join(missing)}")
-    try:
-        n_times = int(header["n_times"])
-        n_per_axis = tuple(int(v) for v in header["n_per_axis"].split(","))
-        delta_x = tuple(float(v) for v in header["delta_x"].split(","))
-        origin = tuple(float(v) for v in header["origin"].split(","))
-        t0 = float(header["t0"])
-        delta_t = float(header["delta_t"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed header value: {exc}") from exc
-    if len(n_per_axis) != 3:
-        raise ValueError(f"{path}: n_per_axis must have three components")
-
-    table = np.zeros((n_times,) + n_per_axis + (4,))
-    seen: set[tuple[int, ...]] = set()
-    for lineno_offset, (index, sample) in enumerate(zip(rows, values)):
-        if index in seen:
-            raise ValueError(f"{path}: duplicate sample at index {index}")
-        seen.add(index)
-        it, ix, iy, iz = index
-        if not (0 <= it < n_times and 0 <= ix < n_per_axis[0] and 0 <= iy < n_per_axis[1] and 0 <= iz < n_per_axis[2]):
-            raise ValueError(f"{path}: sample index {index} outside the declared lattice")
-        table[it, ix, iy, iz] = sample
-    return SourceCurrent.from_table(table, delta_x, origin, t0=t0, delta_t=delta_t)
+    return SourceCurrent(coefficients, profiles, spacing, origin, t0=t0, delta_t=delta_t)

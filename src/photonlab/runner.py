@@ -372,11 +372,15 @@ def _causality_probe() -> tuple[float, bool]:
     src = gaussian_dipole_source(
         (0.0, 0.0, 1.0), 1.0, 0.4, 0.2, 9, t0=0.0, delta_t=0.5, n_times=8
     )
-    rho = src.rho.copy()
-    current = src.current.copy()
-    rho[-1] += 1e3
-    current[-1] += 7e2
-    edited = SourceCurrent(rho, current, src.delta_x, src.origin, src.t0, src.delta_t)
+    # The edit is one extra rank: a constant profile row switched on in the
+    # last slice only.
+    edit = np.zeros((src.n_times, 1))
+    edit[-1] = 1.0
+    row = np.broadcast_to((1e3, 7e2, 7e2, 7e2), src.profiles[:1].shape)
+    edited = SourceCurrent(
+        np.hstack([src.time_coefficients, edit]), np.concatenate([src.profiles, row]),
+        src.delta_x, src.origin, src.t0, src.delta_t,
+    )
     point = np.array([[3.0, 0.0, 0.0]])
     baseline = retarded_potential(src, point, 4.5)
     perturbed = retarded_potential(edited, point, 4.5)
@@ -479,8 +483,9 @@ def control_corrupted_convention() -> CheckResult:
 def control_nonconserved_source() -> CheckResult:
     """A current deficit must blow up conservation and gauge residuals."""
     src = dipole_source()
-    broken = SourceCurrent.from_table(
-        src.table * (1.0, 0.5, 0.5, 0.5), src.delta_x, src.origin, src.t0, src.delta_t
+    broken = SourceCurrent(
+        src.time_coefficients, src.profiles * (1.0, 0.5, 0.5, 0.5),
+        src.delta_x, src.origin, src.t0, src.delta_t,
     )
     conservation = broken.conservation_residual()
     gauge = _dipole_gauge_residual(broken, 0.5, 0.2)
@@ -508,7 +513,7 @@ def self_test() -> int:
     started = _time.perf_counter()
     print(
         f"photonlab {__version__} selftest: "
-        f"number-density sign calibration = {densities.SIGMA:+d}"
+        f"number-density sign sigma = {densities.SIGMA:+d} (constant)"
     )
     failed = []
     for name, fn in ACCEPTANCE_CHECKS + CONTROL_CHECKS:

@@ -326,7 +326,7 @@ def test_run_with_a_file_as_outdir_parent_exits_1_naming_the_path(
 def test_selftest_runs_registry_and_controls(selftest_run):
     code, out, err = selftest_run
     assert code == 0, out + err
-    assert "number-density sign calibration = -1" in out
+    assert "number-density sign sigma = -1 (constant)" in out
     for name in (
         "fock-identities",
         "number-norm",
@@ -391,7 +391,12 @@ def test_truncated_or_garbled_array_files_name_the_file(tmp_path):
     (("outputs.densities = number, energy",
       "outputs.densities = number, bb_energy\npacket.helicity_weights = 1, 1"),
      ":7: key 'outputs.densities': bb_energy (F and psi) need a pure helicity"),
-], ids=["k0-outside-coverage", "mixed-helicity-wave-fields"])
+    (("packet.sigma = 1.0", "packet.sigma = 1.0\npacket.helicity_weights = 0, 0"),
+     ":6: key 'packet.helicity_weights': helicity_weights must not both vanish"),
+    (("run.seed = 3", "run.seed = 3\ntolerances.number_norm = -1"),
+     ":9: key 'tolerances.number_norm': a tolerance must be non-negative"),
+], ids=["k0-outside-coverage", "mixed-helicity-wave-fields", "zero-helicity-weights",
+        "negative-tolerance"])
 def test_run_preconditions_exit_2_at_their_line_and_write_nothing(capsys, tmp_path, edit,
                                                                   fragment):
     bad = tmp_path / "bad.cfg"

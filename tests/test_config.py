@@ -128,6 +128,10 @@ DIAGNOSTICS = [
         ("outputs.densities = lp_number\npacket.helicity_weights = 0.6, 0.8\n",
          "bad.cfg:1: key 'outputs.densities': lp_number (F and psi) need a pure helicity, "
          "but this gaussian packet has both"),
+        ("packet.helicity_weights = 0, 0\n",
+         "bad.cfg:1: key 'packet.helicity_weights': helicity_weights must not both vanish"),
+        ("tolerances.spot_check = 0\ntolerances.number_norm = -1\n",
+         "bad.cfg:2: key 'tolerances.number_norm': a tolerance must be non-negative, got '-1'"),
 ]
 
 
@@ -156,6 +160,8 @@ PARSES = [
     # k0 on the edge of the coverage, half a cell beyond the last mode
     "grid.n_per_axis = 16\npacket.k0 = 0, 0, 3.75\n",
     "tolerances.number_norm = 1e-9\ntolerances.spot_check = 0\n",
+    # a zero bound can be met by an exact result; only a negative one never can
+    "tolerances.number_norm = 0\ntolerances.spot_check = 1e-12\n",
 ]
 
 

@@ -1,4 +1,4 @@
-"""Causal potential quadrature: statics, radiation, causality, file format."""
+"""Causal potential quadrature: statics, radiation, causality, factored sources."""
 
 from __future__ import annotations
 
@@ -12,17 +12,19 @@ from photonlab.retarded_solver import (
     PotentialField,
     SourceCurrent,
     _shift_groups,
-    faraday_tensor,
     fields_from_potential,
     gauge_residual,
     gaussian_dipole_source,
-    read_columnar_source,
     retarded_potential,
     uniform_ball_source,
-    write_columnar_source,
 )
 from photonlab.field_synthesis import SpatialGrid
-from photonlab.runner import _dipole_gauge_residual, dipole_source
+from photonlab.runner import (
+    _dipole_gauge_residual,
+    check_retarded_solver,
+    control_nonconserved_source,
+    dipole_source,
+)
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,19 @@ def _reference_potential(src: SourceCurrent, points: np.ndarray, t_eval: float) 
     cells = np.arange(centres.shape[0])
     interpolated = (1.0 - frac) * samples[index, cells] + frac * samples[index + 1, cells]
     return src.cell_volume / (4.0 * math.pi) * np.einsum("pc,pck->pk", 1.0 / dist, interpolated)
+
+
+def _with_edit(src: SourceCurrent, column: np.ndarray) -> SourceCurrent:
+    """``src`` plus one rank: the coefficient ``column`` times a constant row."""
+    row = np.broadcast_to((1e3, 7e2, 7e2, 7e2), src.profiles[:1].shape)
+    return SourceCurrent(
+        np.hstack([src.time_coefficients, column[:, None]]),
+        np.concatenate([src.profiles, row]),
+        src.delta_x,
+        src.origin,
+        src.t0,
+        src.delta_t,
+    )
 
 
 def _coulomb_error(src: SourceCurrent, charge: float, radius: float) -> float:
@@ -123,8 +138,8 @@ def test_dipole_is_conserved_and_neutral():
 
 def test_conservation_residual_detects_current_deficit(small_dipole):
     broken = SourceCurrent(
-        small_dipole.rho,
-        0.5 * small_dipole.current,
+        small_dipole.time_coefficients,
+        small_dipole.profiles * (1.0, 0.5, 0.5, 0.5),
         small_dipole.delta_x,
         small_dipole.origin,
         small_dipole.t0,
@@ -162,16 +177,16 @@ def test_radiated_amplitude_falls_off_as_inverse_distance():
 def test_potential_is_linear_in_the_source(small_dipole):
     src = small_dipole
     rolled = SourceCurrent(
-        np.roll(src.rho, 2, axis=3),
-        np.roll(src.current, 2, axis=3),
+        src.time_coefficients,
+        np.roll(src.profiles, 2, axis=3),
         src.delta_x,
         src.origin,
         src.t0,
         src.delta_t,
     )
     combined = SourceCurrent(
-        1.75 * src.rho + rolled.rho,
-        1.75 * src.current + rolled.current,
+        src.time_coefficients,
+        1.75 * src.profiles + rolled.profiles,
         src.delta_x,
         src.origin,
         src.t0,
@@ -189,11 +204,9 @@ def test_potential_is_linear_in_the_source(small_dipole):
 
 def test_causality_is_discretely_exact(small_dipole):
     src = small_dipole
-    rho = src.rho.copy()
-    current = src.current.copy()
-    rho[-1] += 1e3
-    current[-1] += 7e2
-    edited = SourceCurrent(rho, current, src.delta_x, src.origin, src.t0, src.delta_t)
+    last = np.zeros(src.n_times)
+    last[-1] = 1.0
+    edited = _with_edit(src, last)
     point = np.array([[3.0, 0.0, 0.0]])
 
     # Before the edited slice can causally reach the point: bitwise identical.
@@ -268,9 +281,7 @@ def test_multi_time_grid_causality_is_discretely_exact(long_dipole):
     latest = (times[-1] - nearest - src.t0) / src.delta_t
     assert 0.1 < latest % 1.0 < 0.9  # the latest bracket is not at a rounding edge
     cut = int(latest) + 2  # first slice strictly later than every bracket
-    table = src.table.copy()
-    table[cut:] += (1e3, 7e2, 7e2, 7e2)
-    edited = SourceCurrent.from_table(table, src.delta_x, src.origin, src.t0, src.delta_t)
+    edited = _with_edit(src, (np.arange(src.n_times) >= cut).astype(float))
 
     before_a = retarded_potential(src, grid, times)
     before_b = retarded_potential(edited, grid, times)
@@ -410,25 +421,6 @@ def test_gauge_and_fields_match_a_second_order_reference():
     assert gauge_residual(field) == pytest.approx(gauge, rel=1e-13)
 
 
-def test_faraday_tensor_layout_and_antisymmetry(rng):
-    e_field = rng.normal(size=(4, 3))
-    b_field = rng.normal(size=(4, 3))
-    tensor = faraday_tensor(e_field, b_field)
-    assert tensor.shape == (4, 4, 4)
-    assert np.max(np.abs(tensor + np.swapaxes(tensor, -1, -2))) == 0.0
-    assert np.array_equal(tensor[..., 0, 1], e_field[..., 0])
-    assert np.array_equal(tensor[..., 0, 2], e_field[..., 1])
-    assert np.array_equal(tensor[..., 0, 3], e_field[..., 2])
-    assert np.array_equal(tensor[..., 1, 2], -b_field[..., 2])
-    assert np.array_equal(tensor[..., 1, 3], b_field[..., 1])
-    assert np.array_equal(tensor[..., 2, 3], -b_field[..., 0])
-
-
-def test_faraday_tensor_rejects_mismatched_shapes():
-    with pytest.raises(ValueError, match="shape"):
-        faraday_tensor(np.zeros((2, 3)), np.zeros((3, 3)))
-
-
 def test_potential_field_time_step_checks():
     grid = SpatialGrid((3, 3, 3), (0.1, 0.1, 0.1), (0.0, 0.0, 0.0))
     shape = (3, 3, 3, 3)
@@ -444,93 +436,79 @@ def test_potential_field_time_step_checks():
 
 
 # ---------------------------------------------------------------------------
-# Source validation and the columnar text format
+# Factored sources
 
 
 def test_source_shape_validation():
-    with pytest.raises(ValueError, match="rho must have shape"):
-        SourceCurrent(np.zeros((3, 3, 3)), np.zeros((3, 3, 3, 3)), (0.1,) * 3, (0.0,) * 3)
-    with pytest.raises(ValueError, match="current shape"):
-        SourceCurrent(
-            np.zeros((1, 3, 3, 3)), np.zeros((1, 3, 3, 2, 3)), (0.1,) * 3, (0.0,) * 3
-        )
+    with pytest.raises(ValueError, match="time_coefficients must have shape"):
+        SourceCurrent(np.ones(3), np.zeros((1, 3, 3, 3, 4)), (0.1,) * 3, (0.0,) * 3)
+    with pytest.raises(ValueError, match="profiles shape"):
+        SourceCurrent(np.ones((1, 2)), np.zeros((1, 3, 3, 3, 4)), (0.1,) * 3, (0.0,) * 3)
+    with pytest.raises(ValueError, match="profiles shape"):
+        SourceCurrent(np.ones((1, 1)), np.zeros((1, 3, 3, 3, 3)), (0.1,) * 3, (0.0,) * 3)
     with pytest.raises(ValueError, match="delta_t"):
-        SourceCurrent(
-            np.zeros((2, 3, 3, 3)), np.zeros((2, 3, 3, 3, 3)), (0.1,) * 3, (0.0,) * 3
-        )
+        SourceCurrent(np.ones((2, 1)), np.zeros((1, 3, 3, 3, 4)), (0.1,) * 3, (0.0,) * 3)
+    with pytest.raises(ValueError, match="time_coefficients contains non-finite"):
+        SourceCurrent(np.full((1, 1), np.nan), np.zeros((1, 3, 3, 3, 4)), (0.1,) * 3, (0.0,) * 3)
+    with pytest.raises(ValueError, match="profiles contains non-finite"):
+        SourceCurrent(np.ones((1, 1)), np.full((1, 3, 3, 3, 4), np.inf), (0.1,) * 3, (0.0,) * 3)
 
 
 def test_source_samples_are_read_only_views_of_one_table(small_dipole):
     src = small_dipole
-    assert src.table.shape == (8, 9, 9, 9, 4)
-    assert np.shares_memory(src.rho, src.table)
-    assert np.shares_memory(src.current, src.table)
-    for samples in (src.rho, src.current, src.table):
+    table = src.table
+    assert table.shape == (8, 9, 9, 9, 4)
+    assert np.array_equal(table, np.einsum("tq,q...->t...", src.time_coefficients, src.profiles))
+    assert np.array_equal(src.rho, table[..., 0])
+    assert np.array_equal(src.current, table[..., 1:])
+    assert src.table is not table  # computed on every access, never cached
+    for samples in (src.rho, src.current, table, src.time_coefficients, src.profiles):
         with pytest.raises(ValueError, match="read-only"):
-            samples[0, 0, 0, 0] = 1.0
+            samples[0, 0] = 1.0
+
+
+def test_table_is_the_product_of_the_factors(small_dipole, ball):
+    for src, rank in ((small_dipole, 2), (ball, 1)):
+        assert src.time_coefficients.shape == (src.n_times, rank)
+        assert src.profiles.shape == (rank,) + src.n_per_axis + (4,)
+        product = src.time_coefficients @ src.profiles.reshape(rank, -1)
+        assert np.array_equal(src.table.reshape(src.n_times, -1), product)
+        assert not src.table.flags.writeable
 
 
 def test_constructor_packs_user_arrays_once():
-    rho = np.ones((2, 3, 3, 3))
-    current = np.zeros((2, 3, 3, 3, 3))
-    current[..., 2] = 0.5
-    src = SourceCurrent(rho, current, (0.1,) * 3, (0.0,) * 3, 0.0, 0.25)
-    rho[...] = 7.0  # the source holds its own packed copy
-    assert np.array_equal(src.rho, np.ones((2, 3, 3, 3)))
+    coefficients = np.ones((2, 1))
+    profiles = np.zeros((1, 3, 3, 3, 4))
+    profiles[..., 3] = 0.5
+    src = SourceCurrent(coefficients, profiles, (0.1,) * 3, (0.0,) * 3, 0.0, 0.25)
+    coefficients[...] = 7.0  # the source holds its own copies of the factors
+    profiles[...] = 7.0
+    assert np.array_equal(src.rho, np.zeros((2, 3, 3, 3)))
     assert np.array_equal(src.table[..., 3], np.full((2, 3, 3, 3), 0.5))
-    with pytest.raises(ValueError, match="table must have shape"):
-        SourceCurrent.from_table(np.zeros((2, 3, 3, 3, 3)), (0.1,) * 3, (0.0,) * 3)
-    with pytest.raises(ValueError, match="non-finite"):
-        SourceCurrent.from_table(np.full((1, 3, 3, 3, 4), np.nan), (0.1,) * 3, (0.0,) * 3)
+    assert src.total_charge(1) == 0.0
 
 
-def test_columnar_round_trip_is_bit_exact(small_dipole, tmp_path):
-    path = tmp_path / "dipole.txt"
-    write_columnar_source(small_dipole, str(path))
-    back = read_columnar_source(str(path))
-    assert np.array_equal(back.rho, small_dipole.rho)
-    assert np.array_equal(back.current, small_dipole.current)
-    assert back.delta_x == small_dipole.delta_x
-    assert back.origin == small_dipole.origin
-    assert back.t0 == small_dipole.t0
-    assert back.delta_t == small_dipole.delta_t
+def test_retarded_solver_paths_never_materialize_the_table(monkeypatch):
+    """The gather, the stencils and the conservation residual act on the
+    factors: with the product forbidden, the dipole radiation traffic and
+    the selftest's solver check and control still run and pass."""
 
+    def forbidden(self):
+        raise AssertionError("the sampled table was materialized")
 
-def test_columnar_parse_errors_carry_location(tmp_path):
-    good = tmp_path / "good.txt"
-    write_columnar_source(uniform_ball_source(1.0, 0.5, 0.4, 3), str(good))
-    text = good.read_text()
-
-    bad_magic = tmp_path / "bad_magic.txt"
-    bad_magic.write_text("# some other file\n" + text)
-    with pytest.raises(ValueError, match="missing magic"):
-        read_columnar_source(str(bad_magic))
-
-    lines = text.splitlines()
-    bad_row = tmp_path / "bad_row.txt"
-    bad_row.write_text("\n".join(lines + ["0 1 1"]) + "\n")
-    with pytest.raises(ValueError, match=rf"{bad_row.name}:{len(lines) + 1}: expected 8 columns"):
-        read_columnar_source(str(bad_row))
-
-    bad_value = tmp_path / "bad_value.txt"
-    bad_value.write_text("\n".join(lines + ["0 1 1 1 frog 0 0 0"]) + "\n")
-    with pytest.raises(ValueError, match=rf"{bad_value.name}:{len(lines) + 1}:"):
-        read_columnar_source(str(bad_value))
-
-    out_of_range = tmp_path / "out_of_range.txt"
-    out_of_range.write_text("\n".join(lines + ["0 9 0 0 1 0 0 0"]) + "\n")
-    with pytest.raises(ValueError, match="outside the declared lattice"):
-        read_columnar_source(str(out_of_range))
-
-    first_data = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-    duplicated = tmp_path / "duplicated.txt"
-    duplicated.write_text("\n".join(lines + [lines[first_data]]) + "\n")
-    with pytest.raises(ValueError, match="duplicate sample"):
-        read_columnar_source(str(duplicated))
-
-    headerless = tmp_path / "headerless.txt"
-    headerless.write_text(
-        "\n".join(l for l in lines if not l.startswith("# n_times")) + "\n"
+    for name in ("table", "rho", "current"):
+        monkeypatch.setattr(SourceCurrent, name, property(forbidden))
+    src = gaussian_dipole_source(
+        (0.0, 0.0, 1.0), 1.0, 0.352, delta_x=0.16, n_per_axis=9,
+        t0=-1.2, delta_t=0.08, n_times=120,
     )
-    with pytest.raises(ValueError, match="missing header keys: n_times"):
-        read_columnar_source(str(headerless))
+    assert 0.0 < src.conservation_residual() < 0.1
+    stencil = SpatialGrid((5, 5, 5), (0.5, 0.5, 0.5), (-1.0, -1.0, 1.9))
+    assert 0.0 < gauge_residual(retarded_potential(src, stencil, 5.8 + 0.2 * (np.arange(5) - 2))) < 1.0
+    directions = np.concatenate([np.eye(3), -np.eye(3)])
+    for radius in (4.0, 6.5):
+        probe = retarded_potential(src, radius * directions, math.pi / 2 + radius)
+        assert np.all(np.isfinite(probe.A)) and np.any(probe.A != 0.0)
+    for check in (check_retarded_solver, control_nonconserved_source):
+        result = check()
+        assert result.ok, result.failed_names()
