@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 from .mode_space import (  # noqa: F401
     HELICITIES,
     PhotonSpectrum,
-    PolarizationBasis,
     SpectralSummary,
     WaveVectorGrid,
     build_basis,

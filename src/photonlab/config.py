@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .densities import DENSITY_KINDS
+from .densities import DENSITY_KINDS, DENSITY_TABLE
 from .mode_space import WaveVectorGrid
 
 PACKET_KINDS = ("gaussian", "single_mode", "localized", "collinear")
@@ -311,7 +311,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         at = lines.get("packet.k0") or min(
             ln for key, ln in lines.items() if key.startswith("grid."))
         _fail(source, at, f"key 'packet.k0': {packet.k0} lies outside the grid coverage")
-    wave = [kind for kind in cfg.outputs.densities if kind in ("bb_energy", "lp_number")]
+    wave = [kind for kind in cfg.outputs.densities if DENSITY_TABLE[kind].pure_helicity]
     both = packet.kind == "localized" or (
         packet.kind != "single_mode" and 0 not in packet.helicity_weights)
     if wave and both:

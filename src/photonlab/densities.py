@@ -52,6 +52,7 @@ engine transforms in place (see :mod:`photonlab.field_synthesis`).  Every
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,20 +62,6 @@ from .mode_space import PhotonSpectrum, WaveVectorGrid, leading, trailing, vecto
 
 # E+ = i omega A+ gives Im(A+ . conj(E+)) = -omega |A+|^2, so sigma = -1 makes rho >= 0
 SIGMA = -1
-
-DENSITY_KINDS = frozenset(
-    {
-        "number",
-        "current",
-        "energy",
-        "momentum",
-        "four_momentum",
-        "angular_momentum",
-        "bb_energy",
-        "lp_number",
-    }
-)
-
 
 @dataclass(frozen=True)
 class DensityField:
@@ -292,3 +279,28 @@ def lp_number_density(wf: PhotonWaveFields) -> DensityField:
     """|psi|^2: the number-density reading of the second wave function."""
     data = np.sum(np.abs(wf.psi) ** 2, axis=-1)
     return DensityField("lp_number", data, wf.t, wf.grid)
+
+
+@dataclass(frozen=True)
+class DensityKind:
+    """How ``run`` and ``export-slice`` build an output kind and name its components."""
+
+    build: Callable[[fs.FieldSnapshot, PhotonSpectrum], DensityField]
+    labels: str = ""  # components of a vector kind, in summaries and CSV headers
+    pure_helicity: bool = False  # F and psi exist for one helicity only
+
+
+# The builders look each density function up in this module when they run,
+# so a rebound module attribute (a tracer's wrapper, say) is the one called.
+# The box center is the reference point of the orbital angular momentum.
+DENSITY_TABLE = {
+    "number": DensityKind(lambda f, s: number_density(f)),
+    "current": DensityKind(lambda f, s: photon_current(f), "xyz"),
+    "energy": DensityKind(lambda f, s: energy_density(f)),
+    "momentum": DensityKind(lambda f, s: momentum_density(f), "xyz"),
+    "four_momentum": DensityKind(lambda f, s: four_momentum_density(f), "txyz"),
+    "angular_momentum": DensityKind(lambda f, s: angular_momentum_density(f, (0, 0, 0)), "xyz"),
+    "bb_energy": DensityKind(lambda f, s: bb_energy_density(photon_wave_fields(f, s)), "", True),
+    "lp_number": DensityKind(lambda f, s: lp_number_density(photon_wave_fields(f, s)), "", True),
+}
+DENSITY_KINDS = frozenset(DENSITY_TABLE)

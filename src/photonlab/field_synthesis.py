@@ -21,13 +21,15 @@ derivatives are spectral multipliers, never finite differences.
 
 Every FFT goes through one :class:`SpectralEngine` per (WaveVectorGrid,
 SpatialGrid) pair (:func:`spectral_engine`, the two most recently used pairs
-are kept).  It holds, read-only, what depends on the grids alone: the
-helicity basis, the mode factor i / sqrt(omega) with the excluded zero mode
-set to zero, the two phase factors that turn the grid-order mode sum into an
-inverse DFT, and the distinct frequencies of the grid with each mode's index
-into them.  The time-independent amplitude g * i omega^{-1/2}
-(c+ e+ + c- e-) is formed once per spectrum and kept with the spectrum, so
-the shared engine holds nothing of any one spectrum.  Each time then costs
+are kept).  It holds, read-only, what depends on the grids alone: the mode
+factor i / sqrt(omega) with the excluded zero mode set to zero, the two
+phase factors that turn the grid-order mode sum into an inverse DFT, and the
+distinct frequencies of the grid with each mode's index into them.  The
+helicity basis is not the engine's: :func:`~photonlab.mode_space.build_basis`
+builds and keeps e+ once per k-grid, and e- is its conjugate.  The
+time-independent amplitude g * i omega^{-1/2} (c+ e+ + c- conj(e+)) is formed
+once per spectrum and kept with the spectrum, so the shared engine holds
+nothing of any one spectrum.  Each time then costs
 one exp(-i omega t) per distinct frequency (1914 for the 262144 modes of the
 64^3 desk grid), gathered to the modes, and one inverse FFT of the six
 components of A+ and E+.  B+ is transformed on first access only, so
@@ -40,9 +42,10 @@ axes lead, and callers see ``(..., 3)`` views of it.  An input in another
 layout is copied once into this one.
 
 The direct quadrature (:func:`synthesize_at_points`,
-:func:`vector_potential_at_points`) builds its own basis, evaluates its own
-exp(-i omega t) per mode and never reads the engine: it is the oracle the
-FFT path is checked against.  It forms
+:func:`vector_potential_at_points`) has its own amplitude formula, evaluates
+its own exp(-i omega t) per mode and never reads the engine: it is the
+oracle the FFT path is checked against.  It shares only the basis of
+:func:`~photonlab.mode_space.build_basis` with the FFT path.  It forms
 exp(i k.x) at each point as the outer product of the three per-axis factors
 exp(i k_a x_a) over ``kgrid.axes``, computed in place and never through the
 engine's phase helper or an FFT, so it checks the engine's origin and k_min
@@ -200,9 +203,6 @@ class SpectralEngine:
             raise ValueError("unpaired grids in FFT mode (delta_x != 2 pi / (n delta_k))")
         self.kgrid = kgrid
         self.sgrid = sgrid
-        basis = build_basis(kgrid)
-        self.e_plus = basis.e_plus
-        self.e_minus = basis.e_minus
         mask = kgrid.exclusion_mask
         safe = np.where(mask, 1.0, kgrid.omega)
         self.mode_factor = _read_only(np.where(mask, 0.0, 1j / np.sqrt(safe)))
@@ -266,8 +266,9 @@ class SpectralEngine:
                      lambda: _read_only(self._weighted_amplitude(s, mode_weight(self.kgrid))))
 
     def _weighted_amplitude(self, s: PhotonSpectrum, weight: float):
-        amp = s.c[0] * leading(self.e_plus)
-        amp += s.c[1] * leading(self.e_minus)
+        e_plus = leading(build_basis(self.kgrid))
+        amp = s.c[0] * e_plus
+        amp += s.c[1] * np.conj(e_plus)
         amp *= weight * self.mode_factor
         return trailing(amp, 1)
 
@@ -349,18 +350,19 @@ class FieldSnapshot:
 def _direct_amplitude(s: PhotonSpectrum, t: float):
     """Grid-order vector amplitude of A+ including the exp(-i omega t) phase.
 
-    Built from its own basis, never from the engine: this feeds the oracle.
+    Its own formula and time phase on the basis of :func:`build_basis`, never
+    the engine: this feeds the oracle.
     """
     grid = s.grid
-    basis = build_basis(grid)
+    e_plus = build_basis(grid)
     g = mode_weight(grid)
     omega = grid.omega
     safe = np.where(grid.exclusion_mask, 1.0, omega)
     amp = 1j * g / np.sqrt(safe) * np.exp(-1j * omega * float(t))
     amp = np.where(grid.exclusion_mask, 0.0, amp)
     # C-ordered, so the quadrature's BLAS products sum in one fixed order
-    coeffs = np.multiply(amp[..., None] * s.c[0][..., None], basis.e_plus, order="C")
-    coeffs += amp[..., None] * s.c[1][..., None] * basis.e_minus
+    coeffs = np.multiply(amp[..., None] * s.c[0][..., None], e_plus, order="C")
+    coeffs += amp[..., None] * s.c[1][..., None] * np.conj(e_plus)
     return coeffs
 
 

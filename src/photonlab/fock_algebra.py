@@ -4,7 +4,12 @@ States are dictionaries mapping occupation tuples to complex amplitudes, so
 everything stays exact up to floating point in the sqrt(n) ladder factors.
 Indefinite-metric (scalar-mode) bookkeeping is confined to the inner product
 and to commutator_expectation; the ladder amplitude factors themselves are
-always the standard sqrt(n) ones.
+always the standard sqrt(n) ones.  With that convention the subsidiary
+condition on a physical state reads (a_L + a_S)|psi> = 0 for a longitudinal
+mode L (metric +1) and a scalar mode S (metric -1), not a_L - a_S: the state
+(a_L^dagger - a_S^dagger) a_T^dagger |0> satisfies it, has metric norm 0, and
+its longitudinal and scalar numbers metric_sign[m] <a_m psi|a_m psi> are +1
+and -1.
 """
 
 from __future__ import annotations

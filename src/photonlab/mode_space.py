@@ -14,6 +14,10 @@ pinned to zero and the 1/sqrt(omega) mode factor is never evaluated there.
 Scalar products are conjugate-linear in the first slot:
 (s1, s2) = sum w conj(c1) c2.
 
+The helicity basis has one owner, :func:`build_basis`: it builds e+ once
+per grid, and every user forms e- as conj(e+), so the pair is never built
+or stored twice.
+
 Per-mode vector arrays (``k_vectors``, the helicity basis) are stored
 component-major: the component axes come first in memory, so each
 (nx, ny, nz) component is contiguous, and they are handed out as
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -177,24 +181,19 @@ class WaveVectorGrid:
         return True
 
 
-@dataclass(frozen=True)
-class PolarizationBasis:
-    """Helicity pair per grid sample.
+@lru_cache(maxsize=2)
+def build_basis(grid: WaveVectorGrid) -> np.ndarray:
+    """The positive-helicity vector e+ on every sample of ``grid``.
 
-    e_plus/e_minus = (e_theta +/- i e_phi)/sqrt(2), transverse to k.  At the
-    poles (k parallel to +/-z) the azimuth is fixed to phi = 0, which gives
-    e_theta = (+/-1, 0, 0) and e_phi = (0, 1, 0).  Masked samples carry zero
-    vectors.
-    """
+    e+ = (e_theta + i e_phi)/sqrt(2) is transverse to k; the negative-helicity
+    vector is its conjugate, e- = conj(e+) = (e_theta - i e_phi)/sqrt(2), so
+    only e+ is built and kept.  At the poles (k parallel to +/-z) the azimuth
+    is fixed to phi = 0, which gives e_theta = (+/-1, 0, 0) and
+    e_phi = (0, 1, 0).  Masked samples carry the zero vector.
 
-    e_plus: np.ndarray
-    e_minus: np.ndarray
-
-
-def build_basis(grid: WaveVectorGrid) -> PolarizationBasis:
-    """Construct the helicity pair on every unmasked sample of ``grid``.
-
-    ``e_plus`` and ``e_minus`` are component-major ``(..., 3)`` views.
+    Returns a read-only component-major ``(..., 3)`` view.  Like
+    :func:`photonlab.field_synthesis.spectral_engine`, it is kept for the two
+    most recently used grids (by value).
     """
     kn = grid.omega
     mask = grid.exclusion_mask
@@ -215,12 +214,9 @@ def build_basis(grid: WaveVectorGrid) -> PolarizationBasis:
     e_theta = np.where(keep, e_theta, 0.0)
     e_phi = np.where(keep, e_phi, 0.0)
 
-    inv_rt2 = 1.0 / np.sqrt(2.0)
-    e_plus = (e_theta + 1j * e_phi) * inv_rt2
-    e_minus = (e_theta - 1j * e_phi) * inv_rt2
-    for arr in (e_plus, e_minus):
-        arr.flags.writeable = False
-    return PolarizationBasis(e_plus=trailing(e_plus, 1), e_minus=trailing(e_minus, 1))
+    e_plus = (e_theta + 1j * e_phi) * (1.0 / np.sqrt(2.0))
+    e_plus.flags.writeable = False
+    return trailing(e_plus, 1)
 
 
 @dataclass(frozen=True)

@@ -435,3 +435,45 @@ def test_selftest_names_failing_and_raising_checks_on_stderr(capsys, monkeypatch
     code, out, err = invoke(capsys, "selftest")
     assert (code, err) == (0, "")
     assert "PASS good: m=5.000e-01<=1.0e+00" in out
+
+
+LOCALIZED = """\
+grid.n_per_axis = 16
+grid.delta_k = 0.75
+packet.kind = localized
+packet.x0 = 0.5, -0.25, 1
+time.t_list = 0.0, 0.4
+outputs.densities = number
+"""
+
+
+def _run_summary(capsys, tmp_path, text):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(text)
+    code, out, err = invoke(capsys, "run", str(cfg), "--outdir", str(tmp_path / "out"))
+    assert code == 0, err
+    assert "PASS fft-quadrature" in out and "PASS number-norm" in out
+    return (tmp_path / "out" / "summary.txt").read_text().splitlines()
+
+
+def test_run_on_a_localized_packet_echoes_its_centre(capsys, tmp_path):
+    summary = _run_summary(capsys, tmp_path, LOCALIZED)
+    assert "config.packet.kind = localized" in summary
+    assert "config.packet.x0 = 0.5,-0.25,1" in summary
+    assert not any(line.startswith("units.") for line in summary)
+
+
+def test_si_run_reports_the_unit_scales(capsys, tmp_path):
+    from scipy import constants
+
+    length = 2.5e-6
+    summary = _run_summary(capsys, tmp_path, LOCALIZED
+                           + f"units.system = si\nunits.length_scale_m = {length}\n")
+    assert "config.units.system = si" in summary
+    units = {key: float(value) for key, value in
+             (line.split(" = ") for line in summary if line.startswith("units."))}
+    assert units == {
+        "units.energy_scale_J": constants.hbar * constants.c / length,
+        "units.length_scale_m": length,
+        "units.time_scale_s": length / constants.c,
+    }

@@ -50,6 +50,10 @@ def test_density_kind_registry():
             "lp_number",
         }
     )
+    table = densities.DENSITY_TABLE
+    assert {kind for kind in table if table[kind].pure_helicity} == {"bb_energy", "lp_number"}
+    assert {kind: table[kind].labels for kind in table if table[kind].labels} == {
+        "current": "xyz", "momentum": "xyz", "four_momentum": "txyz", "angular_momentum": "xyz"}
 
 
 def test_sign_convention_makes_a_single_mode_density_positive():

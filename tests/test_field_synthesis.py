@@ -93,6 +93,34 @@ def test_synthesis_is_linear_in_amplitudes(small_grid, small_spatial):
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(lhs))
 
 
+def test_quadrature_oracle_never_reads_the_spectral_engine(monkeypatch, small_grid):
+    """With the engine unavailable the oracle still gives the closed-form mode sum."""
+    def no_engine(*args):
+        raise AssertionError("the quadrature oracle asked for the spectral engine")
+
+    monkeypatch.setattr(field_synthesis, "spectral_engine", no_engine)
+    rt2 = np.sqrt(2.0)
+    # (helicity block, sample, amplitude, e_lambda): e+ on +x, e- on the +z pole
+    modes = ((0, (8, 6, 6), 0.3 - 0.4j, np.array([0.0, 1j, -1.0]) / rt2),
+             (1, (6, 6, 9), 1.1 + 0.0j, np.array([1.0, -1j, 0.0]) / rt2))
+    c = np.zeros((2,) + small_grid.n_per_axis, dtype=complex)
+    for block, index, amplitude, _ in modes:
+        c[(block,) + index] = amplitude
+    s = PhotonSpectrum(small_grid, c)
+    points, t = np.array([[0.0, 0.0, 0.0], [0.4, -1.3, 2.2]]), 0.6
+    expected = np.zeros((3, 2, 3), dtype=complex)  # (A, E, B) x point x component
+    for _, index, amplitude, e in modes:
+        k, omega = small_grid.k_vectors[index], small_grid.omega[index]
+        phase = np.exp(1j * (points @ k - omega * t))[:, None]
+        a = 1j * small_grid.cell_weight / np.sqrt(omega) * amplitude * e * phase
+        expected += [a, 1j * omega * a, 1j * np.cross(k, a)]
+    fields = synthesize_at_points(s, points, t)
+    for got, want in zip(fields, expected):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+    assert np.allclose(field_synthesis.vector_potential_at_points(s, points, t), expected[0],
+                       rtol=1e-12, atol=1e-12 * np.max(np.abs(expected[0])))
+
+
 # ---------------------------------------------------------------------------
 # Differential structure of the synthesized fields
 

@@ -124,6 +124,28 @@ def test_commutator_carries_the_metric_sign():
     assert abs(commutator_expectation(state, 1) + 1.0) < 1e-12
 
 
+def _combine(u, v, sign):
+    """u + sign * v."""
+    out = dict(u.amplitudes)
+    for occ, amp in v.amplitudes.items():
+        out[occ] = out.get(occ, 0.0) + sign * amp
+    return FockVector(u.modes, out)
+
+
+def test_subsidiary_condition_is_a_longitudinal_plus_scalar():
+    """The sign convention of the module docstring, on (a_L^+ - a_S^+) a_T^+ |0>."""
+    ms = ModeSet(3, metric_sign=(1, 1, -1))
+    transverse, longitudinal, scalar = range(3)
+    one = apply_create(vacuum(ms), transverse)
+    psi = _combine(apply_create(one, longitudinal), apply_create(one, scalar), -1)
+    assert inner_product(psi, psi) == 0
+    lowered = {m: apply_annihilate(psi, m) for m in (longitudinal, scalar)}
+    numbers = [ms.metric_sign[m] * inner_product(lowered[m], lowered[m]) for m in lowered]
+    assert numbers == [1, -1]
+    assert _combine(lowered[longitudinal], lowered[scalar], +1).amplitudes == {}
+    assert _combine(lowered[longitudinal], lowered[scalar], -1).amplitudes == {(1, 0, 0): 2}
+
+
 # ---------------------------------------------------------------------------
 # Longitudinal/scalar pair cancellation
 

@@ -67,8 +67,7 @@ def test_single_sample_exclusion_follows_the_mask(n, dk, steps):
 
 
 def test_vector_arrays_are_component_major_views():
-    basis = build_basis(GRID)
-    for arr in (GRID.k_vectors, basis.e_plus, basis.e_minus):
+    for arr in (GRID.k_vectors, build_basis(GRID)):
         assert arr.shape == (8, 8, 8, 3)
         assert all(arr[..., a].flags.c_contiguous for a in range(3))
         with pytest.raises(ValueError):
@@ -91,18 +90,20 @@ def test_collinear_grid_shape():
 
 
 def test_basis_is_orthonormal_transverse_and_helical():
-    basis = build_basis(GRID)
     keep = ~GRID.exclusion_mask
+    e_plus = build_basis(GRID)[keep]
     k_hat = GRID.k_vectors[keep] / GRID.omega[keep][..., None]
-    for helicity, e in ((+1, basis.e_plus[keep]), (-1, basis.e_minus[keep])):
+    # the negative-helicity vector is the conjugate of the positive one
+    for helicity, e in ((+1, e_plus), (-1, np.conj(e_plus))):
         norms = np.sum(e * np.conj(e), axis=-1).real
         assert np.max(np.abs(norms - 1.0)) < 1e-12
         transverse = np.abs(np.sum(k_hat * e, axis=-1))
         assert np.max(transverse) < 1e-12
         spun = 1j * np.cross(k_hat, e)
         assert np.max(np.abs(spun - helicity * e)) < 1e-12
-    cross = np.abs(np.sum(basis.e_plus[keep] * np.conj(basis.e_minus[keep]), axis=-1))
+    cross = np.abs(np.sum(e_plus * e_plus, axis=-1))  # e+ . conj(e-)
     assert np.max(cross) < 1e-12
+    assert not np.any(build_basis(GRID)[GRID.exclusion_mask])
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from photonlab.field_synthesis import (
 from photonlab.mode_space import (
     PhotonSpectrum,
     WaveVectorGrid,
+    build_basis,
     gaussian_spectrum,
     normalize,
     spectral_summary,
@@ -153,8 +154,7 @@ def test_interleaved_grid_pairs_use_their_own_engine():
 def test_engine_arrays_are_read_only(small_grid, small_spatial, small_packet):
     engine = spectral_engine(small_grid, small_spatial)
     amplitude = engine.amplitude(small_packet)
-    for arr in (engine.e_plus, engine.e_minus, engine.mode_factor,
-                engine.phase_k, engine.phase_x, amplitude):
+    for arr in (engine.mode_factor, engine.phase_k, engine.phase_x, amplitude):
         with pytest.raises(ValueError):
             arr[0, 0, 0] = 1.0
     assert engine.amplitude(small_packet) is amplitude
@@ -207,7 +207,7 @@ ALL_KINDS = ("number", "current", "energy", "momentum",
 def test_all_kinds_share_four_transforms(fft_calls, small_grid, small_spatial, small_packet):
     snap = synthesize(small_packet, small_spatial, 0.2)
     for kind in ALL_KINDS:
-        runner._density_field(kind, snap, small_packet)
+        densities.DENSITY_TABLE[kind].build(snap, small_packet)
     n = small_grid.n_per_axis
     # synthesis, B+, the momentum transform, psi
     assert fft_calls["ifftn"] == [(6,) + n, (3,) + n, (3, 3) + n, (3,) + n]
@@ -216,10 +216,10 @@ def test_all_kinds_share_four_transforms(fft_calls, small_grid, small_spatial, s
 
 def test_shared_kinds_equal_each_kind_computed_alone(small_spatial, small_packet):
     snap = synthesize(small_packet, small_spatial, 0.2)
-    shared = {kind: runner._density_field(kind, snap, small_packet) for kind in ALL_KINDS}
+    shared = {kind: densities.DENSITY_TABLE[kind].build(snap, small_packet) for kind in ALL_KINDS}
     for kind in ALL_KINDS:
-        alone = runner._density_field(kind, synthesize(small_packet, small_spatial, 0.2),
-                                      small_packet)
+        alone = densities.DENSITY_TABLE[kind].build(synthesize(small_packet, small_spatial, 0.2),
+                                                    small_packet)
         assert np.array_equal(shared[kind].data, alone.data), kind
 
 
@@ -277,7 +277,7 @@ def test_kinds_are_c_ordered_and_fields_keep_their_shape(small_grid, small_spati
     for field in (snap.A_plus, snap.E_plus, snap.B_plus):
         assert field.shape == shape
     for kind in ALL_KINDS:
-        data = runner._density_field(kind, snap, small_packet).data
+        data = densities.DENSITY_TABLE[kind].build(snap, small_packet).data
         assert data.flags.c_contiguous, kind
         assert data.shape[:3] == small_grid.n_per_axis, kind
 
@@ -298,6 +298,17 @@ def test_a_corrupted_level_index_fails_the_spot_check(tmp_path):
     finally:
         spectral_engine.cache_clear()
     assert report.failed_names() == ["fft-quadrature:spot_check"]
+
+
+def test_two_runs_of_one_config_build_the_basis_once(tmp_path):
+    """The engine and the spot-check oracle share one e+ per grid, kept across runs."""
+    text = ("grid.n_per_axis = 12\ngrid.delta_k = 0.85\npacket.k0 = 0, 3.2, 0\n"
+            "packet.sigma = 0.55\npacket.helicity_weights = 0.6, 0.8\ntime.t_list = 0.7\n")
+    cfg = config.parse_scenario(text, "basis.cfg")
+    build_basis.cache_clear()
+    for name in ("first", "second"):
+        assert runner.run_scenario(cfg, str(tmp_path / name)).ok
+    assert build_basis.cache_info().misses == 1
 
 
 def test_fields_do_not_depend_on_the_thread_count(monkeypatch):
