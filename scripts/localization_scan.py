@@ -59,7 +59,7 @@ def main() -> None:
     for sigma in args.sigmas:
         spectrum = gaussian_spectrum(kgrid, (args.k0x, 0.0, 0.0), sigma)
         snap = synthesize(spectrum, sgrid, 0.0)
-        wave = photon_wave_fields(snap, spectrum)
+        wave = photon_wave_fields(snap)
         widths = localization_widths(
             (number_density(snap), bb_energy_density(wave), lp_number_density(wave))
         )

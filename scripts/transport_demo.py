@@ -18,7 +18,8 @@ import argparse
 
 import numpy as np
 
-from photonlab.field_synthesis import SpatialGrid
+from photonlab.densities import number_density
+from photonlab.field_synthesis import SpatialGrid, synthesize
 from photonlab.mode_space import WaveVectorGrid, gaussian_spectrum
 from photonlab.observables import expectations, transport_speed
 
@@ -55,7 +56,9 @@ def main() -> None:
               f"{report.energy:10.5f} {report.helicity:9.5f} "
               f"{report.group_speed:8.4f}")
 
-    overall = transport_speed(spectrum, sgrid, 0.0, args.t_max)
+    overall = transport_speed(
+        *(number_density(synthesize(spectrum, sgrid, t)) for t in (0.0, args.t_max))
+    )
     print()
     print(f"end-to-end centroid speed over [0, {args.t_max}]: {overall:.5f} "
           f"(deviation from c: {abs(overall - 1.0):.2e})")

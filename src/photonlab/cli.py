@@ -10,9 +10,10 @@ Subcommands:
   plane of a density field as CSV.
 * ``version`` — print the package version.
 
-Exit codes: 0 success, 1 failed check or runtime error (the failing check, or
-the artifact path that could not be written, is named on stderr), 2
-configuration error (with file/line diagnostics).
+Exit codes: 0 success, 1 failed check or runtime error (the failing check,
+the artifact path that could not be written, or the invalid request or
+arithmetic error is named on stderr), 2 configuration error (with file/line
+diagnostics).
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ def _default_outdir(config_path: str) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(config_path)), f"{stem}_out")
 
 
+def _reason(exc: Exception) -> str:
+    """A ValueError's message; an arithmetic error also names its type."""
+    return str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -82,8 +88,8 @@ def main(argv: list[str] | None = None) -> int:
         outdir = args.outdir or _default_outdir(args.config)
         try:
             report = run_scenario(cfg, outdir)
-        except ValueError as exc:
-            print(f"run failed: {exc}", file=sys.stderr)
+        except (ValueError, ArithmeticError) as exc:
+            print(f"run failed: {_reason(exc)}", file=sys.stderr)
             return 1
         except OSError as exc:
             reason = exc.strerror or exc
@@ -104,8 +110,8 @@ def main(argv: list[str] | None = None) -> int:
         out_path = args.out or f"{args.kind}_{args.plane.replace('=', '_')}.csv"
         try:
             written = export_slice(cfg, args.kind, args.plane, out_path)
-        except ValueError as exc:
-            print(f"export failed: {exc}", file=sys.stderr)
+        except (ValueError, ArithmeticError) as exc:
+            print(f"export failed: {_reason(exc)}", file=sys.stderr)
             return 1
         except OSError as exc:
             reason = exc.strerror or exc

@@ -37,10 +37,10 @@ instance dict by the package's one memo helper, ``field_synthesis._memo``
 (the way ``B_plus`` is cached), so it is freed with the snapshot: the
 real momentum density P (read by the momentum, four-momentum and orbital
 angular-momentum densities; the 9-component transform behind it is not
-kept) and the wave fields F and psi, one pair per helicity (read by the
-|F|^2 and |psi|^2 densities).  All eight output kinds of one snapshot thus
-cost four inverse FFTs in total: the synthesis, B+, the momentum transform
-and psi.  The kept arrays are shared by every caller and are read-only;
+kept) and the wave fields F and psi of the snapshot's own helicity (read by
+the |F|^2 and |psi|^2 densities).  All eight output kinds of one snapshot
+thus cost four inverse FFTs in total: the synthesis, B+, the momentum
+transform and psi.  The kept arrays are shared by every caller and are read-only;
 ``momentum_density`` returns P itself, so copy its data before modifying it.
 
 The coefficient arrays handed to the transforms (the (3, 3) momentum block,
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field_synthesis as fs
-from .mode_space import PhotonSpectrum, WaveVectorGrid, leading, trailing, vector_array
+from .mode_space import WaveVectorGrid, leading, trailing, vector_array
 
 # E+ = i omega A+ gives Im(A+ . conj(E+)) = -omega |A+|^2, so sigma = -1 makes rho >= 0
 SIGMA = -1
@@ -246,16 +246,17 @@ class PhotonWaveFields:
     grid: fs.SpatialGrid
 
 
-def photon_wave_fields(f: fs.FieldSnapshot, s: PhotonSpectrum) -> PhotonWaveFields:
+def photon_wave_fields(f: fs.FieldSnapshot) -> PhotonWaveFields:
     """F from the real fields E and B, psi = Omega^{1/2} A+ (see module docs).
 
-    Built once per snapshot and helicity; F and psi are read-only.
+    The helicity is the snapshot spectrum's.  Built once per snapshot; F and
+    psi are read-only.
     """
-    lam = s.pure_helicity()
-    if lam is None:
-        raise ValueError("mixed-helicity spectrum: F and psi need a pure helicity")
 
     def build():
+        lam = f.spectrum.pure_helicity()
+        if lam is None:
+            raise ValueError("mixed-helicity spectrum: F and psi need a pure helicity")
         E = 2.0 * np.real(f.E_plus)
         B = 2.0 * np.real(f.B_plus)
         half = 0.5  # = (1/sqrt 2) * sqrt(1/2): photon-number normalization, cf. module docs
@@ -266,7 +267,7 @@ def photon_wave_fields(f: fs.FieldSnapshot, s: PhotonSpectrum) -> PhotonWaveFiel
         return PhotonWaveFields(helicity=lam, F=fs._read_only(F), psi=fs._read_only(psi),
                                 t=f.t, grid=f.sgrid)
 
-    return fs._memo(f, f"_wave_fields{lam:+d}", build)
+    return fs._memo(f, "_wave_fields", build)
 
 
 def bb_energy_density(wf: PhotonWaveFields) -> DensityField:
@@ -285,7 +286,7 @@ def lp_number_density(wf: PhotonWaveFields) -> DensityField:
 class DensityKind:
     """How ``run`` and ``export-slice`` build an output kind and name its components."""
 
-    build: Callable[[fs.FieldSnapshot, PhotonSpectrum], DensityField]
+    build: Callable[[fs.FieldSnapshot], DensityField]
     labels: str = ""  # components of a vector kind, in summaries and CSV headers
     pure_helicity: bool = False  # F and psi exist for one helicity only
 
@@ -294,13 +295,13 @@ class DensityKind:
 # so a rebound module attribute (a tracer's wrapper, say) is the one called.
 # The box center is the reference point of the orbital angular momentum.
 DENSITY_TABLE = {
-    "number": DensityKind(lambda f, s: number_density(f)),
-    "current": DensityKind(lambda f, s: photon_current(f), "xyz"),
-    "energy": DensityKind(lambda f, s: energy_density(f)),
-    "momentum": DensityKind(lambda f, s: momentum_density(f), "xyz"),
-    "four_momentum": DensityKind(lambda f, s: four_momentum_density(f), "txyz"),
-    "angular_momentum": DensityKind(lambda f, s: angular_momentum_density(f, (0, 0, 0)), "xyz"),
-    "bb_energy": DensityKind(lambda f, s: bb_energy_density(photon_wave_fields(f, s)), "", True),
-    "lp_number": DensityKind(lambda f, s: lp_number_density(photon_wave_fields(f, s)), "", True),
+    "number": DensityKind(lambda f: number_density(f)),
+    "current": DensityKind(lambda f: photon_current(f), "xyz"),
+    "energy": DensityKind(lambda f: energy_density(f)),
+    "momentum": DensityKind(lambda f: momentum_density(f), "xyz"),
+    "four_momentum": DensityKind(lambda f: four_momentum_density(f), "txyz"),
+    "angular_momentum": DensityKind(lambda f: angular_momentum_density(f, (0, 0, 0)), "xyz"),
+    "bb_energy": DensityKind(lambda f: bb_energy_density(photon_wave_fields(f)), "", True),
+    "lp_number": DensityKind(lambda f: lp_number_density(photon_wave_fields(f)), "", True),
 }
 DENSITY_KINDS = frozenset(DENSITY_TABLE)

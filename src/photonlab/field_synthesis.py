@@ -6,10 +6,10 @@ The discrete mode sum implemented here is
                * c_lambda(k) e_lambda(k) exp(i (k.x - omega t))
 
 with the per-mode weight g = dkx dky dkz / (2 pi)^3, i.e. exactly the cell
-weight used for k-space norms.  Relative to the symmetric-Fourier measure
-d3k/(2 pi)^{3/2} with a 1/sqrt(2) amplitude prefactor this folds in one
-conversion factor sqrt(2)/(2 pi)^{3/2}; the payoff is that discrete Parseval
-holds on any FFT-paired grid pair:
+weight ``WaveVectorGrid.cell_weight`` used for k-space norms.  Relative to the
+symmetric-Fourier measure d3k/(2 pi)^{3/2} with a 1/sqrt(2) amplitude
+prefactor this folds in one conversion factor sqrt(2)/(2 pi)^{3/2}; the
+payoff is that discrete Parseval holds on any FFT-paired grid pair:
 
     sum_x cellvol * (number density)  ==  sum_k w |c|^2
 
@@ -33,7 +33,9 @@ nothing of any one spectrum.  Each time then costs
 one exp(-i omega t) per distinct frequency (1914 for the 262144 modes of the
 64^3 desk grid), gathered to the modes, and one inverse FFT of the six
 components of A+ and E+.  B+ is transformed on first access only, so
-number-only runs never pay for it.
+number-only runs never pay for it.  A :class:`FieldSnapshot` holds the
+spectrum it was synthesized from: densities and observables read the
+helicity, the k-grid and the fields at other times from the snapshot alone.
 
 Per-mode vector arrays and synthesized fields are stored component-major
 (see :mod:`photonlab.mode_space`): every inverse and forward FFT runs over
@@ -140,11 +142,6 @@ class SpatialGrid:
             return False
         want = tuple(TWO_PI / (n * d) for n, d in zip(kgrid.n_per_axis, kgrid.delta_k))
         return np.allclose(self.delta_x, want, rtol=1e-12, atol=0)
-
-
-def mode_weight(kgrid: WaveVectorGrid) -> float:
-    """Per-mode synthesis weight g (see module docstring)."""
-    return kgrid.cell_weight
 
 
 def _read_only(arr):
@@ -263,7 +260,7 @@ class SpectralEngine:
         at several times pays for it once.
         """
         return _memo(s, "_amplitude",
-                     lambda: _read_only(self._weighted_amplitude(s, mode_weight(self.kgrid))))
+                     lambda: _read_only(self._weighted_amplitude(s, self.kgrid.cell_weight)))
 
     def _weighted_amplitude(self, s: PhotonSpectrum, weight: float):
         e_plus = leading(build_basis(self.kgrid))
@@ -272,8 +269,8 @@ class SpectralEngine:
         amp *= weight * self.mode_factor
         return trailing(amp, 1)
 
-    def snapshot(self, amplitude, t: float) -> FieldSnapshot:
-        """A+ and E+ at time t from one inverse FFT of their six components."""
+    def snapshot(self, s: PhotonSpectrum, amplitude, t: float) -> FieldSnapshot:
+        """A+ and E+ of ``s`` at time t from one inverse FFT of their six components."""
         omega = self.kgrid.omega
         # exp(-i omega t) and phase_k as one per-mode multiplier
         factor = self.time_phase(t)
@@ -286,7 +283,7 @@ class SpectralEngine:
         fields = trailing(self._transform(work), 1)
         return FieldSnapshot(
             t=t, A_plus=fields[..., :3], E_plus=fields[..., 3:],
-            amplitude=amplitude, kgrid=self.kgrid, sgrid=self.sgrid,
+            amplitude=amplitude, spectrum=s, sgrid=self.sgrid,
         )
 
 
@@ -312,10 +309,11 @@ def field_to_spectrum(field, kgrid: WaveVectorGrid, sgrid: SpatialGrid):
 
 @dataclass(frozen=True)
 class FieldSnapshot:
-    """Positive-frequency A, E, B on a spatial grid at one instant.
+    """Positive-frequency A, E, B of ``spectrum`` (on ``kgrid``) at one instant.
 
     ``amplitude`` is the time-independent vector mode amplitude of A+, so
-    that spectral operators can be applied later without a forward FFT.
+    that spectral operators can be applied later without a forward FFT;
+    it is the spectrum's own, except in the corrupted-convention control.
     ``time_phase`` (exp(-i omega t) per mode, from the engine's table of
     distinct frequencies) and ``B_plus`` are formed on first access,
     ``a_coeffs`` (the amplitude times the time phase) on each.
@@ -328,8 +326,12 @@ class FieldSnapshot:
     A_plus: np.ndarray
     E_plus: np.ndarray
     amplitude: np.ndarray
-    kgrid: WaveVectorGrid
+    spectrum: PhotonSpectrum
     sgrid: SpatialGrid
+
+    @property
+    def kgrid(self) -> WaveVectorGrid:
+        return self.spectrum.grid
 
     @cached_property
     def time_phase(self):
@@ -355,7 +357,7 @@ def _direct_amplitude(s: PhotonSpectrum, t: float):
     """
     grid = s.grid
     e_plus = build_basis(grid)
-    g = mode_weight(grid)
+    g = grid.cell_weight
     omega = grid.omega
     safe = np.where(grid.exclusion_mask, 1.0, omega)
     amp = 1j * g / np.sqrt(safe) * np.exp(-1j * omega * float(t))
@@ -369,7 +371,7 @@ def _direct_amplitude(s: PhotonSpectrum, t: float):
 def synthesize(s: PhotonSpectrum, sgrid: SpatialGrid, t: float) -> FieldSnapshot:
     """Synthesize A+, E+ and (lazily) B+ at time t on the FFT-paired ``sgrid``."""
     engine = spectral_engine(s.grid, sgrid)
-    return engine.snapshot(engine.amplitude(s), float(t))
+    return engine.snapshot(s, engine.amplitude(s), float(t))
 
 
 def _synthesize_with_weight(s: PhotonSpectrum, sgrid: SpatialGrid, t: float, weight: float):
@@ -379,7 +381,7 @@ def _synthesize_with_weight(s: PhotonSpectrum, sgrid: SpatialGrid, t: float, wei
     through the real synthesis path without a mutable module setting.
     """
     engine = spectral_engine(s.grid, sgrid)
-    return engine.snapshot(engine._weighted_amplitude(s, weight), float(t))
+    return engine.snapshot(s, engine._weighted_amplitude(s, weight), float(t))
 
 
 def _direct_eval(coeffs, kgrid, points):

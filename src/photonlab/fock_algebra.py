@@ -170,23 +170,3 @@ def commutator_expectation(v: FockVector, m: int) -> complex:
         plain += np.conj(amp) * (aad.amplitudes.get(occ, 0.0) - ada.amplitudes.get(occ, 0.0))
     return complex(v.modes.metric_sign[m] * plain)
 
-
-def longitudinal_cancellation_residual(grid, c_par, c_scalar) -> float:
-    """|T(c_par) - T(c_scalar)| with T the mode sum w * sum |c|^2.
-
-    When the longitudinal and scalar amplitude functions agree, their
-    equal-time contraction difference cancels identically (the gauge-sector
-    pair drops out of every observable); the residual measures any mismatch.
-    """
-    c_par = np.asarray(c_par, dtype=np.complex128)
-    c_scalar = np.asarray(c_scalar, dtype=np.complex128)
-    if c_par.shape != grid.n_per_axis or c_scalar.shape != grid.n_per_axis:
-        raise ValueError(
-            f"grid mismatch: expected amplitude shape {grid.n_per_axis}, "
-            f"got {c_par.shape} and {c_scalar.shape}"
-        )
-    keep = ~grid.exclusion_mask
-    w = grid.cell_weight
-    t_par = float(w * np.sum(np.abs(c_par[keep]) ** 2))
-    t_scalar = float(w * np.sum(np.abs(c_scalar[keep]) ** 2))
-    return abs(t_par - t_scalar)

@@ -68,21 +68,16 @@ def _circular_mean(weights, sgrid: fs.SpatialGrid):
     return tuple(pos)
 
 
-def _wrapped_difference(p1, p0, sgrid: fs.SpatialGrid):
-    out = []
-    for a in range(3):
-        length = sgrid.box_lengths[a]
-        d = (p1[a] - p0[a] + 0.5 * length) % length - 0.5 * length
-        out.append(d)
-    return np.asarray(out)
+def _wrap(d, length):
+    """Shortest signed difference on a periodic axis of ``length``."""
+    return (d + 0.5 * length) % length - 0.5 * length
 
 
 def _circular_distances(sgrid: fs.SpatialGrid, center):
     """Shortest wrapped distance of every grid point from ``center``."""
     d2 = np.zeros(sgrid.n_per_axis)
     for a in range(3):
-        length = sgrid.box_lengths[a]
-        d = (sgrid.axes[a] - center[a] + 0.5 * length) % length - 0.5 * length
+        d = _wrap(sgrid.axes[a] - center[a], sgrid.box_lengths[a])
         shape = [1, 1, 1]
         shape[a] = sgrid.n_per_axis[a]
         d2 = d2 + (d.reshape(shape)) ** 2
@@ -97,24 +92,20 @@ def _divergence(vec, kgrid, sgrid):
     return np.real(engine.to_field(div_coeffs))
 
 
-def continuity_residual(s: PhotonSpectrum, sgrid: fs.SpatialGrid, t: float, dt: float) -> float:
-    """|| d_t rho + div J ||_2 / || div J ||_2 with a centered time difference.
+def continuity_residual(snap: fs.FieldSnapshot, dt: float) -> float:
+    """|| d_t rho + div J ||_2 / || div J ||_2 about the time of ``snap``.
 
-    d_t rho uses snapshots at t +/- dt (exact spectral evolution), div J is
+    d_t rho is a centered difference of the number densities at t +/- dt
+    (exact spectral evolution of the snapshot's spectrum), div J is
     spectral, so the residual isolates the O((omega dt)^2) differencing error.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return _continuity_residual(s, fs.synthesize(s, sgrid, t), dt)
-
-
-def _continuity_residual(s: PhotonSpectrum, snap: fs.FieldSnapshot, dt: float) -> float:
-    """continuity_residual about the time of an existing snapshot of ``s``."""
-    sgrid, t = snap.sgrid, snap.t
+    s, sgrid, t = snap.spectrum, snap.sgrid, snap.t
     omega_max = float(np.max(s.grid.omega))
     if dt * omega_max > 0.01:
         warnings.warn("dt too large for the continuity stencil (omega_max dt > 0.01)",
-                      stacklevel=3)
+                      stacklevel=2)
     rho_p = dn.number_density(fs.synthesize(s, sgrid, t + dt)).data
     rho_m = dn.number_density(fs.synthesize(s, sgrid, t - dt)).data
     drho = (rho_p - rho_m) / (2.0 * dt)
@@ -128,33 +119,27 @@ def _continuity_residual(s: PhotonSpectrum, snap: fs.FieldSnapshot, dt: float) -
     return num / den
 
 
-def transport_speed(s: PhotonSpectrum, sgrid: fs.SpatialGrid, t0: float, t1: float) -> float:
-    """Centroid speed |x(t1) - x(t0)| / (t1 - t0) via circular means.
+def transport_speed(rho0: dn.DensityField, rho1: dn.DensityField) -> float:
+    """Centroid speed |x(t1) - x(t0)| / (t1 - t0) of two number densities via circular means.
 
     The guard band uses the 90% containment radius about the centroid: the
     slow transverse tails of on-axis helicity packets (a consequence of the
     helicity-basis phase vortex around the k_z axis) make higher quantiles
     box-limited even for well-contained cores.
     """
-    if t1 == t0:
+    if rho1.t == rho0.t:
         raise ValueError("zero interval: t1 must differ from t0")
-    rho0 = dn.number_density(fs.synthesize(s, sgrid, t0))
-    return _transport_speed(s, rho0, t1)
-
-
-def _transport_speed(s: PhotonSpectrum, rho0: dn.DensityField, t1: float) -> float:
-    """transport_speed from an existing number density at the start time."""
-    sgrid, t0 = rho0.grid, rho0.t
+    sgrid = rho0.grid
     centers = []
-    for rho in (rho0, dn.number_density(fs.synthesize(s, sgrid, t1))):
+    for rho in (rho0, rho1):
         c = _circular_mean(rho.data, sgrid)
         r90 = _containment_radius(rho.data, sgrid, c, 0.90)
         if r90 > GUARD_FRACTION * min(sgrid.box_lengths):
             raise ValueError("wraparound: packet leaves the guard band "
                              f"(r90={r90:.3g} at t={rho.t:.3g})")
         centers.append(c)
-    disp = _wrapped_difference(centers[1], centers[0], sgrid)
-    return float(np.linalg.norm(disp) / abs(t1 - t0))
+    disp = _wrap(np.subtract(centers[1], centers[0]), np.array(sgrid.box_lengths))
+    return float(np.linalg.norm(disp) / abs(rho1.t - rho0.t))
 
 
 def _containment_radius(data, sgrid, center, fraction):
@@ -186,14 +171,14 @@ def is_box_limited(width: float, sgrid: fs.SpatialGrid) -> bool:
     return width >= 0.5 * min(sgrid.box_lengths)
 
 
-def lightcone_leak(s: PhotonSpectrum, sgrid: fs.SpatialGrid, radius: float, t: float) -> float:
-    """Number-density mass found outside the light cone of the initial ball.
+def lightcone_leak(rho0: dn.DensityField, rho1: dn.DensityField, radius: float) -> float:
+    """Number-density mass of ``rho1`` outside the light cone of ``rho0``.
 
-    The state must start with at least 99.9% of its mass inside ``radius``
-    about its t=0 centroid; the leak is the mass beyond radius + c t at time
-    t (distances wrapped on the periodic box).
+    ``rho0`` must hold at least 99.9% of its mass inside ``radius`` about its
+    centroid; the leak is the mass beyond radius + c |t1 - t0| (distances
+    wrapped on the periodic box).
     """
-    rho0 = dn.number_density(fs.synthesize(s, sgrid, 0.0))
+    sgrid = rho0.grid
     center = _circular_mean(rho0.data, sgrid)
     dist = _circular_distances(sgrid, center)
     total = float(np.sum(rho0.data)) * sgrid.cell_volume
@@ -201,9 +186,8 @@ def lightcone_leak(s: PhotonSpectrum, sgrid: fs.SpatialGrid, radius: float, t: f
     if inside < 0.999 * total:
         raise ValueError("initial state is not concentrated in the given radius "
                          f"(contains {inside / total:.4f} of the mass)")
-    rho_t = dn.number_density(fs.synthesize(s, sgrid, t))
-    outside = dist > radius + abs(t)
-    return float(np.sum(rho_t.data[outside])) * sgrid.cell_volume
+    outside = dist > radius + abs(rho1.t - rho0.t)
+    return float(np.sum(rho1.data[outside])) * sgrid.cell_volume
 
 
 def expectations(s: PhotonSpectrum, sgrid: fs.SpatialGrid, t: float) -> ObservableReport:
@@ -229,14 +213,14 @@ def expectations(s: PhotonSpectrum, sgrid: fs.SpatialGrid, t: float) -> Observab
 
     omega_max = float(np.max(s.grid.omega))
     dt = 1e-3 / omega_max
-    cont = _continuity_residual(s, snap, dt)
+    cont = continuity_residual(snap, dt)
 
     probe = 3.0 * max(sgrid.delta_x)
-    speed = _transport_speed(s, rho, t + probe)
+    speed = transport_speed(rho, dn.number_density(fs.synthesize(s, sgrid, t + probe)))
 
     fields = [rho]
     if s.pure_helicity() is not None:
-        wf = dn.photon_wave_fields(snap, s)
+        wf = dn.photon_wave_fields(snap)
         fields += [dn.bb_energy_density(wf), dn.lp_number_density(wf)]
     widths = localization_widths(fields)
 

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time as _time
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,13 +37,14 @@ from .field_synthesis import (
     vector_potential_at_points,
 )
 from .fock_algebra import (
+    FockVector,
     ModeSet,
     apply_annihilate,
     apply_create,
     commutator_expectation,
     inner_product,
-    longitudinal_cancellation_residual,
     n_photon_state,
+    vacuum,
 )
 from .mode_space import (
     PhotonSpectrum,
@@ -258,19 +260,13 @@ def check_energy_momentum() -> CheckResult:
 
 
 def check_continuity() -> CheckResult:
-    packet = desk_packet()
-    spatial = desk_spatial()
+    snap = desk_snapshot()
     omega0 = 10.0
-    residual = observables.continuity_residual(packet, spatial, 0.0, 1e-3 / omega0)
+    residual = observables.continuity_residual(snap, 1e-3 / omega0)
     factors = (2e-2, 4e-2, 8e-2)
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        coarse = [
-            observables.continuity_residual(packet, spatial, 0.0, f / omega0)
-            for f in factors
-        ]
+        coarse = [observables.continuity_residual(snap, f / omega0) for f in factors]
     slope = float(np.polyfit(np.log(factors), np.log(coarse), 1)[0])
     return CheckResult(
         "continuity",
@@ -287,11 +283,11 @@ def check_helicity_spin() -> CheckResult:
     # the helicity blocks swapped: the desk packet with helicity_weights = (0, 1)
     mirror = PhotonSpectrum(desk_grid(), desk_packet().c[::-1])
     helicity_err = spin_err = 0.0
-    for packet, snap in ((desk_packet(), desk_snapshot()),
-                         (mirror, synthesize(mirror, spatial, 0.0))):
+    for snap in (desk_snapshot(), synthesize(mirror, spatial, 0.0)):
         helicity_total = float(np.sum(densities.helicity_density(snap)) * spatial.cell_volume)
-        helicity_err = max(helicity_err, abs(helicity_total - spectral_summary(packet).helicity))
-        mass = np.abs(packet.c) ** 2
+        helicity_err = max(helicity_err,
+                           abs(helicity_total - spectral_summary(snap.spectrum).helicity))
+        mass = np.abs(snap.spectrum.c) ** 2
         spin_oracle = _direction_oracle(mass[0] - mass[1])
         spin_total = np.asarray(densities.spin_angular_momentum_density(snap).integral())
         spin_err = max(spin_err, float(np.max(np.abs(spin_total - spin_oracle))))
@@ -305,9 +301,9 @@ def check_helicity_spin() -> CheckResult:
 
 
 def check_transport() -> CheckResult:
-    packet = transport_packet()
-    spatial = desk_spatial()
-    speed = observables.transport_speed(packet, spatial, 0.0, 2.0)
+    packet, spatial = transport_packet(), desk_spatial()
+    rho = [densities.number_density(synthesize(packet, spatial, t)) for t in (0.0, 2.0)]
+    speed = observables.transport_speed(*rho)
     _, packet_line = collinear_pair()
     residual = translation_check_1d(packet_line, 5.0)
     return CheckResult(
@@ -322,7 +318,7 @@ def check_transport() -> CheckResult:
 def check_omega_identity() -> CheckResult:
     snap = desk_snapshot()
     grid, spatial = desk_grid(), desk_spatial()
-    wave = densities.photon_wave_fields(snap, desk_packet())
+    wave = densities.photon_wave_fields(snap)
     half_power = densities.apply_frequency_operator(wave.psi, grid, spatial, 0.5)
     predicted = 1j * half_power
     scale = float(np.max(np.abs(wave.F)))
@@ -333,11 +329,32 @@ def check_omega_identity() -> CheckResult:
     )
 
 
+def _fock_sum(u: FockVector, v: FockVector, scale: float) -> FockVector:
+    """u + scale v."""
+    amplitudes = dict(u.amplitudes)
+    for occ, amp in v.amplitudes.items():
+        amplitudes[occ] = amplitudes.get(occ, 0.0) + scale * amp
+    return FockVector(u.modes, amplitudes)
+
+
+def _gauge_pair(r: float):
+    """N_L + N_S, <psi|psi> and (a_L + a_S) psi of psi = (a_L^dag - r a_S^dag) a_T^dag |0>.
+
+    The modes (T, L, S) have metric signs (+1, +1, -1); N_m = metric_sign[m] <a_m psi|a_m psi>.
+    """
+    modes = ModeSet(3, metric_sign=(1, 1, -1))
+    one = apply_create(vacuum(modes), 0)
+    psi = _fock_sum(apply_create(one, 1), apply_create(one, 2), -r)
+    lowered = [apply_annihilate(psi, m) for m in (1, 2)]
+    numbers = sum(modes.metric_sign[m] * inner_product(v, v) for m, v in zip((1, 2), lowered))
+    return numbers, inner_product(psi, psi), _fock_sum(*lowered, 1.0)
+
+
 def check_cancellation() -> CheckResult:
-    grid = desk_grid()
-    amplitude = desk_packet().helicity_block(+1)
-    matched = longitudinal_cancellation_residual(grid, amplitude, amplitude)
-    mismatched = longitudinal_cancellation_residual(grid, amplitude, 1.1 * amplitude)
+    """The matched pair (r = 1) cancels in all three of :func:`_gauge_pair`; r = 1.1 must not."""
+    numbers, norm, annihilated = _gauge_pair(1.0)
+    matched = max(abs(numbers), abs(norm), math.sqrt(annihilated.plain_norm_sq()))
+    mismatched = abs(_gauge_pair(1.1)[0])
     return CheckResult(
         "longitudinal-cancellation",
         (
@@ -427,19 +444,15 @@ def check_retarded_solver() -> CheckResult:
 
 
 def check_localization() -> CheckResult:
+    kinds = ("number", "bb_energy", "lp_number")
     widths = []
     for n, delta_k in ((64, 0.5), (80, 0.4)):
         grid, spatial, packet = broadband_packet(n, delta_k)
         snap = synthesize(packet, spatial, 0.0)
-        wave = densities.photon_wave_fields(snap, packet)
-        fields = (
-            densities.number_density(snap),
-            densities.bb_energy_density(wave),
-            densities.lp_number_density(wave),
-        )
+        fields = [densities.DENSITY_TABLE[kind].build(snap) for kind in kinds]
         widths.append(observables.localization_widths(fields))
     metrics = []
-    for kind in ("number", "bb_energy", "lp_number"):
+    for kind in kinds:
         a, b = widths[0][kind], widths[1][kind]
         finite = math.isfinite(a) and math.isfinite(b) and a > 0 and b > 0
         spread = abs(a - b) / a if finite else math.inf
@@ -475,7 +488,7 @@ def control_corrupted_convention() -> CheckResult:
     proving the suite would catch a silent convention drift.
     """
     packet = desk_packet()
-    weight = (2.0 * math.pi) ** 1.5 * field_synthesis.mode_weight(desk_grid())
+    weight = (2.0 * math.pi) ** 1.5 * desk_grid().cell_weight
     snap = field_synthesis._synthesize_with_weight(packet, desk_spatial(), 0.0, weight)
     total = densities.number_density(snap).integral()
     drift = abs(total - 1.0)
@@ -646,15 +659,13 @@ def build_spectrum(cfg: ScenarioConfig, grid: WaveVectorGrid):
 _DENSITY_BUILDERS = {"number": densities.number_density}
 
 
-def _spot_check(cfg: ScenarioConfig, spectrum, spatial: SpatialGrid, snap: FieldSnapshot) -> Metric:
+def _spot_check(cfg: ScenarioConfig, snap: FieldSnapshot) -> Metric:
     """Seeded FFT-vs-quadrature comparison at a few random grid points."""
     rng = np.random.default_rng(cfg.run.seed)
-    shape = spatial.n_per_axis
-    indices = np.stack(
-        [rng.integers(0, n, size=4) for n in shape], axis=1
-    )
+    spatial = snap.sgrid
+    indices = np.stack([rng.integers(0, n, size=4) for n in spatial.n_per_axis], axis=1)
     points = np.stack([spatial.axes[a][indices[:, a]] for a in range(3)], axis=1)
-    direct = vector_potential_at_points(spectrum, points, snap.t)
+    direct = vector_potential_at_points(snap.spectrum, points, snap.t)
     via_fft = snap.A_plus[tuple(indices.T)]
     scale = max(float(np.max(np.abs(snap.A_plus))), 1e-300)
     err = float(np.max(np.abs(direct - via_fft))) / scale
@@ -708,11 +719,11 @@ def run_scenario(cfg: ScenarioConfig, outdir: str) -> RunReport:
     for t_index, t in enumerate(cfg.time.t_list):
         snap = synthesize(spectrum, spatial, t)
         if t_index == 0:
-            spot = _spot_check(cfg, spectrum, spatial, snap)
+            spot = _spot_check(cfg, snap)
             results.append(CheckResult("fft-quadrature", (spot,)))
         for kind in cfg.outputs.densities:
             entry = densities.DENSITY_TABLE[kind]
-            field = entry.build(snap, spectrum)
+            field = entry.build(snap)
             if kind == "number":
                 number = field
             filename = f"{kind}_t{t_index}.f64"
@@ -817,7 +828,7 @@ def export_slice(cfg: ScenarioConfig, kind: str, plane: str, out_path: str) -> s
     spectrum = build_spectrum(cfg, grid)
     t = cfg.time.t_list[0]
     snap = synthesize(spectrum, spatial, t)
-    field = densities.DENSITY_TABLE[kind].build(snap, spectrum)
+    field = densities.DENSITY_TABLE[kind].build(snap)
 
     plane_index = int(np.argmin(np.abs(positions - coordinate)))
     data = np.take(field.data, plane_index, axis=axis)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from photonlab import cli, runner
-from photonlab.field_synthesis import SpatialGrid
+from photonlab.field_synthesis import SpatialGrid, synthesize
 from photonlab.mode_space import WaveVectorGrid, gaussian_spectrum
 
 
@@ -54,6 +54,11 @@ def small_spatial(small_grid):
 @pytest.fixture(scope="session")
 def small_packet(small_grid):
     return gaussian_spectrum(small_grid, (0.0, 0.0, 3.2), 0.55, (1.0, 0.0))
+
+
+@pytest.fixture(scope="session")
+def small_snapshot(small_spatial, small_packet):
+    return synthesize(small_packet, small_spatial, 0.0)
 
 
 @pytest.fixture(scope="session")

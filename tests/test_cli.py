@@ -323,6 +323,21 @@ def test_run_with_a_file_as_outdir_parent_exits_1_naming_the_path(
     assert blocker.read_text() == "not a directory\n"
 
 
+@pytest.mark.filterwarnings("ignore:gaussian packet is not well separated")
+def test_arithmetic_errors_exit_1_with_a_message(capsys, tmp_path, config_path):
+    """A finite, positive sigma of 1e200 passes the config but overflows in sigma**2."""
+    config_path.write_text(CONFIG.replace("packet.sigma = 1.0", "packet.sigma = 1e200"))
+    for argv, prefix in (
+        (("run", "--outdir", str(tmp_path / "out")), "run failed: OverflowError: "),
+        (("export-slice", "--kind", "number", "--plane", "z=0", "--out", str(tmp_path / "x.csv")),
+         "export failed: OverflowError: "),
+    ):
+        code, out, err = invoke(capsys, argv[0], str(config_path), *argv[1:])
+        assert code == 1
+        assert err.startswith(prefix)
+        assert "Traceback" not in err
+
+
 def test_selftest_runs_registry_and_controls(selftest_run):
     code, out, err = selftest_run
     assert code == 0, out + err

@@ -32,11 +32,6 @@ from photonlab.mode_space import (
 )
 
 
-@pytest.fixture(scope="module")
-def small_snapshot(small_spatial, small_packet):
-    return synthesize(small_packet, small_spatial, 0.0)
-
-
 def test_density_kind_registry():
     assert DENSITY_KINDS == frozenset(
         {
@@ -86,7 +81,7 @@ def test_single_mode_matches_wave_function_reading_pointwise():
     state = single_mode_spectrum(grid, (4, 2, 5), +1)
     snap = synthesize(state, spatial, 0.0)
     rho = number_density(snap).data
-    wave = photon_wave_fields(snap, state)
+    wave = photon_wave_fields(snap)
     omega = grid.omega[4, 2, 5]
     energy_reading = bb_energy_density(wave).data / omega
     assert np.max(np.abs(energy_reading - rho)) < 1e-12 * np.max(rho)
@@ -203,7 +198,7 @@ def test_wave_function_closed_forms_for_pure_helicity(small_grid, small_spatial)
     for helicity, weights in ((+1, (1.0, 0.0)), (-1, (0.0, 1.0))):
         packet = gaussian_spectrum(small_grid, (0.0, 0.0, 3.2), 0.55, weights)
         snap = synthesize(packet, small_spatial, 0.3)
-        wave = photon_wave_fields(snap, packet)
+        wave = photon_wave_fields(snap)
         assert wave.helicity == helicity
         scale = np.max(np.abs(snap.E_plus))
         assert np.max(np.abs(wave.F - snap.E_plus)) < 1e-11 * scale
@@ -214,7 +209,7 @@ def test_wave_function_closed_forms_for_pure_helicity(small_grid, small_spatial)
 
 
 def test_wave_function_norms(small_packet, small_snapshot):
-    wave = photon_wave_fields(small_snapshot, small_packet)
+    wave = photon_wave_fields(small_snapshot)
     summary = spectral_summary(small_packet)
     assert bb_energy_density(wave).integral() == pytest.approx(summary.energy, rel=1e-10)
     assert lp_number_density(wave).integral() == pytest.approx(1.0, abs=1e-10)
@@ -224,12 +219,12 @@ def test_wave_fields_require_pure_helicity(small_grid, small_spatial):
     mixed = gaussian_spectrum(small_grid, (0.0, 0.0, 3.2), 0.55, (1.0, 1.0))
     snap = synthesize(mixed, small_spatial, 0.0)
     with pytest.raises(ValueError, match="helicity"):
-        photon_wave_fields(snap, mixed)
+        photon_wave_fields(snap)
 
 
 def test_frequency_operator_identity(small_grid, small_spatial, small_packet):
     snap = synthesize(small_packet, small_spatial, 0.0)
-    wave = photon_wave_fields(snap, small_packet)
+    wave = photon_wave_fields(snap)
     predicted = 1j * apply_frequency_operator(wave.psi, small_grid, small_spatial, 0.5)
     assert np.max(np.abs(wave.F - predicted)) < 1e-11 * np.max(np.abs(wave.F))
 

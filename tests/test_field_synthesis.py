@@ -180,7 +180,7 @@ def test_field_spectrum_round_trip(small_grid, small_spatial):
 
 def test_mode_weight_hook_scales_fields(small_spatial, small_packet):
     reference = synthesize(small_packet, small_spatial, 0.0).A_plus
-    weight = 2.0 * field_synthesis.mode_weight(small_packet.grid)
+    weight = 2.0 * small_packet.grid.cell_weight
     doubled = field_synthesis._synthesize_with_weight(
         small_packet, small_spatial, 0.0, weight
     ).A_plus
@@ -188,7 +188,6 @@ def test_mode_weight_hook_scales_fields(small_spatial, small_packet):
     # the corrupted weight leaves no trace in the cached synthesis path
     again = synthesize(small_packet, small_spatial, 0.0).A_plus
     assert np.array_equal(again, reference)
-    assert field_synthesis.mode_weight(small_packet.grid) == small_packet.grid.cell_weight
 
 
 def test_real_fields_double_the_real_part(small_spatial, small_packet):

@@ -45,7 +45,7 @@ def contained_pair():
 def test_continuity_residual_is_small_at_fine_steps(contained_pair):
     spatial, packet = contained_pair
     omega_max = float(np.max(packet.grid.omega))
-    residual = continuity_residual(packet, spatial, 0.0, 1e-3 / omega_max)
+    residual = continuity_residual(synthesize(packet, spatial, 0.0), 1e-3 / omega_max)
     assert residual < 1e-7
 
 
@@ -53,53 +53,58 @@ def test_continuity_residual_scales_quadratically(contained_pair):
     spatial, packet = contained_pair
     omega_max = float(np.max(packet.grid.omega))
     factors = np.array([2e-2, 4e-2, 8e-2])
+    snap = synthesize(packet, spatial, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        residuals = [
-            continuity_residual(packet, spatial, 0.0, f / omega_max) for f in factors
-        ]
+        residuals = [continuity_residual(snap, f / omega_max) for f in factors]
     slope = np.polyfit(np.log(factors), np.log(residuals), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.2)
 
 
-def test_clipped_spectral_tail_leaves_a_residual_floor(small_spatial, small_packet):
+def test_clipped_spectral_tail_leaves_a_residual_floor(small_snapshot, small_packet):
     """The 12^3 packet is clipped at the coverage edge; the residual stops
     improving below a floor instead of following the dt^2 stencil error."""
     omega_max = float(np.max(small_packet.grid.omega))
-    fine = continuity_residual(small_packet, small_spatial, 0.0, 1e-4 / omega_max)
-    finer = continuity_residual(small_packet, small_spatial, 0.0, 1e-5 / omega_max)
+    fine = continuity_residual(small_snapshot, 1e-4 / omega_max)
+    finer = continuity_residual(small_snapshot, 1e-5 / omega_max)
     assert fine == pytest.approx(finer, rel=1e-3)
     assert fine > 1e-6
 
 
-def test_continuity_rejects_nonpositive_step(small_spatial, small_packet):
+def test_continuity_rejects_nonpositive_step(small_snapshot):
     with pytest.raises(ValueError, match="dt"):
-        continuity_residual(small_packet, small_spatial, 0.0, 0.0)
+        continuity_residual(small_snapshot, 0.0)
 
 
-def test_continuity_warns_on_coarse_step(small_spatial, small_packet):
-    with pytest.warns(UserWarning, match="continuity stencil"):
-        continuity_residual(small_packet, small_spatial, 0.0, 0.1)
+def test_continuity_warns_on_coarse_step(small_snapshot):
+    with pytest.warns(UserWarning, match="continuity stencil") as caught:
+        continuity_residual(small_snapshot, 0.1)
+    assert caught[0].filename == __file__  # the warning points at the caller
 
 
 # ---------------------------------------------------------------------------
 # Centroid transport
 
 
+def _rho(packet, spatial, t):
+    return number_density(synthesize(packet, spatial, t))
+
+
 def test_collimated_packet_moves_near_light_speed(desk_spatial, desk_packet):
-    speed = transport_speed(desk_packet, desk_spatial, 0.0, 2.0)
+    speed = transport_speed(_rho(desk_packet, desk_spatial, 0.0), _rho(desk_packet, desk_spatial, 2.0))
     assert 0.97 < speed < 1.0
 
 
 def test_transport_guard_detects_oversized_packets(small_spatial, small_packet):
     """The broad 12^3 packet overflows the quarter-box guard band."""
     with pytest.raises(ValueError, match="wraparound"):
-        transport_speed(small_packet, small_spatial, 0.0, 1.0)
+        transport_speed(_rho(small_packet, small_spatial, 0.0), _rho(small_packet, small_spatial, 1.0))
 
 
-def test_transport_rejects_zero_interval(desk_spatial, desk_packet):
+def test_transport_rejects_zero_interval(desk_snapshot):
+    rho = number_density(desk_snapshot)
     with pytest.raises(ValueError, match="interval"):
-        transport_speed(desk_packet, desk_spatial, 1.0, 1.0)
+        transport_speed(rho, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +141,11 @@ def test_no_mass_escapes_the_light_cone():
     from photonlab.runner import broadband_packet
 
     _, spatial, packet = broadband_packet(64, 0.5)
-    initially_outside = lightcone_leak(packet, spatial, 2.0, 0.0)
+    rho0 = _rho(packet, spatial, 0.0)
+    initially_outside = lightcone_leak(rho0, rho0, 2.0)
     assert initially_outside < 5e-4
     for t in (0.5, 1.0, 2.0):
-        leak = lightcone_leak(packet, spatial, 2.0, t)
+        leak = lightcone_leak(rho0, _rho(packet, spatial, t), 2.0)
         assert leak <= initially_outside * (1.0 + 1e-9)
 
 
@@ -147,10 +153,15 @@ def test_no_mass_escapes_the_light_cone():
 # Assembled report
 
 
-def test_expectations_report():
+@pytest.fixture(scope="module")
+def report_pair():
     grid = WaveVectorGrid.centered((20, 20, 20), (0.75, 0.75, 0.75))
-    spatial = SpatialGrid.paired(grid)
     packet = gaussian_spectrum(grid, (4.0, 0.0, 0.0), 0.8, (1.0, 0.0))
+    return SpatialGrid.paired(grid), packet
+
+
+def test_expectations_report(report_pair):
+    spatial, packet = report_pair
     report = expectations(packet, spatial, 0.0)
     summary = spectral_summary(packet)
     assert report.number == pytest.approx(1.0, abs=1e-10)
@@ -164,6 +175,21 @@ def test_expectations_report():
     for key in ("energy", "momentum_x", "helicity", "group_speed"):
         assert key in mapping
     assert list(mapping) == list(report.as_mapping())  # deterministic order
+
+
+def test_expectations_call_each_public_diagnostic_once(monkeypatch, report_pair):
+    """The report goes through the public functions, so a wrapper on them sees each call."""
+    calls = {}
+    for name in ("continuity_residual", "transport_speed"):
+        original = getattr(observables, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(observables, name, counted)
+    expectations(report_pair[1], report_pair[0], 0.0)
+    assert calls == {"continuity_residual": 1, "transport_speed": 1}
 
 
 def test_expectations_require_normalized_input(small_grid, small_spatial):

@@ -1,4 +1,4 @@
-"""The experiment scripts still import and parse their arguments."""
+"""The experiment scripts import, parse their arguments and run."""
 
 from __future__ import annotations
 
@@ -77,3 +77,23 @@ def test_bench_pairs_spread_gives_inclusive_quartiles():
     assert spread([5.0, 1.0, 4.0, 2.0, 3.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0}
     assert spread([1.0, 2.0, 3.0, 4.0]) == {"median": 2.5, "q1": 1.75, "q3": 3.25}
     assert spread([0.7]) == {"median": 0.7, "q1": 0.7, "q3": 0.7}
+
+
+def _run_script(name, args, capsys, monkeypatch):
+    """stdout of scripts/<name> run as a program with ``args``."""
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT_DIR / name), *args])
+    runpy.run_path(str(SCRIPT_DIR / name), run_name="__main__")
+    return capsys.readouterr().out
+
+
+def test_transport_demo_runs_and_reports_the_centroid_speed(capsys, monkeypatch):
+    out = _run_script("transport_demo.py", ["--n", "40", "--samples", "2", "--t-max", "1.0"],
+                      capsys, monkeypatch)
+    assert "end-to-end centroid speed over [0, 1.0]: 0.98712 " in out
+
+
+def test_localization_scan_runs_and_reports_three_widths(capsys, monkeypatch):
+    out = _run_script("localization_scan.py", ["--n", "40", "--sigmas", "1.5"],
+                      capsys, monkeypatch)
+    # sigma, r99 of number, |F|^2 and |psi|^2, 1/sigma
+    assert out.splitlines()[-1].split() == ["1.50", "3.4134", "3.6745", "3.4134", "0.6667"]

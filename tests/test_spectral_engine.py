@@ -124,7 +124,7 @@ def test_psi_matches_the_real_field_round_trip(packet):
     s = packet()
     sgrid = SpatialGrid.paired(s.grid)
     snap = synthesize(s, sgrid, 0.3)
-    wave = densities.photon_wave_fields(snap, s)
+    wave = densities.photon_wave_fields(snap)
     A, E, _ = field_synthesis.real_fields(snap)
     half_a = densities.apply_frequency_operator(A, s.grid, sgrid, 0.5)
     inv_half_e = densities.apply_frequency_operator(E, s.grid, sgrid, -0.5)
@@ -194,7 +194,7 @@ def test_fft_counts_per_density(fft_calls, small_grid, small_spatial, small_pack
     assert len(fft_calls["ifftn"]) == 1
     densities.momentum_density(snap)
     assert fft_calls["ifftn"][-1] == (3, 3) + small_grid.n_per_axis
-    densities.photon_wave_fields(snap, small_packet)  # B+ on first access, then psi
+    densities.photon_wave_fields(snap)  # B+ on first access, then psi
     densities.photon_current(snap)  # reuses B+
     assert len(fft_calls["ifftn"]) == 4
     assert fft_calls["fftn"] == []
@@ -207,7 +207,7 @@ ALL_KINDS = ("number", "current", "energy", "momentum",
 def test_all_kinds_share_four_transforms(fft_calls, small_grid, small_spatial, small_packet):
     snap = synthesize(small_packet, small_spatial, 0.2)
     for kind in ALL_KINDS:
-        densities.DENSITY_TABLE[kind].build(snap, small_packet)
+        densities.DENSITY_TABLE[kind].build(snap)
     n = small_grid.n_per_axis
     # synthesis, B+, the momentum transform, psi
     assert fft_calls["ifftn"] == [(6,) + n, (3,) + n, (3, 3) + n, (3,) + n]
@@ -216,30 +216,41 @@ def test_all_kinds_share_four_transforms(fft_calls, small_grid, small_spatial, s
 
 def test_shared_kinds_equal_each_kind_computed_alone(small_spatial, small_packet):
     snap = synthesize(small_packet, small_spatial, 0.2)
-    shared = {kind: densities.DENSITY_TABLE[kind].build(snap, small_packet) for kind in ALL_KINDS}
+    shared = {kind: densities.DENSITY_TABLE[kind].build(snap) for kind in ALL_KINDS}
     for kind in ALL_KINDS:
-        alone = densities.DENSITY_TABLE[kind].build(synthesize(small_packet, small_spatial, 0.2),
-                                                    small_packet)
+        alone = densities.DENSITY_TABLE[kind].build(synthesize(small_packet, small_spatial, 0.2))
         assert np.array_equal(shared[kind].data, alone.data), kind
 
 
 def test_wave_fields_are_kept_per_helicity(small_grid, small_spatial, small_packet):
     minus = gaussian_spectrum(small_grid, (0.0, 0.0, 3.2), 0.55, (0.0, 1.0))
-    snap = synthesize(small_packet, small_spatial, 0.2)
-    for s in (small_packet, minus, small_packet):
-        kept = densities.photon_wave_fields(snap, s)
-        alone = densities.photon_wave_fields(synthesize(small_packet, small_spatial, 0.2), s)
+    for s in (small_packet, minus):
+        snap = synthesize(s, small_spatial, 0.2)
+        kept = densities.photon_wave_fields(snap)
+        alone = densities.photon_wave_fields(synthesize(s, small_spatial, 0.2))
         assert kept.helicity == s.pure_helicity()
         assert np.array_equal(kept.F, alone.F)
         assert np.array_equal(kept.psi, alone.psi)
-    assert densities.photon_wave_fields(snap, small_packet) is kept
+        assert densities.photon_wave_fields(snap) is kept
+
+
+def test_wave_fields_are_built_once_per_snapshot(fft_calls, small_grid, small_spatial,
+                                                 small_packet):
+    snap = synthesize(small_packet, small_spatial, 0.2)
+    wave = densities.photon_wave_fields(snap)
+    n = small_grid.n_per_axis
+    assert fft_calls["ifftn"] == [(6,) + n, (3,) + n, (3,) + n]  # synthesis, B+, psi
+    for kind in ("bb_energy", "lp_number"):
+        densities.DENSITY_TABLE[kind].build(snap)
+    assert densities.photon_wave_fields(snap) is wave
+    assert len(fft_calls["ifftn"]) == 3
 
 
 def test_kept_momentum_and_wave_fields_are_read_only(small_spatial, small_packet):
     snap = synthesize(small_packet, small_spatial, 0.2)
     momentum = densities.momentum_density(snap).data
     assert densities.momentum_density(snap).data is momentum
-    wave = densities.photon_wave_fields(snap, small_packet)
+    wave = densities.photon_wave_fields(snap)
     for arr in (momentum, wave.F, wave.psi):
         with pytest.raises(ValueError):
             arr[0, 0, 0] = 1.0
@@ -277,7 +288,7 @@ def test_kinds_are_c_ordered_and_fields_keep_their_shape(small_grid, small_spati
     for field in (snap.A_plus, snap.E_plus, snap.B_plus):
         assert field.shape == shape
     for kind in ALL_KINDS:
-        data = densities.DENSITY_TABLE[kind].build(snap, small_packet).data
+        data = densities.DENSITY_TABLE[kind].build(snap).data
         assert data.flags.c_contiguous, kind
         assert data.shape[:3] == small_grid.n_per_axis, kind
 
