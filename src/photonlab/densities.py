@@ -43,6 +43,13 @@ thus cost four inverse FFTs in total: the synthesis, B+, the momentum
 transform and psi.  The kept arrays are shared by every caller and are read-only;
 ``momentum_density`` returns P itself, so copy its data before modifying it.
 
+The contractions (:func:`_contract_pair`, behind the number, energy,
+momentum and helicity densities), the cross products and the per-mode
+products run in x-slabs on the threads of the spectral engine, under its
+rule that a slab callback allocates nothing and writes only into arrays the
+calling function allocated (see :mod:`photonlab.field_synthesis`); the
+results are bitwise identical for any thread count.
+
 The coefficient arrays handed to the transforms (the (3, 3) momentum block,
 the helicity and psi amplitudes) are built component-major, the layout the
 engine transforms in place (see :mod:`photonlab.field_synthesis`).  Every
@@ -82,11 +89,30 @@ class DensityField:
         return self.grid.cell_volume * np.sum(self.data, axis=spatial)
 
 
-def _im_dot(a, b, subscripts="...c,...c->..."):
-    """Im(conj(a) . b) contracted per ``subscripts``, in real arithmetic, C-ordered."""
-    out = np.einsum(subscripts, a.real, b.imag, order="C")
-    out -= np.einsum(subscripts, a.imag, b.real, order="C")
+def _contract_pair(subscripts, first, second, combine, shape):
+    """combine(einsum(subscripts, *first), einsum(subscripts, *second)), C-ordered ``shape``.
+
+    Evaluated in x-slabs into two arrays allocated here (see module docs).
+    """
+    out = np.empty(shape)
+    scratch = np.empty(shape)
+
+    def contract(x):
+        np.einsum(subscripts, *(op[x] for op in first), out=out[x])
+        np.einsum(subscripts, *(op[x] for op in second), out=scratch[x])
+        combine(out[x], scratch[x], out=out[x])
+
+    fs._in_slabs(contract, shape[0])
     return out
+
+
+def _im_dot(a, b, subscripts="...c,...c->..."):
+    """Im(conj(a) . b) contracted per ``subscripts``, in real arithmetic.
+
+    The result has the shape of ``b`` without its last axis.
+    """
+    return _contract_pair(subscripts, (a.real, b.imag), (a.imag, b.real), np.subtract,
+                          b.shape[:-1])
 
 
 def number_density(f: fs.FieldSnapshot) -> DensityField:
@@ -94,7 +120,8 @@ def number_density(f: fs.FieldSnapshot) -> DensityField:
 
     Integrates to the k-space norm.
     """
-    rho = SIGMA * _im_dot(f.E_plus, f.A_plus)
+    rho = _im_dot(f.E_plus, f.A_plus)
+    rho *= SIGMA
     return DensityField("number", rho, f.t, f.sgrid)
 
 
@@ -124,8 +151,8 @@ def _operator_density(f: fs.FieldSnapshot, op_coeffs):
 def _energy(f: fs.FieldSnapshot):
     """H = -sigma |E+|^2, the omega-multiplier form without a transform."""
     e_plus = f.E_plus
-    out = np.einsum("...c,...c->...", e_plus.real, e_plus.real)
-    out += np.einsum("...c,...c->...", e_plus.imag, e_plus.imag)
+    out = _contract_pair("...c,...c->...", (e_plus.real, e_plus.real),
+                         (e_plus.imag, e_plus.imag), np.add, e_plus.shape[:-1])
     out *= -SIGMA
     return out
 
@@ -137,8 +164,10 @@ def _momentum(f: fs.FieldSnapshot):
     """
 
     def build():
-        op_coeffs = leading(f.kgrid.k_vectors)[:, None] * leading(f.amplitude)[None, :]
-        op_coeffs *= f.time_phase
+        k, amp = leading(f.kgrid.k_vectors), leading(f.amplitude)
+        op_coeffs = np.empty((3, 3) + f.kgrid.n_per_axis, np.complex128)
+        fs._multiply(k[:, None], amp[None, :], op_coeffs)
+        fs._multiply(op_coeffs, f.time_phase, op_coeffs)
         return fs._read_only(_operator_density(f, trailing(op_coeffs, 2)))
 
     return fs._memo(f, "_momentum", build)

@@ -531,7 +531,8 @@ def self_test() -> int:
     started = _time.perf_counter()
     print(
         f"photonlab {__version__} selftest: "
-        f"number-density sign sigma = {densities.SIGMA:+d} (constant)"
+        f"number-density sign sigma = {densities.SIGMA:+d} (constant), "
+        f"threads = {field_synthesis._workers()}"
     )
     failed = []
     for name, fn in ACCEPTANCE_CHECKS + CONTROL_CHECKS:
@@ -707,10 +708,10 @@ def run_scenario(cfg: ScenarioConfig, outdir: str) -> RunReport:
     configuration to summary bytes is pure: rerunning the same configuration
     overwrites the files with identical content.
     """
-    os.makedirs(outdir, exist_ok=True)
     grid = build_grid(cfg)
     spatial = SpatialGrid.paired(grid)
     spectrum = build_spectrum(cfg, grid)
+    os.makedirs(outdir, exist_ok=True)
 
     artifacts: dict[str, str] = {}
     summary_values: dict[str, str] = {}

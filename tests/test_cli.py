@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import photonlab
-from photonlab import __version__
+from photonlab import __version__, field_synthesis
 from photonlab.cli import main
 from photonlab.runner import read_array, write_array
 
@@ -338,10 +338,23 @@ def test_arithmetic_errors_exit_1_with_a_message(capsys, tmp_path, config_path):
         assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("ignore:gaussian packet is not well separated")
+def test_a_run_that_fails_before_writing_leaves_no_outdir(capsys, tmp_path, config_path):
+    """The spectrum is built before the output directory is made."""
+    config_path.write_text(CONFIG.replace("packet.sigma = 1.0", "packet.sigma = 1e200"))
+    outdir = tmp_path / "out"
+    code, _, err = invoke(capsys, "run", str(config_path), "--outdir", str(outdir))
+    assert code == 1
+    assert err.startswith("run failed: OverflowError: ")
+    assert not outdir.exists()
+
+
 def test_selftest_runs_registry_and_controls(selftest_run):
     code, out, err = selftest_run
     assert code == 0, out + err
-    assert "number-density sign sigma = -1 (constant)" in out
+    header = out.splitlines()[0]
+    assert header.endswith(
+        f"number-density sign sigma = -1 (constant), threads = {field_synthesis._workers()}")
     for name in (
         "fock-identities",
         "number-norm",

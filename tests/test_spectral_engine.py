@@ -4,6 +4,8 @@ Parseval, the transform-free density forms, caching and FFT counts."""
 from __future__ import annotations
 
 import gc
+import multiprocessing
+import os
 import weakref
 
 import numpy as np
@@ -323,17 +325,76 @@ def test_two_runs_of_one_config_build_the_basis_once(tmp_path):
 
 
 def test_fields_do_not_depend_on_the_thread_count(monkeypatch):
-    """README: results do not depend on PHOTONLAB_THREADS."""
-    grid = WaveVectorGrid.centered((16, 16, 16), (0.8, 0.8, 0.8))
-    s = _random_spectrum(grid, 11)
+    """README: results do not depend on PHOTONLAB_THREADS, also with uneven x-slabs.
+
+    Every density kind, B+ and the helicity density are compared bitwise
+    between one thread and two (15 x-planes: slabs of 7 and 8); fresh
+    spectra per setting, so their amplitudes are rebuilt too.
+    """
+    monkeypatch.setattr(field_synthesis, "_cpus", lambda: 2)  # two slabs on any machine
+    grid = WaveVectorGrid.centered((15, 16, 12), (0.8, 0.8, 0.8))
     sgrid = SpatialGrid.paired(grid)
-    fields = {}
+    outputs = {}
     for threads in ("2", "1"):
         monkeypatch.setenv("PHOTONLAB_THREADS", threads)
-        snap = synthesize(s, sgrid, 0.4)
-        fields[threads] = (snap.A_plus, snap.E_plus, snap.B_plus)
-    for two, one in zip(fields["2"], fields["1"]):
+        assert field_synthesis._workers() == int(threads)
+        mixed = _random_spectrum(grid, 11)
+        pure = PhotonSpectrum(grid, mixed.c * np.array([1.0, 0.0])[:, None, None, None])
+        arrays = []
+        for s in (mixed, pure):
+            snap = synthesize(s, sgrid, 0.4)
+            arrays += [snap.A_plus, snap.E_plus, snap.B_plus, densities.helicity_density(snap)]
+            arrays += [entry.build(snap).data for entry in densities.DENSITY_TABLE.values()
+                       if s is pure or not entry.pure_helicity]
+        outputs[threads] = arrays
+    assert len(outputs["1"]) == 8 + 6 + len(densities.DENSITY_TABLE)
+    for two, one in zip(outputs["2"], outputs["1"], strict=True):
         assert np.array_equal(two, one)
+
+
+def test_slab_bounds_cover_every_index_once():
+    """Contiguous, ordered, non-empty slabs whose sizes differ by at most one."""
+    for n in range(1, 71):
+        for parts in range(1, 5):
+            slabs = field_synthesis._slab_bounds(n, parts)
+            assert len(slabs) == min(n, parts)
+            covered = np.concatenate([np.arange(n)[x] for x in slabs])
+            assert np.array_equal(covered, np.arange(n))
+            sizes = [x.stop - x.start for x in slabs]
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+
+def _slab_pass_exit_code():
+    out = np.zeros(9)
+    field_synthesis._in_slabs(lambda x: out.__setitem__(x, 1.0), out.size)
+    os._exit(0 if out.all() else 1)
+
+
+def test_a_forked_child_runs_slab_passes(monkeypatch):
+    """A child forked after the pool started has none of its threads and must make its own."""
+    monkeypatch.setattr(field_synthesis, "_cpus", lambda: 2)
+    monkeypatch.setenv("PHOTONLAB_THREADS", "2")
+    field_synthesis._in_slabs(lambda x: None, 2)  # the parent's pool is running
+    child = multiprocessing.get_context("fork").Process(target=_slab_pass_exit_code)
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join(timeout=10)
+    assert child.exitcode == 0
+
+
+def test_thread_setting_is_clamped_to_the_cpus(monkeypatch):
+    """README: the default is the CPU count, a setting is clamped to [1, CPU count]."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count()
+    monkeypatch.delenv("PHOTONLAB_THREADS", raising=False)
+    assert field_synthesis._workers() == cpus
+    for setting, want in (("100000", cpus), ("0", 1), ("-3", 1), ("two", 1), ("1.5", 1)):
+        monkeypatch.setenv("PHOTONLAB_THREADS", setting)
+        assert field_synthesis._workers() == want
 
 
 def test_the_shared_engine_keeps_nothing_of_a_spectrum(small_grid, small_spatial,
