@@ -55,9 +55,10 @@ pool.  No pass reduces across x, and each element sees the same operations
 in the same order, so every output is bitwise identical for any thread
 count.  A slab callback writes only into arrays that its caller allocated
 (``out=`` and in-place ufuncs) and allocates nothing of its own: the C
-library keeps memory freed on a pool thread in that thread's heap, which
-raised the peak memory of a 64^3 run by 12-16 MB when the callbacks made
-temporaries.
+library keeps memory freed on a pool thread in that thread's heap.  On a
+2-vCPU machine, two callbacks that made one temporary each (``1j * omega``
+of the slab, one einsum result) raised the peak memory of a 64^3 run by
+2-3 MB.
 
 The direct quadrature (:func:`synthesize_at_points`,
 :func:`vector_potential_at_points`) has its own amplitude formula, evaluates
