@@ -10,7 +10,8 @@ its own, unmodified ``perfbench/run.py`` on its own sources.
 The output JSON holds, per workload, every run's end-to-end metrics, each
 side's median and quartiles per metric (inclusive method), the number of
 pairs in which the change is better (the direction comes from
-``BENCHMARK.json``), and the environment record of the runs.
+``BENCHMARK.json``), and the environment record of each side's first
+successful run (``environment.parent``, ``environment.change``).
 
 Example
 -------
@@ -116,7 +117,7 @@ def main(argv=None) -> int:
         "command": "perfbench/run.py --trace 0",
         "seconds": seconds,
         "revisions": {side: revision(path) for side, path in sides.items()},
-        "environment": None,
+        "environment": dict.fromkeys(sides),
         "workloads": {},
     }
     started = time.time()
@@ -134,7 +135,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: {exc}", file=sys.stderr)
                     continue
                 pair[side] = {"metrics": metrics, "speed_factor": detail["speed_factor"]}
-                report["environment"] = report["environment"] or detail["environment"]
+                report["environment"][side] = report["environment"][side] or detail["environment"]
                 print(f"{workload} seed {seed} {side}: op_s_p50 {metrics['op_s_p50']:.3f}",
                       file=sys.stderr, flush=True)
             runs.append(pair)

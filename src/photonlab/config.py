@@ -41,7 +41,8 @@ from .mode_space import WaveVectorGrid
 PACKET_KINDS = ("gaussian", "single_mode", "localized", "collinear")
 # Largest time.steps accepted: every time costs one full-grid synthesis
 MAX_TIME_STEPS = 10_000
-# Largest grid accepted (128^3): at ~0.6 KB per point for all densities, ~1.3 GB
+# Largest grid accepted (128^3): a cold run of all densities peaks at ~0.58 KB
+# per point (tracemalloc, 64^3 and 96^3), ~1.2 GB
 MAX_GRID_POINTS = 128**3
 UNIT_SYSTEMS = ("natural", "si")
 

@@ -24,10 +24,12 @@ where Omega is the spectral multiplier c|k|.  Both carry a 1/sqrt(2) on top
 of the sqrt(epsilon_0/2)-style prefactors so that they share the photon-number
 normalization of rho: a monochromatic mode then satisfies |F|^2 = omega rho
 pointwise, and F = i Omega^{1/2} psi holds spectrally either way.  F is built
-from the real fields E and B (B+ is transformed on first access).  In psi
-the negative-frequency parts cancel, (1/2) Omega^{1/2} (A- - A-) = 0, and the
-positive ones add, so psi = Omega^{1/2} A+: one inverse FFT of
-sqrt(omega) times the mode amplitudes, with no forward transform.  The
+from the real fields E = 2 Re E+ and B = 2 Re B+ (B+ is transformed on first
+access): (1/2)(E + i lambda B) is exactly Re E+ + i lambda Re B+, written
+into one complex array with no full-grid temporary.  In psi the
+negative-frequency parts cancel, (1/2) Omega^{1/2} (A- - A-) = 0, and the
+positive ones add, so psi = Omega^{1/2} A+: one inverse FFT of the fresh
+mode amplitudes scaled in place by sqrt(omega), with no forward transform.  The
 half-power identity F = i Omega^{1/2} psi is then checked against F from the
 real fields, and stays a test of the two constructions, not a tautology.
 
@@ -286,11 +288,12 @@ def photon_wave_fields(f: fs.FieldSnapshot) -> PhotonWaveFields:
         lam = f.spectrum.pure_helicity()
         if lam is None:
             raise ValueError("mixed-helicity spectrum: F and psi need a pure helicity")
-        E = 2.0 * np.real(f.E_plus)
-        B = 2.0 * np.real(f.B_plus)
-        half = 0.5  # = (1/sqrt 2) * sqrt(1/2): photon-number normalization, cf. module docs
-        F = half * (E + 1j * lam * B)
-        psi_coeffs = np.sqrt(f.kgrid.omega) * leading(f.a_coeffs)
+        # (1/2)(E + i lam B) with E = 2 Re E+, B = 2 Re B+: Re E+ + i lam Re B+ exactly
+        F = np.empty(f.E_plus.shape, np.complex128)
+        np.copyto(F.real, f.E_plus.real)
+        np.multiply(lam, f.B_plus.real, out=F.imag)
+        psi_coeffs = leading(f.a_coeffs)  # a fresh array, scaled in place
+        np.multiply(np.sqrt(f.kgrid.omega), psi_coeffs, out=psi_coeffs)
         psi = fs.spectral_engine(f.kgrid, f.sgrid).to_field(trailing(psi_coeffs, 1),
                                                             overwrite=True)
         return PhotonWaveFields(helicity=lam, F=fs._read_only(F), psi=fs._read_only(psi),

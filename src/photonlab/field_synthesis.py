@@ -47,8 +47,9 @@ Every FFT runs on :func:`_workers` threads: the CPUs the process may run
 on, or ``PHOTONLAB_THREADS`` clamped to [1, that count].  pocketfft splits
 its 1-D lines over them, so a transform does not depend on the count.  The
 per-mode and per-point passes (the time-phase multiplier of a snapshot, the
-two phase factors of every transform, the amplitude, the cross products and
-the density bilinears of :mod:`photonlab.densities`) run through
+two phase factors of every transform, the amplitude, the cross products, the
+density bilinears of :mod:`photonlab.densities` and the oracle's own
+amplitude) run through
 :func:`_in_slabs`: one call per contiguous slab of the leading spatial
 axis x, the first on the calling thread and the others on one process-wide
 pool.  No pass reduces across x, and each element sees the same operations
@@ -64,7 +65,9 @@ The direct quadrature (:func:`synthesize_at_points`,
 :func:`vector_potential_at_points`) has its own amplitude formula, evaluates
 its own exp(-i omega t) per mode and never reads the engine: it is the
 oracle the FFT path is checked against.  It shares only the basis of
-:func:`~photonlab.mode_space.build_basis` with the FFT path.  It forms
+:func:`~photonlab.mode_space.build_basis` and the slab helper with the FFT
+path, and builds its amplitude one component at a time into arrays of its
+own.  It forms
 exp(i k.x) at each point as the outer product of the three per-axis factors
 exp(i k_a x_a) over ``kgrid.axes``, computed in place and never through the
 engine's phase helper or an FFT, so it checks the engine's origin and k_min
@@ -460,18 +463,50 @@ def _direct_amplitude(s: PhotonSpectrum, t: float):
     """Grid-order vector amplitude of A+ including the exp(-i omega t) phase.
 
     Its own formula and time phase on the basis of :func:`build_basis`, never
-    the engine: this feeds the oracle.
+    the engine: this feeds the oracle.  Per mode, a = i g omega^{-1/2}
+    exp(-i omega t) (0 on the excluded modes) and a+- = a c+-; then, per
+    component, coeffs = a+ e+ + a- conj(e+).  Evaluated in x-slabs into
+    arrays allocated here (see module docs), with the operands of every
+    product in the order of the one-expression form
+    ``(a c+) e+ + (a c-) conj(e+)``: a SIMD complex multiply need not give
+    the same bits with its operands swapped.
     """
     grid = s.grid
     e_plus = build_basis(grid)
-    g = grid.cell_weight
-    omega = grid.omega
-    safe = np.where(grid.exclusion_mask, 1.0, omega)
-    amp = 1j * g / np.sqrt(safe) * np.exp(-1j * omega * float(t))
-    amp = np.where(grid.exclusion_mask, 0.0, amp)
+    weight = 1j * grid.cell_weight
+    omega, mask = grid.omega, grid.exclusion_mask
+    c_plus, c_minus = s.c
+    t = float(t)
+    root = np.empty(omega.shape)
+    a_plus = np.empty(omega.shape, np.complex128)
+    a_minus = np.empty_like(a_plus)
+    term = np.empty_like(a_plus)
     # C-ordered, so the quadrature's BLAS products sum in one fixed order
-    coeffs = np.multiply(amp[..., None] * s.c[0][..., None], e_plus, order="C")
-    coeffs += amp[..., None] * s.c[1][..., None] * np.conj(e_plus)
+    coeffs = np.empty(omega.shape + (3,), np.complex128)
+
+    def fill(x):
+        a, root_x, term_x = a_plus[x], root[x], term[x]
+        # a = i g / sqrt(omega) * exp(-i omega t), 0 on the excluded modes
+        np.copyto(root_x, omega[x])
+        np.copyto(root_x, 1.0, where=mask[x])
+        np.sqrt(root_x, out=root_x)
+        np.divide(weight, root_x, out=a)
+        np.multiply(-1j, omega[x], out=term_x)
+        np.multiply(term_x, t, out=term_x)
+        np.exp(term_x, out=term_x)
+        np.multiply(a, term_x, out=a)
+        np.copyto(a, 0.0, where=mask[x])
+        # a- = a c-, then a+ = a c+ in place of a
+        np.multiply(a, c_minus[x], out=a_minus[x])
+        np.multiply(a, c_plus[x], out=a)
+        for i in range(3):
+            out = coeffs[x, ..., i]
+            np.multiply(a, e_plus[x, ..., i], out=out)
+            np.conjugate(e_plus[x, ..., i], out=term_x)
+            np.multiply(a_minus[x], term_x, out=term_x)
+            np.add(out, term_x, out=out)
+
+    _in_slabs(fill, omega.shape[0])
     return coeffs
 
 

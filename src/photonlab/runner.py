@@ -660,13 +660,21 @@ def build_spectrum(cfg: ScenarioConfig, grid: WaveVectorGrid):
 _DENSITY_BUILDERS = {"number": densities.number_density}
 
 
-def _spot_check(cfg: ScenarioConfig, snap: FieldSnapshot) -> Metric:
-    """Seeded FFT-vs-quadrature comparison at a few random grid points."""
+def _spot_oracle(cfg: ScenarioConfig, spectrum: PhotonSpectrum, spatial: SpatialGrid, t: float):
+    """The seeded spot points (grid indices) and the quadrature A+ there.
+
+    Runs before the first snapshot exists, so the oracle's full-grid
+    amplitude and the snapshot's fields are never held at once.
+    """
     rng = np.random.default_rng(cfg.run.seed)
-    spatial = snap.sgrid
     indices = np.stack([rng.integers(0, n, size=4) for n in spatial.n_per_axis], axis=1)
     points = np.stack([spatial.axes[a][indices[:, a]] for a in range(3)], axis=1)
-    direct = vector_potential_at_points(snap.spectrum, points, snap.t)
+    return indices, vector_potential_at_points(spectrum, points, t)
+
+
+def _spot_check(cfg: ScenarioConfig, oracle, snap: FieldSnapshot) -> Metric:
+    """FFT-vs-quadrature comparison of ``snap`` at the points of :func:`_spot_oracle`."""
+    indices, direct = oracle
     via_fft = snap.A_plus[tuple(indices.T)]
     scale = max(float(np.max(np.abs(snap.A_plus))), 1e-300)
     err = float(np.max(np.abs(direct - via_fft))) / scale
@@ -700,6 +708,33 @@ def _si_scale_lines(cfg: ScenarioConfig) -> list[str]:
     ]
 
 
+def _export_time(cfg: ScenarioConfig, snap: FieldSnapshot, t_index: int, oracle, outdir: str,
+                 artifacts: dict[str, str], summary_values: dict[str, str]) -> list[CheckResult]:
+    """Write the densities of one snapshot; at the first time, return its checks."""
+    results = []
+    if t_index == 0:
+        results.append(CheckResult("fft-quadrature", (_spot_check(cfg, oracle, snap),)))
+    for kind in cfg.outputs.densities:
+        entry = densities.DENSITY_TABLE[kind]
+        field = entry.build(snap)
+        filename = f"{kind}_t{t_index}.f64"
+        artifacts[filename] = write_array(os.path.join(outdir, filename), field.data, kind, snap.t)
+        integral = field.integral()
+        if np.ndim(integral) == 0:
+            summary_values[f"integral.{kind}.t{t_index}"] = f"{float(integral):.17g}"
+        else:
+            for label, value in zip(entry.labels, integral, strict=True):
+                summary_values[f"integral.{kind}.{label}.t{t_index}"] = f"{float(value):.17g}"
+        if kind == "number":
+            number = integral
+    if t_index == 0 and "number" in cfg.outputs.densities:
+        results.append(CheckResult(
+            "number-norm",
+            (Metric("norm_drift", abs(number - 1.0), cfg.tolerance("number_norm")),),
+        ))
+    return results
+
+
 def run_scenario(cfg: ScenarioConfig, outdir: str) -> RunReport:
     """Execute one configured scenario and export its artifacts.
 
@@ -707,6 +742,10 @@ def run_scenario(cfg: ScenarioConfig, outdir: str) -> RunReport:
     integrals, check outcomes and artifact hashes.  The mapping from
     configuration to summary bytes is pure: rerunning the same configuration
     overwrites the files with identical content.
+
+    The spot-check oracle's quadrature runs first, before any snapshot
+    exists; the snapshots are then made one at a time, each freed before
+    the next is synthesized, so a run holds one full-grid field set at once.
     """
     grid = build_grid(cfg)
     spatial = SpatialGrid.paired(grid)
@@ -715,34 +754,12 @@ def run_scenario(cfg: ScenarioConfig, outdir: str) -> RunReport:
 
     artifacts: dict[str, str] = {}
     summary_values: dict[str, str] = {}
+    oracle = _spot_oracle(cfg, spectrum, spatial, cfg.time.t_list[0])
     results: list[CheckResult] = []
-
     for t_index, t in enumerate(cfg.time.t_list):
-        snap = synthesize(spectrum, spatial, t)
-        if t_index == 0:
-            spot = _spot_check(cfg, snap)
-            results.append(CheckResult("fft-quadrature", (spot,)))
-        for kind in cfg.outputs.densities:
-            entry = densities.DENSITY_TABLE[kind]
-            field = entry.build(snap)
-            if kind == "number":
-                number = field
-            filename = f"{kind}_t{t_index}.f64"
-            artifacts[filename] = write_array(os.path.join(outdir, filename), field.data, kind, t)
-            integral = field.integral()
-            if np.ndim(integral) == 0:
-                summary_values[f"integral.{kind}.t{t_index}"] = f"{float(integral):.17g}"
-            else:
-                for label, value in zip(entry.labels, integral, strict=True):
-                    summary_values[f"integral.{kind}.{label}.t{t_index}"] = f"{float(value):.17g}"
-        if t_index == 0 and "number" in cfg.outputs.densities:
-            total = number.integral()
-            results.append(
-                CheckResult(
-                    "number-norm",
-                    (Metric("norm_drift", abs(total - 1.0), cfg.tolerance("number_norm")),),
-                )
-            )
+        # one snapshot at a time: the previous one is freed with the helper's frame
+        results += _export_time(cfg, synthesize(spectrum, spatial, t), t_index, oracle, outdir,
+                                artifacts, summary_values)
 
     summary_path = None
     if cfg.outputs.summary:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -77,6 +78,33 @@ def test_bench_pairs_spread_gives_inclusive_quartiles():
     assert spread([5.0, 1.0, 4.0, 2.0, 3.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0}
     assert spread([1.0, 2.0, 3.0, 4.0]) == {"median": 2.5, "q1": 1.75, "q3": 3.25}
     assert spread([0.7]) == {"median": 0.7, "q1": 0.7, "q3": 0.7}
+
+
+def test_bench_pairs_records_the_environment_of_each_side(tmp_path, capsys):
+    """Each side's own environment, not the first run's for both."""
+    main = _bench_pairs()["main"]
+    root = main.__globals__["ROOT"]
+    metrics = {name: 1.0 for name in ("setup_s", "first_op_s", "op_s_p50", "ops_per_s",
+                                      "peak_rss_mb", "ok_ratio")}
+    calls = []
+
+    def run_once(side_root, workload, seed, seconds):
+        side = "change" if side_root == root else "parent"
+        calls.append((side, workload, seed))
+        workers = 2 if side == "change" else 1
+        return dict(metrics), {"speed_factor": 1.0,
+                               "environment": {"photonlab_fft_workers": workers}}
+
+    out = tmp_path / "bench.json"
+    main.__globals__["run_once"] = run_once
+    assert main(["--parent", str(tmp_path), "--pairs", "time_sweep=2",
+                 "--first-seed", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert calls == [("parent", "time_sweep", 5), ("change", "time_sweep", 5),
+                     ("change", "time_sweep", 6), ("parent", "time_sweep", 6)]
+    report = json.loads(out.read_text())
+    assert report["environment"] == {"parent": {"photonlab_fft_workers": 1},
+                                     "change": {"photonlab_fft_workers": 2}}
 
 
 def _run_script(name, args, capsys, monkeypatch):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -327,7 +328,8 @@ def test_two_runs_of_one_config_build_the_basis_once(tmp_path):
 def test_fields_do_not_depend_on_the_thread_count(monkeypatch):
     """README: results do not depend on PHOTONLAB_THREADS, also with uneven x-slabs.
 
-    Every density kind, B+ and the helicity density are compared bitwise
+    Every density kind, B+, the helicity density and the oracle's amplitude
+    are compared bitwise
     between one thread and two (15 x-planes: slabs of 7 and 8); fresh
     spectra per setting, so their amplitudes are rebuilt too.
     """
@@ -346,8 +348,9 @@ def test_fields_do_not_depend_on_the_thread_count(monkeypatch):
             arrays += [snap.A_plus, snap.E_plus, snap.B_plus, densities.helicity_density(snap)]
             arrays += [entry.build(snap).data for entry in densities.DENSITY_TABLE.values()
                        if s is pure or not entry.pure_helicity]
+            arrays.append(field_synthesis._direct_amplitude(s, 0.4))
         outputs[threads] = arrays
-    assert len(outputs["1"]) == 8 + 6 + len(densities.DENSITY_TABLE)
+    assert len(outputs["1"]) == 8 + 2 + 6 + len(densities.DENSITY_TABLE)
     for two, one in zip(outputs["2"], outputs["1"], strict=True):
         assert np.array_equal(two, one)
 
@@ -414,3 +417,90 @@ def test_the_shared_engine_keeps_nothing_of_a_spectrum(small_grid, small_spatial
     del kept, other
     gc.collect()
     assert freed() is None
+
+
+def _old_direct_amplitude(s, t):
+    """The spot-check oracle's amplitude as one expression, with full-grid temporaries."""
+    grid = s.grid
+    e_plus = build_basis(grid)
+    safe = np.where(grid.exclusion_mask, 1.0, grid.omega)
+    amp = 1j * grid.cell_weight / np.sqrt(safe) * np.exp(-1j * grid.omega * float(t))
+    amp = np.where(grid.exclusion_mask, 0.0, amp)
+    coeffs = np.multiply(amp[..., None] * s.c[0][..., None], e_plus, order="C")
+    coeffs += amp[..., None] * s.c[1][..., None] * np.conj(e_plus)
+    return coeffs
+
+
+def test_the_oracle_amplitude_equals_its_one_expression_form(monkeypatch):
+    """Bitwise, on a mixed spectrum in two uneven slabs, and C-ordered for the quadrature."""
+    monkeypatch.setattr(field_synthesis, "_cpus", lambda: 2)
+    monkeypatch.setenv("PHOTONLAB_THREADS", "2")
+    grid = WaveVectorGrid.centered((15, 16, 12), (0.8, 0.8, 0.8))
+    s = gaussian_spectrum(grid, (1.5, -1.0, 3.5), 0.6, (0.6, 0.8))
+    for t in (0.0, 0.73, -2.4):
+        coeffs = field_synthesis._direct_amplitude(s, t)
+        assert coeffs.flags.c_contiguous
+        assert np.array_equal(coeffs, _old_direct_amplitude(s, t))
+
+
+def test_wave_fields_equal_their_real_field_and_multiplier_forms(small_grid, small_spatial):
+    """F = (1/2)(2 Re E+ + i lam 2 Re B+) and psi = Omega^{1/2} A+, bitwise."""
+    engine = spectral_engine(small_grid, small_spatial)
+    for weights in ((1.0, 0.0), (0.0, 1.0)):
+        s = gaussian_spectrum(small_grid, (1.0, -0.5, 3.0), 0.55, weights)
+        snap = synthesize(s, small_spatial, 0.35)
+        wave = densities.photon_wave_fields(snap)
+        lam = wave.helicity
+        F = 0.5 * (2.0 * np.real(snap.E_plus) + 1j * lam * (2.0 * np.real(snap.B_plus)))
+        psi = engine.to_field(np.sqrt(small_grid.omega)[..., None] * snap.a_coeffs)
+        assert np.array_equal(wave.F, F)
+        assert np.array_equal(wave.psi, psi)
+
+
+RUN_CONFIG = """\
+grid.n_per_axis = {n}
+grid.delta_k = {dk}
+packet.k0 = 0, 0, {k0}
+packet.sigma = {sigma}
+packet.helicity_weights = 1, 0
+time.t_list = 0.0, 0.3, 0.6
+outputs.densities = {kinds}
+"""
+
+
+def test_a_run_holds_one_snapshot_at_a_time(monkeypatch, tmp_path):
+    """The previous snapshot is freed before the next one is synthesized."""
+    text = RUN_CONFIG.format(n=12, dk=0.9, k0=3.2, sigma=0.55, kinds=", ".join(ALL_KINDS))
+    cfg = config.parse_scenario(text, "snapshots.cfg")
+    made = []
+
+    def recording(*args):
+        alive = [ref().t for ref in made if ref() is not None]
+        assert not alive, f"snapshots at t = {alive} are still held"
+        snap = synthesize(*args)
+        made.append(weakref.ref(snap))
+        return snap
+
+    monkeypatch.setattr(runner, "synthesize", recording)
+    assert runner.run_scenario(cfg, str(tmp_path)).ok
+    assert len(made) == 3
+
+
+def test_a_run_peaks_below_six_vector_fields(tmp_path):
+    """A warm 32^3 number-only run at three times, traced by tracemalloc.
+
+    One complex 3-vector field is n^3 * 48 B.  A run holds the spectrum and
+    its amplitude, one snapshot (A+ and E+) and the per-time buffers: about
+    5.2 fields.  Holding the previous snapshot during the next synthesis,
+    or the oracle's full-grid temporaries beside the first, read 8.2.
+    """
+    text = RUN_CONFIG.format(n=32, dk=0.75, k0=10, sigma=1.0, kinds="number")
+    cfg = config.parse_scenario(text, "memory.cfg")
+    assert runner.run_scenario(cfg, str(tmp_path / "cold")).ok
+    tracemalloc.start()
+    try:
+        assert runner.run_scenario(cfg, str(tmp_path / "warm")).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (32**3 * 48) <= 6.0
