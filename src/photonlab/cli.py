@@ -11,9 +11,9 @@ Subcommands:
 * ``version`` — print the package version.
 
 Exit codes: 0 success, 1 failed check or runtime error (the failing check,
-the artifact path that could not be written, or the invalid request or
-arithmetic error is named on stderr), 2 configuration error (with file/line
-diagnostics).
+the artifact path that could not be written, the invalid request or
+arithmetic error, or running out of memory is named on stderr), 2
+configuration error (with file/line diagnostics).
 """
 
 from __future__ import annotations
@@ -91,6 +91,9 @@ def main(argv: list[str] | None = None) -> int:
         except (ValueError, ArithmeticError) as exc:
             print(f"run failed: {_reason(exc)}", file=sys.stderr)
             return 1
+        except MemoryError:
+            print("run failed: out of memory", file=sys.stderr)
+            return 1
         except OSError as exc:
             reason = exc.strerror or exc
             print(f"run failed: cannot write artifacts to {outdir}: {reason}", file=sys.stderr)
@@ -112,6 +115,9 @@ def main(argv: list[str] | None = None) -> int:
             written = export_slice(cfg, args.kind, args.plane, out_path)
         except (ValueError, ArithmeticError) as exc:
             print(f"export failed: {_reason(exc)}", file=sys.stderr)
+            return 1
+        except MemoryError:
+            print("export failed: out of memory", file=sys.stderr)
             return 1
         except OSError as exc:
             reason = exc.strerror or exc

@@ -54,12 +54,15 @@ amplitude) run through
 axis x, the first on the calling thread and the others on one process-wide
 pool.  No pass reduces across x, and each element sees the same operations
 in the same order, so every output is bitwise identical for any thread
-count.  A slab callback writes only into arrays that its caller allocated
-(``out=`` and in-place ufuncs) and allocates nothing of its own: the C
-library keeps memory freed on a pool thread in that thread's heap.  On a
-2-vCPU machine, two callbacks that made one temporary each (``1j * omega``
-of the slab, one einsum result) raised the peak memory of a 64^3 run by
-2-3 MB.
+count.  The retarded quadrature of :mod:`photonlab.retarded_solver` runs its
+cell blocks on the same pool, one slab per worker, and adds their products
+on the calling thread in block order.  A slab callback writes only into
+arrays that its caller allocated (``out=`` and in-place ufuncs; the
+quadrature's callers allocate one set of work arrays per worker) and
+allocates nothing of its own: the C library keeps memory freed on a pool
+thread in that thread's heap.  On a 2-vCPU machine, two callbacks that made
+one temporary each (``1j * omega`` of the slab, one einsum result) raised
+the peak memory of a 64^3 run by 2-3 MB.
 
 The direct quadrature (:func:`synthesize_at_points`,
 :func:`vector_potential_at_points`) has its own amplitude formula, evaluates
@@ -561,15 +564,6 @@ def vector_potential_at_points(s: PhotonSpectrum, points, t: float):
     """Direct quadrature oracle for A+ alone at arbitrary points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     return _direct_eval(_direct_amplitude(s, t), s.grid, points)
-
-
-def real_fields(f: FieldSnapshot):
-    """Real fields A = A+ + A-, E, B (A- is the conjugate of A+)."""
-    return (
-        2.0 * np.real(f.A_plus),
-        2.0 * np.real(f.E_plus),
-        2.0 * np.real(f.B_plus),
-    )
 
 
 def translation_check_1d(s: PhotonSpectrum, dt: float) -> float:

@@ -147,12 +147,6 @@ def inner_product(u: FockVector, v: FockVector) -> complex:
     return complex(total)
 
 
-def number_expectation(v: FockVector, m: int) -> float:
-    """<v|a_m^dagger a_m|v> for a plain-normalized state."""
-    v.modes.check_mode(m)
-    return float(sum(occ[m] * abs(amp) ** 2 for occ, amp in v.amplitudes.items()))
-
-
 def commutator_expectation(v: FockVector, m: int) -> complex:
     """<v|[a_m, a_m^dagger]|v> = metric_sign[m], independent of the state.
 

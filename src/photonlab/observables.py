@@ -171,25 +171,6 @@ def is_box_limited(width: float, sgrid: fs.SpatialGrid) -> bool:
     return width >= 0.5 * min(sgrid.box_lengths)
 
 
-def lightcone_leak(rho0: dn.DensityField, rho1: dn.DensityField, radius: float) -> float:
-    """Number-density mass of ``rho1`` outside the light cone of ``rho0``.
-
-    ``rho0`` must hold at least 99.9% of its mass inside ``radius`` about its
-    centroid; the leak is the mass beyond radius + c |t1 - t0| (distances
-    wrapped on the periodic box).
-    """
-    sgrid = rho0.grid
-    center = _circular_mean(rho0.data, sgrid)
-    dist = _circular_distances(sgrid, center)
-    total = float(np.sum(rho0.data)) * sgrid.cell_volume
-    inside = float(np.sum(rho0.data[dist <= radius])) * sgrid.cell_volume
-    if inside < 0.999 * total:
-        raise ValueError("initial state is not concentrated in the given radius "
-                         f"(contains {inside / total:.4f} of the mass)")
-    outside = dist > radius + abs(rho1.t - rho0.t)
-    return float(np.sum(rho1.data[outside])) * sgrid.cell_volume
-
-
 def expectations(s: PhotonSpectrum, sgrid: fs.SpatialGrid, t: float) -> ObservableReport:
     """Assemble the standard observable report at time t.
 

@@ -24,17 +24,29 @@ result with the profile rows.  The evaluation points are taken in chunks and
 the cells in blocks of whole z-rows, which lie next to each other in every
 profile row.  For each chunk and block the distances, kernels
 ``V_cell / (4 pi R)``, bracketing slice indices and interpolation fractions
-are computed once and assembled into a sparse CSR operator with one row per
-(point, cell) pair and two nonzeros in it, ``kernel * (1 - frac)`` on the
-earlier slice and ``kernel * frac`` on the later one.  Its columns are slice
-offsets from the earliest slice the block touches, so it applies to a short
-window of the (n_times, r) coefficients, a few kilobytes that stay in
-cache; the result, one interpolated and weighted coefficient per pair and
-rank, is then contracted rank by rank, in fixed rank order, with the block's
-profile rows.  The blocks' products add up.  Evaluation times a whole number
-of source steps apart reuse the operator on a coefficient window shifted by
-as many slices.  A static source contracts the kernels, times its single
-coefficient row, with the profile rows.
+are computed once into the block's interpolation operator: per (point,
+cell) pair, the weights ``kernel * (1 - frac)`` and ``kernel * frac`` and
+the index of the earlier bracketing slice, counted from the earliest slice
+the block touches.  The operator applies as a gather.  Per rank, row ``i``
+of a short table holds the coefficients ``(c[i], c[i + 1])`` of the two
+slices around offset ``i``; ``np.take`` gathers each pair's row of the
+window the block reads, the row is multiplied by the pair's two weights and
+its two products are summed.  These are the two products and the one sum of
+a sparse CSR row with the same two nonzeros, so the weighted coefficient has
+the same bits.  It is then contracted with the block's profile rows into one
+(points, 4) product per time and rank.  Evaluation times a whole number of
+source steps apart reuse the operator on a coefficient window shifted by as
+many slices.  A static source contracts the kernels, times its single
+coefficient row, with the profile rows, and every evaluation time gets that
+sum.
+
+The blocks of a chunk run in waves on the slab pool of
+:mod:`photonlab.field_synthesis`, ``PHOTONLAB_THREADS`` workers, each taking
+every ``workers``-th block of the wave into work arrays and product slots
+that the caller allocated.  Every step is a NumPy call that releases the
+GIL.  The caller then adds the wave's products to the potentials in block,
+then rank, order, the order of a single thread, so the result is bitwise
+identical for any number of workers.
 
 Causality is discrete and exact: each contribution reads only the two
 coefficient rows bracketing its retarded time, so editing the source
@@ -60,9 +72,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
-from .field_synthesis import SpatialGrid
+from .field_synthesis import SpatialGrid, _in_slabs, _workers
 from .mode_space import _triple
 
 FOUR_PI = 4.0 * math.pi
@@ -71,11 +82,14 @@ FOUR_PI = 4.0 * math.pi
 _EVAL_CHUNK = 256
 
 # (point, cell) pairs per block of whole z-rows of cells.  A block's work
-# arrays (512 kB per float64 array) and its interpolation operator (1.75 MB:
-# one row per pair with two nonzeros, each a float64 weight and an int32
-# column) stay in cache while the operator is built and applied at every
-# time that reuses it.
+# arrays (512 kB per float64 or index array) and its interpolation operator
+# (1.5 MB: two float64 weights and one slice index per pair) stay in cache
+# while the operator is built and applied at every time that reuses it.
 _BLOCK_PAIRS = 2**16
+
+# Bytes of block products held at once: the blocks of a chunk run in waves of
+# this many bytes of products, or of one block per worker if that is more.
+_WAVE_BYTES = 2**20
 
 # Slack, in source steps, allowed when checking retarded times against the
 # source window; offsets inside it are clipped onto the window.
@@ -344,14 +358,18 @@ def _distance_range(squares: tuple[np.ndarray, np.ndarray], r_reg: float) -> tup
             float(np.maximum(np.sqrt(high.max()), r_reg)))
 
 
-def _distances(squares: tuple[np.ndarray, np.ndarray], rows: slice, r_reg: float) -> np.ndarray:
+def _distances(squares: tuple[np.ndarray, np.ndarray], rows: slice, r_reg: float,
+               out: np.ndarray) -> np.ndarray:
     """(n_points, n_block) distances, floored at ``r_reg``, to the cells of
-    the z-rows ``rows``, numbered as in the profile rows."""
+    the z-rows ``rows``, numbered as in the profile rows; written into the
+    front of the flat buffer ``out``."""
     sxy, sz = squares
-    dist = sxy[:, rows, None] + sz[:, None, :]
+    shape = (sxy.shape[0], rows.stop - rows.start, sz.shape[1])
+    dist = out[:math.prod(shape)].reshape(shape)
+    np.add(sxy[:, rows, None], sz[:, None, :], out=dist)
     np.sqrt(dist, out=dist)
     np.maximum(dist, r_reg, out=dist)
-    return dist.reshape(dist.shape[0], -1)
+    return dist.reshape(shape[0], -1)
 
 
 def _shift_groups(times: np.ndarray, src: SourceCurrent) -> list[list[tuple[int, int]]]:
@@ -378,40 +396,52 @@ def _shift_groups(times: np.ndarray, src: SourceCurrent) -> list[list[tuple[int,
     return groups
 
 
-def _interpolation_operator(
-    kernel: np.ndarray, offset: np.ndarray, n_times: int
-) -> tuple[sparse.csr_array, int, int]:
-    """CSR operator of one block's retarded-time interpolation.
+def _rows_per_block(n_chunk: int, n_z: int) -> int:
+    return max(1, _BLOCK_PAIRS // (n_z * n_chunk))
 
-    ``kernel`` and ``offset`` are (n_points, n_block); ``offset`` holds the
-    retarded times in source steps (overwritten).  Row ``p * n_block + c``
-    belongs to the pair of point ``p`` and cell ``c`` and has two nonzeros:
-    ``kernel * (1 - frac)`` on slice ``index`` and ``kernel * frac`` on slice
-    ``index + 1``, where ``offset`` clipped to the window is ``index + frac``.
-    Columns are slice offsets from slice ``first``; returns ``(operator,
-    first, n_slices)``, the slices the operator reads being ``first`` up to
+
+class _BlockWork:
+    """One worker's arrays for the blocks of a call: (pairs,) or (pairs, 2) each.
+
+    ``offset`` holds a block's retarded times in source steps while an
+    operator is built, and the weighted coefficients of one rank after.
+    Slot 0 of ``weights`` and ``index`` holds the operator a group of times
+    shares, slot 1 the operator of a time that cannot share it.
+    """
+
+    def __init__(self, pairs: int) -> None:
+        self.dist = np.empty(pairs)
+        self.kernel = np.empty(pairs)
+        self.offset = np.empty(pairs)
+        self.gathered = np.empty((pairs, 2))
+        self.weights = (np.empty((pairs, 2)), np.empty((pairs, 2)))
+        self.index = (np.empty(pairs, dtype=np.intp), np.empty(pairs, dtype=np.intp))
+
+
+def _interpolation_operator(
+    offset: np.ndarray, kernel: np.ndarray, n_times: int, weights: np.ndarray, index: np.ndarray
+) -> tuple[int, int]:
+    """One block's retarded-time interpolation, as two weights and a slice per pair.
+
+    ``offset`` and ``kernel`` are (pairs,); ``offset`` holds the retarded
+    times in source steps (overwritten).  Clipped to the window, an offset is
+    ``i + frac`` with ``i`` at most ``n_times - 2``; the pair's row of
+    ``weights`` (pairs, 2) becomes ``[kernel * (1 - frac), kernel * frac]``
+    and its ``index`` (pairs,) ``i - first``.  Returns ``(first, n_slices)``,
+    the slices the operator reads being ``first`` up to
     ``first + n_slices - 1``.
     """
-    n_nonzero = 2 * kernel.size
-    index_type = np.int32 if n_nonzero < 2**31 else np.int64
     np.clip(offset, 0.0, n_times - 1.0, out=offset)
-    index = np.minimum(offset.astype(index_type), n_times - 2)
+    np.copyto(index, offset, casting="unsafe")  # truncates, as astype does
+    np.minimum(index, n_times - 2, out=index)
     frac = np.subtract(offset, index, out=offset)
     first = int(index.min())
     n_slices = int(index.max()) - first + 2
-
-    data = np.empty(kernel.shape + (2,))
-    np.subtract(1.0, frac, out=data[..., 0])
-    data[..., 0] *= kernel
-    np.multiply(kernel, frac, out=data[..., 1])
-    columns = np.empty(kernel.shape + (2,), dtype=index_type)
-    np.subtract(index, first, out=columns[..., 0])
-    np.add(columns[..., 0], 1, out=columns[..., 1])
-    row_starts = np.arange(0, n_nonzero + 1, 2, dtype=index_type)
-    operator = sparse.csr_array(
-        (data.reshape(-1), columns.reshape(-1), row_starts), shape=(kernel.size, n_slices)
-    )
-    return operator, first, n_slices
+    np.subtract(1.0, frac, out=weights[:, 0])
+    weights[:, 0] *= kernel
+    np.multiply(kernel, frac, out=weights[:, 1])
+    index -= first
+    return first, n_slices
 
 
 def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
@@ -426,6 +456,15 @@ def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
     inside the source window; otherwise a ``ValueError`` naming the required
     range is raised.  Single-slice sources are treated as static and skip
     the window check.
+
+    Besides the output, a call holds one set of block work arrays per worker
+    thread, 88 bytes for each (point, cell) pair of a block, of which there
+    are at most ``max(_BLOCK_PAIRS, n_chunk * nz)`` (5.8 MB per worker for
+    the 2**16 pairs of a block that spans several z-rows), and the products
+    of one wave of blocks, at most ``max(_WAVE_BYTES, workers * 32 * n_t * r
+    * n_chunk)`` bytes, with ``n_chunk`` the points of a chunk, ``nz`` the
+    source cells per z-row, ``n_t`` the evaluation times (1 for a static
+    source) and ``r`` the rank.  Neither grows with the number of blocks.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if times.ndim != 1 or times.size == 0:
@@ -444,22 +483,81 @@ def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
     r_reg = 0.5 * min(src.delta_x)
 
     n_times, rank = src.time_coefficients.shape
-    # One contiguous coefficient column per rank: a sparse product with a
-    # contiguous vector beats one with an (n_slices, r) block and leaves
-    # each rank's result contiguous for its contraction.
-    coefficients = np.ascontiguousarray(src.time_coefficients.T)
+    static = n_times == 1
+    coefficients = src.time_coefficients.T
+    # Row i of brackets[q] is (c[i], c[i + 1]) of rank q, the two slices
+    # around a retarded time i + frac.
+    brackets = np.stack((coefficients[:, :-1], coefficients[:, 1:]), axis=-1)
     profiles = src.profiles.reshape(rank, -1, 4)
     n_cells = profiles.shape[1]
+    n_z = src.n_per_axis[2]
+    n_rows = n_cells // n_z
     n_points = points.shape[0]
     weight = src.cell_volume / FOUR_PI
-    groups = _shift_groups(times, src) if n_times > 1 else []
+    groups = [] if static else _shift_groups(times, src)
     values = np.zeros((times.size, n_points, 4))
-    n_z = src.n_per_axis[2]
+
+    # The first chunk is the largest and has the most blocks.
+    chunk = max(1, min(_EVAL_CHUNK, n_points))
+    most_blocks = -(-n_rows // _rows_per_block(chunk, n_z))
+    work = [_BlockWork(min(chunk * n_cells, max(_BLOCK_PAIRS, chunk * n_z)))
+            for _ in range(min(_workers(), most_blocks))]
+    depth = 1 if static else times.size
+    block_bytes = depth * rank * chunk * 4 * 8  # one block's products
+    wave = min(most_blocks, max(len(work), _WAVE_BYTES // block_bytes))
+    products = np.empty((wave, depth, rank, chunk, 4))
+
+    def block_products(squares, rows, unclipped, arrays, out):
+        """out[k, q]: rank q's contribution of the cells in z-rows ``rows``
+        at time k (a static source fills k = 0 only)."""
+        dist = _distances(squares, rows, r_reg, arrays.dist)
+        n_pairs = dist.size
+        kernel = np.divide(weight, dist, out=arrays.kernel[:n_pairs].reshape(dist.shape))
+        weighted = arrays.offset[:n_pairs].reshape(dist.shape)
+        cells = slice(rows.start * n_z, rows.stop * n_z)
+        if static:
+            for q in range(rank):
+                np.multiply(kernel, coefficients[q, 0], out=weighted)
+                np.matmul(weighted, profiles[q, cells], out=out[0, q])
+            return
+        dist, kernel, offset = dist.reshape(-1), kernel.reshape(-1), arrays.offset[:n_pairs]
+        gathered = arrays.gathered[:n_pairs]
+        for group in groups:
+            # The first unclipped time of a group builds the shared operator
+            # (slot 0); a time `shift` steps later applies it to the
+            # coefficients `shift` slices on, when those lie inside the window.
+            shared = None
+            for k, shift in group:
+                slot, start = 0, None
+                if shared is not None and unclipped[k]:
+                    base_start, n_slices, base_shift = shared
+                    start = base_start + shift - base_shift
+                    if start < 0 or start + n_slices > n_times:
+                        start = None
+                if start is None:
+                    slot = 0 if shared is None else 1
+                    np.subtract(times[k], dist, out=offset)
+                    offset -= src.t0
+                    offset /= src.delta_t
+                    start, n_slices = _interpolation_operator(
+                        offset, kernel, n_times,
+                        arrays.weights[slot][:n_pairs], arrays.index[slot][:n_pairs])
+                    if shared is None and unclipped[k]:
+                        shared = (start, n_slices, shift)
+                # w0 * c[i] + w1 * c[i + 1] per pair: the two products and
+                # the one sum of a sparse row with two nonzeros, bit for bit.
+                for q in range(rank):
+                    np.take(brackets[q, start:], arrays.index[slot][:n_pairs], axis=0,
+                            mode="clip", out=gathered)
+                    gathered *= arrays.weights[slot][:n_pairs]
+                    np.add(gathered[:, 0], gathered[:, 1], out=weighted.reshape(-1))
+                    np.matmul(weighted, profiles[q, cells], out=out[k, q])
 
     for lo in range(0, n_points, _EVAL_CHUNK):
         hi = min(lo + _EVAL_CHUNK, n_points)
         squares = _squares(points[lo:hi], src.grid)
-        if n_times > 1:
+        unclipped = None
+        if not static:
             # The retarded time falls monotonically with distance, so the
             # extreme offsets of a time come from the nearest and farthest
             # cells.
@@ -477,40 +575,26 @@ def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
                         f"[{src.t0:.6g}, {src.times[-1]:.6g}]"
                     )
                 unclipped.append(low >= 0.0 and high <= n_times - 1)
-        block_rows = max(1, _BLOCK_PAIRS // (n_z * (hi - lo)))
-        for row in range(0, n_cells // n_z, block_rows):
-            dist = _distances(squares, slice(row, row + block_rows), r_reg)
-            kernel = weight / dist
-            cells = slice(row * n_z, row * n_z + kernel.shape[1])
-            if n_times == 1:
+        block_rows = _rows_per_block(hi - lo, n_z)
+        blocks = [slice(row, min(row + block_rows, n_rows)) for row in range(0, n_rows, block_rows)]
+        for first in range(0, len(blocks), wave):
+            n_wave = min(wave, len(blocks) - first)
+            parts = min(len(work), n_wave)
+
+            def run(workers):
+                # Worker w takes every parts-th block of the wave from block w on.
+                for w in range(workers.start, workers.stop):
+                    for b in range(w, n_wave, parts):
+                        block_products(squares, blocks[first + b], unclipped, work[w],
+                                       products[b, :, :, :hi - lo])
+
+            _in_slabs(run, parts)
+            # Added in block, then rank order, as one thread would add them,
+            # so a rank whose coefficients vanish on every bracketing slice
+            # adds exact zeros.
+            for b in range(n_wave):
                 for q in range(rank):
-                    values[:, lo:hi] += (kernel * coefficients[q, 0]) @ profiles[q, cells]
-                continue
-            for group in groups:
-                # The first unclipped time of a group builds the shared
-                # operator; a time `shift` steps later applies it to the
-                # coefficients `shift` slices on, when those lie inside the
-                # window.
-                shared = None
-                for k, shift in group:
-                    start = None
-                    if shared is not None and unclipped[k]:
-                        operator, base_start, n_slices, base_shift = shared
-                        start = base_start + shift - base_shift
-                        if start < 0 or start + n_slices > n_times:
-                            start = None
-                    if start is None:
-                        offset = (times[k] - dist - src.t0) / src.delta_t
-                        operator, start, n_slices = _interpolation_operator(
-                            kernel, offset, n_times)
-                        if shared is None and unclipped[k]:
-                            shared = (operator, start, n_slices, shift)
-                    # Rank by rank, in fixed order, so a rank whose
-                    # coefficients vanish on every bracketing slice adds
-                    # exact zeros.
-                    for q in range(rank):
-                        weighted = operator @ coefficients[q, start:start + n_slices]
-                        values[k, lo:hi] += weighted.reshape(kernel.shape) @ profiles[q, cells]
+                    values[:, lo:hi] += products[b, :, q, :hi - lo]
 
     phi = np.ascontiguousarray(values[..., 0])
     vec = np.ascontiguousarray(values[..., 1:])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import photonlab
-from photonlab import __version__, field_synthesis
+from photonlab import __version__, cli, field_synthesis
 from photonlab.cli import main
 from photonlab.runner import read_array, write_array
 
@@ -336,6 +336,21 @@ def test_arithmetic_errors_exit_1_with_a_message(capsys, tmp_path, config_path):
         assert code == 1
         assert err.startswith(prefix)
         assert "Traceback" not in err
+
+
+def test_out_of_memory_exits_1_with_a_message(capsys, tmp_path, config_path, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run_scenario", exhausted)
+    monkeypatch.setattr(cli, "export_slice", exhausted)
+    for argv, message in (
+        (("run", "--outdir", str(tmp_path / "out")), "run failed: out of memory\n"),
+        (("export-slice", "--kind", "number", "--plane", "z=0", "--out", str(tmp_path / "x.csv")),
+         "export failed: out of memory\n"),
+    ):
+        code, out, err = invoke(capsys, argv[0], str(config_path), *argv[1:])
+        assert (code, out, err) == (1, "", message)
 
 
 @pytest.mark.filterwarnings("ignore:gaussian packet is not well separated")

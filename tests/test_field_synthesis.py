@@ -9,7 +9,6 @@ from photonlab import field_synthesis
 from photonlab.field_synthesis import (
     SpatialGrid,
     field_to_spectrum,
-    real_fields,
     spectrum_to_field,
     synthesize,
     synthesize_at_points,
@@ -21,6 +20,15 @@ from photonlab.mode_space import (
     gaussian_spectrum,
     normalize,
 )
+
+
+def real_fields(f):
+    """Real fields A = A+ + A-, E, B (A- is the conjugate of A+)."""
+    return (
+        2.0 * np.real(f.A_plus),
+        2.0 * np.real(f.E_plus),
+        2.0 * np.real(f.B_plus),
+    )
 
 
 def random_spectrum(seed, grid):

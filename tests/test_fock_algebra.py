@@ -17,11 +17,16 @@ from photonlab.fock_algebra import (
     commutator_expectation,
     inner_product,
     n_photon_state,
-    number_expectation,
     vacuum,
 )
 
 MODES = ModeSet(3, n_max=14)
+
+
+def number_expectation(v: FockVector, m: int) -> float:
+    """<v|a_m^dagger a_m|v> for a plain-normalized state."""
+    v.modes.check_mode(m)
+    return float(sum(occ[m] * abs(amp) ** 2 for occ, amp in v.amplitudes.items()))
 
 
 def random_state(seed: int, ms: ModeSet = MODES, terms: int = 6) -> FockVector:

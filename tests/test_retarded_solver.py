@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from photonlab import retarded_solver
+from photonlab import field_synthesis, retarded_solver
 from photonlab.retarded_solver import (
     PotentialField,
     SourceCurrent,
@@ -111,6 +112,16 @@ def test_static_ball_fields_are_electrostatic(ball):
     measured = e_field[0, 1, 1, 1]  # interior point closest to the centre
     assert measured[2] == pytest.approx(exact, rel=2e-2)
     assert abs(measured[0]) < 2e-2 * exact and abs(measured[1]) < 2e-2 * exact
+
+
+def test_static_source_fills_every_time_row(ball):
+    points = 3.0 * np.array([[1.0, 0, 0], [0, 0.6, 0.8], [0, 0, -1.0]])
+    alone = retarded_potential(ball, points, 0.0)
+    field = retarded_potential(ball, points, [0.0, 0.5, 7.25])
+    assert np.all(alone.phi_over_c > 0.0)
+    for k in range(3):
+        assert np.array_equal(field.phi_over_c[k], alone.phi_over_c[0])
+        assert np.array_equal(field.A[k], alone.A[0])
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +269,41 @@ def test_cell_blocks_add_up_to_the_whole_source(long_dipole, ball, monkeypatch, 
         assert scale > 0.0
         assert np.max(np.abs(one.phi_over_c - many.phi_over_c)) <= 1e-13 * scale
         assert np.max(np.abs(one.A - many.A)) <= 1e-13 * scale
+
+
+def test_quadrature_does_not_depend_on_the_thread_count(long_dipole, ball, monkeypatch):
+    """Three workers, two and one add the cell blocks' products in the same order.
+
+    Each case splits the source into many blocks, so that the workers share
+    them; the last gives an odd number of blocks (41 of two z-rows and one).
+    A short switch interval makes the workers' Python steps interleave.
+    """
+    monkeypatch.setattr(field_synthesis, "_cpus", lambda: 3)
+    grid = _stencil_grid()
+    points = 3.0 * np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0.6, 0.0, 0.8]])
+    cases = [
+        # (block pairs, source, targets, times): 14, 14, 12 and 41 blocks
+        (6 * 125 * 9, long_dipole, grid, 5.0 + 0.5 * np.arange(5)),  # one shared operator
+        (6 * 4 * 9, long_dipole, points, [5.0, 5.37, 6.01]),  # one operator per time
+        (20 * 4 * 15, ball, points, [0.0, 1.0]),  # static
+        (2250, long_dipole, grid, 5.0 + 0.25 * np.arange(5)),
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for block_pairs, src, targets, times in cases:
+            monkeypatch.setattr(retarded_solver, "_BLOCK_PAIRS", block_pairs)
+            runs = []
+            for threads in ("3", "2", "1"):
+                monkeypatch.setenv("PHOTONLAB_THREADS", threads)
+                runs.append(retarded_potential(src, targets, times))
+            *many, one = runs
+            assert np.any(one.phi_over_c != 0.0)
+            for field in many:
+                assert np.array_equal(field.phi_over_c, one.phi_over_c)
+                assert np.array_equal(field.A, one.A)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_multi_time_grid_causality_is_discretely_exact(long_dipole):
