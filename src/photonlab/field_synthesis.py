@@ -58,7 +58,7 @@ count.  The retarded quadrature of :mod:`photonlab.retarded_solver` runs its
 cell blocks on the same pool, one slab per worker, and adds their products
 on the calling thread in block order.  A slab callback writes only into
 arrays that its caller allocated (``out=`` and in-place ufuncs; the
-quadrature's callers allocate one set of work arrays per worker) and
+quadrature's caller allocates one set of work arrays per worker) and
 allocates nothing of its own: the C library keeps memory freed on a pool
 thread in that thread's heap.  On a 2-vCPU machine, two callbacks that made
 one temporary each (``1j * omega`` of the slab, one einsum result) raised

@@ -31,9 +31,8 @@ the block touches.  The operator applies as a gather.  Per rank, row ``i``
 of a short table holds the coefficients ``(c[i], c[i + 1])`` of the two
 slices around offset ``i``; ``np.take`` gathers each pair's row of the
 window the block reads, the row is multiplied by the pair's two weights and
-its two products are summed.  These are the two products and the one sum of
-a sparse CSR row with the same two nonzeros, so the weighted coefficient has
-the same bits.  It is then contracted with the block's profile rows into one
+its two products are summed, ``w0 * c[i] + w1 * c[i + 1]``.  The weighted
+coefficients are then contracted with the block's profile rows into one
 (points, 4) product per time and rank.  Evaluation times a whole number of
 source steps apart reuse the operator on a coefficient window shifted by as
 many slices.  A static source contracts the kernels, times its single
@@ -397,6 +396,7 @@ def _shift_groups(times: np.ndarray, src: SourceCurrent) -> list[list[tuple[int,
 
 
 def _rows_per_block(n_chunk: int, n_z: int) -> int:
+    """z-rows of cells per block for a chunk of ``n_chunk`` points."""
     return max(1, _BLOCK_PAIRS // (n_z * n_chunk))
 
 
@@ -544,8 +544,7 @@ def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
                         arrays.weights[slot][:n_pairs], arrays.index[slot][:n_pairs])
                     if shared is None and unclipped[k]:
                         shared = (start, n_slices, shift)
-                # w0 * c[i] + w1 * c[i + 1] per pair: the two products and
-                # the one sum of a sparse row with two nonzeros, bit for bit.
+                # w0 * c[i] + w1 * c[i + 1] per pair, into `weighted`.
                 for q in range(rank):
                     np.take(brackets[q, start:], arrays.index[slot][:n_pairs], axis=0,
                             mode="clip", out=gathered)
