@@ -63,9 +63,25 @@ def _default_outdir(config_path: str) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(config_path)), f"{stem}_out")
 
 
-def _reason(exc: Exception) -> str:
-    """A ValueError's message; an arithmetic error also names its type."""
-    return str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+def _attempt(verb: str, target: str, action):
+    """Return ``action()``, or None after naming its failure on stderr.
+
+    The line reads ``<verb> failed: <reason>``: a ValueError's message, an
+    arithmetic error's type and message, running out of memory, or the
+    ``target`` that could not be written.
+    """
+    try:
+        return action()
+    except ValueError as exc:
+        reason = str(exc)
+    except ArithmeticError as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+    except MemoryError:
+        reason = "out of memory"
+    except OSError as exc:
+        reason = f"cannot write {target}: {exc.strerror or exc}"
+    print(f"{verb} failed: {reason}", file=sys.stderr)
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -86,17 +102,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "run":
         outdir = args.outdir or _default_outdir(args.config)
-        try:
-            report = run_scenario(cfg, outdir)
-        except (ValueError, ArithmeticError) as exc:
-            print(f"run failed: {_reason(exc)}", file=sys.stderr)
-            return 1
-        except MemoryError:
-            print("run failed: out of memory", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            reason = exc.strerror or exc
-            print(f"run failed: cannot write artifacts to {outdir}: {reason}", file=sys.stderr)
+        report = _attempt("run", f"artifacts to {outdir}", lambda: run_scenario(cfg, outdir))
+        if report is None:
             return 1
         for result in report.results:
             print(result.line())
@@ -111,17 +118,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "export-slice":
         out_path = args.out or f"{args.kind}_{args.plane.replace('=', '_')}.csv"
-        try:
-            written = export_slice(cfg, args.kind, args.plane, out_path)
-        except (ValueError, ArithmeticError) as exc:
-            print(f"export failed: {_reason(exc)}", file=sys.stderr)
-            return 1
-        except MemoryError:
-            print("export failed: out of memory", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            reason = exc.strerror or exc
-            print(f"export failed: cannot write {out_path}: {reason}", file=sys.stderr)
+        written = _attempt("export", out_path,
+                           lambda: export_slice(cfg, args.kind, args.plane, out_path))
+        if written is None:
             return 1
         print(f"wrote {written}")
         return 0

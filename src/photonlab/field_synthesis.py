@@ -54,13 +54,15 @@ amplitude) run through
 axis x, the first on the calling thread and the others on one process-wide
 pool.  No pass reduces across x, and each element sees the same operations
 in the same order, so every output is bitwise identical for any thread
-count.  The retarded quadrature of :mod:`photonlab.retarded_solver` runs its
-cell blocks on the same pool, one slab per worker, and adds their products
-on the calling thread in block order.  A slab callback writes only into
-arrays that its caller allocated (``out=`` and in-place ufuncs; the
-quadrature's caller allocates one set of work arrays per worker) and
-allocates nothing of its own: the C library keeps memory freed on a pool
-thread in that thread's heap.  On a 2-vCPU machine, two callbacks that made
+count.  The retarded quadrature of :mod:`photonlab.retarded_solver` runs
+slabs of whole chunks of evaluation points on the same pool.  A slab owns
+its outputs: a callback writes only its own part of arrays that its caller
+allocated (``out=`` and in-place ufuncs; the quadrature's caller allocates
+one set of work arrays per slab), so no two slabs touch one element.  It
+allocates nothing of its own beyond small temporaries (the quadrature's
+squared offsets of a chunk, one per point and z-row of cells, 350 kB for a
+37^3 source): the C library keeps memory freed on a pool thread in that
+thread's heap.  On a 2-vCPU machine, two callbacks that made
 one temporary each (``1j * omega`` of the slab, one einsum result) raised
 the peak memory of a 64^3 run by 2-3 MB.
 

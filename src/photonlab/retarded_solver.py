@@ -27,25 +27,28 @@ profile row.  For each chunk and block the distances, kernels
 are computed once into the block's interpolation operator: per (point,
 cell) pair, the weights ``kernel * (1 - frac)`` and ``kernel * frac`` and
 the index of the earlier bracketing slice, counted from the earliest slice
-the block touches.  The operator applies as a gather.  Per rank, row ``i``
-of a short table holds the coefficients ``(c[i], c[i + 1])`` of the two
-slices around offset ``i``; ``np.take`` gathers each pair's row of the
-window the block reads, the row is multiplied by the pair's two weights and
-its two products are summed, ``w0 * c[i] + w1 * c[i + 1]``.  The weighted
-coefficients are then contracted with the block's profile rows into one
-(points, 4) product per time and rank.  Evaluation times a whole number of
-source steps apart reuse the operator on a coefficient window shifted by as
-many slices.  A static source contracts the kernels, times its single
-coefficient row, with the profile rows, and every evaluation time gets that
-sum.
+the block touches.  The operator applies as a gather.  Per rank, row
+``i + 1`` of a short table holds the coefficients ``(c[i], c[i + 1])`` of
+the two slices around offset ``i``, and its first and last rows pair the
+end slices with a zero coefficient; ``np.take`` gathers each pair's row of
+the window the block reads, the row is multiplied by the pair's two weights
+and its two products are summed, ``w0 * c[i] + w1 * c[i + 1]``.  The
+weighted coefficients are then contracted with the block's profile rows
+into one (points, 4) product per time and rank.  Evaluation times a whole
+number of source steps apart, whose retarded times all lie inside the
+window, share the operator and apply it to a coefficient window shifted by
+as many slices; where rounding puts such a time's bracket one slice past an
+end of the window, it reads a zero-padded row.  A static source contracts
+the kernels, times its single coefficient row, with the profile rows, and
+every evaluation time gets that sum.
 
-The blocks of a chunk run in waves on the slab pool of
-:mod:`photonlab.field_synthesis`, ``PHOTONLAB_THREADS`` workers, each taking
-every ``workers``-th block of the wave into work arrays and product slots
-that the caller allocated.  Every step is a NumPy call that releases the
-GIL.  The caller then adds the wave's products to the potentials in block,
-then rank, order, the order of a single thread, so the result is bitwise
-identical for any number of workers.
+The chunks run on the slab pool of :mod:`photonlab.field_synthesis`,
+``PHOTONLAB_THREADS`` workers, each taking a contiguous run of whole chunks
+and one set of work arrays that the caller allocated.  A worker adds each
+block's products into its own chunks' rows of the potentials, in block,
+then rank, order.  No two workers touch the same output and every chunk is
+summed in one fixed order, so the result is bitwise identical for any
+number of workers.
 
 Causality is discrete and exact: each contribution reads only the two
 coefficient rows bracketing its retarded time, so editing the source
@@ -72,23 +75,25 @@ from functools import cached_property
 
 import numpy as np
 
-from .field_synthesis import SpatialGrid, _in_slabs, _workers
+from .field_synthesis import SpatialGrid, _in_slabs, _slab_bounds, _workers
 from .mode_space import _triple
 
 FOUR_PI = 4.0 * math.pi
 
-# Evaluation points per chunk; the source window is checked once per chunk.
-_EVAL_CHUNK = 256
+# Evaluation points per chunk, the unit of work of one pool worker; the source
+# window is checked once per chunk.  The 125-point gauge stencils (the
+# `radiation` benchmark, `selftest`) make 4 chunks, two per worker on two
+# cores, while the 6-point far probes, the 5 points of the Coulomb check and
+# the one point of the causality check are one chunk on the calling thread.
+# On a 2-vCPU machine (median of 10 warm calls, 37^3 source), 64 points per
+# chunk timed the same as 32; 8 made the stencil 20-30% slower and 3 40%.
+_EVAL_CHUNK = 32
 
 # (point, cell) pairs per block of whole z-rows of cells.  A block's work
 # arrays (512 kB per float64 or index array) and its interpolation operator
 # (1.5 MB: two float64 weights and one slice index per pair) stay in cache
 # while the operator is built and applied at every time that reuses it.
 _BLOCK_PAIRS = 2**16
-
-# Bytes of block products held at once: the blocks of a chunk run in waves of
-# this many bytes of products, or of one block per worker if that is more.
-_WAVE_BYTES = 2**20
 
 # Slack, in source steps, allowed when checking retarded times against the
 # source window; offsets inside it are clipped onto the window.
@@ -371,13 +376,17 @@ def _distances(squares: tuple[np.ndarray, np.ndarray], rows: slice, r_reg: float
     return dist.reshape(shape[0], -1)
 
 
-def _shift_groups(times: np.ndarray, src: SourceCurrent) -> list[list[tuple[int, int]]]:
+def _shift_groups(
+    times: np.ndarray, src: SourceCurrent, unclipped: list[bool]
+) -> list[list[tuple[int, int]]]:
     """Partition evaluation times into runs a whole number of source steps apart.
 
     Each group lists ``(time_index, shift)`` with ``shift`` the number of
     ``delta_t`` steps from the group's first time.  A time joins a group when
     its distance to the first time is an integer number of steps up to
-    rounding of the times themselves.
+    rounding of the times themselves.  Only times whose retarded times all
+    lie inside the source window (``unclipped[k]``) are grouped; any other
+    time forms a group of its own.
     """
     steps = (times - src.t0) / src.delta_t
     scales = 1.0 + (np.abs(times) + abs(src.t0)) / src.delta_t
@@ -387,7 +396,8 @@ def _shift_groups(times: np.ndarray, src: SourceCurrent) -> list[list[tuple[int,
             first = group[0][0]
             apart = step - steps[first]
             shift = round(apart)
-            if abs(apart - shift) <= _SHIFT_TOLERANCE * (scales[k] + scales[first]):
+            tolerance = _SHIFT_TOLERANCE * (scales[k] + scales[first])
+            if unclipped[k] and unclipped[first] and abs(apart - shift) <= tolerance:
                 group.append((k, shift))
                 break
         else:
@@ -395,53 +405,47 @@ def _shift_groups(times: np.ndarray, src: SourceCurrent) -> list[list[tuple[int,
     return groups
 
 
-def _rows_per_block(n_chunk: int, n_z: int) -> int:
-    """z-rows of cells per block for a chunk of ``n_chunk`` points."""
-    return max(1, _BLOCK_PAIRS // (n_z * n_chunk))
-
-
 class _BlockWork:
-    """One worker's arrays for the blocks of a call: (pairs,) or (pairs, 2) each.
+    """One worker's arrays for the blocks of its chunks: (pairs,) or (pairs, 2)
+    each, and one (points, 4) product.
 
     ``offset`` holds a block's retarded times in source steps while an
     operator is built, and the weighted coefficients of one rank after.
-    Slot 0 of ``weights`` and ``index`` holds the operator a group of times
-    shares, slot 1 the operator of a time that cannot share it.
+    ``weights`` and ``index`` hold the operator a group of times shares.
     """
 
-    def __init__(self, pairs: int) -> None:
+    def __init__(self, pairs: int, n_chunk: int) -> None:
         self.dist = np.empty(pairs)
         self.kernel = np.empty(pairs)
         self.offset = np.empty(pairs)
         self.gathered = np.empty((pairs, 2))
-        self.weights = (np.empty((pairs, 2)), np.empty((pairs, 2)))
-        self.index = (np.empty(pairs, dtype=np.intp), np.empty(pairs, dtype=np.intp))
+        self.weights = np.empty((pairs, 2))
+        self.index = np.empty(pairs, dtype=np.intp)
+        self.product = np.empty((n_chunk, 4))
 
 
 def _interpolation_operator(
     offset: np.ndarray, kernel: np.ndarray, n_times: int, weights: np.ndarray, index: np.ndarray
-) -> tuple[int, int]:
+) -> int:
     """One block's retarded-time interpolation, as two weights and a slice per pair.
 
     ``offset`` and ``kernel`` are (pairs,); ``offset`` holds the retarded
     times in source steps (overwritten).  Clipped to the window, an offset is
     ``i + frac`` with ``i`` at most ``n_times - 2``; the pair's row of
     ``weights`` (pairs, 2) becomes ``[kernel * (1 - frac), kernel * frac]``
-    and its ``index`` (pairs,) ``i - first``.  Returns ``(first, n_slices)``,
-    the slices the operator reads being ``first`` up to
-    ``first + n_slices - 1``.
+    and its ``index`` (pairs,) ``i - first``.  Returns ``first``, the
+    earliest slice the operator reads.
     """
     np.clip(offset, 0.0, n_times - 1.0, out=offset)
     np.copyto(index, offset, casting="unsafe")  # truncates, as astype does
     np.minimum(index, n_times - 2, out=index)
     frac = np.subtract(offset, index, out=offset)
     first = int(index.min())
-    n_slices = int(index.max()) - first + 2
     np.subtract(1.0, frac, out=weights[:, 0])
     weights[:, 0] *= kernel
     np.multiply(kernel, frac, out=weights[:, 1])
     index -= first
-    return first, n_slices
+    return first
 
 
 def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
@@ -450,7 +454,7 @@ def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
     ``eval_points`` is either an (P, 3) array of positions (point mode) or a
     :class:`SpatialGrid` (grid mode, as needed by the stencil operations).
     ``t`` is a scalar time or a 1-D sequence of times; the output arrays
-    always carry a leading time axis.
+    always carry a leading time axis.  Points and times must be finite.
 
     The retarded time of every contributing (point, cell) pair must fall
     inside the source window; otherwise a ``ValueError`` naming the required
@@ -458,17 +462,19 @@ def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
     the window check.
 
     Besides the output, a call holds one set of block work arrays per worker
-    thread, 88 bytes for each (point, cell) pair of a block, of which there
-    are at most ``max(_BLOCK_PAIRS, n_chunk * nz)`` (5.8 MB per worker for
-    the 2**16 pairs of a block that spans several z-rows), and the products
-    of one wave of blocks, at most ``max(_WAVE_BYTES, workers * 32 * n_t * r
-    * n_chunk)`` bytes, with ``n_chunk`` the points of a chunk, ``nz`` the
-    source cells per z-row, ``n_t`` the evaluation times (1 for a static
-    source) and ``r`` the rank.  Neither grows with the number of blocks.
+    thread that has chunks to evaluate, 64 bytes for each (point, cell) pair
+    of a block, of which there are at most ``max(_BLOCK_PAIRS, n_chunk *
+    nz)`` (4.2 MB per worker for the 2**16 pairs of a block that spans
+    several z-rows), and the squared offsets of its current chunk, 8 bytes
+    per point and z-row of cells, with ``n_chunk`` the points of a chunk and
+    ``nz`` the source cells per z-row.  None of it grows with the number of
+    blocks, chunks, times or ranks.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if times.ndim != 1 or times.size == 0:
         raise ValueError("evaluation time must be a scalar or a 1-D sequence")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("evaluation times must be finite")
 
     grid = eval_points if isinstance(eval_points, SpatialGrid) else None
     if grid is not None:
@@ -479,121 +485,103 @@ def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
             points = points[None, :]
         if points.ndim != 2 or points.shape[1] != 3:
             raise ValueError("evaluation points must have shape (n_points, 3)")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("evaluation points must be finite")
 
     r_reg = 0.5 * min(src.delta_x)
 
     n_times, rank = src.time_coefficients.shape
     static = n_times == 1
     coefficients = src.time_coefficients.T
-    # Row i of brackets[q] is (c[i], c[i + 1]) of rank q, the two slices
-    # around a retarded time i + frac.
-    brackets = np.stack((coefficients[:, :-1], coefficients[:, 1:]), axis=-1)
+    # Row i + 1 of brackets[q] is (c[i], c[i + 1]) of rank q, the two slices
+    # around a retarded time i + frac.  Zero coefficients padded at both ends
+    # give the rows one slice past the window that a shared operator reads
+    # when rounding moves a bracket there.
+    padded = np.pad(coefficients, ((0, 0), (1, 1)))
+    brackets = np.stack((padded[:, :-1], padded[:, 1:]), axis=-1)
     profiles = src.profiles.reshape(rank, -1, 4)
     n_cells = profiles.shape[1]
     n_z = src.n_per_axis[2]
     n_rows = n_cells // n_z
     n_points = points.shape[0]
     weight = src.cell_volume / FOUR_PI
-    groups = [] if static else _shift_groups(times, src)
     values = np.zeros((times.size, n_points, 4))
 
-    # The first chunk is the largest and has the most blocks.
-    chunk = max(1, min(_EVAL_CHUNK, n_points))
-    most_blocks = -(-n_rows // _rows_per_block(chunk, n_z))
-    work = [_BlockWork(min(chunk * n_cells, max(_BLOCK_PAIRS, chunk * n_z)))
-            for _ in range(min(_workers(), most_blocks))]
-    depth = 1 if static else times.size
-    block_bytes = depth * rank * chunk * 4 * 8  # one block's products
-    wave = min(most_blocks, max(len(work), _WAVE_BYTES // block_bytes))
-    products = np.empty((wave, depth, rank, chunk, 4))
+    chunks = [slice(lo, min(lo + _EVAL_CHUNK, n_points))
+              for lo in range(0, n_points, _EVAL_CHUNK)]
+    # The first chunk is the largest; _in_slabs hands out these slabs of chunks.
+    n_chunk = max(1, min(_EVAL_CHUNK, n_points))
+    pairs = min(n_chunk * n_cells, max(_BLOCK_PAIRS, n_chunk * n_z))
+    work = {slab.start: _BlockWork(pairs, n_chunk)
+            for slab in _slab_bounds(len(chunks), _workers())}
 
-    def block_products(squares, rows, unclipped, arrays, out):
-        """out[k, q]: rank q's contribution of the cells in z-rows ``rows``
-        at time k (a static source fills k = 0 only)."""
+    def add_block(squares, rows, groups, arrays, out):
+        """Add the contribution of the cells in z-rows ``rows`` to ``out``
+        (times, points, 4), rank by rank."""
         dist = _distances(squares, rows, r_reg, arrays.dist)
         n_pairs = dist.size
         kernel = np.divide(weight, dist, out=arrays.kernel[:n_pairs].reshape(dist.shape))
         weighted = arrays.offset[:n_pairs].reshape(dist.shape)
+        product = arrays.product[:dist.shape[0]]
         cells = slice(rows.start * n_z, rows.stop * n_z)
         if static:
             for q in range(rank):
                 np.multiply(kernel, coefficients[q, 0], out=weighted)
-                np.matmul(weighted, profiles[q, cells], out=out[0, q])
+                np.matmul(weighted, profiles[q, cells], out=product)
+                out += product
             return
         dist, kernel, offset = dist.reshape(-1), kernel.reshape(-1), arrays.offset[:n_pairs]
         gathered = arrays.gathered[:n_pairs]
+        weights, index = arrays.weights[:n_pairs], arrays.index[:n_pairs]
         for group in groups:
-            # The first unclipped time of a group builds the shared operator
-            # (slot 0); a time `shift` steps later applies it to the
-            # coefficients `shift` slices on, when those lie inside the window.
-            shared = None
+            # The group's first time builds the operator; a time `shift` steps
+            # later applies it to the coefficients `shift` slices on.
+            np.subtract(times[group[0][0]], dist, out=offset)
+            offset -= src.t0
+            offset /= src.delta_t
+            first = _interpolation_operator(offset, kernel, n_times, weights, index)
             for k, shift in group:
-                slot, start = 0, None
-                if shared is not None and unclipped[k]:
-                    base_start, n_slices, base_shift = shared
-                    start = base_start + shift - base_shift
-                    if start < 0 or start + n_slices > n_times:
-                        start = None
-                if start is None:
-                    slot = 0 if shared is None else 1
-                    np.subtract(times[k], dist, out=offset)
-                    offset -= src.t0
-                    offset /= src.delta_t
-                    start, n_slices = _interpolation_operator(
-                        offset, kernel, n_times,
-                        arrays.weights[slot][:n_pairs], arrays.index[slot][:n_pairs])
-                    if shared is None and unclipped[k]:
-                        shared = (start, n_slices, shift)
                 # w0 * c[i] + w1 * c[i + 1] per pair, into `weighted`.
                 for q in range(rank):
-                    np.take(brackets[q, start:], arrays.index[slot][:n_pairs], axis=0,
-                            mode="clip", out=gathered)
-                    gathered *= arrays.weights[slot][:n_pairs]
+                    np.take(brackets[q, first + shift + 1:], index, axis=0, mode="clip",
+                            out=gathered)
+                    gathered *= weights
                     np.add(gathered[:, 0], gathered[:, 1], out=weighted.reshape(-1))
-                    np.matmul(weighted, profiles[q, cells], out=out[k, q])
+                    np.matmul(weighted, profiles[q, cells], out=product)
+                    out[k] += product
 
-    for lo in range(0, n_points, _EVAL_CHUNK):
-        hi = min(lo + _EVAL_CHUNK, n_points)
-        squares = _squares(points[lo:hi], src.grid)
-        unclipped = None
-        if not static:
-            # The retarded time falls monotonically with distance, so the
-            # extreme offsets of a time come from the nearest and farthest
-            # cells.
-            near, far = _distance_range(squares, r_reg)
-            unclipped = []
-            for t_eval in times:
-                low = (t_eval - far - src.t0) / src.delta_t
-                high = (t_eval - near - src.t0) / src.delta_t
-                if low < -_WINDOW_SLACK or high > n_times - 1 + _WINDOW_SLACK:
-                    t_low = src.t0 + low * src.delta_t
-                    t_high = src.t0 + high * src.delta_t
-                    raise ValueError(
-                        "retarded time outside source window: need "
-                        f"[{t_low:.6g}, {t_high:.6g}] inside "
-                        f"[{src.t0:.6g}, {src.times[-1]:.6g}]"
-                    )
-                unclipped.append(low >= 0.0 and high <= n_times - 1)
-        block_rows = _rows_per_block(hi - lo, n_z)
-        blocks = [slice(row, min(row + block_rows, n_rows)) for row in range(0, n_rows, block_rows)]
-        for first in range(0, len(blocks), wave):
-            n_wave = min(wave, len(blocks) - first)
-            parts = min(len(work), n_wave)
+    def run(slab):
+        # A worker owns the rows of its chunks and adds into them in block,
+        # then rank, order, so a rank whose coefficients vanish on every
+        # bracketing slice adds exact zeros.
+        for targets in chunks[slab]:
+            squares = _squares(points[targets], src.grid)
+            groups = None
+            if not static:
+                # The retarded time falls monotonically with distance, so the
+                # extreme offsets of a time come from the nearest and farthest
+                # cells.
+                near, far = _distance_range(squares, r_reg)
+                unclipped = []
+                for t_eval in times:
+                    low = (t_eval - far - src.t0) / src.delta_t
+                    high = (t_eval - near - src.t0) / src.delta_t
+                    if low < -_WINDOW_SLACK or high > n_times - 1 + _WINDOW_SLACK:
+                        t_low = src.t0 + low * src.delta_t
+                        t_high = src.t0 + high * src.delta_t
+                        raise ValueError(
+                            "retarded time outside source window: need "
+                            f"[{t_low:.6g}, {t_high:.6g}] inside "
+                            f"[{src.t0:.6g}, {src.times[-1]:.6g}]"
+                        )
+                    unclipped.append(low >= 0.0 and high <= n_times - 1)
+                groups = _shift_groups(times, src, unclipped)
+            block_rows = max(1, _BLOCK_PAIRS // (n_z * (targets.stop - targets.start)))
+            for row in range(0, n_rows, block_rows):
+                add_block(squares, slice(row, min(row + block_rows, n_rows)), groups,
+                          work[slab.start], values[:, targets])
 
-            def run(workers):
-                # Worker w takes every parts-th block of the wave from block w on.
-                for w in range(workers.start, workers.stop):
-                    for b in range(w, n_wave, parts):
-                        block_products(squares, blocks[first + b], unclipped, work[w],
-                                       products[b, :, :, :hi - lo])
-
-            _in_slabs(run, parts)
-            # Added in block, then rank order, as one thread would add them,
-            # so a rank whose coefficients vanish on every bracketing slice
-            # adds exact zeros.
-            for b in range(n_wave):
-                for q in range(rank):
-                    values[:, lo:hi] += products[b, :, q, :hi - lo]
+    _in_slabs(run, len(chunks))
 
     phi = np.ascontiguousarray(values[..., 0])
     vec = np.ascontiguousarray(values[..., 1:])

@@ -230,7 +230,7 @@ def test_causality_is_discretely_exact(small_dipole):
 )
 def test_multi_time_evaluation_matches_single_times(long_dipole, times, group_sizes):
     src = long_dipole
-    assert [len(group) for group in _shift_groups(times, src)] == group_sizes
+    assert [len(group) for group in _shift_groups(times, src, [True] * len(times))] == group_sizes
     grid = _stencil_grid()
     together = retarded_potential(src, grid, times)
     for k, t_eval in enumerate(times):
@@ -244,6 +244,12 @@ def test_multi_time_evaluation_matches_single_times(long_dipole, times, group_si
             assert scale > 0.0
             assert np.max(np.abs(joint[k] - single[0])) <= 1e-13 * scale
             assert np.max(np.abs(joint[k].reshape(direct.shape) - direct)) <= 1e-13 * scale
+
+
+def test_a_clipped_time_forms_its_own_group(long_dipole):
+    times = 5.0 + 0.5 * np.arange(5)
+    groups = _shift_groups(times, long_dipole, [True, False, True, True, False])
+    assert groups == [[(0, 0), (2, 10), (3, 15)], [(1, 0)], [(4, 0)]]
 
 
 @pytest.mark.parametrize("block_pairs", [1, 2250])
@@ -272,27 +278,27 @@ def test_cell_blocks_add_up_to_the_whole_source(long_dipole, ball, monkeypatch, 
 
 
 def test_quadrature_does_not_depend_on_the_thread_count(long_dipole, ball, monkeypatch):
-    """Three workers, two and one add the cell blocks' products in the same order.
+    """Three workers, two and one each add their own chunks of points.
 
-    Each case splits the source into many blocks, so that the workers share
-    them; the last gives an odd number of blocks (41 of two z-rows and one).
-    A short switch interval makes the workers' Python steps interleave.
+    Every case has at least three chunks, so that the workers share them; the
+    last gives chunks of unequal size (40, 40, 40 and 5 points).  A short
+    switch interval makes the workers' Python steps interleave.
     """
     monkeypatch.setattr(field_synthesis, "_cpus", lambda: 3)
     grid = _stencil_grid()
     points = 3.0 * np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0.6, 0.0, 0.8]])
     cases = [
-        # (block pairs, source, targets, times): 14, 14, 12 and 41 blocks
-        (6 * 125 * 9, long_dipole, grid, 5.0 + 0.5 * np.arange(5)),  # one shared operator
-        (6 * 4 * 9, long_dipole, points, [5.0, 5.37, 6.01]),  # one operator per time
-        (20 * 4 * 15, ball, points, [0.0, 1.0]),  # static
-        (2250, long_dipole, grid, 5.0 + 0.25 * np.arange(5)),
+        # (points per chunk, source, targets, times): 8, 4, 4 and 4 chunks
+        (16, long_dipole, grid, 5.0 + 0.5 * np.arange(5)),  # one shared operator
+        (1, long_dipole, points, [5.0, 5.37, 6.01]),  # one operator per time
+        (1, ball, points, [0.0, 1.0]),  # static
+        (40, long_dipole, grid, 5.0 + 0.25 * np.arange(5)),
     ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for block_pairs, src, targets, times in cases:
-            monkeypatch.setattr(retarded_solver, "_BLOCK_PAIRS", block_pairs)
+        for eval_chunk, src, targets, times in cases:
+            monkeypatch.setattr(retarded_solver, "_EVAL_CHUNK", eval_chunk)
             runs = []
             for threads in ("3", "2", "1"):
                 monkeypatch.setenv("PHOTONLAB_THREADS", threads)
@@ -304,6 +310,58 @@ def test_quadrature_does_not_depend_on_the_thread_count(long_dipole, ball, monke
                 assert np.array_equal(field.A, one.A)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_shared_operator_reaches_both_ends_of_the_window():
+    """Members of one group whose retarded offsets hit slice 0 and slice
+    n_times - 1 exactly match single-time evaluation.
+
+    The cells lie on a line through the point, at dyadic distances 2 to 4,
+    and the times are whole multiples of the dyadic step, so every offset is
+    exact.  The first time reads slices 4 to 12, the second 0 to 8 and the
+    third 31 to 39, its nearest cell one slice past the bracket its operator
+    row would have inside the window.
+    """
+    rng = np.random.default_rng(18)
+    n_times = 40
+    src = SourceCurrent(rng.normal(size=(n_times, 2)), rng.normal(size=(2, 9, 1, 1, 4)),
+                        (0.25, 0.25, 0.25), (-1.0, 0.0, 0.0), t0=0.0, delta_t=0.25)
+    point = np.array([[3.0, 0.0, 0.0]])
+    times = np.array([5.0, 4.0, 11.75])
+    assert _shift_groups(times, src, [True] * 3) == [[(0, 0), (1, -4), (2, 27)]]
+    together = retarded_potential(src, point, times)
+    for k, t_eval in enumerate(times):
+        alone = retarded_potential(src, point, t_eval)
+        direct = _reference_potential(src, point, t_eval)
+        for joint, single, reference in (
+            (together.phi_over_c, alone.phi_over_c, direct[:, 0]),
+            (together.A, alone.A, direct[:, 1:]),
+        ):
+            scale = np.max(np.abs(reference))
+            assert scale > 0.0
+            assert np.max(np.abs(joint[k] - single[0])) <= 1e-13 * scale
+            assert np.max(np.abs(joint[k] - reference)) <= 1e-13 * scale
+
+
+def test_empty_point_set_gives_empty_potentials(small_dipole, ball):
+    for src, times in ((small_dipole, [3.0, 3.5]), (ball, [0.0, 1.0])):
+        field = retarded_potential(src, np.zeros((0, 3)), times)
+        assert field.phi_over_c.shape == (2, 0)
+        assert field.A.shape == (2, 0, 3)
+
+
+@pytest.mark.parametrize(
+    "point, times, message",
+    [
+        ([np.nan, 0.0, 0.0], 4.0, "evaluation points must be finite"),
+        ([3.0, 0.0, 0.0], [4.0, np.nan], "evaluation times must be finite"),
+        ([3.0, 0.0, 0.0], np.inf, "evaluation times must be finite"),
+    ],
+)
+def test_non_finite_points_and_times_are_rejected(small_dipole, ball, point, times, message):
+    for src in (small_dipole, ball):
+        with pytest.raises(ValueError, match=message):
+            retarded_potential(src, np.array([point]), times)
 
 
 def test_multi_time_grid_causality_is_discretely_exact(long_dipole):
