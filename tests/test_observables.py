@@ -8,8 +8,15 @@ import numpy as np
 import pytest
 
 from photonlab import observables
-from photonlab.densities import number_density
-from photonlab.field_synthesis import SpatialGrid, synthesize
+from photonlab.densities import (
+    DensityField,
+    bb_energy_density,
+    lp_number_density,
+    number_density,
+    photon_current,
+    photon_wave_fields,
+)
+from photonlab.field_synthesis import SpatialGrid, spectral_engine, synthesize
 from photonlab.mode_space import (
     WaveVectorGrid,
     gaussian_spectrum,
@@ -42,6 +49,26 @@ def lightcone_leak(rho0, rho1, radius: float) -> float:
                          f"(contains {inside / total:.4f} of the mass)")
     outside = dist > radius + abs(rho1.t - rho0.t)
     return float(np.sum(rho1.data[outside])) * sgrid.cell_volume
+
+
+def full_sort_radius(data, sgrid, center, fraction):
+    """The containment radius from a full argsort of every distance (reference)."""
+    dist = observables._circular_distances(sgrid, center).ravel()
+    w = data.ravel()
+    total = float(np.sum(w))
+    order = np.argsort(dist)
+    cum = np.cumsum(w[order])
+    idx = int(np.searchsorted(cum, fraction * total))
+    idx = min(idx, dist.size - 1)
+    return float(dist[order][idx])
+
+
+def summed_product_divergence(vec, kgrid, sgrid):
+    """The spectral divergence through the summed (n, n, n, 3) product (reference)."""
+    engine = spectral_engine(kgrid, sgrid)
+    coeffs = engine.to_spectrum(vec)
+    div_coeffs = 1j * np.sum(kgrid.k_vectors * coeffs, axis=-1)
+    return np.real(engine.to_field(div_coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +170,104 @@ def test_uniform_density_is_box_limited():
     rho = number_density(synthesize(state, spatial, 0.0))
     widths = localization_widths((rho,))
     assert is_box_limited(widths["number"], spatial)
+
+
+FRACTIONS = (0.5, 0.9, 0.99, 1.0)
+
+
+def _assert_radius_is_the_full_sorts(data, sgrid, center=None):
+    if center is None:
+        center = observables._circular_mean(data, sgrid)
+    for fraction in FRACTIONS:
+        radius = observables._containment_radius(data, sgrid, center, fraction)
+        assert radius == full_sort_radius(data, sgrid, center, fraction), fraction
+
+
+def test_radius_of_the_desk_densities_is_the_full_sorts(desk_spatial, desk_snapshot):
+    wave = photon_wave_fields(desk_snapshot)
+    for field in (number_density(desk_snapshot), bb_energy_density(wave),
+                  lp_number_density(wave)):
+        _assert_radius_is_the_full_sorts(field.data, desk_spatial)
+
+
+def test_radius_of_a_mixed_helicity_density_is_the_full_sorts(desk_grid, desk_spatial):
+    packet = gaussian_spectrum(desk_grid, (0.0, 0.0, 10.0), 1.0, (0.6, 0.8))
+    _assert_radius_is_the_full_sorts(_rho(packet, desk_spatial, 0.0).data, desk_spatial)
+
+
+def test_radius_with_a_negative_tail_beyond_the_crossing_is_the_full_sorts(desk_spatial,
+                                                                          desk_snapshot):
+    rho = number_density(desk_snapshot).data.copy()
+    rho[:4, :4, :4] = -1e-9  # the corner farthest from the mid-box packet
+    _assert_radius_is_the_full_sorts(rho, desk_spatial)
+
+
+@pytest.fixture(scope="module")
+def box16():
+    return SpatialGrid.paired(WaveVectorGrid.centered((16, 16, 16), (1.0, 1.0, 1.0)))
+
+
+def _mid(sgrid):
+    return tuple(sgrid.axes[a][8] for a in range(3))
+
+
+def test_radius_of_uniform_and_spike_densities_is_the_full_sorts(box16):
+    _assert_radius_is_the_full_sorts(np.ones(box16.n_per_axis), box16)
+    spike = np.zeros(box16.n_per_axis)
+    spike[3, 11, 6] = 2.5
+    _assert_radius_is_the_full_sorts(spike, box16)
+    _assert_radius_is_the_full_sorts(spike, box16, _mid(box16))
+
+
+def test_radius_reached_only_in_the_last_shell_is_the_full_sorts(box16):
+    """All the mass sits on the box corner farthest from the centre, so every
+    point is a candidate."""
+    far = np.zeros(box16.n_per_axis)
+    far[0, 0, 0] = 1.0
+    _assert_radius_is_the_full_sorts(far, box16, _mid(box16))
+    dist = observables._circular_distances(box16, _mid(box16))
+    assert observables._containment_radius(far, box16, _mid(box16), 0.5) == dist.max()
+
+
+def test_radius_widens_to_every_point_when_the_shell_sums_round_up(box16):
+    """Two 2^-53 masses next to a unit mass: the pairwise total and the shell
+    sums hold them, the sequential sum in distance order rounds them away.
+    So the shells say the target is reached at shell 1, the candidates'
+    cumulative mass never reaches it, and only every point as candidates
+    gives the full sort's answer, the clamped farthest distance."""
+    center = _mid(box16)
+    tiny = np.zeros(box16.n_per_axis)
+    tiny[8, 8, 8] = 1.0
+    tiny[7, 8, 8] = tiny[7, 8, 9] = 2.0 ** -53
+    dist = observables._circular_distances(box16, center).ravel()
+    w = tiny.ravel()
+    shells = np.cumsum(np.bincount((dist / max(box16.delta_x)).astype(np.intp), weights=w))
+    total = float(np.sum(w))
+    assert np.cumsum(w[np.argsort(dist)]).max() < total <= shells[1]
+    assert observables._containment_radius(tiny, box16, center, 1.0) == dist.max()
+    _assert_radius_is_the_full_sorts(tiny, box16, center)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_mass_is_rejected(box16, bad):
+    """One bad voxel must not give a NaN centroid beside a finite r90 that
+    lets the guard band pass."""
+    data = np.ones(box16.n_per_axis)
+    data[5, 5, 5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        observables._circular_mean(data, box16)
+    with pytest.raises(ValueError, match="non-finite"):
+        observables._containment_radius(data, box16, _mid(box16), 0.9)
+    rho0, rho1 = (DensityField("number", data, t, box16) for t in (0.0, 1.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        transport_speed(rho0, rho1)
+
+
+def test_divergence_is_the_summed_products(small_grid, small_spatial):
+    packet = gaussian_spectrum(small_grid, (1.5, -1.0, 2.5), 0.6, (0.6, 0.8))
+    current = photon_current(synthesize(packet, small_spatial, 0.3)).data
+    assert np.array_equal(observables._divergence(current, small_grid, small_spatial),
+                          summed_product_divergence(current, small_grid, small_spatial))
 
 
 # ---------------------------------------------------------------------------
