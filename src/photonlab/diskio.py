@@ -12,14 +12,19 @@ import os
 import tempfile
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a temporary file in the same directory."""
+def atomic_write_bytes(path: str, chunks) -> None:
+    """Write the bytes-like ``chunks``, in order, to ``path`` via a temporary file.
+
+    The temporary file is in the same directory.  A header and an array
+    buffer are written as two chunks, so they are never joined into a copy.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = None
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp_path, path)
     except BaseException as exc:
         if tmp_path is not None and os.path.exists(tmp_path):
@@ -30,4 +35,4 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, (text.encode("utf-8"),))

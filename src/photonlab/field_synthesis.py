@@ -71,12 +71,15 @@ The direct quadrature (:func:`synthesize_at_points`,
 its own exp(-i omega t) per mode and never reads the engine: it is the
 oracle the FFT path is checked against.  It shares only the basis of
 :func:`~photonlab.mode_space.build_basis` and the slab helper with the FFT
-path, and builds its amplitude one component at a time into arrays of its
-own.  It forms
-exp(i k.x) at each point as the outer product of the three per-axis factors
-exp(i k_a x_a) over ``kgrid.axes``, computed in place and never through the
-engine's phase helper or an FFT, so it checks the engine's origin and k_min
-phases independently.
+path, and builds its amplitude one component at a time, component-major,
+into arrays of its own.  exp(i k.x) is the product of the three per-axis
+factors exp(i k_a x_a) over ``kgrid.axes``, computed per point and never
+through the engine's phase helper or an FFT, so the oracle checks the
+engine's origin and k_min phases independently.  The mode sum is a
+separable contraction with those factors, z first, then y, then x, each
+one numpy ``einsum`` loop (no ``optimize``, so never BLAS): every sum runs
+in one fixed order on the calling thread, and the oracle's value does not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -474,7 +477,8 @@ def _direct_amplitude(s: PhotonSpectrum, t: float):
     arrays allocated here (see module docs), with the operands of every
     product in the order of the one-expression form
     ``(a c+) e+ + (a c-) conj(e+)``: a SIMD complex multiply need not give
-    the same bits with its operands swapped.
+    the same bits with its operands swapped.  Returns a ``(..., 3)`` view of
+    component-major storage (:func:`vector_array`).
     """
     grid = s.grid
     e_plus = build_basis(grid)
@@ -486,8 +490,8 @@ def _direct_amplitude(s: PhotonSpectrum, t: float):
     a_plus = np.empty(omega.shape, np.complex128)
     a_minus = np.empty_like(a_plus)
     term = np.empty_like(a_plus)
-    # C-ordered, so the quadrature's BLAS products sum in one fixed order
-    coeffs = np.empty(omega.shape + (3,), np.complex128)
+    # component-major, so each component is one contiguous block for the contraction
+    coeffs = vector_array(omega.shape, np.complex128)
 
     def fill(x):
         a, root_x, term_x = a_plus[x], root[x], term[x]
@@ -534,25 +538,29 @@ def _synthesize_with_weight(s: PhotonSpectrum, sgrid: SpatialGrid, t: float, wei
 def _direct_eval(coeffs, kgrid, points):
     """sum_k coeffs(k) exp(i k.x) at each point; any number of trailing components.
 
-    exp(i k.x) is the outer product of exp(i k_a x_a) over the three axes of
-    ``kgrid.axes``: 3 n complex exponentials per point instead of n^3.
+    exp(i k.x) = exp(i k_x x) exp(i k_y y) exp(i k_z z) over ``kgrid.axes``
+    (3 n exponentials per point instead of n^3), so the sum contracts the z
+    axis, then y, then x.  Each step is an einsum without ``optimize``, which
+    never calls BLAS; it reads ``coeffs`` in place, fastest when the
+    components are stored component-major, and makes no full-grid array.
     """
-    c_flat = coeffs.reshape(kgrid.n_samples, -1)
-    out = np.empty((points.shape[0], c_flat.shape[1]), dtype=np.complex128)
+    amp = leading(coeffs)
+    out = np.empty((points.shape[0],) + amp.shape[:-3], dtype=np.complex128)
     for i, x in enumerate(points):
         ex, ey, ez = (np.exp(1j * (k * xa)) for k, xa in zip(kgrid.axes, x))
-        phase = ex[:, None, None] * ey[None, :, None] * ez[None, None, :]
-        out[i] = phase.reshape(-1) @ c_flat
+        over_z = np.einsum("...xyz,z->...xy", amp, ez)
+        over_y = np.einsum("...xy,y->...x", over_z, ey)
+        out[i] = np.einsum("...x,x->...", over_y, ex)
     return out
 
 
 def _direct_fields(coeffs, kgrid, points):
     """(A+, E+, B+) at the points from one quadrature over nine components."""
     stacked = np.concatenate(
-        [coeffs, 1j * kgrid.omega[..., None] * coeffs, 1j * np.cross(kgrid.k_vectors, coeffs)],
-        axis=-1,
+        [leading(coeffs), leading(1j * kgrid.omega[..., None] * coeffs),
+         leading(1j * np.cross(kgrid.k_vectors, coeffs))],
     )
-    out = _direct_eval(stacked, kgrid, points)
+    out = _direct_eval(trailing(stacked, 1), kgrid, points)
     return out[:, :3], out[:, 3:6], out[:, 6:]
 
 

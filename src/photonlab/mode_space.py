@@ -25,6 +25,13 @@ component-major: the component axes come first in memory, so each
 :func:`leading` turns such a view back into the component-first array, so
 element-wise products and the FFTs of :mod:`photonlab.field_synthesis` run
 over contiguous blocks.
+
+No reduction over a grid- or source-sized array calls BLAS: a threaded BLAS
+splits a long sum over its threads, so the last bits of the result would
+follow the BLAS thread count.  Such sums use numpy's own reductions, and
+:func:`l2_norm` is the one L2 norm.  Only products whose sum runs over a
+short axis (a source's rank, a 3-vector) and that BLAS partitions by output
+alone may use BLAS.
 """
 
 from __future__ import annotations
@@ -61,6 +68,22 @@ def leading(arr):
     n_components = arr.ndim - 3
     lead = range(n_components)
     return np.moveaxis(arr, tuple(i - n_components for i in lead), tuple(lead))
+
+
+def l2_norm(x) -> float:
+    """sqrt(sum |x|^2) over every element of ``x``, never through BLAS.
+
+    ``np.linalg.norm`` ends in a BLAS dot product, which OpenBLAS splits over
+    its own threads for a long vector, so its last bits follow the BLAS
+    thread count.  This is one numpy einsum loop (no ``optimize``) over a
+    flat real view in memory order (a complex element is its two real
+    parts): one fixed summation order, on the calling thread, and no
+    temporary array for an ``x`` stored without gaps in any axis order.
+    """
+    flat = np.ravel(x, order="K")
+    if np.iscomplexobj(flat):
+        flat = flat.view(np.float64)
+    return float(np.sqrt(np.einsum("i,i->", flat, flat)))
 
 
 def _triple(value, name):
@@ -307,7 +330,7 @@ def gaussian_spectrum(grid, k0, sigma, helicity_weights=(1.0, 0.0)) -> PhotonSpe
         raise ValueError("helicity_weights must not both vanish")
     if not grid.coverage_contains(k0):
         raise ValueError(f"k0 {k0!r} lies outside the grid coverage")
-    if np.linalg.norm(k0) < 5.0 * sigma:
+    if l2_norm(k0) < 5.0 * sigma:
         warnings.warn(
             "gaussian packet is not well separated from the zero mode "
             "(|k0| < 5 sigma); low-frequency truncation may be visible",

@@ -7,23 +7,25 @@ density whose total mass is not finite is rejected with ``ValueError``.
 
 Containment radii (the 90% guard band of :func:`transport_speed`, the 99%
 widths of :func:`localization_widths`) are read from the cumulative mass of
-the points taken in ascending distance from the centroid.  Only the points
-that can matter are sorted: every point falls in the radial shell
+the points taken in ascending distance from the centroid: the radius is the
+distance of the first point at which it reaches the target.  Only the
+points that can matter are sorted: every point falls in the radial shell
 ``floor(dist / max(delta_x))``, one ``np.bincount`` gives the mass per
 shell, and the candidates are the points of the shells up to the first one
 whose cumulative shell mass reaches the target, plus one shell of margin;
-if the candidates' own cumulative mass still falls short, every point is a
-candidate.  The result is the full sort's, bit for bit, whenever the
-cumulative mass crosses the target once: the shell index is a monotone
-function of the same ``dist``, so the candidates are a prefix of the
-ascending-distance order, their cumulative sum is the same sequential sum as
-the full one up to the crossing, and a binary search over any prefix that
-holds the crossing stops at it.  That holds for every non-negative density,
-and for a signed one whenever its negative tail lies beyond the crossing.
-The one caveat is the sort's order among equal distances, which the full
-sort leaves unspecified as well: it can move the answer only when the
-target lies within roundoff of the cumulative mass at the end of a group of
-equal distances.
+if the candidates' own cumulative mass never reaches it, every point is a
+candidate.  The result is the full sort's, bit for bit: the shell index is
+a monotone function of the same ``dist``, so the candidates are a prefix of
+the ascending-distance order, their cumulative sum is the same sequential
+sum as the full one, and a shell's cumulative mass is the points' at its
+end, so the first point to reach the target lies in or before the first
+shell to reach it (the margin shell absorbs the bincount's other summation
+order).  For a non-negative density the first crossing is the one a binary
+search finds; a signed density's cumulative mass can cross the target more
+than once, and the first crossing still counts.  The one caveat is the
+sort's order among equal distances, which the full sort leaves unspecified
+as well: it can move the answer only when the target lies within roundoff
+of the cumulative mass at the end of a group of equal distances.
 
 The spectral divergence forms ``i k.J^`` in place in one complex scalar
 array and transforms it back in place: one forward transform of the three
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import densities as dn
 from . import field_synthesis as fs
-from .mode_space import PhotonSpectrum, leading
+from .mode_space import PhotonSpectrum, l2_norm, leading
 
 #: guard band: a packet's 90% containment radius must stay below this fraction of the box
 GUARD_FRACTION = 0.25
@@ -155,9 +157,9 @@ def continuity_residual(snap: fs.FieldSnapshot, dt: float) -> float:
     drho = (rho_p - rho_m) / (2.0 * dt)
     cur = dn.photon_current(snap).data
     div = _divergence(cur, s.grid, sgrid)
-    num = float(np.linalg.norm(drho + div))
-    den = float(np.linalg.norm(div))
-    floor = 1e-12 * float(np.linalg.norm(cur)) * max(omega_max, 1.0)
+    num = l2_norm(drho + div)
+    den = l2_norm(div)
+    floor = 1e-12 * l2_norm(cur) * max(omega_max, 1.0)
     if den <= floor:
         return 0.0 if num <= floor else num / max(den, np.finfo(float).tiny)
     return num / den
@@ -200,16 +202,27 @@ def _containment_radius(data, sgrid, center, fraction):
     target = fraction * total
     shell = (dist / max(sgrid.delta_x)).astype(np.intp)
     reach = np.cumsum(np.bincount(shell, weights=w))
-    for limit in (int(np.searchsorted(reach, target)) + 1, reach.size):
+    for limit in (_first_reaching(reach, target) + 1, reach.size):
         cand = np.flatnonzero(shell <= limit)
         d = dist[cand]
         order = np.argsort(d)
         cum = np.cumsum(w[cand][order])
-        idx = int(np.searchsorted(cum, target))
+        idx = _first_reaching(cum, target)
         if idx < cum.size or cand.size == dist.size:
             break
     idx = min(idx, cum.size - 1)
     return float(d[order[idx]])
+
+
+def _first_reaching(cum, target) -> int:
+    """Index of the first element of ``cum`` that is >= ``target``, else ``cum.size``.
+
+    For a non-decreasing ``cum`` this is ``np.searchsorted(cum, target)``;
+    a signed density's cumulative mass can cross the target more than once,
+    and the first crossing is the one that counts.
+    """
+    reached = cum >= target
+    return int(np.argmax(reached)) if reached.any() else cum.size
 
 
 def localization_widths(fields) -> dict[str, float]:

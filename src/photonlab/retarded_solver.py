@@ -65,6 +65,13 @@ Conventions for derived quantities:
 * Lorenz-gauge residual: d(phi_over_c)/dt + div A, normalized by the L2 norm
   of div A, both via centred differences on interior samples.
 * Fields: E = -dA/dt - grad(phi), B = curl A, again centred differences.
+* No sum over cells goes through BLAS, which would split it over its own
+  threads and let the last bits follow the BLAS thread count: the residual
+  norms are :func:`~photonlab.mode_space.l2_norm`, and the conservation
+  residual's and ``total_charge``'s sums over the rank are einsum loops.
+  The products left to BLAS (the quadrature's block contraction and
+  :attr:`SourceCurrent.table`) sum over the rank alone, and BLAS splits
+  only their outputs between threads.
 """
 
 from __future__ import annotations
@@ -76,7 +83,7 @@ from functools import cached_property
 import numpy as np
 
 from .field_synthesis import SpatialGrid, _in_slabs, _slab_bounds, _workers
-from .mode_space import _triple
+from .mode_space import _triple, l2_norm
 
 FOUR_PI = 4.0 * math.pi
 
@@ -209,7 +216,8 @@ class SourceCurrent:
 
     def total_charge(self, time_index: int = 0) -> float:
         charges = self.profiles[..., 0].reshape(self.profiles.shape[0], -1).sum(axis=1)
-        return float(self.time_coefficients[time_index] @ charges * self.cell_volume)
+        return float(np.einsum("q,q->", self.time_coefficients[time_index], charges)
+                     * self.cell_volume)
 
     def conservation_residual(self) -> float:
         """L2 residual of d(rho)/dt + div J over the interior, normalized.
@@ -223,7 +231,9 @@ class SourceCurrent:
         Both terms are linear in the factors: ``d(rho)/dt`` is the time
         derivative of the coefficients against the profiles' rho rows, and
         ``div J`` the coefficients against the profiles' divergence.  They
-        are formed a few slices at a time, never as a whole space-time array.
+        are formed a few slices at a time, never as a whole space-time array,
+        by einsum sums over the rank, and the chunks' norms are combined with
+        ``math.hypot``: no sum goes through BLAS.
         """
         rank = self.profiles.shape[0]
         core = _interior_slices((self.n_times,) + self.n_per_axis)
@@ -240,11 +250,11 @@ class SourceCurrent:
         numerator = denominator = 0.0
         chunk = max(1, _CONSERVATION_CHUNK // div.shape[1])
         for lo in range(0, coefficients.shape[0], chunk):
-            div_j = coefficients[lo:lo + chunk] @ div
-            denominator += float(np.vdot(div_j, div_j))
-            div_j += rates[lo:lo + chunk] @ charge
-            numerator += float(np.vdot(div_j, div_j))
-        return math.sqrt(numerator) / max(math.sqrt(denominator), _DENOMINATOR_FLOOR)
+            div_j = np.einsum("tq,qc->tc", coefficients[lo:lo + chunk], div)
+            denominator = math.hypot(denominator, l2_norm(div_j))
+            div_j += np.einsum("tq,qc->tc", rates[lo:lo + chunk], charge)
+            numerator = math.hypot(numerator, l2_norm(div_j))
+        return numerator / max(denominator, _DENOMINATOR_FLOOR)
 
 
 def _read_only_copy(value, name: str) -> np.ndarray:
@@ -620,8 +630,8 @@ def gauge_residual(pf: PotentialField) -> float:
     div = _interior_derivative(pf.A[..., 0], 1, steps_x[0], core)
     for axis in (1, 2):
         div += _interior_derivative(pf.A[..., axis], axis + 1, steps_x[axis], core)
-    numerator = float(np.linalg.norm(_interior_derivative(pf.phi_over_c, 0, step_t, core) + div))
-    return numerator / max(float(np.linalg.norm(div)), _DENOMINATOR_FLOOR)
+    numerator = l2_norm(_interior_derivative(pf.phi_over_c, 0, step_t, core) + div)
+    return numerator / max(l2_norm(div), _DENOMINATOR_FLOOR)
 
 
 def fields_from_potential(pf: PotentialField) -> tuple[np.ndarray, np.ndarray]:

@@ -565,17 +565,20 @@ _SUMMARY_MAGIC = "photonlab-summary v1"
 def write_array(path: str, data: np.ndarray, kind: str, t: float) -> str:
     """One ASCII header line, then raw little-endian float64 bytes (C order).
 
-    Returns the SHA-256 hex digest of the bytes written.
+    Returns the SHA-256 hex digest of the bytes written.  The header and the
+    array's own buffer are written and hashed one after the other, never
+    joined into a copy of the payload.
     """
     arr = np.ascontiguousarray(np.asarray(data, dtype="<f8"))
     shape = ",".join(str(n) for n in arr.shape)
     header = (
         f"{_ARRAY_MAGIC} kind={kind} shape={shape} dtype=<f8 order=C "
         f"time={t:.17g} units=natural\n"
-    )
-    payload = b"".join((header.encode("ascii"), arr.data))
-    atomic_write_bytes(path, payload)
-    return hashlib.sha256(payload).hexdigest()
+    ).encode("ascii")
+    atomic_write_bytes(path, (header, arr.data))
+    digest = hashlib.sha256(header)
+    digest.update(arr.data)
+    return digest.hexdigest()
 
 
 def read_array(path: str) -> tuple[np.ndarray, dict[str, str]]:

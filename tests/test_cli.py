@@ -42,10 +42,10 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(*args):
-    """A fresh interpreter that imports this checkout's photonlab."""
+def run_python(*args, **environ):
+    """A fresh interpreter that imports this checkout's photonlab; ``environ`` adds variables."""
     src = str(Path(photonlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120)
@@ -84,6 +84,47 @@ def test_first_run_of_a_process_costs_no_extra_transform(tmp_path, config_path):
                       str(tmp_path / "cold"), str(tmp_path / "warm"))
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[2, 2]"
+
+
+PRINT_REDUCTIONS = """\
+import contextlib, io, sys
+import numpy as np
+from photonlab import observables
+from photonlab.cli import main
+from photonlab.config import load_scenario
+from photonlab.field_synthesis import SpatialGrid, synthesize, synthesize_at_points
+from photonlab.retarded_solver import gaussian_dipole_source
+from photonlab.runner import build_grid, build_spectrum
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["run", sys.argv[1], "--outdir", sys.argv[2]]) == 0
+cfg = load_scenario(sys.argv[1])
+grid = build_grid(cfg)
+spatial = SpatialGrid.paired(grid)
+spectrum = build_spectrum(cfg, grid)
+dt = 1e-3 / float(np.max(grid.omega))
+print(repr(observables.continuity_residual(synthesize(spectrum, spatial, 0.0), dt)))
+dipole = gaussian_dipole_source((0.0, 0.0, 1.0), 1.0, 0.4, 0.1, 25, t0=0.0, delta_t=0.05,
+                                n_times=12)
+print(repr(dipole.conservation_residual()))
+points = np.random.default_rng(5).uniform(-2.0, 2.0, size=(3, 3))
+print([repr(v) for v in np.ravel(synthesize_at_points(spectrum, points, 0.3)).tolist()])
+"""
+
+
+@pytest.mark.skipif(field_synthesis._cpus() < 2,
+                    reason="OpenBLAS caps its threads at the CPU count, so one CPU "
+                           "cannot run the threaded reductions this compares against")
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, config_path):
+    """``run`` summary bytes, the continuity and source-conservation residuals
+    and the quadrature oracle are the same with one BLAS thread and with two."""
+    outputs = []
+    for threads in ("1", "2"):
+        outdir = tmp_path / f"blas{threads}"
+        done = run_python("-c", PRINT_REDUCTIONS, str(config_path), str(outdir),
+                          OPENBLAS_NUM_THREADS=threads)
+        assert done.returncode == 0, done.stderr
+        outputs.append((done.stdout, (outdir / "summary.txt").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_run_exports_artifacts_and_passes(capsys, tmp_path, config_path):
@@ -398,6 +439,22 @@ def test_array_file_round_trip(tmp_path):
     assert np.array_equal(back, data)
     assert meta["kind"] == "number" and meta["shape"] == "2,3,4"
     assert float(meta["time"]) == 0.25
+
+
+def test_array_file_is_the_joined_header_and_payload(tmp_path):
+    """Header and buffer written one after the other give the bytes, and the
+    digest, of their joined copy; also for a component-major view."""
+    stored = np.arange(2 * 3 * 4 * 3, dtype=float).reshape(3, 2, 3, 4) / 7.0
+    for data in (stored, np.moveaxis(stored, 0, -1)):
+        path = tmp_path / "momentum_t0.f64"
+        digest = write_array(str(path), data, "momentum", 0.5)
+        shape = ",".join(str(n) for n in data.shape)
+        joined = (
+            f"photonlab-array v1 kind=momentum shape={shape} dtype=<f8 order=C "
+            "time=0.5 units=natural\n"
+        ).encode("ascii") + np.ascontiguousarray(data, dtype="<f8").tobytes()
+        assert path.read_bytes() == joined
+        assert digest == hashlib.sha256(joined).hexdigest()
 
 
 def test_write_errors_name_the_requested_path(tmp_path):

@@ -248,6 +248,24 @@ def test_radius_widens_to_every_point_when_the_shell_sums_round_up(box16):
     _assert_radius_is_the_full_sorts(tiny, box16, center)
 
 
+def test_radius_of_a_signed_density_is_its_first_crossing(box16):
+    """Unit mass at the centre, -0.5 over its 6 nearest neighbours and +0.5
+    over the 12 next ones: the centre alone holds the whole mass, so every
+    fraction is reached there.  The cumulative mass dips to 0.5 and climbs
+    back to 1, and a binary search on it lands beyond the centre."""
+    center = _mid(box16)
+    data = np.zeros(box16.n_per_axis)
+    data[8, 8, 8] = 1.0
+    for offset in np.ndindex(3, 3, 3):
+        step = np.subtract(offset, 1)
+        ring = int(np.sum(np.abs(step)))
+        if ring in (1, 2):
+            data[tuple(8 + step)] += -0.5 / 6 if ring == 1 else 0.5 / 12
+    dist = observables._circular_distances(box16, center)
+    for fraction in (0.5, 0.9, 0.99):
+        assert observables._containment_radius(data, box16, center, fraction) == dist[8, 8, 8]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_mass_is_rejected(box16, bad):
     """One bad voxel must not give a NaN centroid beside a finite r90 that

@@ -28,6 +28,7 @@ from photonlab.mode_space import (
     WaveVectorGrid,
     build_basis,
     gaussian_spectrum,
+    leading,
     normalize,
     spectral_summary,
 )
@@ -432,15 +433,31 @@ def _old_direct_amplitude(s, t):
 
 
 def test_the_oracle_amplitude_equals_its_one_expression_form(monkeypatch):
-    """Bitwise, on a mixed spectrum in two uneven slabs, and C-ordered for the quadrature."""
+    """Bitwise, on a mixed spectrum in two uneven slabs, and component-major for the contraction."""
     monkeypatch.setattr(field_synthesis, "_cpus", lambda: 2)
     monkeypatch.setenv("PHOTONLAB_THREADS", "2")
     grid = WaveVectorGrid.centered((15, 16, 12), (0.8, 0.8, 0.8))
     s = gaussian_spectrum(grid, (1.5, -1.0, 3.5), 0.6, (0.6, 0.8))
     for t in (0.0, 0.73, -2.4):
         coeffs = field_synthesis._direct_amplitude(s, t)
-        assert coeffs.flags.c_contiguous
+        assert leading(coeffs).flags.c_contiguous
         assert np.array_equal(coeffs, _old_direct_amplitude(s, t))
+
+
+def test_the_oracle_contraction_makes_no_full_grid_array():
+    """The separable contraction reads the amplitude in place: at 16^3 its
+    peak allocation stays below one complex scalar on the grid."""
+    grid = WaveVectorGrid.centered((16, 16, 16), (0.8, 0.8, 0.8))
+    s = gaussian_spectrum(grid, (1.5, -1.0, 3.5), 0.6, (0.6, 0.8))
+    coeffs = field_synthesis._direct_amplitude(s, 0.3)
+    points = np.random.default_rng(2).uniform(-3.0, 3.0, size=(4, 3))
+    tracemalloc.start()
+    try:
+        field_synthesis._direct_eval(coeffs, grid, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.n_samples * 16
 
 
 def test_wave_fields_equal_their_real_field_and_multiplier_forms(small_grid, small_spatial):
