@@ -24,7 +24,8 @@ import sys
 
 from . import __version__
 from .config import load_scenario
-from .runner import export_slice, run_scenario, self_test
+from .registry import self_test
+from .runner import export_slice, run_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,6 +85,13 @@ def _attempt(verb: str, target: str, action):
     return None
 
 
+def _exit_status(failed: list[str]) -> int:
+    """0, or 1 after naming each failing ``check:metric`` on one stderr line."""
+    if failed:
+        print("failed checks: " + ", ".join(failed), file=sys.stderr)
+    return 1 if failed else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -92,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "selftest":
-        return self_test()
+        return _exit_status(self_test())
 
     try:
         cfg = load_scenario(args.config)
@@ -109,12 +117,7 @@ def main(argv: list[str] | None = None) -> int:
             print(result.line())
         if report.summary_path is not None:
             print(f"summary: {report.summary_path}")
-        if not report.ok:
-            print(
-                "failed checks: " + ", ".join(report.failed_names()), file=sys.stderr
-            )
-            return 1
-        return 0
+        return _exit_status(report.failed_names())
 
     if args.command == "export-slice":
         out_path = args.out or f"{args.kind}_{args.plane.replace('=', '_')}.csv"

@@ -323,5 +323,13 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read(), source=path)
+    """Read and parse a scenario file; bytes that are not UTF-8 fail at their line."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: byte 0x{raw[exc.start]:02x} is not UTF-8 text "
+                         f"({exc.reason})") from exc
+    return parse_scenario(text, source=path)

@@ -143,7 +143,7 @@ def _operator_density(f: fs.FieldSnapshot, op_coeffs):
     operator, or (nx, ny, nz, m, 3) for m operators transformed together,
     stored component-major; it is used as the work array.
     """
-    op_a = fs.spectral_engine(f.kgrid, f.sgrid).to_field(op_coeffs, overwrite=True)
+    op_a = fs.spectral_engine(f.kgrid, f.sgrid).to_field(op_coeffs)
     subscripts = "...c,...c->..." if op_a.ndim == 4 else "...c,...jc->...j"
     out = _im_dot(f.E_plus, op_a, subscripts)
     out *= SIGMA
@@ -294,8 +294,7 @@ def photon_wave_fields(f: fs.FieldSnapshot) -> PhotonWaveFields:
         np.multiply(lam, f.B_plus.real, out=F.imag)
         psi_coeffs = leading(f.a_coeffs)  # a fresh array, scaled in place
         np.multiply(np.sqrt(f.kgrid.omega), psi_coeffs, out=psi_coeffs)
-        psi = fs.spectral_engine(f.kgrid, f.sgrid).to_field(trailing(psi_coeffs, 1),
-                                                            overwrite=True)
+        psi = fs.spectral_engine(f.kgrid, f.sgrid).to_field(trailing(psi_coeffs, 1))
         return PhotonWaveFields(helicity=lam, F=fs._read_only(F), psi=fs._read_only(psi),
                                 t=f.t, grid=f.sgrid)
 

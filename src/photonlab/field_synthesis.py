@@ -21,13 +21,13 @@ derivatives are spectral multipliers, never finite differences.
 
 Every FFT goes through one :class:`SpectralEngine` per (WaveVectorGrid,
 SpatialGrid) pair (:func:`spectral_engine`, the two most recently used pairs
-are kept).  It holds, read-only, what depends on the grids alone: the mode
-factor i / sqrt(omega) with the excluded zero mode set to zero, the two
+are kept).  It holds, read-only, what depends on the grids alone: the real
+mode factor 1 / sqrt(omega) with the excluded zero mode set to zero, the two
 phase factors that turn the grid-order mode sum into an inverse DFT, and the
 distinct frequencies of the grid with each mode's index into them.  The
 helicity basis is not the engine's: :func:`~photonlab.mode_space.build_basis`
 builds and keeps e+ once per k-grid, and e- is its conjugate.  The
-time-independent amplitude g * i omega^{-1/2} (c+ e+ + c- conj(e+)) is formed
+time-independent amplitude i g omega^{-1/2} (c+ e+ + c- conj(e+)) is formed
 once per spectrum and kept with the spectrum, so the shared engine holds
 nothing of any one spectrum.  Each time then costs
 one exp(-i omega t) per distinct frequency (1914 for the 262144 modes of the
@@ -40,8 +40,10 @@ helicity, the k-grid and the fields at other times from the snapshot alone.
 Per-mode vector arrays and synthesized fields are stored component-major
 (see :mod:`photonlab.mode_space`): every inverse and forward FFT runs over
 the three trailing, spatial axes of a C-contiguous array whose component
-axes lead, and callers see ``(..., 3)`` views of it.  An input in another
-layout is copied once into this one.
+axes lead, and callers see ``(..., 3)`` views of it.
+:meth:`SpectralEngine.to_field` transforms such a work array of its caller's
+in place; :func:`spectrum_to_field` copies an input in any layout once into
+this one.
 
 Every FFT runs on :func:`_workers` threads: the CPUs the process may run
 on, or ``PHOTONLAB_THREADS`` clamped to [1, that count].  pocketfft splits
@@ -295,7 +297,7 @@ class SpectralEngine:
         self.sgrid = sgrid
         mask = kgrid.exclusion_mask
         safe = np.where(mask, 1.0, kgrid.omega)
-        self.mode_factor = _read_only(np.where(mask, 0.0, 1j / np.sqrt(safe)))
+        self.mode_factor = _read_only(np.where(mask, 0.0, 1.0 / np.sqrt(safe)))
         self.phase_k = _read_only(_separable_phase(
             [k * o for k, o in zip(kgrid.axes, sgrid.origin)]
         ))
@@ -314,21 +316,16 @@ class SpectralEngine:
         """
         return np.exp(-1j * self._levels * t)[self._level_index]
 
-    def to_field(self, coeffs, overwrite=False):
+    def to_field(self, coeffs):
         """sum_k coeffs(k) exp(i k.x) on the spatial grid with one inverse FFT.
 
-        ``coeffs`` is indexed in grid order; trailing component axes are
-        transformed together, and the field comes back with the same
-        trailing axes, stored component-major.  ``overwrite`` lets a
-        component-major complex128 work array of the caller's be transformed
-        in place; any other layout costs one contiguous copy.
+        ``coeffs`` is indexed in grid order, complex128, with its trailing
+        component axes stored component-major (a :func:`trailing` view of a
+        C-contiguous array).  It is the work array: it is transformed in
+        place, and the field comes back as the same view of that buffer.
         """
         work = leading(coeffs)
-        if overwrite and work.dtype == np.complex128 and work.flags.c_contiguous:
-            _multiply(work, self.phase_k, work)
-        else:
-            work = _multiply(work, self.phase_k, np.empty(work.shape, np.complex128))
-        return trailing(self._transform(work), coeffs.ndim - 3)
+        return trailing(self._transform(_multiply(work, self.phase_k, work)), coeffs.ndim - 3)
 
     def _transform(self, work):
         """In-place inverse FFT of component-first coefficients that carry ``phase_k``."""
@@ -346,7 +343,7 @@ class SpectralEngine:
         return trailing(coeffs, field.ndim - 3)
 
     def amplitude(self, s: PhotonSpectrum):
-        """Time-independent grid-order amplitude g i omega^{-1/2} (c+ e+ + c- e-).
+        """Time-independent grid-order amplitude i g omega^{-1/2} (c+ e+ + c- e-).
 
         Kept read-only with ``s`` (:func:`_memo`), so a spectrum synthesized
         at several times pays for it once.
@@ -361,12 +358,12 @@ class SpectralEngine:
         term = np.empty_like(amp)
 
         def fill(x):
-            # c+ e+ + c- conj(e+), then times weight * mode_factor (formed in term[0])
+            # c+ e+ + c- conj(e+), then times i weight * mode_factor (formed in term[0])
             np.multiply(c_plus[x], e_plus[:, x], out=amp[:, x])
             np.conjugate(e_plus[:, x], out=term[:, x])
             np.multiply(c_minus[x], term[:, x], out=term[:, x])
             np.add(amp[:, x], term[:, x], out=amp[:, x])
-            np.multiply(weight, self.mode_factor[x], out=term[0, x])
+            np.multiply(1j * weight, self.mode_factor[x], out=term[0, x])
             np.multiply(amp[:, x], term[0, x], out=amp[:, x])
 
         _in_slabs(fill, amp.shape[1])
@@ -414,9 +411,12 @@ def spectrum_to_field(coeffs, kgrid: WaveVectorGrid, sgrid: SpatialGrid):
     """Evaluate sum_k coeffs(k) exp(i k.x) on the paired spatial grid.
 
     ``coeffs`` is indexed in grid order (ascending k per axis); trailing
-    component axes are transformed independently.
+    component axes are transformed independently.  ``coeffs`` is left as it
+    is: one component-major complex copy is transformed.
     """
-    return spectral_engine(kgrid, sgrid).to_field(np.asarray(coeffs))
+    coeffs = np.asarray(coeffs)
+    work = np.array(leading(coeffs), dtype=np.complex128, order="C")
+    return spectral_engine(kgrid, sgrid).to_field(trailing(work, coeffs.ndim - 3))
 
 
 def field_to_spectrum(field, kgrid: WaveVectorGrid, sgrid: SpatialGrid):
@@ -464,7 +464,7 @@ class FieldSnapshot:
         b_coeffs = vector_array(self.kgrid.n_per_axis, np.complex128)
         _cross(self.kgrid.k_vectors, self.a_coeffs, out=b_coeffs)
         b_coeffs *= 1j
-        return spectral_engine(self.kgrid, self.sgrid).to_field(b_coeffs, overwrite=True)
+        return spectral_engine(self.kgrid, self.sgrid).to_field(b_coeffs)
 
 
 def _direct_amplitude(s: PhotonSpectrum, t: float):
@@ -597,6 +597,7 @@ def translation_check_1d(s: PhotonSpectrum, dt: float) -> float:
     sgrid = SpatialGrid.paired(grid)
     evolved = synthesize(s, sgrid, float(dt)).A_plus
     engine = spectral_engine(grid, sgrid)
-    shifted = engine.to_field(engine.amplitude(s) * np.exp(-1j * kz * float(dt))[..., None])
+    shift = np.exp(-1j * kz * float(dt))
+    shifted = engine.to_field(trailing(leading(engine.amplitude(s)) * shift, 1))
     scale = float(np.max(np.abs(evolved))) or 1.0
     return float(np.max(np.abs(evolved - shifted))) / scale

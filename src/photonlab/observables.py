@@ -135,7 +135,7 @@ def _divergence(vec, kgrid, sgrid):
     div_coeffs += coeffs[1]
     div_coeffs += coeffs[2]
     np.multiply(1j, div_coeffs, out=div_coeffs)
-    return np.real(engine.to_field(div_coeffs, overwrite=True))
+    return np.real(engine.to_field(div_coeffs))
 
 
 def continuity_residual(snap: fs.FieldSnapshot, dt: float) -> float:

@@ -1,7 +1,7 @@
 """Shared fixtures.
 
 The expensive desk-scale objects (64^3 packet, its t=0 snapshot, the
-conserved dipole source) are cached inside :mod:`photonlab.runner`, so every
+conserved dipole source) are cached inside :mod:`photonlab.registry`, so every
 test module that needs them shares one copy per pytest process.  The whole
 acceptance registry runs once per session too, through ``photonlab
 selftest`` (:func:`selftest_run`).
@@ -15,29 +15,29 @@ import io
 import numpy as np
 import pytest
 
-from photonlab import cli, runner
+from photonlab import cli, registry
 from photonlab.field_synthesis import SpatialGrid, synthesize
 from photonlab.mode_space import WaveVectorGrid, gaussian_spectrum
 
 
 @pytest.fixture(scope="session")
 def desk_grid():
-    return runner.desk_grid()
+    return registry.desk_grid()
 
 
 @pytest.fixture(scope="session")
 def desk_spatial():
-    return runner.desk_spatial()
+    return registry.desk_spatial()
 
 
 @pytest.fixture(scope="session")
 def desk_packet():
-    return runner.desk_packet()
+    return registry.desk_packet()
 
 
 @pytest.fixture(scope="session")
 def desk_snapshot():
-    return runner.desk_snapshot()
+    return registry.desk_snapshot()
 
 
 @pytest.fixture(scope="session")

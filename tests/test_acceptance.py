@@ -1,6 +1,6 @@
 """Full acceptance suite: one test per headline guarantee.
 
-Every check in :mod:`photonlab.runner`'s registry runs once per session, in
+Every check in :mod:`photonlab.registry` runs once per session, in
 the shared ``photonlab selftest`` run (the ``selftest_run`` fixture).  Each
 test here finds its check's single PASS/FAIL line in that run's output,
 prints it (visible with ``pytest -s`` and in failure reports) and asserts
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from photonlab import runner
+from photonlab import registry
 
 
 def _check(selftest_run, name: str) -> None:
@@ -82,7 +82,7 @@ def test_11_localization_widths_are_box_independent(selftest_run):
     _check(selftest_run, "localization")
 
 
-@pytest.mark.parametrize("name", [name for name, _ in runner.CONTROL_CHECKS])
+@pytest.mark.parametrize("name", [name for name, _ in registry.CONTROL_CHECKS])
 def test_negative_controls_detect_seeded_faults(selftest_run, name):
     """Deliberately corrupted conventions must trip their detectors."""
     _check(selftest_run, name)

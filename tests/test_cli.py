@@ -229,6 +229,16 @@ def test_zero_mode_index_exits_2_and_its_neighbour_runs(capsys, tmp_path):
     assert code == 0, err
 
 
+def test_non_utf8_config_exits_2_at_the_line_of_the_byte(capsys, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(CONFIG.replace("packet.kind", "packet.\xff", 1).encode("latin-1"))
+    code, out, err = invoke(capsys, "run", str(bad), "--outdir", str(tmp_path / "o"))
+    assert code == 2
+    assert f"{bad}:3: byte 0xff is not UTF-8 text (invalid start byte)" in err
+    assert out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_config_exits_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "run", str(tmp_path / "nope.cfg"))
     assert code == 2
@@ -509,17 +519,16 @@ def test_run_preconditions_exit_2_at_their_line_and_write_nothing(capsys, tmp_pa
 
 
 def test_selftest_names_failing_and_raising_checks_on_stderr(capsys, monkeypatch):
-    from photonlab import runner
+    from photonlab import registry
 
     def failing():
-        return runner.CheckResult("bad", (runner.Metric("m", 2.0, 1.0),
-                                          runner.Metric("fine", 0.5, 1.0)))
+        return registry.Metric("m", 2.0, 1.0), registry.Metric("fine", 0.5, 1.0)
 
     def raising():
         raise OverflowError("occupation above n_max")
 
-    monkeypatch.setattr(runner, "ACCEPTANCE_CHECKS", (("bad", failing),))
-    monkeypatch.setattr(runner, "CONTROL_CHECKS", (("boom", raising),))
+    monkeypatch.setattr(registry, "ACCEPTANCE_CHECKS", (("bad", failing),))
+    monkeypatch.setattr(registry, "CONTROL_CHECKS", (("boom", raising),))
     code, out, err = invoke(capsys, "selftest")
     assert code == 1
     assert err == "failed checks: bad:m, boom:raised\n"
@@ -528,10 +537,10 @@ def test_selftest_names_failing_and_raising_checks_on_stderr(capsys, monkeypatch
     assert out.rstrip().splitlines()[-1].startswith("FAILED (1 checks, 1 controls")
 
     def passing():
-        return runner.CheckResult("good", (runner.Metric("m", 0.5, 1.0),))
+        return (registry.Metric("m", 0.5, 1.0),)
 
-    monkeypatch.setattr(runner, "ACCEPTANCE_CHECKS", (("good", passing),))
-    monkeypatch.setattr(runner, "CONTROL_CHECKS", ())
+    monkeypatch.setattr(registry, "ACCEPTANCE_CHECKS", (("good", passing),))
+    monkeypatch.setattr(registry, "CONTROL_CHECKS", ())
     code, out, err = invoke(capsys, "selftest")
     assert (code, err) == (0, "")
     assert "PASS good: m=5.000e-01<=1.0e+00" in out

@@ -299,7 +299,7 @@ def test_no_mass_escapes_the_light_cone():
     nonlocal frequency weighting), so the absolute tail mass is ~1e-4; the
     causality statement is that the expanding cone never loses to it.
     """
-    from photonlab.runner import broadband_packet
+    from photonlab.registry import broadband_packet
 
     _, spatial, packet = broadband_packet(64, 0.5)
     rho0 = _rho(packet, spatial, 0.0)

@@ -31,9 +31,9 @@ ALLOWED = {
         1, "(n_times, rank) x (rank, cells) sums over the rank only; BLAS partitions its output"),
     ("mode_space", "localized_spectrum", "np.tensordot"): (
         1, "k . x0 sums three terms per mode; BLAS partitions its output"),
-    ("runner", "check_current_integral", "np.linalg.norm"): (
+    ("registry", "check_current_integral", "np.linalg.norm"): (
         2, "norms of 3-vectors, which BLAS runs on one thread"),
-    ("runner", "check_energy_momentum", "np.linalg.norm"): (
+    ("registry", "check_energy_momentum", "np.linalg.norm"): (
         2, "norms of 3-vectors, which BLAS runs on one thread"),
     ("observables", "transport_speed", "np.linalg.norm"): (
         1, "the norm of a 3-vector, which BLAS runs on one thread"),

@@ -15,7 +15,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonlab import config, densities, field_synthesis, observables, runner
+from photonlab import config, densities, field_synthesis, observables, registry, runner
 from photonlab.field_synthesis import (
     SpatialGrid,
     spectral_engine,
@@ -118,9 +118,9 @@ def test_parseval_and_transform_free_densities(pair, seed, t):
 @pytest.mark.parametrize(
     "packet",
     [
-        runner.desk_packet,
-        runner.transport_packet,
-        lambda: runner.broadband_packet(64, 0.5)[2],
+        registry.desk_packet,
+        registry.transport_packet,
+        lambda: registry.broadband_packet(64, 0.5)[2],
     ],
     ids=["desk", "transport", "broadband"],
 )
