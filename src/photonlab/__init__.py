@@ -9,6 +9,7 @@ __version__ = "0.1.0"
 from .mode_space import (  # noqa: F401
     HELICITIES,
     PhotonSpectrum,
+    SpatialGrid,
     SpectralSummary,
     WaveVectorGrid,
     build_basis,
@@ -19,4 +20,4 @@ from .mode_space import (  # noqa: F401
     scalar_product,
     spectral_summary,
 )
-from .field_synthesis import FieldSnapshot, SpatialGrid, synthesize  # noqa: F401
+from .field_synthesis import FieldSnapshot, synthesize  # noqa: F401

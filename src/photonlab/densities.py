@@ -34,23 +34,20 @@ half-power identity F = i Omega^{1/2} psi is then checked against F from the
 real fields, and stays a test of the two constructions, not a tautology.
 
 Everything several output kinds need is computed once per
-:class:`~photonlab.field_synthesis.FieldSnapshot` and kept in the snapshot's
-instance dict by the package's one memo helper, ``field_synthesis._memo``
-(the way ``B_plus`` is cached), so it is freed with the snapshot: the
-real momentum density P (read by the momentum, four-momentum and orbital
-angular-momentum densities; the 9-component transform behind it is not
-kept) and the wave fields F and psi of the snapshot's own helicity (read by
-the |F|^2 and |psi|^2 densities).  All eight output kinds of one snapshot
-thus cost four inverse FFTs in total: the synthesis, B+, the momentum
-transform and psi.  The kept arrays are shared by every caller and are read-only;
-``momentum_density`` returns P itself, so copy its data before modifying it.
+:class:`~photonlab.field_synthesis.FieldSnapshot` and kept read-only in its
+instance dict by ``field_synthesis._memo`` (the way ``B_plus`` is cached),
+so it is freed with the snapshot: the energy density H (energy and
+four-momentum), the real momentum density P (momentum, four-momentum and
+orbital angular momentum; the 9-component transform behind it is not kept)
+and the wave fields F and psi of the snapshot's own helicity.  All eight
+output kinds of one snapshot thus cost four inverse FFTs: the synthesis,
+B+, the momentum transform and psi.  ``energy_density`` and
+``momentum_density`` return the kept H and P, so copy their data before
+modifying it.
 
 The contractions (:func:`_contract_pair`, behind the number, energy,
 momentum and helicity densities), the cross products and the per-mode
-products run in x-slabs on the threads of the spectral engine, under its
-rule that a slab callback allocates nothing and writes only into arrays the
-calling function allocated (see :mod:`photonlab.field_synthesis`); the
-results are bitwise identical for any thread count.
+products run in x-slabs under the rule of :mod:`photonlab.slabs`.
 
 The coefficient arrays handed to the transforms (the (3, 3) momentum block,
 the helicity and psi amplitudes) are built component-major, the layout the
@@ -67,7 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field_synthesis as fs
-from .mode_space import WaveVectorGrid, leading, trailing, vector_array
+from .mode_space import SpatialGrid, WaveVectorGrid, leading, trailing, vector_array
+from .slabs import _cross, _in_slabs, _multiply
 
 # E+ = i omega A+ gives Im(A+ . conj(E+)) = -omega |A+|^2, so sigma = -1 makes rho >= 0
 SIGMA = -1
@@ -79,7 +77,7 @@ class DensityField:
     kind: str
     data: np.ndarray
     t: float
-    grid: fs.SpatialGrid
+    grid: SpatialGrid
 
     def __post_init__(self):
         if self.kind not in DENSITY_KINDS:
@@ -94,7 +92,8 @@ class DensityField:
 def _contract_pair(subscripts, first, second, combine, shape):
     """combine(einsum(subscripts, *first), einsum(subscripts, *second)), C-ordered ``shape``.
 
-    Evaluated in x-slabs into two arrays allocated here (see module docs).
+    Evaluated in x-slabs into two arrays allocated here (see
+    :mod:`photonlab.slabs`).
     """
     out = np.empty(shape)
     scratch = np.empty(shape)
@@ -104,7 +103,7 @@ def _contract_pair(subscripts, first, second, combine, shape):
         np.einsum(subscripts, *(op[x] for op in second), out=scratch[x])
         combine(out[x], scratch[x], out=out[x])
 
-    fs._in_slabs(contract, shape[0])
+    _in_slabs(contract, shape[0])
     return out
 
 
@@ -130,8 +129,8 @@ def number_density(f: fs.FieldSnapshot) -> DensityField:
 def photon_current(f: fs.FieldSnapshot) -> DensityField:
     """J = sigma/2 (-i A+ x cB- + c.c.) = sigma Im(A+ x conj(cB+)) (c = 1 here)."""
     a_plus, b_plus = f.A_plus, f.B_plus
-    cur = fs._cross(a_plus.imag, b_plus.real)
-    cur -= fs._cross(a_plus.real, b_plus.imag)
+    cur = _cross(a_plus.imag, b_plus.real)
+    cur -= _cross(a_plus.real, b_plus.imag)
     cur *= SIGMA
     return DensityField("current", cur, f.t, f.sgrid)
 
@@ -151,12 +150,16 @@ def _operator_density(f: fs.FieldSnapshot, op_coeffs):
 
 
 def _energy(f: fs.FieldSnapshot):
-    """H = -sigma |E+|^2, the omega-multiplier form without a transform."""
-    e_plus = f.E_plus
-    out = _contract_pair("...c,...c->...", (e_plus.real, e_plus.real),
-                         (e_plus.imag, e_plus.imag), np.add, e_plus.shape[:-1])
-    out *= -SIGMA
-    return out
+    """H = -sigma |E+|^2, the omega-multiplier form, kept per snapshot (see module docs)."""
+
+    def build():
+        e_plus = f.E_plus
+        out = _contract_pair("...c,...c->...", (e_plus.real, e_plus.real),
+                             (e_plus.imag, e_plus.imag), np.add, e_plus.shape[:-1])
+        out *= -SIGMA
+        return fs._read_only(out)
+
+    return fs._memo(f, "_energy", build)
 
 
 def _momentum(f: fs.FieldSnapshot):
@@ -168,8 +171,8 @@ def _momentum(f: fs.FieldSnapshot):
     def build():
         k, amp = leading(f.kgrid.k_vectors), leading(f.amplitude)
         op_coeffs = np.empty((3, 3) + f.kgrid.n_per_axis, np.complex128)
-        fs._multiply(k[:, None], amp[None, :], op_coeffs)
-        fs._multiply(op_coeffs, f.time_phase, op_coeffs)
+        _multiply(k[:, None], amp[None, :], op_coeffs)
+        _multiply(op_coeffs, f.time_phase, op_coeffs)
         return fs._read_only(_operator_density(f, trailing(op_coeffs, 2)))
 
     return fs._memo(f, "_momentum", build)
@@ -198,7 +201,7 @@ def helicity_density(f: fs.FieldSnapshot) -> np.ndarray:
     kgrid = f.kgrid
     mask = kgrid.exclusion_mask
     khat = np.where(mask, 0.0, leading(kgrid.k_vectors) / np.where(mask, 1.0, kgrid.omega))
-    coeffs = fs._cross(trailing(khat, 1), f.a_coeffs,
+    coeffs = _cross(trailing(khat, 1), f.a_coeffs,
                        out=vector_array(kgrid.n_per_axis, np.complex128))
     coeffs *= 1j
     return _operator_density(f, coeffs)
@@ -208,8 +211,8 @@ def spin_angular_momentum_density(f: fs.FieldSnapshot) -> DensityField:
     """Spin part Re(E+ x A-); sign fixed so a pure-lambda state integrates
     to lambda * khat (checked against the k-space oracle)."""
     e_plus, a_plus = f.E_plus, f.A_plus
-    data = fs._cross(e_plus.real, a_plus.real)
-    data += fs._cross(e_plus.imag, a_plus.imag)
+    data = _cross(e_plus.real, a_plus.real)
+    data += _cross(e_plus.imag, a_plus.imag)
     return DensityField("angular_momentum", data, f.t, f.sgrid)
 
 
@@ -238,7 +241,7 @@ def angular_momentum_density(f: fs.FieldSnapshot, origin) -> DensityField:
     return DensityField("angular_momentum", total, f.t, f.sgrid)
 
 
-def apply_frequency_operator(field, kgrid: WaveVectorGrid, sgrid: fs.SpatialGrid, power):
+def apply_frequency_operator(field, kgrid: WaveVectorGrid, sgrid: SpatialGrid, power):
     """Apply the spectral multiplier (c |k|)^power to a field array.
 
     power must be 1, 1/2 or -1/2.  The field must be band-limited to the
@@ -274,7 +277,7 @@ class PhotonWaveFields:
     F: np.ndarray
     psi: np.ndarray
     t: float
-    grid: fs.SpatialGrid
+    grid: SpatialGrid
 
 
 def photon_wave_fields(f: fs.FieldSnapshot) -> PhotonWaveFields:

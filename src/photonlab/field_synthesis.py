@@ -29,9 +29,8 @@ helicity basis is not the engine's: :func:`~photonlab.mode_space.build_basis`
 builds and keeps e+ once per k-grid, and e- is its conjugate.  The
 time-independent amplitude i g omega^{-1/2} (c+ e+ + c- conj(e+)) is formed
 once per spectrum and kept with the spectrum, so the shared engine holds
-nothing of any one spectrum.  Each time then costs
-one exp(-i omega t) per distinct frequency (1914 for the 262144 modes of the
-64^3 desk grid), gathered to the modes, and one inverse FFT of the six
+nothing of any one spectrum.  Each time then costs one exp(-i omega t) per
+distinct frequency, gathered to the modes, and one inverse FFT of the six
 components of A+ and E+.  B+ is transformed on first access only, so
 number-only runs never pay for it.  A :class:`FieldSnapshot` holds the
 spectrum it was synthesized from: densities and observables read the
@@ -43,194 +42,41 @@ the three trailing, spatial axes of a C-contiguous array whose component
 axes lead, and callers see ``(..., 3)`` views of it.
 :meth:`SpectralEngine.to_field` transforms such a work array of its caller's
 in place; :func:`spectrum_to_field` copies an input in any layout once into
-this one.
-
-Every FFT runs on :func:`_workers` threads: the CPUs the process may run
-on, or ``PHOTONLAB_THREADS`` clamped to [1, that count].  pocketfft splits
-its 1-D lines over them, so a transform does not depend on the count.  The
-per-mode and per-point passes (the time-phase multiplier of a snapshot, the
-two phase factors of every transform, the amplitude, the cross products, the
-density bilinears of :mod:`photonlab.densities` and the oracle's own
-amplitude) run through
-:func:`_in_slabs`: one call per contiguous slab of the leading spatial
-axis x, the first on the calling thread and the others on one process-wide
-pool.  No pass reduces across x, and each element sees the same operations
-in the same order, so every output is bitwise identical for any thread
-count.  The retarded quadrature of :mod:`photonlab.retarded_solver` runs
-slabs of whole chunks of evaluation points on the same pool.  A slab owns
-its outputs: a callback writes only its own part of arrays that its caller
-allocated (``out=`` and in-place ufuncs; the quadrature's caller allocates
-one set of work arrays per slab), so no two slabs touch one element.  It
-allocates nothing of its own beyond small temporaries (the quadrature's
-squared offsets of a chunk, one per point and z-row of cells, 350 kB for a
-37^3 source): the C library keeps memory freed on a pool thread in that
-thread's heap.  On a 2-vCPU machine, two callbacks that made
-one temporary each (``1j * omega`` of the slab, one einsum result) raised
-the peak memory of a 64^3 run by 2-3 MB.
+this one.  The FFTs and the per-mode passes run on the threads of
+:mod:`photonlab.slabs`, under its rule, so every output is bitwise identical
+for any thread count.
 
 The direct quadrature (:func:`synthesize_at_points`,
 :func:`vector_potential_at_points`) has its own amplitude formula, evaluates
 its own exp(-i omega t) per mode and never reads the engine: it is the
 oracle the FFT path is checked against.  It shares only the basis of
 :func:`~photonlab.mode_space.build_basis` and the slab helper with the FFT
-path, and builds its amplitude one component at a time, component-major,
-into arrays of its own.  exp(i k.x) is the product of the three per-axis
-factors exp(i k_a x_a) over ``kgrid.axes``, computed per point and never
-through the engine's phase helper or an FFT, so the oracle checks the
-engine's origin and k_min phases independently.  The mode sum is a
-separable contraction with those factors, z first, then y, then x, each
-one numpy ``einsum`` loop (no ``optimize``, so never BLAS): every sum runs
-in one fixed order on the calling thread, and the oracle's value does not
-depend on the BLAS thread count.
+path.  exp(i k.x) is the product of the three per-axis factors
+exp(i k_a x_a), computed per point and never through the engine's phase
+helper or an FFT, so the oracle checks the engine's origin and k_min phases
+independently.  The mode sum contracts z, then y, then x, each one numpy
+``einsum`` loop (no ``optimize``, so never BLAS): its value does not depend
+on the BLAS thread count.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import fft as _sfft
 
 from .mode_space import (
     PhotonSpectrum,
-    TWO_PI,
+    SpatialGrid,
     WaveVectorGrid,
-    _triple,
     build_basis,
     leading,
     trailing,
     vector_array,
 )
-
-
-def _cpus():
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _workers():
-    """Threads for the FFTs and the slab passes: :func:`_cpus`, or ``PHOTONLAB_THREADS``.
-
-    The setting is clamped to [1, _cpus()]; a value that is not an integer
-    counts as 1.
-    """
-    setting = os.environ.get("PHOTONLAB_THREADS")
-    if setting is None:
-        return _cpus()
-    try:
-        return min(max(1, int(setting)), _cpus())
-    except ValueError:
-        return 1
-
-
-def _slab_bounds(n: int, parts: int):
-    """At most ``parts`` contiguous, non-empty slices that cover range(n) once."""
-    parts = max(1, min(parts, n))
-    edges = [n * i // parts for i in range(parts + 1)]
-    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-
-
-@cache
-def _pool():
-    """The process-wide pool of the slab passes, created on first use."""
-    return ThreadPoolExecutor(max(1, _cpus() - 1), thread_name_prefix="photonlab-slab")
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child has none of the parent's pool threads; it starts its own
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
-def _in_slabs(fn, n: int):
-    """Call ``fn(x)`` for the slices x of :func:`_slab_bounds` (n, :func:`_workers`).
-
-    The first slice runs on the calling thread, the others on :func:`_pool`;
-    returns when all are done and re-raises the first error.  ``fn`` must
-    only write into arrays the caller allocated (see module docs).
-    """
-    first, *rest = _slab_bounds(n, _workers())
-    futures = [_pool().submit(fn, x) for x in rest]
-    try:
-        fn(first)
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
-
-
-def _multiply(a, b, out):
-    """out = a * b in x-slabs; all three are (..., nx, ny, nz), component axes leading."""
-    _in_slabs(lambda x: np.multiply(a[..., x, :, :], b[..., x, :, :], out=out[..., x, :, :]),
-              out.shape[-3])
-    return out
-
-
-@dataclass(frozen=True)
-class SpatialGrid:
-    """Regular periodic spatial grid; points at origin + n * delta_x."""
-
-    n_per_axis: tuple[int, int, int]
-    delta_x: tuple[float, float, float]
-    origin: tuple[float, float, float]
-
-    def __post_init__(self):
-        n = tuple(int(v) for v in self.n_per_axis)
-        if any(v < 1 for v in n):
-            raise ValueError("n_per_axis must be >= 1")
-        object.__setattr__(self, "n_per_axis", n)
-        dx = _triple(self.delta_x, "delta_x")
-        if any(v <= 0 for v in dx):
-            raise ValueError("delta_x components must be positive")
-        object.__setattr__(self, "delta_x", dx)
-        object.__setattr__(self, "origin", _triple(self.origin, "origin"))
-
-    @classmethod
-    def paired(cls, kgrid: WaveVectorGrid, origin=None):
-        """The FFT partner of ``kgrid``: delta_x = 2 pi / (n delta_k).
-
-        Default origin centers the box so that x = 0 is a grid point and
-        wavepackets start mid-box.
-        """
-        n = kgrid.n_per_axis
-        dx = tuple(TWO_PI / (ni * di) for ni, di in zip(n, kgrid.delta_k))
-        if origin is None:
-            origin = tuple(-(ni // 2) * di for ni, di in zip(n, dx))
-        return cls(n, dx, origin)
-
-    @cached_property
-    def axes(self):
-        return tuple(
-            self.origin[a] + self.delta_x[a] * np.arange(self.n_per_axis[a])
-            for a in range(3)
-        )
-
-    @cached_property
-    def coordinates(self):
-        """(nx, ny, nz, 3) array of sample positions."""
-        x, y, z = np.meshgrid(*self.axes, indexing="ij")
-        pts = np.stack([x, y, z], axis=-1)
-        pts.flags.writeable = False
-        return pts
-
-    @property
-    def cell_volume(self):
-        return self.delta_x[0] * self.delta_x[1] * self.delta_x[2]
-
-    @property
-    def box_lengths(self):
-        return tuple(n * d for n, d in zip(self.n_per_axis, self.delta_x))
-
-    def is_paired_with(self, kgrid: WaveVectorGrid):
-        if self.n_per_axis != kgrid.n_per_axis:
-            return False
-        want = tuple(TWO_PI / (n * d) for n, d in zip(kgrid.n_per_axis, kgrid.delta_k))
-        return np.allclose(self.delta_x, want, rtol=1e-12, atol=0)
+from .slabs import _cross, _in_slabs, _multiply, _workers
 
 
 def _read_only(arr):
@@ -248,28 +94,6 @@ def _memo(owner, key: str, build):
     if key not in kept:
         kept[key] = build()
     return kept[key]
-
-
-def _cross(a, b, out=None):
-    """a x b of two (nx, ny, nz, 3) arrays from componentwise products, in x-slabs.
-
-    The same products and differences as ``np.cross`` (so bit-identical
-    results), without its copies of both operands.  The result is C-ordered
-    unless ``out`` (for example a :func:`vector_array`) is given.
-    """
-    if out is None:
-        out = np.empty(a.shape, np.result_type(a, b))
-    term = np.empty(out.shape[:-1], out.dtype)
-
-    def fill(x):
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            np.multiply(a[x, ..., j], b[x, ..., k], out=out[x, ..., i])
-            np.multiply(a[x, ..., k], b[x, ..., j], out=term[x])
-            np.subtract(out[x, ..., i], term[x], out=out[x, ..., i])
-
-    _in_slabs(fill, out.shape[0])
-    return out
 
 
 def _separable_phase(angles):
@@ -474,8 +298,8 @@ def _direct_amplitude(s: PhotonSpectrum, t: float):
     the engine: this feeds the oracle.  Per mode, a = i g omega^{-1/2}
     exp(-i omega t) (0 on the excluded modes) and a+- = a c+-; then, per
     component, coeffs = a+ e+ + a- conj(e+).  Evaluated in x-slabs into
-    arrays allocated here (see module docs), with the operands of every
-    product in the order of the one-expression form
+    arrays allocated here (see :mod:`photonlab.slabs`), with the operands of
+    every product in the order of the one-expression form
     ``(a c+) e+ + (a c-) conj(e+)``: a SIMD complex multiply need not give
     the same bits with its operands swapped.  Returns a ``(..., 3)`` view of
     component-major storage (:func:`vector_array`).

@@ -1,4 +1,4 @@
-"""Wavevector grids, helicity bases and single-photon spectra.
+"""Wavevector grids, their FFT-paired spatial grids, helicity bases and spectra.
 
 The whole package works in natural units (hbar = c = epsilon_0 = 1); SI
 factors enter only at export time.  Spectra live on regular cartesian
@@ -182,10 +182,6 @@ class WaveVectorGrid:
         """k-space integration weight dk^3 / (2 pi)^3 per sample."""
         return self.delta_k[0] * self.delta_k[1] * self.delta_k[2] / TWO_PI**3
 
-    @property
-    def n_samples(self):
-        return self.n_per_axis[0] * self.n_per_axis[1] * self.n_per_axis[2]
-
     def same_grid(self, other):
         return (
             self.n_per_axis == other.n_per_axis
@@ -202,6 +198,68 @@ class WaveVectorGrid:
             if not (lo <= k0[a] <= hi):
                 return False
         return True
+
+
+@dataclass(frozen=True)
+class SpatialGrid:
+    """Regular periodic spatial grid; points at origin + n * delta_x."""
+
+    n_per_axis: tuple[int, int, int]
+    delta_x: tuple[float, float, float]
+    origin: tuple[float, float, float]
+
+    def __post_init__(self):
+        n = tuple(int(v) for v in self.n_per_axis)
+        if any(v < 1 for v in n):
+            raise ValueError("n_per_axis must be >= 1")
+        object.__setattr__(self, "n_per_axis", n)
+        dx = _triple(self.delta_x, "delta_x")
+        if any(v <= 0 for v in dx):
+            raise ValueError("delta_x components must be positive")
+        object.__setattr__(self, "delta_x", dx)
+        object.__setattr__(self, "origin", _triple(self.origin, "origin"))
+
+    @classmethod
+    def paired(cls, kgrid: WaveVectorGrid, origin=None):
+        """The FFT partner of ``kgrid``: delta_x = 2 pi / (n delta_k).
+
+        Default origin centers the box so that x = 0 is a grid point and
+        wavepackets start mid-box.
+        """
+        n = kgrid.n_per_axis
+        dx = tuple(TWO_PI / (ni * di) for ni, di in zip(n, kgrid.delta_k))
+        if origin is None:
+            origin = tuple(-(ni // 2) * di for ni, di in zip(n, dx))
+        return cls(n, dx, origin)
+
+    @cached_property
+    def axes(self):
+        return tuple(
+            self.origin[a] + self.delta_x[a] * np.arange(self.n_per_axis[a])
+            for a in range(3)
+        )
+
+    @cached_property
+    def coordinates(self):
+        """(nx, ny, nz, 3) array of sample positions."""
+        x, y, z = np.meshgrid(*self.axes, indexing="ij")
+        pts = np.stack([x, y, z], axis=-1)
+        pts.flags.writeable = False
+        return pts
+
+    @property
+    def cell_volume(self):
+        return self.delta_x[0] * self.delta_x[1] * self.delta_x[2]
+
+    @property
+    def box_lengths(self):
+        return tuple(n * d for n, d in zip(self.n_per_axis, self.delta_x))
+
+    def is_paired_with(self, kgrid: WaveVectorGrid):
+        if self.n_per_axis != kgrid.n_per_axis:
+            return False
+        want = tuple(TWO_PI / (n * d) for n, d in zip(kgrid.n_per_axis, kgrid.delta_k))
+        return np.allclose(self.delta_x, want, rtol=1e-12, atol=0)
 
 
 @lru_cache(maxsize=2)
@@ -265,9 +323,6 @@ class PhotonSpectrum:
             c = np.where(mask[None, ...], 0.0 + 0.0j, c)
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
-
-    def helicity_block(self, lam):
-        return self.c[HELICITIES.index(lam)]
 
     @property
     def norm(self):

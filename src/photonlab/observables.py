@@ -42,7 +42,7 @@ import numpy as np
 
 from . import densities as dn
 from . import field_synthesis as fs
-from .mode_space import PhotonSpectrum, l2_norm, leading
+from .mode_space import PhotonSpectrum, SpatialGrid, l2_norm, leading
 
 #: guard band: a packet's 90% containment radius must stay below this fraction of the box
 GUARD_FRACTION = 0.25
@@ -87,7 +87,7 @@ def _total_mass(weights) -> float:
     return total
 
 
-def _circular_mean(weights, sgrid: fs.SpatialGrid):
+def _circular_mean(weights, sgrid: SpatialGrid):
     """Centroid of a (possibly signed) weight field on the periodic box."""
     total = _total_mass(weights)
     if total == 0.0:
@@ -109,7 +109,7 @@ def _wrap(d, length):
     return (d + 0.5 * length) % length - 0.5 * length
 
 
-def _circular_distances(sgrid: fs.SpatialGrid, center):
+def _circular_distances(sgrid: SpatialGrid, center):
     """Shortest wrapped distance of every grid point from ``center``."""
     d2 = np.zeros(sgrid.n_per_axis)
     for a in range(3):
@@ -235,12 +235,12 @@ def localization_widths(fields) -> dict[str, float]:
     return out
 
 
-def is_box_limited(width: float, sgrid: fs.SpatialGrid) -> bool:
+def is_box_limited(width: float, sgrid: SpatialGrid) -> bool:
     """True when a containment radius reaches beyond the inscribed sphere."""
     return width >= 0.5 * min(sgrid.box_lengths)
 
 
-def expectations(s: PhotonSpectrum, sgrid: fs.SpatialGrid, t: float) -> ObservableReport:
+def expectations(s: PhotonSpectrum, sgrid: SpatialGrid, t: float) -> ObservableReport:
     """Assemble the standard observable report at time t.
 
     All expectation values are density integrals (position from the number

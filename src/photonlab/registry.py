@@ -20,12 +20,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import __version__, densities, field_synthesis, observables
+from . import __version__, densities, field_synthesis, observables, slabs
 from .config import DEFAULT_TOLERANCES
-from .field_synthesis import FieldSnapshot, SpatialGrid, synthesize, translation_check_1d
+from .field_synthesis import FieldSnapshot, synthesize, translation_check_1d
 from .fock_algebra import (FockVector, ModeSet, apply_annihilate, apply_create,
                            commutator_expectation, inner_product, n_photon_state, vacuum)
-from .mode_space import (PhotonSpectrum, WaveVectorGrid, evolve, gaussian_spectrum,
+from .mode_space import (PhotonSpectrum, SpatialGrid, WaveVectorGrid, evolve, gaussian_spectrum,
                          spectral_summary)
 from .retarded_solver import (SourceCurrent, gauge_residual, gaussian_dipole_source,
                               retarded_potential, uniform_ball_source)
@@ -467,7 +467,7 @@ def self_test() -> list[str]:
     print(
         f"photonlab {__version__} selftest: "
         f"number-density sign sigma = {densities.SIGMA:+d} (constant), "
-        f"threads = {field_synthesis._workers()}"
+        f"threads = {slabs._workers()}"
     )
     failed = []
     for name, fn in ACCEPTANCE_CHECKS + CONTROL_CHECKS:

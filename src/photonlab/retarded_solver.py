@@ -42,13 +42,12 @@ end of the window, it reads a zero-padded row.  A static source contracts
 the kernels, times its single coefficient row, with the profile rows, and
 every evaluation time gets that sum.
 
-The chunks run on the slab pool of :mod:`photonlab.field_synthesis`,
-``PHOTONLAB_THREADS`` workers, each taking a contiguous run of whole chunks
-and one set of work arrays that the caller allocated.  A worker adds each
-block's products into its own chunks' rows of the potentials, in block,
-then rank, order.  No two workers touch the same output and every chunk is
-summed in one fixed order, so the result is bitwise identical for any
-number of workers.
+The chunks run on the slab pool of :mod:`photonlab.slabs`, under its rule:
+each worker takes a contiguous run of whole chunks and one set of work
+arrays that the caller allocated, and adds each block's products into its
+own chunks' rows of the potentials, in block, then rank, order.  Every
+chunk is summed in one fixed order, so the result is bitwise identical for
+any number of workers.
 
 Causality is discrete and exact: each contribution reads only the two
 coefficient rows bracketing its retarded time, so editing the source
@@ -82,8 +81,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .field_synthesis import SpatialGrid, _in_slabs, _slab_bounds, _workers
-from .mode_space import _triple, l2_norm
+from .mode_space import SpatialGrid, _triple, l2_norm
+from .slabs import _in_slabs, _slab_bounds, _workers
 
 FOUR_PI = 4.0 * math.pi
 

@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__, densities
 from .config import ScenarioConfig
 from .diskio import atomic_write_bytes, atomic_write_text
-from .field_synthesis import FieldSnapshot, SpatialGrid, synthesize, vector_potential_at_points
-from .mode_space import (PhotonSpectrum, WaveVectorGrid, gaussian_spectrum, localized_spectrum,
-                         normalize, single_mode_spectrum)
+from .field_synthesis import FieldSnapshot, synthesize, vector_potential_at_points
+from .mode_space import (PhotonSpectrum, SpatialGrid, WaveVectorGrid, gaussian_spectrum,
+                         localized_spectrum, normalize, single_mode_spectrum)
 from .registry import CheckResult, Metric
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import photonlab
-from photonlab import __version__, cli, field_synthesis
+from photonlab import __version__, cli, slabs
 from photonlab.cli import main
 from photonlab.runner import read_array, write_array
 
@@ -111,7 +111,7 @@ print([repr(v) for v in np.ravel(synthesize_at_points(spectrum, points, 0.3)).to
 """
 
 
-@pytest.mark.skipif(field_synthesis._cpus() < 2,
+@pytest.mark.skipif(slabs._cpus() < 2,
                     reason="OpenBLAS caps its threads at the CPU count, so one CPU "
                            "cannot run the threaded reductions this compares against")
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, config_path):
@@ -420,7 +420,7 @@ def test_selftest_runs_registry_and_controls(selftest_run):
     assert code == 0, out + err
     header = out.splitlines()[0]
     assert header.endswith(
-        f"number-density sign sigma = -1 (constant), threads = {field_synthesis._workers()}")
+        f"number-density sign sigma = -1 (constant), threads = {slabs._workers()}")
     for name in (
         "fock-identities",
         "number-norm",

@@ -189,6 +189,7 @@ def test_gaussian_spectrum_rejects_uncovered_center():
 def test_single_mode_summary_matches_its_sample():
     index = (6, 4, 4)
     s = single_mode_spectrum(GRID, index, helicity=+1)
+    assert HELICITIES == (+1, -1) and np.count_nonzero(s.c[0]) == 1 and not np.any(s.c[1])
     summary = spectral_summary(s)
     assert abs(summary.number - 1.0) < 1e-12
     assert abs(summary.energy - GRID.omega[index]) < 1e-12
@@ -213,9 +214,3 @@ def test_scalar_product_requires_matching_grids():
     with pytest.raises(ValueError, match="grid"):
         scalar_product(random_spectrum(0), random_spectrum(0, other))
 
-
-def test_helicity_blocks_round_trip():
-    s = random_spectrum(5)
-    assert np.array_equal(s.helicity_block(+1), s.c[0])
-    assert np.array_equal(s.helicity_block(-1), s.c[1])
-    assert HELICITIES == (+1, -1)

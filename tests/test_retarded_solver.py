@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from photonlab import field_synthesis, retarded_solver
+from photonlab import retarded_solver, slabs
 from photonlab.retarded_solver import (
     PotentialField,
     SourceCurrent,
@@ -19,7 +19,7 @@ from photonlab.retarded_solver import (
     retarded_potential,
     uniform_ball_source,
 )
-from photonlab.field_synthesis import SpatialGrid
+from photonlab.mode_space import SpatialGrid
 from photonlab.registry import (
     _dipole_gauge_residual,
     _with_edit,
@@ -284,7 +284,7 @@ def test_quadrature_does_not_depend_on_the_thread_count(long_dipole, ball, monke
     last gives chunks of unequal size (40, 40, 40 and 5 points).  A short
     switch interval makes the workers' Python steps interleave.
     """
-    monkeypatch.setattr(field_synthesis, "_cpus", lambda: 3)
+    monkeypatch.setattr(slabs, "_cpus", lambda: 3)
     grid = _stencil_grid()
     points = 3.0 * np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0.6, 0.0, 0.8]])
     cases = [

@@ -15,7 +15,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonlab import config, densities, field_synthesis, observables, registry, runner
+from photonlab import config, densities, field_synthesis, observables, registry, runner, slabs
 from photonlab.field_synthesis import (
     SpatialGrid,
     spectral_engine,
@@ -226,6 +226,26 @@ def test_shared_kinds_equal_each_kind_computed_alone(small_spatial, small_packet
         assert np.array_equal(shared[kind].data, alone.data), kind
 
 
+def test_the_energy_density_is_contracted_once_per_snapshot(small_spatial, small_packet,
+                                                            monkeypatch):
+    """energy and four_momentum read one kept |E+|^2, so the H column is the energy data."""
+    combined = []
+    contract = densities._contract_pair
+
+    def counted(subscripts, first, second, combine, shape):
+        combined.append(combine)
+        return contract(subscripts, first, second, combine, shape)
+
+    monkeypatch.setattr(densities, "_contract_pair", counted)
+    snap = synthesize(small_packet, small_spatial, 0.2)
+    energy = densities.energy_density(snap)
+    four = densities.four_momentum_density(snap)
+    assert densities.energy_density(snap).data is energy.data
+    assert combined.count(np.add) == 1  # |E+|^2, the one contraction that adds its halves
+    assert np.array_equal(four.data[..., 0], energy.data)
+    assert not energy.data.flags.writeable
+
+
 def test_wave_fields_are_kept_per_helicity(small_grid, small_spatial, small_packet):
     minus = gaussian_spectrum(small_grid, (0.0, 0.0, 3.2), 0.55, (0.0, 1.0))
     for s in (small_packet, minus):
@@ -334,13 +354,13 @@ def test_fields_do_not_depend_on_the_thread_count(monkeypatch):
     between one thread and two (15 x-planes: slabs of 7 and 8); fresh
     spectra per setting, so their amplitudes are rebuilt too.
     """
-    monkeypatch.setattr(field_synthesis, "_cpus", lambda: 2)  # two slabs on any machine
+    monkeypatch.setattr(slabs, "_cpus", lambda: 2)  # two slabs on any machine
     grid = WaveVectorGrid.centered((15, 16, 12), (0.8, 0.8, 0.8))
     sgrid = SpatialGrid.paired(grid)
     outputs = {}
     for threads in ("2", "1"):
         monkeypatch.setenv("PHOTONLAB_THREADS", threads)
-        assert field_synthesis._workers() == int(threads)
+        assert slabs._workers() == int(threads)
         mixed = _random_spectrum(grid, 11)
         pure = PhotonSpectrum(grid, mixed.c * np.array([1.0, 0.0])[:, None, None, None])
         arrays = []
@@ -360,25 +380,25 @@ def test_slab_bounds_cover_every_index_once():
     """Contiguous, ordered, non-empty slabs whose sizes differ by at most one."""
     for n in range(1, 71):
         for parts in range(1, 5):
-            slabs = field_synthesis._slab_bounds(n, parts)
-            assert len(slabs) == min(n, parts)
-            covered = np.concatenate([np.arange(n)[x] for x in slabs])
+            bounds = slabs._slab_bounds(n, parts)
+            assert len(bounds) == min(n, parts)
+            covered = np.concatenate([np.arange(n)[x] for x in bounds])
             assert np.array_equal(covered, np.arange(n))
-            sizes = [x.stop - x.start for x in slabs]
+            sizes = [x.stop - x.start for x in bounds]
             assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
 
 def _slab_pass_exit_code():
     out = np.zeros(9)
-    field_synthesis._in_slabs(lambda x: out.__setitem__(x, 1.0), out.size)
+    slabs._in_slabs(lambda x: out.__setitem__(x, 1.0), out.size)
     os._exit(0 if out.all() else 1)
 
 
 def test_a_forked_child_runs_slab_passes(monkeypatch):
     """A child forked after the pool started has none of its threads and must make its own."""
-    monkeypatch.setattr(field_synthesis, "_cpus", lambda: 2)
+    monkeypatch.setattr(slabs, "_cpus", lambda: 2)
     monkeypatch.setenv("PHOTONLAB_THREADS", "2")
-    field_synthesis._in_slabs(lambda x: None, 2)  # the parent's pool is running
+    slabs._in_slabs(lambda x: None, 2)  # the parent's pool is running
     child = multiprocessing.get_context("fork").Process(target=_slab_pass_exit_code)
     child.start()
     child.join(timeout=60)
@@ -395,10 +415,10 @@ def test_thread_setting_is_clamped_to_the_cpus(monkeypatch):
     else:
         cpus = os.cpu_count()
     monkeypatch.delenv("PHOTONLAB_THREADS", raising=False)
-    assert field_synthesis._workers() == cpus
+    assert slabs._workers() == cpus
     for setting, want in (("100000", cpus), ("0", 1), ("-3", 1), ("two", 1), ("1.5", 1)):
         monkeypatch.setenv("PHOTONLAB_THREADS", setting)
-        assert field_synthesis._workers() == want
+        assert slabs._workers() == want
 
 
 def test_the_shared_engine_keeps_nothing_of_a_spectrum(small_grid, small_spatial,
@@ -434,7 +454,7 @@ def _old_direct_amplitude(s, t):
 
 def test_the_oracle_amplitude_equals_its_one_expression_form(monkeypatch):
     """Bitwise, on a mixed spectrum in two uneven slabs, and component-major for the contraction."""
-    monkeypatch.setattr(field_synthesis, "_cpus", lambda: 2)
+    monkeypatch.setattr(slabs, "_cpus", lambda: 2)
     monkeypatch.setenv("PHOTONLAB_THREADS", "2")
     grid = WaveVectorGrid.centered((15, 16, 12), (0.8, 0.8, 0.8))
     s = gaussian_spectrum(grid, (1.5, -1.0, 3.5), 0.6, (0.6, 0.8))
@@ -457,7 +477,7 @@ def test_the_oracle_contraction_makes_no_full_grid_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < grid.n_samples * 16
+    assert peak < grid.omega.size * 16
 
 
 def test_wave_fields_equal_their_real_field_and_multiplier_forms(small_grid, small_spatial):
