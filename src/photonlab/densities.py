@@ -84,9 +84,17 @@ class DensityField:
             raise ValueError(f"unknown density kind {self.kind!r}")
 
     def integral(self):
-        """Cell-volume weighted sum over the box (per trailing component)."""
-        spatial = tuple(range(3))
-        return self.grid.cell_volume * np.sum(self.data, axis=spatial)
+        """Cell-volume weighted sum over the box (per trailing component).
+
+        A vector kind is summed by ``einsum``, in the order of
+        ``np.sum(data, axis=(0, 1, 2))`` (so bitwise equal to it) but without
+        its strided reduction.
+        """
+        if self.data.ndim == 3:
+            total = np.sum(self.data, axis=(0, 1, 2))
+        else:
+            total = np.einsum("ijkc->c", self.data)
+        return self.grid.cell_volume * total
 
 
 def _contract_pair(subscripts, first, second, combine, shape):
@@ -124,6 +132,19 @@ def number_density(f: fs.FieldSnapshot) -> DensityField:
     rho = _im_dot(f.E_plus, f.A_plus)
     rho *= SIGMA
     return DensityField("number", rho, f.t, f.sgrid)
+
+
+def cross_number_density(f: fs.FieldSnapshot, g: fs.FieldSnapshot) -> np.ndarray:
+    """rho_fg = sigma/2 (-i A+_g . conj(E+_f) + i conj(A+_f) . E+_g), complex.
+
+    The matrix element <1_f| rho(x) |1_g> of the number density between the
+    one-photon states of two spectra on one grid pair, so that its integral
+    is <f|g> and its diagonal is :func:`number_density`.  Plain full-grid
+    arithmetic: only the acceptance registry calls it.
+    """
+    first = np.einsum("...c,...c->...", g.A_plus, np.conj(f.E_plus))
+    second = np.einsum("...c,...c->...", np.conj(f.A_plus), g.E_plus)
+    return (SIGMA / 2) * (-1j * first + 1j * second)
 
 
 def photon_current(f: fs.FieldSnapshot) -> DensityField:
@@ -305,8 +326,15 @@ def photon_wave_fields(f: fs.FieldSnapshot) -> PhotonWaveFields:
 
 
 def bb_energy_density(wf: PhotonWaveFields) -> DensityField:
-    """|F|^2: the energy-density reading of the first wave function."""
-    data = np.sum(np.abs(wf.F) ** 2, axis=-1)
+    """|F|^2: the energy-density reading of the first wave function.
+
+    The components add as ``(a_x + a_y) + a_z``, the order of a sum over the
+    trailing axis, without its strided reduction.
+    """
+    a = np.abs(wf.F)
+    np.square(a, out=a)
+    data = a[..., 0] + a[..., 1]
+    data += a[..., 2]
     return DensityField("bb_energy", data, wf.t, wf.grid)
 
 

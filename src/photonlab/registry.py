@@ -26,7 +26,7 @@ from .field_synthesis import FieldSnapshot, synthesize, translation_check_1d
 from .fock_algebra import (FockVector, ModeSet, apply_annihilate, apply_create,
                            commutator_expectation, inner_product, n_photon_state, vacuum)
 from .mode_space import (PhotonSpectrum, SpatialGrid, WaveVectorGrid, evolve, gaussian_spectrum,
-                         spectral_summary)
+                         scalar_product, spectral_summary)
 from .retarded_solver import (SourceCurrent, gauge_residual, gaussian_dipole_source,
                               retarded_potential, uniform_ball_source)
 
@@ -166,7 +166,26 @@ def check_fock_identities() -> tuple[Metric, ...]:
     )
 
 
+def _offdiag_partners():
+    """Four spectra g paired with the desk packet f for the off-diagonal number check.
+
+    f translated by (0.5, 0, 0), two packets at k0 = (0, 1, 10) (the second
+    with both helicities) and f evolved by 0.7: real and complex overlaps
+    <f|g> between about 0.5 and 0.9 in size.
+    """
+    packet, grid = desk_packet(), desk_grid()
+    shift = np.exp(-1j * 0.5 * grid.k_vectors[..., 0])
+    return (
+        PhotonSpectrum(grid, packet.c * shift),
+        gaussian_spectrum(grid, (0.0, 1.0, 10.0), 1.0, (1.0, 0.0)),
+        gaussian_spectrum(grid, (0.0, 1.0, 10.0), 1.0, (0.6, 0.8)),
+        evolve(packet, 0.7),
+    )
+
+
 def check_number_norm() -> tuple[Metric, ...]:
+    """The diagonal: the norm of the desk packet at 11 times.  Off the
+    diagonal: the integral of the cross density against <f|g>."""
     packet = desk_packet()
     spatial = desk_spatial()
     tol = DEFAULT_TOLERANCES["number_norm"]
@@ -179,7 +198,12 @@ def check_number_norm() -> tuple[Metric, ...]:
         snap = desk_snapshot() if index == 0 else synthesize(state, spatial, 0.0)
         total = densities.number_density(snap).integral()
         worst = max(worst, abs(total - 1.0))
-    return (Metric("norm_drift", worst, tol),)
+    offdiag = 0.0
+    for partner in _offdiag_partners():
+        rho = densities.cross_number_density(desk_snapshot(), synthesize(partner, spatial, 0.0))
+        overlap = scalar_product(packet, partner)
+        offdiag = max(offdiag, abs(spatial.cell_volume * np.sum(rho) - overlap) / abs(overlap))
+    return (Metric("norm_drift", worst, tol), Metric("offdiag_err", offdiag, tol))
 
 
 def _direction_oracle(mass):

@@ -7,7 +7,8 @@ Exported artifacts are deterministic: identical configuration (including the
 seed) produces byte-identical summaries.  Summaries are sorted key=value
 text; arrays are raw little-endian float64 with a one-line ASCII header; 2-D
 slices are CSV.  All files are written atomically and listed in the summary
-with their SHA-256 hash.
+with their SHA-256 hash.  ``run`` writes its arrays on the export thread of
+:mod:`photonlab.slabs`, one behind the density being built.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+from concurrent.futures import Future, wait
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, densities
+from . import __version__, densities, slabs
 from .config import ScenarioConfig
 from .diskio import atomic_write_bytes, atomic_write_text
 from .field_synthesis import FieldSnapshot, synthesize, vector_potential_at_points
@@ -184,8 +186,12 @@ def _si_scale_lines(cfg: ScenarioConfig) -> list[str]:
 
 
 def _export_time(cfg: ScenarioConfig, snap: FieldSnapshot, t_index: int, oracle, outdir: str,
-                 artifacts: dict[str, str], summary_values: dict[str, str]) -> list[CheckResult]:
-    """Write the densities of one snapshot; at the first time, return its checks."""
+                 writes: dict[str, Future], summary_values: dict[str, str]) -> list[CheckResult]:
+    """Queue the densities of one snapshot for writing; at the first time, return its checks.
+
+    Each density is handed to the export thread once the previous write has
+    finished (and its error, if any, raised), so one write is queued at a time.
+    """
     results = []
     if t_index == 0:
         results.append(CheckResult("fft-quadrature", (_spot_check(cfg, oracle, snap),)))
@@ -193,7 +199,10 @@ def _export_time(cfg: ScenarioConfig, snap: FieldSnapshot, t_index: int, oracle,
         entry = densities.DENSITY_TABLE[kind]
         field = entry.build(snap)
         filename = f"{kind}_t{t_index}.f64"
-        artifacts[filename] = write_array(os.path.join(outdir, filename), field.data, kind, snap.t)
+        if writes:
+            next(reversed(writes.values())).result()
+        writes[filename] = slabs._writer().submit(
+            write_array, os.path.join(outdir, filename), field.data, kind, snap.t)
         integral = field.integral()
         if np.ndim(integral) == 0:
             summary_values[f"integral.{kind}.t{t_index}"] = f"{float(integral):.17g}"
@@ -221,20 +230,33 @@ def run_scenario(cfg: ScenarioConfig, outdir: str) -> RunReport:
     The spot-check oracle's quadrature runs first, before any snapshot
     exists; the snapshots are then made one at a time, each freed before
     the next is synthesized, so a run holds one full-grid field set at once.
+
+    Density k is written, hashed and renamed on the export thread of
+    :mod:`photonlab.slabs` while density k + 1 is built; the run holds one
+    finished density beside the one being built, as a loop that wrote each
+    itself did.  The digests are collected before the summary is written.
+    Whether it returns or raises, no write is left running: a failed write
+    raises its ``OSError``, naming the requested path, here.  The files are
+    not pre-allocated, so a crash cannot leave a zero-filled artifact under
+    its final name (see :mod:`photonlab.diskio`).
     """
     grid = build_grid(cfg)
     spatial = SpatialGrid.paired(grid)
     spectrum = build_spectrum(cfg, grid)
     os.makedirs(outdir, exist_ok=True)
 
-    artifacts: dict[str, str] = {}
+    writes: dict[str, Future] = {}
     summary_values: dict[str, str] = {}
     oracle = _spot_oracle(cfg, spectrum, spatial, cfg.time.t_list[0])
     results: list[CheckResult] = []
-    for t_index, t in enumerate(cfg.time.t_list):
-        # one snapshot at a time: the previous one is freed with the helper's frame
-        results += _export_time(cfg, synthesize(spectrum, spatial, t), t_index, oracle, outdir,
-                                artifacts, summary_values)
+    try:
+        for t_index, t in enumerate(cfg.time.t_list):
+            # one snapshot at a time: the previous one is freed with the helper's frame
+            results += _export_time(cfg, synthesize(spectrum, spatial, t), t_index, oracle,
+                                    outdir, writes, summary_values)
+        artifacts = {filename: write.result() for filename, write in writes.items()}
+    finally:
+        wait(writes.values())
 
     summary_path = None
     if cfg.outputs.summary:

@@ -1,4 +1,5 @@
-"""The package's threads: a CPU count and one pool of per-element slab passes.
+"""The package's threads: a CPU count, one pool of per-element slab passes
+and one export thread.
 
 Every FFT of :mod:`photonlab.field_synthesis` runs on :func:`_workers`
 threads: the CPUs the process may run on, or ``PHOTONLAB_THREADS`` clamped
@@ -18,8 +19,13 @@ runs slabs of whole chunks of evaluation points on the same pool.
 A slab owns its outputs: a callback writes only its own part of arrays that
 its caller allocated (``out=`` and in-place ufuncs), so no two slabs touch
 one element.  It allocates nothing of its own beyond small temporaries: the
-C library keeps memory freed on a pool thread in that thread's heap.  This
-module imports nothing else of the package.
+C library keeps memory freed on a pool thread in that thread's heap.
+
+:func:`_writer` is one more thread, there whatever ``PHOTONLAB_THREADS``
+says: ``photonlab run`` hands it each finished density to write, hash and
+rename into place (:func:`photonlab.runner.write_array`) while the next one
+is built.  It computes nothing, so no output depends on it, and one write
+is queued at a time.  This module imports nothing else of the package.
 """
 
 from __future__ import annotations
@@ -67,9 +73,20 @@ def _pool():
     return ThreadPoolExecutor(max(1, _cpus() - 1), thread_name_prefix="photonlab-slab")
 
 
+@cache
+def _writer():
+    """The process-wide export thread, created on first use."""
+    return ThreadPoolExecutor(1, thread_name_prefix="photonlab-export")
+
+
+def _forget_threads():
+    _pool.cache_clear()
+    _writer.cache_clear()
+
+
 if hasattr(os, "register_at_fork"):
-    # a forked child has none of the parent's pool threads; it starts its own
-    os.register_at_fork(after_in_child=_pool.cache_clear)
+    # a forked child has none of the parent's threads; it starts its own
+    os.register_at_fork(after_in_child=_forget_threads)
 
 
 def _in_slabs(fn, n: int):

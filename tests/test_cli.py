@@ -7,15 +7,19 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import photonlab
-from photonlab import __version__, cli, slabs
+from photonlab import __version__, cli, config, densities, runner, slabs
 from photonlab.cli import main
 from photonlab.runner import read_array, write_array
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CONFIG = """\
 grid.n_per_axis = 32
@@ -478,6 +482,76 @@ def test_write_errors_name_the_requested_path(tmp_path):
         write_array(str(occupied), np.ones(3), "number", 0.0)
     assert excinfo.value.filename == str(occupied)
     assert os.listdir(tmp_path) == ["occupied"] and os.listdir(occupied) == []
+
+
+def test_a_failing_build_leaves_the_run_after_the_queued_write(tmp_path, monkeypatch):
+    """The energy build raises while the number artifact is still being written:
+    the error leaves ``run_scenario`` only once that write has finished."""
+    cfg = config.parse_scenario(CONFIG, "demo.cfg")
+    raised = threading.Event()
+    finished = []
+
+    def slow_write(path, *args):
+        raised.wait(timeout=10)
+        time.sleep(0.2)
+        digest = write_array(path, *args)
+        finished.append(path)
+        return digest
+
+    def failing_build(snap):
+        raised.set()
+        raise RuntimeError("energy build failed")
+
+    monkeypatch.setattr(runner, "write_array", slow_write)
+    monkeypatch.setattr(densities, "energy_density", failing_build)
+    outdir = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="energy build failed"):
+        runner.run_scenario(cfg, str(outdir))
+    assert finished == [str(outdir / "number_t0.f64")]
+    assert os.listdir(outdir) == ["number_t0.f64"]  # complete, and no temporary left
+    data, meta = read_array(finished[0])
+    assert data.shape == (32, 32, 32) and meta["kind"] == "number"
+
+
+@pytest.mark.parametrize("taken", ["number_t1.f64", "energy_t1.f64"])
+def test_an_artifact_path_taken_by_a_directory_fails_the_run_naming_it(capsys, tmp_path,
+                                                                       config_path, taken):
+    """A write that fails on the export thread raises the error a write on the
+    calling thread did, for a middle and for the last artifact, and ``run``
+    names it the same way."""
+    outdir = tmp_path / "out"
+    (outdir / taken).mkdir(parents=True)
+    with pytest.raises(IsADirectoryError) as excinfo:
+        runner.run_scenario(config.parse_scenario(CONFIG, "demo.cfg"), str(outdir))
+    assert excinfo.value.filename == str(outdir / taken)
+    names = os.listdir(outdir)
+    assert "summary.txt" not in names and not [n for n in names if n.startswith(".tmp-")]
+    code, out, err = invoke(capsys, "run", str(config_path), "--outdir", str(outdir))
+    assert (code, out) == (1, "")
+    assert err == f"run failed: cannot write artifacts to {outdir}: Is a directory\n"
+
+
+# sha256 of each artifact of configs/gaussian_desk.cfg, as written before the
+# export moved onto its own thread
+DESK_DIGESTS = {
+    "energy_t0.f64": "001b0908d275a70c5d4d85d34bb60d425447f358b26ee174434770283f2cdbd6",
+    "energy_t1.f64": "4d02eb3fb40fc087e271f974bae3d9517bff0d8caa864582d9bb31479114bb8d",
+    "energy_t2.f64": "5c1d00d7dc37045396d510aff4995d6de31ab0e3ed77bc9f9a6d4f8c2ce89d8a",
+    "momentum_t0.f64": "0e769246ea0da8603aa8102d60c2a528e5d1c65ad829d22ff4804a0e30d636a1",
+    "momentum_t1.f64": "d3d2b22fe6405acefbe0e0fa971fc786c60b3030bb8eb134c32ba224796447f2",
+    "momentum_t2.f64": "252d0d759870c6d5f76da0c7df93eaa091b04b87c51e8aca2c935eaef4624e09",
+    "number_t0.f64": "d7815093019b892d0a49e2726ed1067f3bdc1f3441eccdfd480a3775b0e41d06",
+    "number_t1.f64": "c68c61ef062a40b58439a2bb8697b2f47f2e585dfce4cb8d78637ce81271c1af",
+    "number_t2.f64": "680ba18d117e1ad076ea5159608618f5ffd5fb574bfe61a766b1f7efc90ea8b4",
+}
+
+
+def test_the_desk_run_writes_the_recorded_artifacts(tmp_path):
+    report = runner.run_scenario(config.load_scenario(str(ROOT / "configs" / "gaussian_desk.cfg")),
+                                 str(tmp_path))
+    assert report.ok and report.artifacts == DESK_DIGESTS
+    for name, digest in DESK_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_truncated_or_garbled_array_files_name_the_file(tmp_path):

@@ -10,7 +10,9 @@ from photonlab.densities import (
     DENSITY_KINDS,
     angular_momentum_density,
     apply_frequency_operator,
+    DensityField,
     bb_energy_density,
+    cross_number_density,
     energy_density,
     four_momentum_density,
     helicity_density,
@@ -27,6 +29,7 @@ from photonlab.mode_space import (
     PhotonSpectrum,
     WaveVectorGrid,
     gaussian_spectrum,
+    scalar_product,
     single_mode_spectrum,
     spectral_summary,
 )
@@ -106,6 +109,45 @@ def test_density_integrals_match_spectral_sums(small_packet, small_snapshot):
     four = np.asarray(four_momentum_density(small_snapshot).integral())
     assert four[0] == pytest.approx(summary.energy, rel=1e-10)
     assert np.allclose(four[1:], summary.momentum, atol=1e-10)
+
+
+def test_vector_integrals_equal_the_plain_sum_bitwise(small_spatial):
+    """The einsum of ``integral`` adds in the order of np.sum over the spatial axes."""
+    rng = np.random.default_rng(24)
+    for shape, kind in (((12, 12, 12, 3), "current"), ((64, 64, 64, 4), "four_momentum"),
+                        ((7, 9, 5, 4), "four_momentum"), ((1, 1, 4096, 3), "momentum")):
+        data = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+        want = small_spatial.cell_volume * np.sum(data, axis=(0, 1, 2))
+        assert np.array_equal(DensityField(kind, data, 0.0, small_spatial).integral(), want)
+
+
+def test_bb_energy_equals_the_summed_squares_bitwise(small_grid, small_spatial):
+    packet = gaussian_spectrum(small_grid, (1.0, -0.5, 3.0), 0.55, (0.0, 1.0))
+    wave = photon_wave_fields(synthesize(packet, small_spatial, 0.4))
+    want = np.sum(np.abs(wave.F) ** 2, axis=-1)
+    assert np.array_equal(bb_energy_density(wave).data, want)
+
+
+def test_the_cross_density_diagonal_is_the_number_density(small_grid, small_spatial):
+    """rho_ff = rho to roundoff; with A_f left unconjugated it is not."""
+    rng = np.random.default_rng(13)
+    c = rng.standard_normal((2,) + small_grid.n_per_axis) * (1 + 1j)
+    for packet in (gaussian_spectrum(small_grid, (1.0, -0.5, 3.0), 0.55, (0.6, 0.8)),
+                   PhotonSpectrum(small_grid, c)):
+        snap = synthesize(packet, small_spatial, 0.3)
+        rho = number_density(snap).data
+        cross = cross_number_density(snap, snap)
+        assert np.max(np.abs(cross - rho)) <= 1e-14 * np.max(np.abs(rho))
+
+
+def test_the_cross_density_integrates_to_the_overlap(small_grid, small_spatial):
+    f = gaussian_spectrum(small_grid, (0.0, 0.0, 3.2), 0.55, (1.0, 0.0))
+    g = gaussian_spectrum(small_grid, (0.0, 0.6, 3.2), 0.55, (0.6, 0.8))
+    overlap = scalar_product(f, g)
+    for t in (0.0, 0.9):
+        rho = cross_number_density(synthesize(f, small_spatial, t),
+                                   synthesize(g, small_spatial, t))
+        assert abs(small_spatial.cell_volume * np.sum(rho) - overlap) <= 1e-13 * abs(overlap)
 
 
 def test_current_integral_is_group_velocity_average(small_packet, small_snapshot):

@@ -57,6 +57,29 @@ def test_the_slab_layer_imports_no_package_module():
     assert relative == [] and not [name for name in named if name.startswith("photonlab")]
 
 
+def test_the_oracle_amplitude_names_nothing_of_the_engine():
+    """``_direct_amplitude`` reads no attribute, method or constructor of the
+    spectral engine (its table of distinct frequencies included)."""
+    engine = {"SpectralEngine", "spectral_engine"}
+    functions = {}
+    for node in ast.walk(_tree(field_synthesis)):
+        if isinstance(node, ast.ClassDef) and node.name == "SpectralEngine":
+            engine.update(item.name for item in node.body if isinstance(item, ast.FunctionDef))
+            engine.update(item.attr for item in ast.walk(node) if isinstance(item, ast.Attribute)
+                          and isinstance(item.value, ast.Name) and item.value.id == "self")
+        elif isinstance(node, ast.FunctionDef):
+            functions[node.name] = node
+    assert {"_levels", "_level_index", "time_phase", "phase_k", "mode_factor"} <= engine
+    named = set()
+    for node in ast.walk(functions["_direct_amplitude"]):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert {"omega", "build_basis"} <= named  # the scan sees the function's names
+    assert not named & engine, named & engine
+
+
 def test_the_benchmark_reads_the_fft_thread_count_from_field_synthesis():
     """perfbench/worker.py reads the count through getattr with a fallback to
     "unknown"; a renamed binding would blank ``photonlab_fft_workers`` silently."""

@@ -391,14 +391,17 @@ def test_slab_bounds_cover_every_index_once():
 def _slab_pass_exit_code():
     out = np.zeros(9)
     slabs._in_slabs(lambda x: out.__setitem__(x, 1.0), out.size)
-    os._exit(0 if out.all() else 1)
+    written = slabs._writer().submit(out.sum).result(timeout=30)
+    os._exit(0 if out.all() and written == 9.0 else 1)
 
 
 def test_a_forked_child_runs_slab_passes(monkeypatch):
-    """A child forked after the pool started has none of its threads and must make its own."""
+    """A child forked after the pool and the export thread started has none of
+    their threads and must make its own."""
     monkeypatch.setattr(slabs, "_cpus", lambda: 2)
     monkeypatch.setenv("PHOTONLAB_THREADS", "2")
     slabs._in_slabs(lambda x: None, 2)  # the parent's pool is running
+    slabs._writer().submit(int).result(timeout=30)  # and its export thread
     child = multiprocessing.get_context("fork").Process(target=_slab_pass_exit_code)
     child.start()
     child.join(timeout=60)
@@ -453,15 +456,19 @@ def _old_direct_amplitude(s, t):
 
 
 def test_the_oracle_amplitude_equals_its_one_expression_form(monkeypatch):
-    """Bitwise, on a mixed spectrum in two uneven slabs, and component-major for the contraction."""
+    """Bitwise, with exp(-i omega t) per mode in the reference, on a mixed and a
+    seeded spectrum in two uneven slabs, and component-major for the contraction."""
     monkeypatch.setattr(slabs, "_cpus", lambda: 2)
     monkeypatch.setenv("PHOTONLAB_THREADS", "2")
     grid = WaveVectorGrid.centered((15, 16, 12), (0.8, 0.8, 0.8))
-    s = gaussian_spectrum(grid, (1.5, -1.0, 3.5), 0.6, (0.6, 0.8))
-    for t in (0.0, 0.73, -2.4):
-        coeffs = field_synthesis._direct_amplitude(s, t)
-        assert leading(coeffs).flags.c_contiguous
-        assert np.array_equal(coeffs, _old_direct_amplitude(s, t))
+    rng = np.random.default_rng(51)
+    seeded = rng.standard_normal((2, 2) + grid.n_per_axis)
+    for s in (gaussian_spectrum(grid, (1.5, -1.0, 3.5), 0.6, (0.6, 0.8)),
+              PhotonSpectrum(grid, seeded[0] + 1j * seeded[1])):
+        for t in (0.0, 0.73, -2.4, 31.7):
+            coeffs = field_synthesis._direct_amplitude(s, t)
+            assert leading(coeffs).flags.c_contiguous
+            assert np.array_equal(coeffs, _old_direct_amplitude(s, t))
 
 
 def test_the_oracle_contraction_makes_no_full_grid_array():
