@@ -7,16 +7,22 @@ parent checkout and once in this repository, both with seed
 ``--seconds`` is the ``run_seconds`` of ``BENCHMARK.json``.  Each side runs
 its own, unmodified ``perfbench/run.py`` on its own sources.
 
+``--control N`` adds N control pairs per workload that run the parent
+checkout on both sides (its second run fills the ``change`` slot), one
+after each of the first N real pairs, so drift between unchanged runs is
+measured in the same round as the claim.
+
 The output JSON holds, per workload, every run's end-to-end metrics, each
-side's median and quartiles per metric (inclusive method), the number of
-pairs in which the change is better (the direction comes from
-``BENCHMARK.json``), and the environment record of each side's first
-successful run (``environment.parent``, ``environment.change``).
+side's median and quartiles per metric (inclusive method), the ratio of the
+change's median to the parent's, the number of pairs in which the change is
+better (the direction comes from ``BENCHMARK.json``), the same for the
+control pairs under ``control``, and the environment record of each side's
+first successful run (``environment.parent``, ``environment.change``).
 
 Example
 -------
     python3 scripts/bench_pairs.py --parent ../photonlab-parent \\
-        --pairs time_sweep=10 --pairs radiation=3 --out BENCH.json
+        --pairs time_sweep=10 --pairs radiation=3 --control 5 --out BENCH.json
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="pairs to run on a workload (repeatable; default 3 on each)")
     parser.add_argument("--first-seed", type=int, default=9001,
                         help="seed of the first pair; pair i uses first-seed + i")
+    parser.add_argument("--control", type=int, default=0, metavar="N",
+                        help="parent-against-parent pairs per workload (default 0)")
     parser.add_argument("--out", required=True, help="JSON file to write")
     return parser.parse_args(argv)
 
@@ -76,7 +84,7 @@ def spread(values):
 
 
 def summarize(runs, better):
-    """Per metric: each side's spread and the pairs the change wins."""
+    """Per metric: each side's spread, their median ratio and the pairs the change wins."""
     out = {}
     complete = [pair for pair in runs
                 if "metrics" in pair["parent"] and "metrics" in pair["change"]]
@@ -87,14 +95,36 @@ def summarize(runs, better):
         change = [pair["change"]["metrics"][name] for pair in complete]
         sign = 1.0 if direction == "lower" else -1.0
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        parent, change = spread(parent), spread(change)
         out[name] = {
             "better": direction,
-            "parent": spread(parent),
-            "change": spread(change),
+            "parent": parent,
+            "change": change,
+            "median_ratio": change["median"] / parent["median"] if parent["median"] else None,
             "change_wins": wins,
             "pairs": len(complete),
         }
     return out
+
+
+def run_pair(roots, workload, seed, order, seconds, environment, tag=""):
+    """Run ``roots[side]`` for each side in ``order`` with one seed; failures are recorded.
+
+    Progress lines on stderr start with ``tag``.
+    """
+    pair = {"seed": seed, "first": order[0]}
+    for side in order:
+        try:
+            metrics, detail = run_once(roots[side], workload, seed, seconds)
+        except RuntimeError as exc:
+            pair[side] = {"error": str(exc)}
+            print(f"{tag}{workload} seed {seed} {side}: {exc}", file=sys.stderr)
+            continue
+        pair[side] = {"metrics": metrics, "speed_factor": detail["speed_factor"]}
+        environment[side] = environment[side] or detail["environment"]
+        print(f"{tag}{workload} seed {seed} {side}: op_s_p50 {metrics['op_s_p50']:.3f}",
+              file=sys.stderr, flush=True)
+    return pair
 
 
 def main(argv=None) -> int:
@@ -121,25 +151,21 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     started = time.time()
+    controls = {"parent": sides["parent"], "change": sides["parent"]}
     for workload, count in pairs.items():
-        runs = []
-        for index in range(count):
+        runs, control = [], []
+        for index in range(max(count, args.control)):
             seed = args.first_seed + index
             order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                try:
-                    metrics, detail = run_once(sides[side], workload, seed, seconds)
-                except RuntimeError as exc:
-                    pair[side] = {"error": str(exc)}
-                    print(f"{workload} seed {seed} {side}: {exc}", file=sys.stderr)
-                    continue
-                pair[side] = {"metrics": metrics, "speed_factor": detail["speed_factor"]}
-                report["environment"][side] = report["environment"][side] or detail["environment"]
-                print(f"{workload} seed {seed} {side}: op_s_p50 {metrics['op_s_p50']:.3f}",
-                      file=sys.stderr, flush=True)
-            runs.append(pair)
-        report["workloads"][workload] = {"runs": runs, "summary": summarize(runs, better)}
+            if index < count:
+                runs.append(run_pair(sides, workload, seed, order, seconds, report["environment"]))
+            if index < args.control:
+                control.append(run_pair(controls, workload, seed, order, seconds,
+                                        dict.fromkeys(sides), tag="control "))
+        report["workloads"][workload] = {
+            "runs": runs, "summary": summarize(runs, better),
+            "control": {"runs": control, "summary": summarize(control, better)},
+        }
     report["wall_s"] = round(time.time() - started, 1)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=1)

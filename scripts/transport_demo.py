@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Track a collimated single-photon packet and measure its centroid speed.
 
-Synthesizes a circularly polarized Gaussian packet, samples the standard
+Synthesizes a Gaussian helicity packet along +z, samples the standard
 observable report at a few times and prints the centroid trajectory, the
 per-interval group speed and the conserved integrals.  A free packet must
 move at the speed of light (1 in natural units) while number, energy,
-momentum and helicity stay constant.
+momentum and helicity stay constant.  The packet carries the helicity
+basis's phase vortex, and its small transverse centroid offset is a
+lattice artifact of the basis's pole line that shrinks with the mode
+spacing, not a property of the photon.
 
 Example
 -------

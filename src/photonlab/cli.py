@@ -11,8 +11,8 @@ Subcommands:
 * ``version`` — print the package version.
 
 Exit codes: 0 success, 1 failed check or runtime error (the failing check,
-the artifact path that could not be written, the invalid request or
-arithmetic error, or running out of memory is named on stderr), 2
+the artifact path that could not be written, the invalid request, running
+out of memory or any other error's type and message is named on stderr), 2
 configuration error (with file/line diagnostics).
 """
 
@@ -67,20 +67,20 @@ def _default_outdir(config_path: str) -> str:
 def _attempt(verb: str, target: str, action):
     """Return ``action()``, or None after naming its failure on stderr.
 
-    The line reads ``<verb> failed: <reason>``: a ValueError's message, an
-    arithmetic error's type and message, running out of memory, or the
-    ``target`` that could not be written.
+    The line reads ``<verb> failed: <reason>``: a ValueError's message,
+    running out of memory, the ``target`` that could not be written, or any
+    other error's type and message, so no failure leaves as a traceback.
     """
     try:
         return action()
     except ValueError as exc:
         reason = str(exc)
-    except ArithmeticError as exc:
-        reason = f"{type(exc).__name__}: {exc}"
     except MemoryError:
         reason = "out of memory"
     except OSError as exc:
         reason = f"cannot write {target}: {exc.strerror or exc}"
+    except Exception as exc:  # the last boundary of run and export-slice: exit 1
+        reason = f"{type(exc).__name__}: {exc}"
     print(f"{verb} failed: {reason}", file=sys.stderr)
     return None
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from .densities import DENSITY_KINDS, DENSITY_TABLE
 from .mode_space import WaveVectorGrid
 
-PACKET_KINDS = ("gaussian", "single_mode", "localized", "collinear")
+PACKET_KINDS = ("gaussian", "single_mode", "localized")
 # Largest time.steps accepted: every time costs one full-grid synthesis
 MAX_TIME_STEPS = 10_000
 # Largest grid accepted (128^3): a cold run of all densities peaks at ~0.58 KB
@@ -297,9 +297,6 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     packet, shape = cfg.packet, cfg.grid.n_per_axis
     if packet.kind == "single_mode" and packet.index is None:
         _fail(source, lines["packet.kind"], "packet.kind = single_mode requires packet.index")
-    if packet.kind == "collinear" and shape[:2] != (1, 1):
-        _fail(source, lines["packet.kind"],
-              "packet.kind = collinear requires grid.n_per_axis = 1,1,N")
     if packet.index is not None and any(i >= n for i, n in zip(packet.index, shape)):
         _fail(source, lines["packet.index"],
               f"key 'packet.index': {packet.index} lies outside grid.n_per_axis = {shape}")
@@ -307,7 +304,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     if packet.index is not None and kgrid.excludes(packet.index):
         _fail(source, lines["packet.index"],
               f"key 'packet.index': {packet.index} is the excluded zero mode (omega = 0)")
-    if packet.kind in ("gaussian", "collinear") and not kgrid.coverage_contains(packet.k0):
+    if packet.kind == "gaussian" and not kgrid.coverage_contains(packet.k0):
         # a default k0 that the grid does not cover is reported at the first grid line
         at = lines.get("packet.k0") or min(
             ln for key, ln in lines.items() if key.startswith("grid."))

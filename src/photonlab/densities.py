@@ -9,11 +9,11 @@ All densities are bilinears of the positive-frequency fields,
 
 with the spectral operators (omega A), (k_j A) applied mode-wise.  Because
 E+ = i omega A+ mode by mode, (omega A)+ = -i E+ and the energy density is
-the plain |E+|^2 (times -sigma): no transform at all.  The three momentum
-components are one batched inverse FFT of the k_j A+ amplitudes, taken from
-the snapshot's mode amplitudes through the grid pair's spectral engine
-(:mod:`photonlab.field_synthesis`).  ``sigma`` is the constant
-:data:`SIGMA`, fixed by the convention E+ = i omega A+ (see there).
+the plain |E+|^2 (-sigma = +1): no transform at all.  The three momentum
+components are one batched inverse FFT of the k_j A+ amplitudes, formed from
+the snapshot's mode amplitudes and transformed by the snapshot's engine.
+``sigma`` is the constant :data:`SIGMA`, fixed by the convention
+E+ = i omega A+ (see there).
 
 The comparison wave fields are, per helicity lambda,
 
@@ -23,37 +23,28 @@ The comparison wave fields are, per helicity lambda,
 where Omega is the spectral multiplier c|k|.  Both carry a 1/sqrt(2) on top
 of the sqrt(epsilon_0/2)-style prefactors so that they share the photon-number
 normalization of rho: a monochromatic mode then satisfies |F|^2 = omega rho
-pointwise, and F = i Omega^{1/2} psi holds spectrally either way.  F is built
-from the real fields E = 2 Re E+ and B = 2 Re B+ (B+ is transformed on first
-access): (1/2)(E + i lambda B) is exactly Re E+ + i lambda Re B+, written
-into one complex array with no full-grid temporary.  In psi the
-negative-frequency parts cancel, (1/2) Omega^{1/2} (A- - A-) = 0, and the
-positive ones add, so psi = Omega^{1/2} A+: one inverse FFT of the fresh
-mode amplitudes scaled in place by sqrt(omega), with no forward transform.  The
-half-power identity F = i Omega^{1/2} psi is then checked against F from the
-real fields, and stays a test of the two constructions, not a tautology.
+pointwise, and F = i Omega^{1/2} psi holds spectrally either way.  With
+E = 2 Re E+ and B = 2 Re B+, F is exactly Re E+ + i lambda Re B+.  In psi the
+negative-frequency parts cancel and the positive ones add, so
+psi = Omega^{1/2} A+: one inverse FFT of the mode amplitudes scaled by
+sqrt(omega), with no forward transform.  The half-power identity
+F = i Omega^{1/2} psi then tests the two constructions; it is not a
+tautology.
 
-Everything several output kinds need is computed once per
-:class:`~photonlab.field_synthesis.FieldSnapshot` and kept read-only in its
-instance dict by ``field_synthesis._memo`` (the way ``B_plus`` is cached),
-so it is freed with the snapshot: the energy density H (energy and
-four-momentum), the real momentum density P (momentum, four-momentum and
-orbital angular momentum; the 9-component transform behind it is not kept)
-and the wave fields F and psi of the snapshot's own helicity.  All eight
-output kinds of one snapshot thus cost four inverse FFTs: the synthesis,
-B+, the momentum transform and psi.  ``energy_density`` and
+What several output kinds need is computed once per snapshot and kept
+read-only in its instance dict by ``field_synthesis._memo``, so it is freed
+with the snapshot: the energy density H, the real momentum density P (the
+9-component transform behind it is not kept) and the wave fields F and psi.
+All eight output kinds of one snapshot thus cost four inverse FFTs: the
+synthesis, B+, the momentum transform and psi.  ``energy_density`` and
 ``momentum_density`` return the kept H and P, so copy their data before
 modifying it.
 
-The contractions (:func:`_contract_pair`, behind the number, energy,
-momentum and helicity densities), the cross products and the per-mode
-products run in x-slabs under the rule of :mod:`photonlab.slabs`.
-
-The coefficient arrays handed to the transforms (the (3, 3) momentum block,
-the helicity and psi amplitudes) are built component-major, the layout the
-engine transforms in place (see :mod:`photonlab.field_synthesis`).  Every
-``DensityField.data`` stays C-ordered (nx, ny, nz[, c]), because
-``integral`` sums in memory order: the same layout gives the same sums.
+The contractions, cross products and per-mode products follow the slab rule
+of :mod:`photonlab.slabs`, and transform inputs the layout of
+:mod:`photonlab.mode_space`.  Every ``DensityField.data`` stays C-ordered
+(nx, ny, nz[, c]), because ``integral`` sums in memory order: the same
+layout gives the same sums.
 """
 
 from __future__ import annotations
@@ -64,7 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field_synthesis as fs
-from .mode_space import SpatialGrid, WaveVectorGrid, leading, trailing, vector_array
+from .mode_space import (SpatialGrid, WaveVectorGrid, _read_only, broadcast_along, leading,
+                         trailing, vector_array)
 from .slabs import _cross, _in_slabs, _multiply
 
 # E+ = i omega A+ gives Im(A+ . conj(E+)) = -omega |A+|^2, so sigma = -1 makes rho >= 0
@@ -100,8 +92,7 @@ class DensityField:
 def _contract_pair(subscripts, first, second, combine, shape):
     """combine(einsum(subscripts, *first), einsum(subscripts, *second)), C-ordered ``shape``.
 
-    Evaluated in x-slabs into two arrays allocated here (see
-    :mod:`photonlab.slabs`).
+    Evaluated in x-slabs into two arrays allocated here.
     """
     out = np.empty(shape)
     scratch = np.empty(shape)
@@ -163,7 +154,7 @@ def _operator_density(f: fs.FieldSnapshot, op_coeffs):
     operator, or (nx, ny, nz, m, 3) for m operators transformed together,
     stored component-major; it is used as the work array.
     """
-    op_a = fs.spectral_engine(f.kgrid, f.sgrid).to_field(op_coeffs)
+    op_a = f.engine.to_field(op_coeffs)
     subscripts = "...c,...c->..." if op_a.ndim == 4 else "...c,...jc->...j"
     out = _im_dot(f.E_plus, op_a, subscripts)
     out *= SIGMA
@@ -171,30 +162,25 @@ def _operator_density(f: fs.FieldSnapshot, op_coeffs):
 
 
 def _energy(f: fs.FieldSnapshot):
-    """H = -sigma |E+|^2, the omega-multiplier form, kept per snapshot (see module docs)."""
+    """H = -sigma |E+|^2 = |E+|^2, the omega-multiplier form, kept per snapshot."""
 
     def build():
         e_plus = f.E_plus
-        out = _contract_pair("...c,...c->...", (e_plus.real, e_plus.real),
-                             (e_plus.imag, e_plus.imag), np.add, e_plus.shape[:-1])
-        out *= -SIGMA
-        return fs._read_only(out)
+        return _read_only(_contract_pair("...c,...c->...", (e_plus.real, e_plus.real),
+                                         (e_plus.imag, e_plus.imag), np.add, e_plus.shape[:-1]))
 
     return fs._memo(f, "_energy", build)
 
 
 def _momentum(f: fs.FieldSnapshot):
-    """(P_x, P_y, P_z) on the trailing axis from one 9-component transform.
-
-    Computed once per snapshot and kept read-only (see module docs).
-    """
+    """(P_x, P_y, P_z) on the trailing axis from one 9-component transform, kept per snapshot."""
 
     def build():
         k, amp = leading(f.kgrid.k_vectors), leading(f.amplitude)
         op_coeffs = np.empty((3, 3) + f.kgrid.n_per_axis, np.complex128)
         _multiply(k[:, None], amp[None, :], op_coeffs)
         _multiply(op_coeffs, f.time_phase, op_coeffs)
-        return fs._read_only(_operator_density(f, trailing(op_coeffs, 2)))
+        return _read_only(_operator_density(f, trailing(op_coeffs, 2)))
 
     return fs._memo(f, "_momentum", build)
 
@@ -242,10 +228,7 @@ def orbital_angular_momentum_density(f: fs.FieldSnapshot, origin) -> DensityFiel
     reference origin by d changes the integral by -d x total momentum)."""
     p = _momentum(f)
     # r per axis as a broadcastable 1-D array, so no (nx, ny, nz, 3) position array
-    r = [
-        (f.sgrid.axes[a] - float(origin[a])).reshape([-1 if b == a else 1 for b in range(3)])
-        for a in range(3)
-    ]
+    r = [broadcast_along(f.sgrid.axes[a] - float(origin[a]), a) for a in range(3)]
     data = np.empty_like(p)
     for a in range(3):
         b, c = (a + 1) % 3, (a + 2) % 3
@@ -302,46 +285,48 @@ class PhotonWaveFields:
 
 
 def photon_wave_fields(f: fs.FieldSnapshot) -> PhotonWaveFields:
-    """F from the real fields E and B, psi = Omega^{1/2} A+ (see module docs).
+    """F from the real fields E and B and psi = Omega^{1/2} A+, kept per snapshot.
 
-    The helicity is the snapshot spectrum's.  Built once per snapshot; F and
-    psi are read-only.
+    The helicity is the snapshot spectrum's.
     """
 
     def build():
         lam = f.spectrum.pure_helicity()
         if lam is None:
             raise ValueError("mixed-helicity spectrum: F and psi need a pure helicity")
-        # (1/2)(E + i lam B) with E = 2 Re E+, B = 2 Re B+: Re E+ + i lam Re B+ exactly
         F = np.empty(f.E_plus.shape, np.complex128)
         np.copyto(F.real, f.E_plus.real)
         np.multiply(lam, f.B_plus.real, out=F.imag)
         psi_coeffs = leading(f.a_coeffs)  # a fresh array, scaled in place
         np.multiply(np.sqrt(f.kgrid.omega), psi_coeffs, out=psi_coeffs)
-        psi = fs.spectral_engine(f.kgrid, f.sgrid).to_field(trailing(psi_coeffs, 1))
-        return PhotonWaveFields(helicity=lam, F=fs._read_only(F), psi=fs._read_only(psi),
+        psi = f.engine.to_field(trailing(psi_coeffs, 1))
+        return PhotonWaveFields(helicity=lam, F=_read_only(F), psi=_read_only(psi),
                                 t=f.t, grid=f.sgrid)
 
     return fs._memo(f, "_wave_fields", build)
 
 
-def bb_energy_density(wf: PhotonWaveFields) -> DensityField:
-    """|F|^2: the energy-density reading of the first wave function.
+def _squared_norm(v):
+    """|v|^2 of a (nx, ny, nz, 3) field, C-ordered.
 
     The components add as ``(a_x + a_y) + a_z``, the order of a sum over the
     trailing axis, without its strided reduction.
     """
-    a = np.abs(wf.F)
+    a = np.abs(v)
     np.square(a, out=a)
     data = a[..., 0] + a[..., 1]
     data += a[..., 2]
-    return DensityField("bb_energy", data, wf.t, wf.grid)
+    return data
+
+
+def bb_energy_density(wf: PhotonWaveFields) -> DensityField:
+    """|F|^2: the energy-density reading of the first wave function."""
+    return DensityField("bb_energy", _squared_norm(wf.F), wf.t, wf.grid)
 
 
 def lp_number_density(wf: PhotonWaveFields) -> DensityField:
     """|psi|^2: the number-density reading of the second wave function."""
-    data = np.sum(np.abs(wf.psi) ** 2, axis=-1)
-    return DensityField("lp_number", data, wf.t, wf.grid)
+    return DensityField("lp_number", _squared_norm(wf.psi), wf.t, wf.grid)
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,12 @@ reader never observes a half-written artifact and reruns replace files
 atomically.  A failure raises an ``OSError`` that names the requested path,
 never the temporary sibling.
 
-``photonlab run`` calls these helpers from the export thread of
-:mod:`photonlab.slabs`, one file at a time; they keep no state, so the
-thread changes nothing here.  The temporary file is not pre-allocated with
+The helpers keep no state, so the export thread of ``photonlab run`` may
+call them.  The temporary file is not pre-allocated with
 ``os.posix_fallocate``: that would skip the 3-4 ms that ext4 spends when a
 rename replaces an existing file, but it drops the ordering ext4 gives such
 a replacement, so a crash could leave a zero-filled file under the final
-name.  On the export thread that stall is off the critical path anyway.
+name.
 """
 
 from __future__ import annotations

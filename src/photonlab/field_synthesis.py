@@ -20,43 +20,20 @@ E+ = -dA+/dt (so iw * A+ per mode) and B+ = curl A+ (ik x A+ per mode); all
 derivatives are spectral multipliers, never finite differences.
 
 Every FFT goes through one :class:`SpectralEngine` per (WaveVectorGrid,
-SpatialGrid) pair (:func:`spectral_engine`, the two most recently used pairs
-are kept).  It holds, read-only, what depends on the grids alone: the real
-mode factor 1 / sqrt(omega) with the excluded zero mode set to zero, the two
-phase factors that turn the grid-order mode sum into an inverse DFT, and the
-distinct frequencies of the grid with each mode's index into them.  The
-helicity basis is not the engine's: :func:`~photonlab.mode_space.build_basis`
-builds and keeps e+ once per k-grid, and e- is its conjugate.  The
-time-independent amplitude i g omega^{-1/2} (c+ e+ + c- conj(e+)) is formed
-once per spectrum and kept with the spectrum, so the shared engine holds
-nothing of any one spectrum.  Each time then costs one exp(-i omega t) per
-distinct frequency, gathered to the modes, and one inverse FFT of the six
-components of A+ and E+.  B+ is transformed on first access only, so
-number-only runs never pay for it.  A :class:`FieldSnapshot` holds the
-spectrum it was synthesized from: densities and observables read the
-helicity, the k-grid and the fields at other times from the snapshot alone.
-
-Per-mode vector arrays and synthesized fields are stored component-major
-(see :mod:`photonlab.mode_space`): every inverse and forward FFT runs over
-the three trailing, spatial axes of a C-contiguous array whose component
-axes lead, and callers see ``(..., 3)`` views of it.
-:meth:`SpectralEngine.to_field` transforms such a work array of its caller's
-in place; :func:`spectrum_to_field` copies an input in any layout once into
-this one.  The FFTs and the per-mode passes run on the threads of
-:mod:`photonlab.slabs`, under its rule, so every output is bitwise identical
-for any thread count.
+SpatialGrid) pair; :func:`spectral_engine` is the one place that finds and
+keeps engines.  A :class:`FieldSnapshot` holds its spectrum and its engine:
+densities and observables read the helicity, the k-grid, the transforms and
+the fields at other times from the snapshot alone.  Work arrays are
+component-major (see :mod:`photonlab.mode_space`), and the FFTs and
+per-mode passes follow the slab rule of :mod:`photonlab.slabs`.
 
 The direct quadrature (:func:`synthesize_at_points`,
-:func:`vector_potential_at_points`) has its own amplitude formula, evaluates
-its own exp(-i omega t) per mode and never reads the engine: it is the
-oracle the FFT path is checked against.  It shares only the basis of
-:func:`~photonlab.mode_space.build_basis` and the slab helper with the FFT
-path.  exp(i k.x) is the product of the three per-axis factors
-exp(i k_a x_a), computed per point and never through the engine's phase
-helper or an FFT, so the oracle checks the engine's origin and k_min phases
-independently.  The mode sum contracts z, then y, then x, each one numpy
-``einsum`` loop (no ``optimize``, so never BLAS): its value does not depend
-on the BLAS thread count.
+:func:`vector_potential_at_points`) is the oracle the FFT path is checked
+against: its own amplitude formula, its own exp(-i omega t) per mode, and
+exp(i k.x) as the product of three per-axis factors per point, never the
+engine or an FFT, so it checks the engine's origin and k_min phases
+independently.  It shares only the basis and the slab helper with the FFT
+path, and sums without BLAS (see :func:`~photonlab.mode_space.l2_norm`).
 """
 
 from __future__ import annotations
@@ -71,17 +48,13 @@ from .mode_space import (
     PhotonSpectrum,
     SpatialGrid,
     WaveVectorGrid,
+    _read_only,
     build_basis,
     leading,
     trailing,
     vector_array,
 )
 from .slabs import _cross, _in_slabs, _multiply, _workers
-
-
-def _read_only(arr):
-    arr.flags.writeable = False
-    return arr
 
 
 def _memo(owner, key: str, build):
@@ -198,7 +171,7 @@ class SpectralEngine:
         fields = trailing(self._transform(self._coefficients(leading(amplitude), t)), 1)
         return FieldSnapshot(
             t=t, A_plus=fields[..., :3], E_plus=fields[..., 3:],
-            amplitude=amplitude, spectrum=s, sgrid=self.sgrid,
+            amplitude=amplitude, spectrum=s, engine=self,
         )
 
     def _coefficients(self, amp, t: float):
@@ -249,17 +222,15 @@ def field_to_spectrum(field, kgrid: WaveVectorGrid, sgrid: SpatialGrid):
 
 @dataclass(frozen=True)
 class FieldSnapshot:
-    """Positive-frequency A, E, B of ``spectrum`` (on ``kgrid``) at one instant.
+    """Positive-frequency A, E, B of ``spectrum`` at one instant, with the
+    ``engine`` that synthesized it.
 
     ``amplitude`` is the time-independent vector mode amplitude of A+, so
     that spectral operators can be applied later without a forward FFT;
     it is the spectrum's own, except in the corrupted-convention control.
-    ``time_phase`` (exp(-i omega t) per mode, from the engine's table of
-    distinct frequencies) and ``B_plus`` are formed on first access,
-    ``a_coeffs`` (the amplitude times the time phase) on each.
-    :mod:`photonlab.densities` keeps its per-snapshot intermediates in the
-    same instance dict through :func:`_memo`, so they are freed with the
-    snapshot.
+    ``time_phase`` (exp(-i omega t) per mode) and ``B_plus`` are formed on
+    first access, so number-only runs never transform B+; ``a_coeffs`` (the
+    amplitude times the time phase) is formed on each.
     """
 
     t: float
@@ -267,15 +238,19 @@ class FieldSnapshot:
     E_plus: np.ndarray
     amplitude: np.ndarray
     spectrum: PhotonSpectrum
-    sgrid: SpatialGrid
+    engine: SpectralEngine
 
     @property
     def kgrid(self) -> WaveVectorGrid:
         return self.spectrum.grid
 
+    @property
+    def sgrid(self) -> SpatialGrid:
+        return self.engine.sgrid
+
     @cached_property
     def time_phase(self):
-        return spectral_engine(self.kgrid, self.sgrid).time_phase(self.t)
+        return self.engine.time_phase(self.t)
 
     @property
     def a_coeffs(self):
@@ -287,21 +262,17 @@ class FieldSnapshot:
         b_coeffs = vector_array(self.kgrid.n_per_axis, np.complex128)
         _cross(self.kgrid.k_vectors, self.a_coeffs, out=b_coeffs)
         b_coeffs *= 1j
-        return spectral_engine(self.kgrid, self.sgrid).to_field(b_coeffs)
+        return self.engine.to_field(b_coeffs)
 
 
 def _direct_amplitude(s: PhotonSpectrum, t: float):
-    """Grid-order vector amplitude of A+ including the exp(-i omega t) phase.
+    """The oracle's grid-order vector amplitude of A+, exp(-i omega t) included.
 
-    Its own formula and time phase on the basis of :func:`build_basis`, never
-    the engine: this feeds the oracle.  Per mode, a = i g omega^{-1/2}
-    exp(-i omega t) (0 on the excluded modes) and a+- = a c+-; then, per
-    component, coeffs = a+ e+ + a- conj(e+).  Evaluated in x-slabs into
-    arrays allocated here (see :mod:`photonlab.slabs`), with the operands of
-    every product in the order of the one-expression form
+    Per mode, a = i g omega^{-1/2} exp(-i omega t) (0 on the excluded modes)
+    and a+- = a c+-; then, per component, coeffs = a+ e+ + a- conj(e+), with
+    the operands of every product in the order of the one-expression form
     ``(a c+) e+ + (a c-) conj(e+)``: a SIMD complex multiply need not give
-    the same bits with its operands swapped.  Returns a ``(..., 3)`` view of
-    component-major storage (:func:`vector_array`).
+    the same bits with its operands swapped.  Stored component-major.
     """
     grid = s.grid
     e_plus = build_basis(grid)
@@ -358,32 +329,31 @@ def _synthesize_with_weight(s: PhotonSpectrum, sgrid: SpatialGrid, t: float, wei
     return engine.snapshot(s, engine._weighted_amplitude(s, weight), float(t))
 
 
-def _direct_eval(coeffs, kgrid, points):
+def _direct_eval(coeffs, grid, points):
     """sum_k coeffs(k) exp(i k.x) at each point; any number of trailing components.
 
-    exp(i k.x) = exp(i k_x x) exp(i k_y y) exp(i k_z z) over ``kgrid.axes``
+    exp(i k.x) = exp(i k_x x) exp(i k_y y) exp(i k_z z) over ``grid.axes``
     (3 n exponentials per point instead of n^3), so the sum contracts the z
-    axis, then y, then x.  Each step is an einsum without ``optimize``, which
-    never calls BLAS; it reads ``coeffs`` in place, fastest when the
-    components are stored component-major, and makes no full-grid array.
+    axis, then y, then x, each step one einsum without ``optimize`` (never
+    BLAS) that reads ``coeffs`` in place and makes no full-grid array.
     """
     amp = leading(coeffs)
     out = np.empty((points.shape[0],) + amp.shape[:-3], dtype=np.complex128)
     for i, x in enumerate(points):
-        ex, ey, ez = (np.exp(1j * (k * xa)) for k, xa in zip(kgrid.axes, x))
+        ex, ey, ez = (np.exp(1j * (k * xa)) for k, xa in zip(grid.axes, x))
         over_z = np.einsum("...xyz,z->...xy", amp, ez)
         over_y = np.einsum("...xy,y->...x", over_z, ey)
         out[i] = np.einsum("...x,x->...", over_y, ex)
     return out
 
 
-def _direct_fields(coeffs, kgrid, points):
+def _direct_fields(coeffs, grid, points):
     """(A+, E+, B+) at the points from one quadrature over nine components."""
     stacked = np.concatenate(
-        [leading(coeffs), leading(1j * kgrid.omega[..., None] * coeffs),
-         leading(1j * np.cross(kgrid.k_vectors, coeffs))],
+        [leading(coeffs), leading(1j * grid.omega[..., None] * coeffs),
+         leading(1j * np.cross(grid.k_vectors, coeffs))],
     )
-    out = _direct_eval(trailing(stacked, 1), kgrid, points)
+    out = _direct_eval(trailing(stacked, 1), grid, points)
     return out[:, :3], out[:, 3:6], out[:, 6:]
 
 

@@ -14,24 +14,13 @@ pinned to zero and the 1/sqrt(omega) mode factor is never evaluated there.
 Scalar products are conjugate-linear in the first slot:
 (s1, s2) = sum w conj(c1) c2.
 
-The helicity basis has one owner, :func:`build_basis`: it builds e+ once
-per grid, and every user forms e- as conj(e+), so the pair is never built
-or stored twice.
-
 Per-mode vector arrays (``k_vectors``, the helicity basis) are stored
 component-major: the component axes come first in memory, so each
 (nx, ny, nz) component is contiguous, and they are handed out as
 ``(..., 3)`` views.  :func:`vector_array` allocates that layout and
 :func:`leading` turns such a view back into the component-first array, so
-element-wise products and the FFTs of :mod:`photonlab.field_synthesis` run
-over contiguous blocks.
-
-No reduction over a grid- or source-sized array calls BLAS: a threaded BLAS
-splits a long sum over its threads, so the last bits of the result would
-follow the BLAS thread count.  Such sums use numpy's own reductions, and
-:func:`l2_norm` is the one L2 norm.  Only products whose sum runs over a
-short axis (a source's rank, a 3-vector) and that BLAS partitions by output
-alone may use BLAS.
+element-wise products and FFTs run over contiguous blocks.  Every module
+that hands arrays to a transform builds them in this layout.
 """
 
 from __future__ import annotations
@@ -49,11 +38,7 @@ HELICITIES = (+1, -1)
 
 
 def vector_array(spatial_shape, dtype):
-    """Uninitialized ``spatial_shape + (3,)`` array stored component-major.
-
-    The returned array is a view, with the component axis trailing, of a
-    C-contiguous ``(3,) + spatial_shape`` buffer.
-    """
+    """Uninitialized ``spatial_shape + (3,)`` view of a C-ordered ``(3,) + spatial_shape`` array."""
     return trailing(np.empty((3,) + tuple(spatial_shape), dtype), 1)
 
 
@@ -70,15 +55,27 @@ def leading(arr):
     return np.moveaxis(arr, tuple(i - n_components for i in lead), tuple(lead))
 
 
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+def broadcast_along(values, axis: int):
+    """A 1-D array per grid ``axis`` reshaped to broadcast along that axis of a 3-D grid."""
+    return values.reshape([-1 if b == axis else 1 for b in range(3)])
+
+
 def l2_norm(x) -> float:
     """sqrt(sum |x|^2) over every element of ``x``, never through BLAS.
 
-    ``np.linalg.norm`` ends in a BLAS dot product, which OpenBLAS splits over
-    its own threads for a long vector, so its last bits follow the BLAS
-    thread count.  This is one numpy einsum loop (no ``optimize``) over a
-    flat real view in memory order (a complex element is its two real
-    parts): one fixed summation order, on the calling thread, and no
-    temporary array for an ``x`` stored without gaps in any axis order.
+    The package's rule for sums: no reduction over a grid- or source-sized
+    array calls BLAS, whose threads would split it (``np.linalg.norm`` ends
+    in a BLAS dot product) and make the last bits follow the BLAS thread
+    count.  Such sums use numpy's own reductions; only products that sum
+    over a short axis (a source's rank, a 3-vector) and that BLAS partitions
+    by output alone may use BLAS.  This is the one L2 norm: one einsum loop
+    (no ``optimize``) over a flat real view in memory order, with no
+    temporary for an ``x`` stored without gaps in any axis order.
     """
     flat = np.ravel(x, order="K")
     if np.iscomplexobj(flat):
@@ -96,6 +93,24 @@ def _triple(value, name):
     return t
 
 
+def _validate_lattice(grid, spacing: str, offset: str):
+    """Check and store a regular grid's ``n_per_axis``, spacing and offset fields."""
+    n = tuple(int(v) for v in grid.n_per_axis)
+    if any(v < 1 for v in n):
+        raise ValueError(f"n_per_axis must be >= 1, got {grid.n_per_axis!r}")
+    step = _triple(getattr(grid, spacing), spacing)
+    if any(v <= 0 for v in step):
+        raise ValueError(f"{spacing} components must be positive, got {step!r}")
+    object.__setattr__(grid, "n_per_axis", n)
+    object.__setattr__(grid, spacing, step)
+    object.__setattr__(grid, offset, _triple(getattr(grid, offset), offset))
+
+
+def _lattice_axes(n_per_axis, spacing, offset):
+    """Per axis a, the samples offset[a] + spacing[a] * j, j = 0..n-1."""
+    return tuple(offset[a] + spacing[a] * np.arange(n_per_axis[a]) for a in range(3))
+
+
 @dataclass(frozen=True)
 class WaveVectorGrid:
     """Regular cartesian wavevector grid.
@@ -110,15 +125,7 @@ class WaveVectorGrid:
     k_min: tuple[float, float, float]
 
     def __post_init__(self):
-        n = tuple(int(v) for v in self.n_per_axis)
-        if any(v < 1 for v in n):
-            raise ValueError(f"n_per_axis must be >= 1, got {self.n_per_axis!r}")
-        object.__setattr__(self, "n_per_axis", n)
-        dk = _triple(self.delta_k, "delta_k")
-        if any(v <= 0 for v in dk):
-            raise ValueError(f"delta_k components must be positive, got {dk!r}")
-        object.__setattr__(self, "delta_k", dk)
-        object.__setattr__(self, "k_min", _triple(self.k_min, "k_min"))
+        _validate_lattice(self, "delta_k", "k_min")
 
     @classmethod
     def centered(cls, n_per_axis, delta_k):
@@ -139,30 +146,21 @@ class WaveVectorGrid:
 
     @cached_property
     def axes(self):
-        return tuple(
-            self.k_min[a] + self.delta_k[a] * np.arange(self.n_per_axis[a])
-            for a in range(3)
-        )
+        return _lattice_axes(self.n_per_axis, self.delta_k, self.k_min)
 
     @cached_property
     def k_vectors(self):
         """(nx, ny, nz, 3) array of sample wavevectors (component-major)."""
-        k = np.stack(np.meshgrid(*self.axes, indexing="ij"))
-        k.flags.writeable = False
-        return trailing(k, 1)
+        return trailing(_read_only(np.stack(np.meshgrid(*self.axes, indexing="ij"))), 1)
 
     @cached_property
     def omega(self):
         """|k| = angular frequency of each sample (c = 1)."""
-        w = np.linalg.norm(self.k_vectors, axis=-1)
-        w.flags.writeable = False
-        return w
+        return _read_only(np.linalg.norm(self.k_vectors, axis=-1))
 
     @cached_property
     def exclusion_mask(self):
-        m = self._excluded(self.omega)
-        m.flags.writeable = False
-        return m
+        return _read_only(self._excluded(self.omega))
 
     def _excluded(self, omega):
         """The exclusion rule: omega = |k| is zero to within 1e-9 of the spacing."""
@@ -200,6 +198,11 @@ class WaveVectorGrid:
         return True
 
 
+def _paired_spacing(kgrid: WaveVectorGrid):
+    """delta_x = 2 pi / (n delta_k) per axis: the spacing of the FFT partner of ``kgrid``."""
+    return tuple(TWO_PI / (n * d) for n, d in zip(kgrid.n_per_axis, kgrid.delta_k))
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
     """Regular periodic spatial grid; points at origin + n * delta_x."""
@@ -209,15 +212,7 @@ class SpatialGrid:
     origin: tuple[float, float, float]
 
     def __post_init__(self):
-        n = tuple(int(v) for v in self.n_per_axis)
-        if any(v < 1 for v in n):
-            raise ValueError("n_per_axis must be >= 1")
-        object.__setattr__(self, "n_per_axis", n)
-        dx = _triple(self.delta_x, "delta_x")
-        if any(v <= 0 for v in dx):
-            raise ValueError("delta_x components must be positive")
-        object.__setattr__(self, "delta_x", dx)
-        object.__setattr__(self, "origin", _triple(self.origin, "origin"))
+        _validate_lattice(self, "delta_x", "origin")
 
     @classmethod
     def paired(cls, kgrid: WaveVectorGrid, origin=None):
@@ -227,25 +222,20 @@ class SpatialGrid:
         wavepackets start mid-box.
         """
         n = kgrid.n_per_axis
-        dx = tuple(TWO_PI / (ni * di) for ni, di in zip(n, kgrid.delta_k))
+        dx = _paired_spacing(kgrid)
         if origin is None:
             origin = tuple(-(ni // 2) * di for ni, di in zip(n, dx))
         return cls(n, dx, origin)
 
     @cached_property
     def axes(self):
-        return tuple(
-            self.origin[a] + self.delta_x[a] * np.arange(self.n_per_axis[a])
-            for a in range(3)
-        )
+        return _lattice_axes(self.n_per_axis, self.delta_x, self.origin)
 
     @cached_property
     def coordinates(self):
         """(nx, ny, nz, 3) array of sample positions."""
         x, y, z = np.meshgrid(*self.axes, indexing="ij")
-        pts = np.stack([x, y, z], axis=-1)
-        pts.flags.writeable = False
-        return pts
+        return _read_only(np.stack([x, y, z], axis=-1))
 
     @property
     def cell_volume(self):
@@ -258,22 +248,21 @@ class SpatialGrid:
     def is_paired_with(self, kgrid: WaveVectorGrid):
         if self.n_per_axis != kgrid.n_per_axis:
             return False
-        want = tuple(TWO_PI / (n * d) for n, d in zip(kgrid.n_per_axis, kgrid.delta_k))
-        return np.allclose(self.delta_x, want, rtol=1e-12, atol=0)
+        return np.allclose(self.delta_x, _paired_spacing(kgrid), rtol=1e-12, atol=0)
 
 
 @lru_cache(maxsize=2)
 def build_basis(grid: WaveVectorGrid) -> np.ndarray:
     """The positive-helicity vector e+ on every sample of ``grid``.
 
-    e+ = (e_theta + i e_phi)/sqrt(2) is transverse to k; the negative-helicity
-    vector is its conjugate, e- = conj(e+) = (e_theta - i e_phi)/sqrt(2), so
-    only e+ is built and kept.  At the poles (k parallel to +/-z) the azimuth
-    is fixed to phi = 0, which gives e_theta = (+/-1, 0, 0) and
-    e_phi = (0, 1, 0).  Masked samples carry the zero vector.
+    The one owner of the helicity basis: e+ = (e_theta + i e_phi)/sqrt(2) is
+    transverse to k, and every user forms e- = conj(e+) =
+    (e_theta - i e_phi)/sqrt(2) itself, so the pair is never built or
+    stored twice.  At the poles (k parallel to +/-z) the azimuth is fixed to
+    phi = 0, which gives e_theta = (+/-1, 0, 0) and e_phi = (0, 1, 0).
+    Masked samples carry the zero vector.
 
-    Returns a read-only component-major ``(..., 3)`` view.  Like
-    :func:`photonlab.field_synthesis.spectral_engine`, it is kept for the two
+    Returns a read-only component-major ``(..., 3)`` view, kept for the two
     most recently used grids (by value).
     """
     kn = grid.omega
@@ -295,9 +284,7 @@ def build_basis(grid: WaveVectorGrid) -> np.ndarray:
     e_theta = np.where(keep, e_theta, 0.0)
     e_phi = np.where(keep, e_phi, 0.0)
 
-    e_plus = (e_theta + 1j * e_phi) * (1.0 / np.sqrt(2.0))
-    e_plus.flags.writeable = False
-    return trailing(e_plus, 1)
+    return trailing(_read_only((e_theta + 1j * e_phi) * (1.0 / np.sqrt(2.0))), 1)
 
 
 @dataclass(frozen=True)
@@ -321,8 +308,7 @@ class PhotonSpectrum:
         mask = self.grid.exclusion_mask
         if np.count_nonzero(mask):
             c = np.where(mask[None, ...], 0.0 + 0.0j, c)
-        c.flags.writeable = False
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", _read_only(c))
 
     @property
     def norm(self):

@@ -6,31 +6,9 @@ wraparound bias; displacements use the shortest wrapped difference.  A
 density whose total mass is not finite is rejected with ``ValueError``.
 
 Containment radii (the 90% guard band of :func:`transport_speed`, the 99%
-widths of :func:`localization_widths`) are read from the cumulative mass of
-the points taken in ascending distance from the centroid: the radius is the
-distance of the first point at which it reaches the target.  Only the
-points that can matter are sorted: every point falls in the radial shell
-``floor(dist / max(delta_x))``, one ``np.bincount`` gives the mass per
-shell, and the candidates are the points of the shells up to the first one
-whose cumulative shell mass reaches the target, plus one shell of margin;
-if the candidates' own cumulative mass never reaches it, every point is a
-candidate.  The result is the full sort's, bit for bit: the shell index is
-a monotone function of the same ``dist``, so the candidates are a prefix of
-the ascending-distance order, their cumulative sum is the same sequential
-sum as the full one, and a shell's cumulative mass is the points' at its
-end, so the first point to reach the target lies in or before the first
-shell to reach it (the margin shell absorbs the bincount's other summation
-order).  For a non-negative density the first crossing is the one a binary
-search finds; a signed density's cumulative mass can cross the target more
-than once, and the first crossing still counts.  The one caveat is the
-sort's order among equal distances, which the full sort leaves unspecified
-as well: it can move the answer only when the target lies within roundoff
-of the cumulative mass at the end of a group of equal distances.
-
-The spectral divergence forms ``i k.J^`` in place in one complex scalar
-array and transforms it back in place: one forward transform of the three
-components and one scalar inverse transform, and no ``(n, n, n, 3)``
-product.
+widths of :func:`localization_widths`) are the distance of the first point,
+in ascending distance from the centroid, at which the cumulative mass
+reaches the target (see :func:`_containment_radius`).
 """
 
 from __future__ import annotations
@@ -42,7 +20,7 @@ import numpy as np
 
 from . import densities as dn
 from . import field_synthesis as fs
-from .mode_space import PhotonSpectrum, SpatialGrid, l2_norm, leading
+from .mode_space import PhotonSpectrum, SpatialGrid, broadcast_along, l2_norm, leading
 
 #: guard band: a packet's 90% containment radius must stay below this fraction of the box
 GUARD_FRACTION = 0.25
@@ -96,9 +74,7 @@ def _circular_mean(weights, sgrid: SpatialGrid):
     for a in range(3):
         length = sgrid.box_lengths[a]
         theta = 2.0 * np.pi * (sgrid.axes[a] - sgrid.origin[a]) / length
-        shape = [1, 1, 1]
-        shape[a] = sgrid.n_per_axis[a]
-        z = np.sum(weights * np.exp(1j * theta).reshape(shape)) / total
+        z = np.sum(weights * broadcast_along(np.exp(1j * theta), a)) / total
         ang = float(np.angle(z)) % (2.0 * np.pi)
         pos.append(sgrid.origin[a] + length * ang / (2.0 * np.pi))
     return tuple(pos)
@@ -114,23 +90,21 @@ def _circular_distances(sgrid: SpatialGrid, center):
     d2 = np.zeros(sgrid.n_per_axis)
     for a in range(3):
         d = _wrap(sgrid.axes[a] - center[a], sgrid.box_lengths[a])
-        shape = [1, 1, 1]
-        shape[a] = sgrid.n_per_axis[a]
-        d2 = d2 + (d.reshape(shape)) ** 2
+        d2 = d2 + broadcast_along(d, a) ** 2
     return np.sqrt(d2)
 
 
-def _divergence(vec, kgrid, sgrid):
-    """Spectral divergence of a real vector field on the paired grid.
+def _divergence(vec, engine: fs.SpectralEngine):
+    """Spectral divergence of a real vector field on the grid pair of ``engine``.
 
     ``i ((k_x J^_x + k_y J^_y) + k_z J^_z)`` is accumulated in place in the
     x component of the forward transform, which is then transformed back in
-    place.  That operand order keeps the result bitwise equal to
-    ``1j * np.sum(k_vectors * J^, axis=-1)``, the tests' reference.
+    place, so no ``(n, n, n, 3)`` product is formed.  That operand order
+    keeps the result bitwise equal to ``1j * np.sum(k_vectors * J^, axis=-1)``,
+    the tests' reference.
     """
-    engine = fs.spectral_engine(kgrid, sgrid)
     coeffs = leading(engine.to_spectrum(vec))
-    np.multiply(leading(kgrid.k_vectors), coeffs, out=coeffs)
+    np.multiply(leading(engine.kgrid.k_vectors), coeffs, out=coeffs)
     div_coeffs = coeffs[0]
     div_coeffs += coeffs[1]
     div_coeffs += coeffs[2]
@@ -156,7 +130,7 @@ def continuity_residual(snap: fs.FieldSnapshot, dt: float) -> float:
     rho_m = dn.number_density(fs.synthesize(s, sgrid, t - dt)).data
     drho = (rho_p - rho_m) / (2.0 * dt)
     cur = dn.photon_current(snap).data
-    div = _divergence(cur, s.grid, sgrid)
+    div = _divergence(cur, snap.engine)
     num = l2_norm(drho + div)
     den = l2_norm(div)
     floor = 1e-12 * l2_norm(cur) * max(omega_max, 1.0)
@@ -191,8 +165,17 @@ def transport_speed(rho0: dn.DensityField, rho1: dn.DensityField) -> float:
 def _containment_radius(data, sgrid, center, fraction):
     """Smallest circular radius about ``center`` containing ``fraction`` of the mass.
 
-    Sorts only the points of the radial shells that can hold the crossing;
-    the module docstring says which and why the result is the full sort's.
+    Only the points that can matter are sorted: every point falls in the
+    radial shell ``floor(dist / max(delta_x))``, and the candidates are the
+    points of the shells up to the first whose cumulative shell mass
+    (``np.bincount``) reaches the target, plus one shell of margin, or every
+    point if their own cumulative mass never reaches it.  The shell index is
+    monotone in ``dist``, so the candidates are a prefix of the ascending
+    order and their cumulative sum is the full sort's, bit for bit (the
+    margin shell absorbs the bincount's other summation order).  As with a
+    full sort, the order among equal distances is unspecified; it can move
+    the answer only when the target lies within roundoff of the cumulative
+    mass at the end of a group of equal distances.
     """
     dist = _circular_distances(sgrid, center).ravel()
     w = data.ravel()

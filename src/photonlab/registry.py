@@ -25,8 +25,8 @@ from .config import DEFAULT_TOLERANCES
 from .field_synthesis import FieldSnapshot, synthesize, translation_check_1d
 from .fock_algebra import (FockVector, ModeSet, apply_annihilate, apply_create,
                            commutator_expectation, inner_product, n_photon_state, vacuum)
-from .mode_space import (PhotonSpectrum, SpatialGrid, WaveVectorGrid, evolve, gaussian_spectrum,
-                         scalar_product, spectral_summary)
+from .mode_space import (HELICITIES, PhotonSpectrum, SpatialGrid, WaveVectorGrid, evolve,
+                         gaussian_spectrum, normalize, scalar_product, spectral_summary)
 from .retarded_solver import (SourceCurrent, gauge_residual, gaussian_dipole_source,
                               retarded_potential, uniform_ball_source)
 
@@ -108,6 +108,24 @@ def transport_packet():
     boundary; sigma = 0.9 moves the expected speed to ~0.992c.
     """
     return gaussian_spectrum(desk_grid(), (0.0, 0.0, 10.0), 0.9, (1.0, 0.0))
+
+
+@lru_cache(maxsize=None)
+def twisted_packet(helicity: int, ell: int) -> PhotonSpectrum:
+    """c_lambda = (k_x + i sgn(ell) k_y)^|ell| g(k) in one helicity, normalized.
+
+    g is the desk packet's Gaussian (k0 = 10 z, sigma = 1).  Near the +z
+    pole the basis vector of helicity lambda carries the vortex
+    exp(-i lambda phi) and spin lambda, which cancel in J_z, so J_z = ell
+    per photon; the twist vanishes on the pole line, where the basis is not
+    smooth.
+    """
+    grid = desk_grid()
+    k = grid.k_vectors
+    c = np.zeros((2,) + grid.n_per_axis, np.complex128)
+    c[HELICITIES.index(helicity)] = (k[..., 0] + 1j * np.sign(ell) * k[..., 1]) ** abs(ell)
+    c *= desk_packet().c[0]
+    return normalize(PhotonSpectrum(grid, c))
 
 
 @lru_cache(maxsize=None)
@@ -408,6 +426,24 @@ def check_retarded_solver() -> tuple[Metric, ...]:
     )
 
 
+def check_angular_momentum() -> tuple[Metric, ...]:
+    """Twisted packets carry J_z = ell N about the origin, and moving the
+    reference point by d changes J by -d x P (orbital plus spin)."""
+    spatial = desk_spatial()
+    shift = np.array((0.5, -0.3, 0.0))
+    jz_err = origin_err = 0.0
+    for helicity, ell in ((1, 1), (1, 2), (-1, -1), (-1, -2)):
+        snap = synthesize(twisted_packet(helicity, ell), spatial, 0.0)
+        number = densities.number_density(snap).integral()
+        about_origin = densities.angular_momentum_density(snap, (0.0, 0.0, 0.0)).integral()
+        about_shift = densities.angular_momentum_density(snap, shift).integral()
+        momentum = densities.momentum_density(snap).integral()
+        jz_err = max(jz_err, abs(about_origin[2] - ell * number))
+        moved = about_shift - about_origin + np.cross(shift, momentum)
+        origin_err = max(origin_err, float(np.max(np.abs(moved))))
+    return (Metric("jz_err", jz_err, 1e-4), Metric("origin_err", origin_err, 1e-9))
+
+
 def check_localization() -> tuple[Metric, ...]:
     kinds = ("number", "bb_energy", "lp_number")
     widths = []
@@ -437,6 +473,7 @@ ACCEPTANCE_CHECKS: tuple[tuple[str, object], ...] = (
     ("longitudinal-cancellation", check_cancellation),
     ("retarded-solver", check_retarded_solver),
     ("localization", check_localization),
+    ("angular-momentum", check_angular_momentum),
 )
 
 

@@ -16,38 +16,15 @@ source slices (second-order accurate in the source time step).  A
 single-slice source is treated as static, i.e. time-independent.
 
 The source is held in factored form (see :class:`SourceCurrent`): ``r``
-time-coefficient columns of shape (n_times,) and ``r`` profile rows of
-``[rho, Jx, Jy, Jz]`` per cell, whose products sum to the samples.  The
-solver never forms that sum.  Interpolation and quadrature are both linear,
-so it interpolates the coefficients at each retarded time and contracts the
-result with the profile rows.  The evaluation points are taken in chunks and
-the cells in blocks of whole z-rows, which lie next to each other in every
-profile row.  For each chunk and block the distances, kernels
-``V_cell / (4 pi R)``, bracketing slice indices and interpolation fractions
-are computed once into the block's interpolation operator: per (point,
-cell) pair, the weights ``kernel * (1 - frac)`` and ``kernel * frac`` and
-the index of the earlier bracketing slice, counted from the earliest slice
-the block touches.  The operator applies as a gather.  Per rank, row
-``i + 1`` of a short table holds the coefficients ``(c[i], c[i + 1])`` of
-the two slices around offset ``i``, and its first and last rows pair the
-end slices with a zero coefficient; ``np.take`` gathers each pair's row of
-the window the block reads, the row is multiplied by the pair's two weights
-and its two products are summed, ``w0 * c[i] + w1 * c[i + 1]``.  The
-weighted coefficients are then contracted with the block's profile rows
-into one (points, 4) product per time and rank.  Evaluation times a whole
-number of source steps apart, whose retarded times all lie inside the
-window, share the operator and apply it to a coefficient window shifted by
-as many slices; where rounding puts such a time's bracket one slice past an
-end of the window, it reads a zero-padded row.  A static source contracts
-the kernels, times its single coefficient row, with the profile rows, and
-every evaluation time gets that sum.
+time-coefficient columns and ``r`` profile rows of ``[rho, Jx, Jy, Jz]``
+per cell, whose products sum to the samples.  The solver never forms that
+sum: interpolation and quadrature are both linear, so it interpolates the
+coefficients at each retarded time and contracts the result with the
+profile rows.
 
-The chunks run on the slab pool of :mod:`photonlab.slabs`, under its rule:
-each worker takes a contiguous run of whole chunks and one set of work
-arrays that the caller allocated, and adds each block's products into its
-own chunks' rows of the potentials, in block, then rank, order.  Every
-chunk is summed in one fixed order, so the result is bitwise identical for
-any number of workers.
+Chunks of evaluation points run on the pool of :mod:`photonlab.slabs`,
+under its rule.  Each chunk is summed in one fixed order (cell block, then
+rank), so the result is bitwise identical for any number of workers.
 
 Causality is discrete and exact: each contribution reads only the two
 coefficient rows bracketing its retarded time, so editing the source
@@ -64,13 +41,9 @@ Conventions for derived quantities:
 * Lorenz-gauge residual: d(phi_over_c)/dt + div A, normalized by the L2 norm
   of div A, both via centred differences on interior samples.
 * Fields: E = -dA/dt - grad(phi), B = curl A, again centred differences.
-* No sum over cells goes through BLAS, which would split it over its own
-  threads and let the last bits follow the BLAS thread count: the residual
-  norms are :func:`~photonlab.mode_space.l2_norm`, and the conservation
-  residual's and ``total_charge``'s sums over the rank are einsum loops.
-  The products left to BLAS (the quadrature's block contraction and
-  :attr:`SourceCurrent.table`) sum over the rank alone, and BLAS splits
-  only their outputs between threads.
+* Sums over cells or samples follow the no-BLAS rule of
+  :func:`~photonlab.mode_space.l2_norm`; the quadrature's block contraction
+  and :attr:`SourceCurrent.table` sum over the rank alone and may use BLAS.
 """
 
 from __future__ import annotations
@@ -81,18 +54,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .mode_space import SpatialGrid, _triple, l2_norm
+from .mode_space import SpatialGrid, _read_only, _triple, l2_norm
 from .slabs import _in_slabs, _slab_bounds, _workers
 
 FOUR_PI = 4.0 * math.pi
 
 # Evaluation points per chunk, the unit of work of one pool worker; the source
-# window is checked once per chunk.  The 125-point gauge stencils (the
-# `radiation` benchmark, `selftest`) make 4 chunks, two per worker on two
-# cores, while the 6-point far probes, the 5 points of the Coulomb check and
-# the one point of the causality check are one chunk on the calling thread.
-# On a 2-vCPU machine (median of 10 warm calls, 37^3 source), 64 points per
-# chunk timed the same as 32; 8 made the stencil 20-30% slower and 3 40%.
+# window is checked once per chunk.  The 125-point gauge stencils make 4
+# chunks, two per worker on two cores, while the few-point probes are one
+# chunk on the calling thread.
 _EVAL_CHUNK = 32
 
 # (point, cell) pairs per block of whole z-rows of cells.  A block's work
@@ -181,8 +151,7 @@ class SourceCurrent:
     @property
     def table(self) -> np.ndarray:
         rank = self.profiles.shape[0]
-        table = self.time_coefficients @ self.profiles.reshape(rank, -1)
-        table.flags.writeable = False
+        table = _read_only(self.time_coefficients @ self.profiles.reshape(rank, -1))
         return table.reshape((self.n_times,) + self.profiles.shape[1:])
 
     @property
@@ -229,10 +198,8 @@ class SourceCurrent:
 
         Both terms are linear in the factors: ``d(rho)/dt`` is the time
         derivative of the coefficients against the profiles' rho rows, and
-        ``div J`` the coefficients against the profiles' divergence.  They
-        are formed a few slices at a time, never as a whole space-time array,
-        by einsum sums over the rank, and the chunks' norms are combined with
-        ``math.hypot``: no sum goes through BLAS.
+        ``div J`` the coefficients against the profiles' divergence, formed a
+        few slices at a time and never as a whole space-time array.
         """
         rank = self.profiles.shape[0]
         core = _interior_slices((self.n_times,) + self.n_per_axis)
@@ -257,9 +224,7 @@ class SourceCurrent:
 
 
 def _read_only_copy(value, name: str) -> np.ndarray:
-    arr = np.array(_as_float_array(value, name))
-    arr.flags.writeable = False
-    return arr
+    return _read_only(np.array(_as_float_array(value, name)))
 
 
 def _interior_slices(shape: tuple[int, ...]) -> tuple[slice, ...]:
@@ -560,9 +525,6 @@ def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
                     out[k] += product
 
     def run(slab):
-        # A worker owns the rows of its chunks and adds into them in block,
-        # then rank, order, so a rank whose coefficients vanish on every
-        # bracketing slice adds exact zeros.
         for targets in chunks[slab]:
             squares = _squares(points[targets], src.grid)
             groups = None

@@ -7,8 +7,7 @@ Exported artifacts are deterministic: identical configuration (including the
 seed) produces byte-identical summaries.  Summaries are sorted key=value
 text; arrays are raw little-endian float64 with a one-line ASCII header; 2-D
 slices are CSV.  All files are written atomically and listed in the summary
-with their SHA-256 hash.  ``run`` writes its arrays on the export thread of
-:mod:`photonlab.slabs`, one behind the density being built.
+with their SHA-256 hash.
 """
 
 from __future__ import annotations
@@ -120,7 +119,7 @@ def build_grid(cfg: ScenarioConfig) -> WaveVectorGrid:
 
 def build_spectrum(cfg: ScenarioConfig, grid: WaveVectorGrid):
     packet = cfg.packet
-    if packet.kind in ("gaussian", "collinear"):
+    if packet.kind == "gaussian":
         state = gaussian_spectrum(grid, packet.k0, packet.sigma, packet.helicity_weights)
     elif packet.kind == "single_mode":
         helicity = +1 if abs(packet.helicity_weights[0]) >= abs(packet.helicity_weights[1]) else -1
@@ -232,13 +231,11 @@ def run_scenario(cfg: ScenarioConfig, outdir: str) -> RunReport:
     the next is synthesized, so a run holds one full-grid field set at once.
 
     Density k is written, hashed and renamed on the export thread of
-    :mod:`photonlab.slabs` while density k + 1 is built; the run holds one
-    finished density beside the one being built, as a loop that wrote each
-    itself did.  The digests are collected before the summary is written.
-    Whether it returns or raises, no write is left running: a failed write
-    raises its ``OSError``, naming the requested path, here.  The files are
-    not pre-allocated, so a crash cannot leave a zero-filled artifact under
-    its final name (see :mod:`photonlab.diskio`).
+    :mod:`photonlab.slabs` while density k + 1 is built.  Whether it returns
+    or raises, no write is left running: a failed write raises its
+    ``OSError``, naming the requested path, here.  The files are not
+    pre-allocated, so a crash cannot leave a zero-filled artifact under its
+    final name (see :mod:`photonlab.diskio`).
     """
     grid = build_grid(cfg)
     spatial = SpatialGrid.paired(grid)

@@ -82,6 +82,12 @@ def test_11_localization_widths_are_box_independent(selftest_run):
     _check(selftest_run, "localization")
 
 
+def test_12_twisted_packets_carry_their_angular_momentum(selftest_run):
+    """J_z = ell per photon for twisted packets of both helicities, and the
+    total angular momentum obeys the origin-shift rule."""
+    _check(selftest_run, "angular-momentum")
+
+
 @pytest.mark.parametrize("name", [name for name, _ in registry.CONTROL_CHECKS])
 def test_negative_controls_detect_seeded_faults(selftest_run, name):
     """Deliberately corrupted conventions must trip their detectors."""

@@ -408,6 +408,24 @@ def test_out_of_memory_exits_1_with_a_message(capsys, tmp_path, config_path, mon
         assert (code, out, err) == (1, "", message)
 
 
+@pytest.mark.parametrize("error, reason", [(RuntimeError("pool gone"), "RuntimeError: pool gone"),
+                                           (KeyError("number"), "KeyError: 'number'")])
+def test_any_other_error_exits_1_with_one_line(capsys, tmp_path, config_path, monkeypatch,
+                                               error, reason):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run_scenario", failing)
+    monkeypatch.setattr(cli, "export_slice", failing)
+    for argv, verb in (
+        (("run", "--outdir", str(tmp_path / "out")), "run"),
+        (("export-slice", "--kind", "number", "--plane", "z=0", "--out", str(tmp_path / "x.csv")),
+         "export"),
+    ):
+        code, out, err = invoke(capsys, argv[0], str(config_path), *argv[1:])
+        assert (code, out, err) == (1, "", f"{verb} failed: {reason}\n")
+
+
 @pytest.mark.filterwarnings("ignore:gaussian packet is not well separated")
 def test_a_run_that_fails_before_writing_leaves_no_outdir(capsys, tmp_path, config_path):
     """The spectrum is built before the output directory is made."""

@@ -92,7 +92,8 @@ DIAGNOSTICS = [
         ("run.seed = -1\n", "bad.cfg:1: key 'run.seed': expected a non-negative integer"),
         ("packet.kind = single_mode\n", "requires packet.index"),
         ("packet.sigma = -1\n", "packet.sigma must be positive"),
-        ("packet.kind = collinear\n", "grid.n_per_axis = 1,1,N"),
+        ("packet.kind = collinear\n",
+         "bad.cfg:1: key 'packet.kind': unknown packet kind 'collinear'"),
         ("time.t_list =\n", "at least one evaluation time is required"),
         ("grid.n_per_axis = 0\n", "bad.cfg:1: key 'grid.n_per_axis': entries must be positive"),
         ("grid.delta_k = -1\n", "bad.cfg:1: key 'grid.delta_k': entries must be positive"),
@@ -120,7 +121,7 @@ DIAGNOSTICS = [
          "bad.cfg:3: key 'packet.k0': (0.0, 0.0, 10.0) lies outside the grid coverage"),
         ("run.seed = 1\ngrid.n_per_axis = 16\n",
          "bad.cfg:2: key 'packet.k0': (0.0, 0.0, 10.0) lies outside the grid coverage"),
-        ("grid.n_per_axis = 1, 1, 256\ngrid.delta_k = 1, 1, 0.05\npacket.kind = collinear\n",
+        ("grid.n_per_axis = 1, 1, 256\ngrid.delta_k = 1, 1, 0.05\npacket.kind = gaussian\n",
          "bad.cfg:1: key 'packet.k0': (0.0, 0.0, 10.0) lies outside the grid coverage"),
         ("packet.kind = localized\noutputs.densities = number, bb_energy\n",
          "bad.cfg:2: key 'outputs.densities': bb_energy (F and psi) need a pure helicity, "
@@ -210,14 +211,14 @@ def test_comments_and_blank_lines_are_ignored():
     assert cfg.run.seed == 5
 
 
-def test_collinear_packet_with_line_grid():
+def test_gaussian_packet_with_line_grid():
     text = (
         "grid.n_per_axis = 1, 1, 256\ngrid.delta_k = 1, 1, 0.05\n"
-        "packet.kind = collinear\npacket.k0 = 0, 0, 5\npacket.sigma = 0.7\n"
+        "packet.kind = gaussian\npacket.k0 = 0, 0, 5\npacket.sigma = 0.7\n"
     )
     cfg = parse_scenario(text, "line.cfg")
     assert cfg.grid.n_per_axis == (1, 1, 256)
-    assert cfg.packet.kind == "collinear"
+    assert cfg.packet.kind == "gaussian"
 
 
 def test_load_scenario_reads_files(tmp_path):

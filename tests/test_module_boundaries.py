@@ -58,9 +58,10 @@ def test_the_slab_layer_imports_no_package_module():
 
 
 def test_the_oracle_amplitude_names_nothing_of_the_engine():
-    """``_direct_amplitude`` reads no attribute, method or constructor of the
-    spectral engine (its table of distinct frequencies included)."""
-    engine = {"SpectralEngine", "spectral_engine"}
+    """The direct-quadrature oracle reads no attribute, method or constructor of
+    the spectral engine (its table of distinct frequencies included) and
+    calls no FFT."""
+    engine = {"SpectralEngine", "spectral_engine", "_sfft", "fftn", "ifftn"}
     functions = {}
     for node in ast.walk(_tree(field_synthesis)):
         if isinstance(node, ast.ClassDef) and node.name == "SpectralEngine":
@@ -69,14 +70,18 @@ def test_the_oracle_amplitude_names_nothing_of_the_engine():
                           and isinstance(item.value, ast.Name) and item.value.id == "self")
         elif isinstance(node, ast.FunctionDef):
             functions[node.name] = node
-    assert {"_levels", "_level_index", "time_phase", "phase_k", "mode_factor"} <= engine
+    assert {"_levels", "_level_index", "time_phase", "phase_k", "mode_factor", "kgrid"} <= engine
+    oracle = ("_direct_amplitude", "_direct_eval", "_direct_fields", "synthesize_at_points",
+              "vector_potential_at_points")
     named = set()
-    for node in ast.walk(functions["_direct_amplitude"]):
+    for node in (item for name in oracle for item in ast.walk(functions[name])):
         if isinstance(node, ast.Name):
             named.add(node.id)
         elif isinstance(node, ast.Attribute):
             named.add(node.attr)
-    assert {"omega", "build_basis"} <= named  # the scan sees the function's names
+        elif isinstance(node, ast.arg):
+            named.add(node.arg)
+    assert {"omega", "build_basis", "einsum", "grid"} <= named  # the scan sees the oracle's names
     assert not named & engine, named & engine
 
 

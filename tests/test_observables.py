@@ -284,7 +284,8 @@ def test_non_finite_mass_is_rejected(box16, bad):
 def test_divergence_is_the_summed_products(small_grid, small_spatial):
     packet = gaussian_spectrum(small_grid, (1.5, -1.0, 2.5), 0.6, (0.6, 0.8))
     current = photon_current(synthesize(packet, small_spatial, 0.3)).data
-    assert np.array_equal(observables._divergence(current, small_grid, small_spatial),
+    engine = spectral_engine(small_grid, small_spatial)
+    assert np.array_equal(observables._divergence(current, engine),
                           summed_product_divergence(current, small_grid, small_spatial))
 
 

@@ -67,10 +67,24 @@ def test_bench_pairs_skips_a_pair_with_an_error_on_either_side():
         "better": "lower",
         "parent": {"median": 2.0, "q1": 2.0, "q3": 2.0},
         "change": {"median": 1.0, "q1": 1.0, "q3": 1.0},
+        "median_ratio": 0.5,
         "change_wins": 1,
         "pairs": 1,
     }
     assert summarize(runs[::2], BETTER) == {}
+
+
+def test_bench_pairs_summarizes_control_pairs_like_the_claim():
+    """A/A runs: medians 1.0 and 1.25 give a ratio of 1.25 and one win in three pairs."""
+    summarize = _bench_pairs()["summarize"]
+    runs = [_pair({"op_s_p50": p, "ops_per_s": 1.0}, {"op_s_p50": c, "ops_per_s": 1.0})
+            for p, c in ((1.0, 1.25), (0.75, 1.5), (1.25, 0.5))]
+    out = summarize(runs, BETTER)["op_s_p50"]
+    assert out["parent"] == {"median": 1.0, "q1": 0.875, "q3": 1.125}
+    assert out["change"] == {"median": 1.25, "q1": 0.875, "q3": 1.375}
+    assert out["median_ratio"] == 1.25
+    assert (out["change_wins"], out["pairs"]) == (1, 3)
+    assert summarize(runs, BETTER)["ops_per_s"]["change_wins"] == 0
 
 
 def test_bench_pairs_spread_gives_inclusive_quartiles():
@@ -105,6 +119,32 @@ def test_bench_pairs_records_the_environment_of_each_side(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["environment"] == {"parent": {"photonlab_fft_workers": 1},
                                      "change": {"photonlab_fft_workers": 2}}
+
+
+def test_bench_pairs_interleaves_control_pairs_of_the_parent(tmp_path, capsys):
+    """--control 2 with 3 real pairs: a parent-parent pair after each of the first two."""
+    main = _bench_pairs()["main"]
+    root = main.__globals__["ROOT"]
+    metrics = {name: 1.0 for name in ("setup_s", "first_op_s", "op_s_p50", "ops_per_s",
+                                      "peak_rss_mb", "ok_ratio")}
+    calls = []
+
+    def run_once(side_root, workload, seed, seconds):
+        calls.append(("change" if side_root == root else "parent", seed))
+        return dict(metrics), {"speed_factor": 1.0, "environment": {}}
+
+    out = tmp_path / "bench.json"
+    main.__globals__["run_once"] = run_once
+    assert main(["--parent", str(tmp_path), "--pairs", "radiation=3", "--control", "2",
+                 "--first-seed", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert calls == [("parent", 1), ("change", 1), ("parent", 1), ("parent", 1),
+                     ("change", 2), ("parent", 2), ("parent", 2), ("parent", 2),
+                     ("parent", 3), ("change", 3)]
+    entry = json.loads(out.read_text())["workloads"]["radiation"]
+    assert [pair["seed"] for pair in entry["control"]["runs"]] == [1, 2]
+    assert entry["control"]["summary"]["op_s_p50"]["pairs"] == 2
+    assert entry["summary"]["op_s_p50"]["pairs"] == 3
 
 
 def _run_script(name, args, capsys, monkeypatch):

@@ -299,7 +299,7 @@ def test_every_layout_reaches_the_transforms_component_major(fft_calls, small_gr
     densities.apply_frequency_operator(real_e, small_grid, small_spatial, 0.5)
     densities.apply_frequency_operator(real_e[..., 1], small_grid, small_spatial, -0.5)
     current = densities.photon_current(snap).data
-    observables._divergence(current, small_grid, small_spatial)
+    observables._divergence(current, snap.engine)
     assert fft_calls["ifftn"] == [(6,) + n, (3,) + n, (3,) + n, (3,) + n, (1,) + n, (3,) + n,
                                   n]
     assert fft_calls["fftn"] == [(3,) + n, (1,) + n, (3,) + n]
