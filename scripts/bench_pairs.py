@@ -14,10 +14,12 @@ measured in the same round as the claim.
 
 The output JSON holds, per workload, every run's end-to-end metrics, each
 side's median and quartiles per metric (inclusive method), the ratio of the
-change's median to the parent's, the number of pairs in which the change is
-better (the direction comes from ``BENCHMARK.json``), the same for the
-control pairs under ``control``, and the environment record of each side's
-first successful run (``environment.parent``, ``environment.change``).
+change's median to the parent's, whether that ratio is resolved (outside
+the quartiles of the control pairs' ratios; null without control pairs),
+the number of pairs in which the change is better (the direction comes from
+``BENCHMARK.json``), the same for the control pairs under ``control``, and
+the environment record of each side's first successful run
+(``environment.parent``, ``environment.change``).
 
 Example
 -------
@@ -83,11 +85,20 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs, better):
-    """Per metric: each side's spread, their median ratio and the pairs the change wins."""
+def _complete(runs):
+    return [pair for pair in runs if "metrics" in pair["parent"] and "metrics" in pair["change"]]
+
+
+def summarize(runs, better, control=()):
+    """Per metric: each side's spread, their median ratio, the pairs the change wins
+    and whether the ratio is resolved against the ``control`` pairs.
+
+    ``resolved`` is true when the median ratio lies outside the inclusive
+    quartiles of the control pairs' per-pair ratios (change over parent),
+    false when it lies inside, and None when no control pair completed.
+    """
     out = {}
-    complete = [pair for pair in runs
-                if "metrics" in pair["parent"] and "metrics" in pair["change"]]
+    complete, controls = _complete(runs), _complete(control)
     if not complete:
         return out
     for name, direction in better.items():
@@ -96,11 +107,19 @@ def summarize(runs, better):
         sign = 1.0 if direction == "lower" else -1.0
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
         parent, change = spread(parent), spread(change)
+        ratio = change["median"] / parent["median"] if parent["median"] else None
+        noise = [pair["change"]["metrics"][name] / pair["parent"]["metrics"][name]
+                 for pair in controls if pair["parent"]["metrics"][name]]
+        resolved = None
+        if noise and ratio is not None:
+            bounds = spread(noise)
+            resolved = not bounds["q1"] <= ratio <= bounds["q3"]
         out[name] = {
             "better": direction,
             "parent": parent,
             "change": change,
-            "median_ratio": change["median"] / parent["median"] if parent["median"] else None,
+            "median_ratio": ratio,
+            "resolved": resolved,
             "change_wins": wins,
             "pairs": len(complete),
         }
@@ -163,7 +182,7 @@ def main(argv=None) -> int:
                 control.append(run_pair(controls, workload, seed, order, seconds,
                                         dict.fromkeys(sides), tag="control "))
         report["workloads"][workload] = {
-            "runs": runs, "summary": summarize(runs, better),
+            "runs": runs, "summary": summarize(runs, better, control),
             "control": {"runs": control, "summary": summarize(control, better)},
         }
     report["wall_s"] = round(time.time() - started, 1)

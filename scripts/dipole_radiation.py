@@ -21,12 +21,8 @@ import math
 
 import numpy as np
 
-from photonlab.retarded_solver import (
-    SpatialGrid,
-    gauge_residual,
-    gaussian_dipole_source,
-    retarded_potential,
-)
+from photonlab.registry import _dipole_gauge_residual
+from photonlab.retarded_solver import gaussian_dipole_source, retarded_potential
 
 
 def parse_args() -> argparse.Namespace:
@@ -50,14 +46,6 @@ def probe_amplitude(src, radius: float, t: float) -> float:
     return float(np.mean(np.linalg.norm(pf.A[0], axis=-1)))
 
 
-def stencil_gauge(src, h: float, ht: float, t_mid: float) -> float:
-    center = (0.0, 0.0, 3.0)
-    origin = tuple(c - 2.0 * h for c in center)
-    grid = SpatialGrid((5, 5, 5), (h, h, h), origin)
-    times = t_mid + ht * (np.arange(5) - 2)
-    return gauge_residual(retarded_potential(src, grid, times))
-
-
 def main() -> None:
     args = parse_args()
     t_last = max(args.radii) + args.t_phase + 2.0
@@ -69,8 +57,8 @@ def main() -> None:
     print(f"source: {src.n_per_axis[0]}^3 cells, {src.n_times} slices, "
           f"conservation residual {src.conservation_residual():.3e}")
 
-    coarse = stencil_gauge(src, 0.5, 0.2, t_mid=5.8)
-    fine = stencil_gauge(src, 0.25, 0.1, t_mid=5.8)
+    coarse = _dipole_gauge_residual(src, 0.5, 0.2)
+    fine = _dipole_gauge_residual(src, 0.25, 0.1)
     print(f"Lorenz gauge residual: coarse {coarse:.3e}, fine {fine:.3e} "
           f"(refinement gain {coarse / fine:.2f}x)")
     print()

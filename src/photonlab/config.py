@@ -214,7 +214,10 @@ def _steps(raw: str) -> int:
 
 
 def _densities(raw: str) -> tuple[str, ...]:
-    return tuple(map(_choice(sorted(DENSITY_KINDS), "density"), _split_list(raw)))
+    kinds = tuple(map(_choice(sorted(DENSITY_KINDS), "density"), _split_list(raw)))
+    repeated = sorted({kind for kind in kinds if kinds.count(kind) > 1})
+    _check(not repeated, f"each density at most once, got {', '.join(repeated)} again")
+    return kinds
 
 
 _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,

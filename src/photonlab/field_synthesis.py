@@ -149,6 +149,11 @@ class SpectralEngine:
                      lambda: _read_only(self._weighted_amplitude(s, self.kgrid.cell_weight)))
 
     def _weighted_amplitude(self, s: PhotonSpectrum, weight: float):
+        """:meth:`amplitude` with the mode weight g replaced by ``weight``, not kept.
+
+        The corrupted-convention control passes a wrong weight here, so a
+        wrong measure runs the real synthesis path without a module setting.
+        """
         e_plus = leading(build_basis(self.kgrid))
         c_plus, c_minus = s.c
         amp = np.empty(e_plus.shape, np.complex128)
@@ -317,16 +322,6 @@ def synthesize(s: PhotonSpectrum, sgrid: SpatialGrid, t: float) -> FieldSnapshot
     """Synthesize A+, E+ and (lazily) B+ at time t on the FFT-paired ``sgrid``."""
     engine = spectral_engine(s.grid, sgrid)
     return engine.snapshot(s, engine.amplitude(s), float(t))
-
-
-def _synthesize_with_weight(s: PhotonSpectrum, sgrid: SpatialGrid, t: float, weight: float):
-    """FFT synthesis with the mode weight g replaced by ``weight``.
-
-    Lets the corrupted-convention negative control feed a wrong measure
-    through the real synthesis path without a mutable module setting.
-    """
-    engine = spectral_engine(s.grid, sgrid)
-    return engine.snapshot(s, engine._weighted_amplitude(s, weight), float(t))
 
 
 def _direct_eval(coeffs, grid, points):

@@ -2,9 +2,9 @@
 
 The same check functions back ``photonlab selftest`` and the acceptance test
 suite, so the command line and pytest always agree on what passing means.
-Checks are written against desk-scale fixtures (64^3 spectral grids, a
-collinear 1x1x4096 line, small quadrature sources) sized so the whole
-registry completes in well under two minutes on a laptop.
+Checks are written against desk-scale fixtures (64^3 spectral grids,
+collinear 1x1x4096 and 1x1x64 lines, small quadrature sources) sized so
+the whole registry completes in well under two minutes on a laptop.
 
 A check returns its metrics; its name is given once, in
 :data:`ACCEPTANCE_CHECKS` or :data:`CONTROL_CHECKS`.
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -366,6 +366,8 @@ def _coulomb_error(ball: SourceCurrent, charge: float, radius: float) -> float:
 
 
 def _dipole_gauge_residual(src: SourceCurrent, h: float, ht: float) -> float:
+    """Lorenz-gauge residual on a 5^3 stencil of spacing ``h`` about (0, 0, 3),
+    at five times ``ht`` apart about t = 5.8."""
     center = (0.0, 0.0, 3.0)
     origin = tuple(c - 2.0 * h for c in center)
     grid = SpatialGrid((5, 5, 5), (h, h, h), origin)
@@ -376,10 +378,8 @@ def _dipole_gauge_residual(src: SourceCurrent, h: float, ht: float) -> float:
 def _with_edit(src: SourceCurrent, column: np.ndarray) -> SourceCurrent:
     """``src`` plus one rank: the coefficient ``column`` times a constant row."""
     row = np.broadcast_to((1e3, 7e2, 7e2, 7e2), src.profiles[:1].shape)
-    return SourceCurrent(
-        np.hstack([src.time_coefficients, column[:, None]]), np.concatenate([src.profiles, row]),
-        src.delta_x, src.origin, src.t0, src.delta_t,
-    )
+    return replace(src, time_coefficients=np.hstack([src.time_coefficients, column[:, None]]),
+                   profiles=np.concatenate([src.profiles, row]))
 
 
 def _causality_probe() -> tuple[float, bool]:
@@ -461,6 +461,38 @@ def check_localization() -> tuple[Metric, ...]:
     return tuple(metrics)
 
 
+def check_negative_density() -> tuple[Metric, ...]:
+    """Two parallel modes give a number density below zero, as its closed form says.
+
+    Helicity +1 modes at k_z = omega_1 = 2 and omega_2 = 8 on the 64-mode
+    line have A+ amplitudes a = 1 and b = 0.5 (c = |A| sqrt(omega) / g, not
+    normalized).  With d their phase difference,
+    rho = omega_1 a^2 + omega_2 b^2 + a b (omega_1 + omega_2) cos d runs from
+    (a - b)(omega_1 a - omega_2 b) = -1 at d = pi to
+    (a + b)(omega_1 a + omega_2 b) = 9 at d = 0.  At t = 0 and t = 4 dz the
+    lattice samples d in steps of pi/8, so both extremes are lattice values.
+    The metrics are the relative errors of the lattice extremes; the
+    negativity itself is measured, never gated.
+    """
+    grid = WaveVectorGrid.collinear(64, 0.5)
+    spatial = SpatialGrid.paired(grid)
+    modes = ((2.0, 1.0), (8.0, 0.5))  # (k_z = omega, A+ amplitude)
+    (omega_1, a), (omega_2, b) = modes
+    c = np.zeros((2,) + grid.n_per_axis, np.complex128)
+    for k_z, amplitude in modes:
+        index = round((k_z - grid.k_min[2]) / grid.delta_k[2])
+        c[HELICITIES.index(1), 0, 0, index] = amplitude * math.sqrt(k_z) / grid.cell_weight
+    spectrum = PhotonSpectrum(grid, c)
+    lowest = (a - b) * (omega_1 * a - omega_2 * b)
+    highest = (a + b) * (omega_1 * a + omega_2 * b)
+    min_err = max_err = 0.0
+    for t in (0.0, 4.0 * spatial.delta_x[2]):
+        rho = densities.number_density(synthesize(spectrum, spatial, t)).data
+        min_err = max(min_err, abs(float(rho.min()) - lowest) / abs(lowest))
+        max_err = max(max_err, abs(float(rho.max()) - highest) / abs(highest))
+    return (Metric("min_err", min_err, 1e-12), Metric("max_err", max_err, 1e-12))
+
+
 ACCEPTANCE_CHECKS: tuple[tuple[str, object], ...] = (
     ("fock-identities", check_fock_identities),
     ("number-norm", check_number_norm),
@@ -474,6 +506,7 @@ ACCEPTANCE_CHECKS: tuple[tuple[str, object], ...] = (
     ("retarded-solver", check_retarded_solver),
     ("localization", check_localization),
     ("angular-momentum", check_angular_momentum),
+    ("negative-density", check_negative_density),
 )
 
 
@@ -491,7 +524,8 @@ def control_corrupted_convention() -> tuple[Metric, ...]:
     """
     packet = desk_packet()
     weight = (2.0 * math.pi) ** 1.5 * desk_grid().cell_weight
-    snap = field_synthesis._synthesize_with_weight(packet, desk_spatial(), 0.0, weight)
+    engine = field_synthesis.spectral_engine(desk_grid(), desk_spatial())
+    snap = engine.snapshot(packet, engine._weighted_amplitude(packet, weight), 0.0)
     total = densities.number_density(snap).integral()
     drift = abs(total - 1.0)
     return (Metric("norm_drift_detected", drift, DEFAULT_TOLERANCES["number_norm"], op=">"),)
@@ -500,10 +534,7 @@ def control_corrupted_convention() -> tuple[Metric, ...]:
 def control_nonconserved_source() -> tuple[Metric, ...]:
     """A current deficit must blow up conservation and gauge residuals."""
     src = dipole_source()
-    broken = SourceCurrent(
-        src.time_coefficients, src.profiles * (1.0, 0.5, 0.5, 0.5),
-        src.delta_x, src.origin, src.t0, src.delta_t,
-    )
+    broken = replace(src, profiles=src.profiles * (1.0, 0.5, 0.5, 0.5))
     conservation = broken.conservation_residual()
     gauge = _dipole_gauge_residual(broken, 0.5, 0.2)
     return (

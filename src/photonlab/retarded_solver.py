@@ -17,10 +17,10 @@ single-slice source is treated as static, i.e. time-independent.
 
 The source is held in factored form (see :class:`SourceCurrent`): ``r``
 time-coefficient columns and ``r`` profile rows of ``[rho, Jx, Jy, Jz]``
-per cell, whose products sum to the samples.  The solver never forms that
-sum: interpolation and quadrature are both linear, so it interpolates the
-coefficients at each retarded time and contracts the result with the
-profile rows.
+per cell of one :class:`SpatialGrid`, whose products sum to the samples.
+The solver never forms that sum: interpolation and quadrature are both
+linear, so it interpolates the coefficients at each retarded time and
+contracts the result with the profile rows.
 
 Chunks of evaluation points run on the pool of :mod:`photonlab.slabs`,
 under its rule.  Each chunk is summed in one fixed order (cell block, then
@@ -54,7 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mode_space import SpatialGrid, _read_only, _triple, l2_norm
+from .mode_space import SpatialGrid, _read_only, l2_norm
 from .slabs import _in_slabs, _slab_bounds, _workers
 
 FOUR_PI = 4.0 * math.pi
@@ -94,7 +94,7 @@ def _as_float_array(value, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SourceCurrent:
     """Four-current sampled on a uniform space-time lattice, in factored form.
 
@@ -102,13 +102,14 @@ class SourceCurrent:
     spatial profile: slice ``i`` of ``[rho, Jx, Jy, Jz]`` is
     ``sum_q time_coefficients[i, q] * profiles[q]``, with
     ``time_coefficients`` of shape (n_times, r) and ``profiles`` of shape
-    (r, nx, ny, nz, 4).  The constructor keeps read-only copies of both
-    factors and never forms their product.  The cell centres are
-    ``origin + index * delta_x``; slice ``i`` is at time ``t0 + i * delta_t``.
+    (r, nx, ny, nz, 4).  Construction, and every ``dataclasses.replace``,
+    keeps read-only copies of both factors and never forms their product.
+    The cell centres are the points of ``grid``, which alone checks the
+    lattice; slice ``i`` is at time ``t0 + i * delta_t``.
 
-    ``table`` (n_times, nx, ny, nz, 4), ``rho`` and ``current`` compute the
-    product on every access; they cost the whole sampled table and serve
-    tests that need the samples themselves.
+    ``table`` (n_times, nx, ny, nz, 4) computes the product on every
+    access; it costs the whole sampled table and serves tests that need the
+    samples themselves.
 
     Construction validates shapes and finiteness only.  Charge conservation
     is a property of the sampled data, measured by
@@ -118,31 +119,24 @@ class SourceCurrent:
 
     time_coefficients: np.ndarray
     profiles: np.ndarray
-    delta_x: tuple[float, float, float]
-    origin: tuple[float, float, float]
+    grid: SpatialGrid
     t0: float = 0.0
     delta_t: float = 0.0
 
-    def __init__(self, time_coefficients, profiles, delta_x, origin, t0=0.0, delta_t=0.0) -> None:
-        coefficients = _read_only_copy(time_coefficients, "time_coefficients")
-        rows = _read_only_copy(profiles, "profiles")
+    def __post_init__(self) -> None:
+        for name in ("time_coefficients", "profiles"):
+            object.__setattr__(self, name, _read_only_copy(getattr(self, name), name))
+        coefficients, rows = self.time_coefficients, self.profiles
         if coefficients.ndim != 2 or coefficients.shape[1] < 1:
             raise ValueError(
                 f"time_coefficients must have shape (n_times, r), got {coefficients.shape}"
             )
-        if rows.shape[:1] != coefficients.shape[1:] or rows.ndim != 5 or rows.shape[-1] != 4:
+        expected = coefficients.shape[1:] + self.grid.n_per_axis + (4,)
+        if rows.shape != expected:
             raise ValueError(
-                f"profiles shape {rows.shape} does not match (r, nx, ny, nz, 4) "
-                f"with r = {coefficients.shape[1]}"
+                f"profiles shape {rows.shape} does not match (r,) + grid.n_per_axis + (4,) "
+                f"= {expected}"
             )
-        object.__setattr__(self, "time_coefficients", coefficients)
-        object.__setattr__(self, "profiles", rows)
-        object.__setattr__(self, "delta_x", _triple(delta_x, "delta_x"))
-        object.__setattr__(self, "origin", _triple(origin, "origin"))
-        object.__setattr__(self, "t0", float(t0))
-        object.__setattr__(self, "delta_t", float(delta_t))
-        if any(d <= 0 for d in self.delta_x):
-            raise ValueError("delta_x components must be positive")
         if self.n_times > 1 and self.delta_t <= 0:
             raise ValueError("delta_t must be positive for a multi-slice source")
         if self.delta_t < 0:
@@ -155,28 +149,12 @@ class SourceCurrent:
         return table.reshape((self.n_times,) + self.profiles.shape[1:])
 
     @property
-    def rho(self) -> np.ndarray:
-        return self.table[..., 0]
-
-    @property
-    def current(self) -> np.ndarray:
-        return self.table[..., 1:]
-
-    @property
     def n_times(self) -> int:
         return self.time_coefficients.shape[0]
 
     @property
     def n_per_axis(self) -> tuple[int, int, int]:
-        return self.profiles.shape[1:4]
-
-    @cached_property
-    def grid(self) -> SpatialGrid:
-        return SpatialGrid(self.n_per_axis, self.delta_x, self.origin)
-
-    @property
-    def cell_volume(self) -> float:
-        return self.grid.cell_volume
+        return self.grid.n_per_axis
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -185,7 +163,7 @@ class SourceCurrent:
     def total_charge(self, time_index: int = 0) -> float:
         charges = self.profiles[..., 0].reshape(self.profiles.shape[0], -1).sum(axis=1)
         return float(np.einsum("q,q->", self.time_coefficients[time_index], charges)
-                     * self.cell_volume)
+                     * self.grid.cell_volume)
 
     def conservation_residual(self) -> float:
         """L2 residual of d(rho)/dt + div J over the interior, normalized.
@@ -204,10 +182,10 @@ class SourceCurrent:
         rank = self.profiles.shape[0]
         core = _interior_slices((self.n_times,) + self.n_per_axis)
         core_x = (slice(0, rank),) + core[1:]
-        rows = self.profiles
-        div = _interior_derivative(rows[..., 1], 1, self.delta_x[0], core_x)
+        rows, steps = self.profiles, self.grid.delta_x
+        div = _interior_derivative(rows[..., 1], 1, steps[0], core_x)
         for axis in (1, 2):
-            div += _interior_derivative(rows[..., axis + 1], axis + 1, self.delta_x[axis], core_x)
+            div += _interior_derivative(rows[..., axis + 1], axis + 1, steps[axis], core_x)
         div = div.reshape(rank, -1)
         charge = rows[..., 0][core_x].reshape(rank, -1)
         coefficients = self.time_coefficients[core[0]]
@@ -462,7 +440,7 @@ def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
     if not np.all(np.isfinite(points)):
         raise ValueError("evaluation points must be finite")
 
-    r_reg = 0.5 * min(src.delta_x)
+    r_reg = 0.5 * min(src.grid.delta_x)
 
     n_times, rank = src.time_coefficients.shape
     static = n_times == 1
@@ -478,7 +456,7 @@ def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
     n_z = src.n_per_axis[2]
     n_rows = n_cells // n_z
     n_points = points.shape[0]
-    weight = src.cell_volume / FOUR_PI
+    weight = src.grid.cell_volume / FOUR_PI
     values = np.zeros((times.size, n_points, 4))
 
     chunks = [slice(lo, min(lo + _EVAL_CHUNK, n_points))
@@ -620,6 +598,12 @@ def fields_from_potential(pf: PotentialField) -> tuple[np.ndarray, np.ndarray]:
 # Canonical sources
 
 
+def _centred_cube(delta_x: float, n_per_axis: int) -> SpatialGrid:
+    """``n_per_axis``^3 cells of side ``delta_x``, centred on the origin."""
+    origin = 0.5 * (1 - n_per_axis) * delta_x
+    return SpatialGrid((n_per_axis,) * 3, (delta_x,) * 3, (origin,) * 3)
+
+
 def uniform_ball_source(
     total_charge: float,
     radius: float,
@@ -635,9 +619,7 @@ def uniform_ball_source(
     """
     if radius <= 0 or delta_x <= 0 or n_per_axis < 1:
         raise ValueError("radius, delta_x and n_per_axis must be positive")
-    spacing = (delta_x, delta_x, delta_x)
-    origin = (0.5 * (1 - n_per_axis) * delta_x,) * 3
-    grid = SpatialGrid((n_per_axis,) * 3, spacing, origin)
+    grid = _centred_cube(delta_x, n_per_axis)
     offsets = grid.coordinates
     inside = np.einsum("...x,...x->...", offsets, offsets) <= radius * radius
     count = int(inside.sum())
@@ -648,7 +630,7 @@ def uniform_ball_source(
         raise ValueError("total_charge must be finite")
     profile = np.zeros((1,) + grid.n_per_axis + (4,))
     profile[0][inside, 0] = density
-    return SourceCurrent(np.ones((1, 1)), profile, spacing, origin)
+    return SourceCurrent(np.ones((1, 1)), profile, grid)
 
 
 def gaussian_dipole_source(
@@ -677,9 +659,7 @@ def gaussian_dipole_source(
     if n_times < 2 or delta_t <= 0:
         raise ValueError("need a multi-slice time window with positive delta_t")
     moment_arr = np.asarray(moment, dtype=float)
-    spacing = (delta_x, delta_x, delta_x)
-    origin = (0.5 * (1 - n_per_axis) * delta_x,) * 3
-    grid = SpatialGrid((n_per_axis,) * 3, spacing, origin)
+    grid = _centred_cube(delta_x, n_per_axis)
     offsets = grid.coordinates
     profile = np.exp(-np.einsum("...x,...x->...", offsets, offsets) / (2.0 * width**2))
     profile /= (2.0 * math.pi) ** 1.5 * width**3
@@ -692,4 +672,4 @@ def gaussian_dipole_source(
     profiles[1, ..., 1:] = -angular_frequency * profile[..., None] * moment_arr
     phase = angular_frequency * (t0 + delta_t * np.arange(n_times))
     coefficients = np.stack([np.cos(phase), np.sin(phase)], axis=1)
-    return SourceCurrent(coefficients, profiles, spacing, origin, t0=t0, delta_t=delta_t)
+    return SourceCurrent(coefficients, profiles, grid, t0=t0, delta_t=delta_t)

@@ -88,6 +88,12 @@ def test_12_twisted_packets_carry_their_angular_momentum(selftest_run):
     _check(selftest_run, "angular-momentum")
 
 
+def test_13_number_density_of_two_modes_matches_its_signed_closed_form(selftest_run):
+    """Two parallel modes give a number density whose lattice minimum (-1,
+    negative) and maximum (9) match their closed forms."""
+    _check(selftest_run, "negative-density")
+
+
 @pytest.mark.parametrize("name", [name for name, _ in registry.CONTROL_CHECKS])
 def test_negative_controls_detect_seeded_faults(selftest_run, name):
     """Deliberately corrupted conventions must trip their detectors."""

@@ -72,6 +72,8 @@ DIAGNOSTICS = [
         ("packet.helicity_weights = 1, 0, 0\n", "expected exactly 2 weights"),
         ("packet.kind = banana\n", "unknown packet kind 'banana'"),
         ("outputs.densities = number, banana\n", "unknown density 'banana'"),
+        ("outputs.densities = number, number, energy\n",
+         "bad.cfg:1: key 'outputs.densities': each density at most once, got number again"),
         ("outputs.summary = maybe\n", "expected a boolean"),
         ("units.system = imperial\n", "unknown unit system 'imperial'"),
         ("units.length_scale_m = -2\n", "length scale must be positive"),

@@ -189,9 +189,9 @@ def test_field_spectrum_round_trip(small_grid, small_spatial):
 def test_mode_weight_hook_scales_fields(small_spatial, small_packet):
     reference = synthesize(small_packet, small_spatial, 0.0).A_plus
     weight = 2.0 * small_packet.grid.cell_weight
-    doubled = field_synthesis._synthesize_with_weight(
-        small_packet, small_spatial, 0.0, weight
-    ).A_plus
+    engine = field_synthesis.spectral_engine(small_packet.grid, small_spatial)
+    doubled = engine.snapshot(small_packet, engine._weighted_amplitude(small_packet, weight),
+                              0.0).A_plus
     assert np.max(np.abs(doubled - 2.0 * reference)) < 1e-12 * np.max(np.abs(reference))
     # the corrupted weight leaves no trace in the cached synthesis path
     again = synthesize(small_packet, small_spatial, 0.0).A_plus

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,14 +59,14 @@ def _reference_potential(src: SourceCurrent, points: np.ndarray, t_eval: float) 
     """Direct quadrature as gathered per (point, cell) pair; (points, 4) values."""
     centres = src.grid.coordinates.reshape(-1, 3)
     dist = np.linalg.norm(points[:, None, :] - centres[None, :, :], axis=-1)
-    dist = np.maximum(dist, 0.5 * min(src.delta_x))
+    dist = np.maximum(dist, 0.5 * min(src.grid.delta_x))
     offset = np.clip((t_eval - dist - src.t0) / src.delta_t, 0.0, src.n_times - 1.0)
     index = np.minimum(offset.astype(int), src.n_times - 2)
     frac = (offset - index)[..., None]
     samples = src.table.reshape(src.n_times, -1, 4)
     cells = np.arange(centres.shape[0])
     interpolated = (1.0 - frac) * samples[index, cells] + frac * samples[index + 1, cells]
-    return src.cell_volume / (4.0 * math.pi) * np.einsum("pc,pck->pk", 1.0 / dist, interpolated)
+    return src.grid.cell_volume / (4.0 * math.pi) * np.einsum("pc,pck->pk", 1.0 / dist, interpolated)
 
 
 def _coulomb_error(src: SourceCurrent, charge: float, radius: float) -> float:
@@ -136,14 +137,7 @@ def test_dipole_is_conserved_and_neutral():
 
 
 def test_conservation_residual_detects_current_deficit(small_dipole):
-    broken = SourceCurrent(
-        small_dipole.time_coefficients,
-        small_dipole.profiles * (1.0, 0.5, 0.5, 0.5),
-        small_dipole.delta_x,
-        small_dipole.origin,
-        small_dipole.t0,
-        small_dipole.delta_t,
-    )
+    broken = replace(small_dipole, profiles=small_dipole.profiles * (1.0, 0.5, 0.5, 0.5))
     assert small_dipole.conservation_residual() < 2e-2
     assert broken.conservation_residual() > 0.5
 
@@ -175,22 +169,8 @@ def test_radiated_amplitude_falls_off_as_inverse_distance():
 
 def test_potential_is_linear_in_the_source(small_dipole):
     src = small_dipole
-    rolled = SourceCurrent(
-        src.time_coefficients,
-        np.roll(src.profiles, 2, axis=3),
-        src.delta_x,
-        src.origin,
-        src.t0,
-        src.delta_t,
-    )
-    combined = SourceCurrent(
-        src.time_coefficients,
-        1.75 * src.profiles + rolled.profiles,
-        src.delta_x,
-        src.origin,
-        src.t0,
-        src.delta_t,
-    )
+    rolled = replace(src, profiles=np.roll(src.profiles, 2, axis=3))
+    combined = replace(src, profiles=1.75 * src.profiles + rolled.profiles)
     point = np.array([[2.0, 1.0, 1.5]])
     t = 4.85
     a = retarded_potential(src, point, t)
@@ -325,7 +305,8 @@ def test_shared_operator_reaches_both_ends_of_the_window():
     rng = np.random.default_rng(18)
     n_times = 40
     src = SourceCurrent(rng.normal(size=(n_times, 2)), rng.normal(size=(2, 9, 1, 1, 4)),
-                        (0.25, 0.25, 0.25), (-1.0, 0.0, 0.0), t0=0.0, delta_t=0.25)
+                        SpatialGrid((9, 1, 1), (0.25, 0.25, 0.25), (-1.0, 0.0, 0.0)),
+                        t0=0.0, delta_t=0.25)
     point = np.array([[3.0, 0.0, 0.0]])
     times = np.array([5.0, 4.0, 11.75])
     assert _shift_groups(times, src, [True] * 3) == [[(0, 0), (1, -4), (2, 27)]]
@@ -369,7 +350,7 @@ def test_multi_time_grid_causality_is_discretely_exact(long_dipole):
     grid = _stencil_grid()
     times = 5.03 + 0.5 * np.arange(4)
     separation = grid.coordinates.reshape(-1, 1, 3) - src.grid.coordinates.reshape(1, -1, 3)
-    nearest = max(float(np.min(np.linalg.norm(separation, axis=-1))), 0.5 * src.delta_x[0])
+    nearest = max(float(np.min(np.linalg.norm(separation, axis=-1))), 0.5 * src.grid.delta_x[0])
     latest = (times[-1] - nearest - src.t0) / src.delta_t
     assert 0.1 < latest % 1.0 < 0.9  # the latest bracket is not at a rounding edge
     cut = int(latest) + 2  # first slice strictly later than every bracket
@@ -532,28 +513,44 @@ def test_potential_field_time_step_checks():
 
 
 def test_source_shape_validation():
+    cube = SpatialGrid((3, 3, 3), (0.1,) * 3, (0.0,) * 3)
     with pytest.raises(ValueError, match="time_coefficients must have shape"):
-        SourceCurrent(np.ones(3), np.zeros((1, 3, 3, 3, 4)), (0.1,) * 3, (0.0,) * 3)
+        SourceCurrent(np.ones(3), np.zeros((1, 3, 3, 3, 4)), cube)
     with pytest.raises(ValueError, match="profiles shape"):
-        SourceCurrent(np.ones((1, 2)), np.zeros((1, 3, 3, 3, 4)), (0.1,) * 3, (0.0,) * 3)
+        SourceCurrent(np.ones((1, 2)), np.zeros((1, 3, 3, 3, 4)), cube)
     with pytest.raises(ValueError, match="profiles shape"):
-        SourceCurrent(np.ones((1, 1)), np.zeros((1, 3, 3, 3, 3)), (0.1,) * 3, (0.0,) * 3)
+        SourceCurrent(np.ones((1, 1)), np.zeros((1, 3, 3, 3, 3)), cube)
     with pytest.raises(ValueError, match="delta_t"):
-        SourceCurrent(np.ones((2, 1)), np.zeros((1, 3, 3, 3, 4)), (0.1,) * 3, (0.0,) * 3)
+        SourceCurrent(np.ones((2, 1)), np.zeros((1, 3, 3, 3, 4)), cube)
     with pytest.raises(ValueError, match="time_coefficients contains non-finite"):
-        SourceCurrent(np.full((1, 1), np.nan), np.zeros((1, 3, 3, 3, 4)), (0.1,) * 3, (0.0,) * 3)
+        SourceCurrent(np.full((1, 1), np.nan), np.zeros((1, 3, 3, 3, 4)), cube)
     with pytest.raises(ValueError, match="profiles contains non-finite"):
-        SourceCurrent(np.ones((1, 1)), np.full((1, 3, 3, 3, 4), np.inf), (0.1,) * 3, (0.0,) * 3)
+        SourceCurrent(np.ones((1, 1)), np.full((1, 3, 3, 3, 4), np.inf), cube)
+    # the grid, not the profiles, fixes the lattice
+    with pytest.raises(ValueError, match=r"profiles shape \(1, 3, 3, 3, 4\) does not match"):
+        SourceCurrent(np.ones((1, 1)), np.zeros((1, 3, 3, 3, 4)),
+                      SpatialGrid((3, 3, 4), (0.1,) * 3, (0.0,) * 3))
+    src = SourceCurrent(np.ones((2, 1)), np.zeros((1, 3, 3, 3, 4)), cube, delta_t=0.5)
+    with pytest.raises(ValueError, match=r"profiles shape \(1, 3, 3, 2, 4\) does not match"):
+        replace(src, profiles=np.zeros((1, 3, 3, 2, 4)))
+    # an edit is copied and frozen exactly as a new source is
+    profiles = np.ones((1, 3, 3, 3, 4))
+    edited = replace(src, profiles=profiles)
+    profiles[...] = 7.0
+    assert edited.grid is cube and np.all(edited.profiles == 1.0)
+    assert edited.time_coefficients is not src.time_coefficients
+    for factor in (edited.time_coefficients, edited.profiles):
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0, 0] = 1.0
 
 
 def test_source_samples_are_read_only_views_of_one_table(small_dipole):
     src = small_dipole
     table = src.table
     assert table.shape == (8, 9, 9, 9, 4)
-    assert np.array_equal(src.rho, table[..., 0])
-    assert np.array_equal(src.current, table[..., 1:])
+    assert np.array_equal(src.table, table)
     assert src.table is not table  # computed on every access, never cached
-    for samples in (src.rho, src.current, src.time_coefficients, src.profiles):
+    for samples in (table[..., 0], table[..., 1:], src.time_coefficients, src.profiles):
         with pytest.raises(ValueError, match="read-only"):
             samples[0, 0] = 1.0
 
@@ -571,10 +568,11 @@ def test_constructor_packs_user_arrays_once():
     coefficients = np.ones((2, 1))
     profiles = np.zeros((1, 3, 3, 3, 4))
     profiles[..., 3] = 0.5
-    src = SourceCurrent(coefficients, profiles, (0.1,) * 3, (0.0,) * 3, 0.0, 0.25)
+    src = SourceCurrent(coefficients, profiles, SpatialGrid((3, 3, 3), (0.1,) * 3, (0.0,) * 3),
+                        0.0, 0.25)
     coefficients[...] = 7.0  # the source holds its own copies of the factors
     profiles[...] = 7.0
-    assert np.array_equal(src.rho, np.zeros((2, 3, 3, 3)))
+    assert np.array_equal(src.table[..., 0], np.zeros((2, 3, 3, 3)))
     assert np.array_equal(src.table[..., 3], np.full((2, 3, 3, 3), 0.5))
     assert src.total_charge(1) == 0.0
 
@@ -587,8 +585,7 @@ def test_retarded_solver_paths_never_materialize_the_table(monkeypatch):
     def forbidden(self):
         raise AssertionError("the sampled table was materialized")
 
-    for name in ("table", "rho", "current"):
-        monkeypatch.setattr(SourceCurrent, name, property(forbidden))
+    monkeypatch.setattr(SourceCurrent, "table", property(forbidden))
     src = gaussian_dipole_source(
         (0.0, 0.0, 1.0), 1.0, 0.352, delta_x=0.16, n_per_axis=9,
         t0=-1.2, delta_t=0.08, n_times=120,

@@ -68,6 +68,7 @@ def test_bench_pairs_skips_a_pair_with_an_error_on_either_side():
         "parent": {"median": 2.0, "q1": 2.0, "q3": 2.0},
         "change": {"median": 1.0, "q1": 1.0, "q3": 1.0},
         "median_ratio": 0.5,
+        "resolved": None,
         "change_wins": 1,
         "pairs": 1,
     }
@@ -85,6 +86,21 @@ def test_bench_pairs_summarizes_control_pairs_like_the_claim():
     assert out["median_ratio"] == 1.25
     assert (out["change_wins"], out["pairs"]) == (1, 3)
     assert summarize(runs, BETTER)["ops_per_s"]["change_wins"] == 0
+
+
+def test_bench_pairs_resolves_a_ratio_outside_the_control_quartiles():
+    """Control ratios 0.9, 1.0 and 1.1 have quartiles 0.95 and 1.05: a median
+    ratio of 1.25 is resolved, one of 1.0 is not; a failed control pair is
+    skipped, and without control pairs nothing is resolved."""
+    summarize = _bench_pairs()["summarize"]
+    base = {"op_s_p50": 1.0, "ops_per_s": 2.0}
+    control = [_pair(base, {"op_s_p50": r, "ops_per_s": 2.0}) for r in (0.9, 1.0, 1.1)]
+    control.append({"parent": base, "change": {"error": "exit 1"}})
+    runs = [_pair(base, {"op_s_p50": 1.25, "ops_per_s": 2.0}) for _ in range(3)]
+    out = summarize(runs, BETTER, control)
+    assert (out["op_s_p50"]["median_ratio"], out["op_s_p50"]["resolved"]) == (1.25, True)
+    assert (out["ops_per_s"]["median_ratio"], out["ops_per_s"]["resolved"]) == (1.0, False)
+    assert {entry["resolved"] for entry in summarize(runs, BETTER).values()} == {None}
 
 
 def test_bench_pairs_spread_gives_inclusive_quartiles():
@@ -145,6 +161,8 @@ def test_bench_pairs_interleaves_control_pairs_of_the_parent(tmp_path, capsys):
     assert [pair["seed"] for pair in entry["control"]["runs"]] == [1, 2]
     assert entry["control"]["summary"]["op_s_p50"]["pairs"] == 2
     assert entry["summary"]["op_s_p50"]["pairs"] == 3
+    # equal runs: a ratio of 1 inside the control pairs' quartiles
+    assert entry["summary"]["op_s_p50"]["resolved"] is False
 
 
 def _run_script(name, args, capsys, monkeypatch):
