@@ -15,11 +15,12 @@ measured in the same round as the claim.
 The output JSON holds, per workload, every run's end-to-end metrics, each
 side's median and quartiles per metric (inclusive method), the ratio of the
 change's median to the parent's, whether that ratio is resolved (outside
-the quartiles of the control pairs' ratios; null without control pairs),
-the number of pairs in which the change is better (the direction comes from
-``BENCHMARK.json``), the same for the control pairs under ``control``, and
-the environment record of each side's first successful run
-(``environment.parent``, ``environment.change``).
+the quartiles of the control pairs' ratios; null with fewer than
+``MIN_CONTROL_PAIRS`` completed control pairs, whose quartiles would read
+noise as a result), the number of pairs in which the change is better (the
+direction comes from ``BENCHMARK.json``), the same for the control pairs
+under ``control``, and the environment record of each side's first
+successful run (``environment.parent``, ``environment.change``).
 
 Example
 -------
@@ -38,6 +39,8 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: completed control pairs below which no ratio is called resolved
+MIN_CONTROL_PAIRS = 5
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -48,7 +51,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--first-seed", type=int, default=9001,
                         help="seed of the first pair; pair i uses first-seed + i")
     parser.add_argument("--control", type=int, default=0, metavar="N",
-                        help="parent-against-parent pairs per workload (default 0)")
+                        help="parent-against-parent pairs per workload (default 0); "
+                             f"a ratio is resolved only with {MIN_CONTROL_PAIRS} or more")
     parser.add_argument("--out", required=True, help="JSON file to write")
     return parser.parse_args(argv)
 
@@ -95,7 +99,8 @@ def summarize(runs, better, control=()):
 
     ``resolved`` is true when the median ratio lies outside the inclusive
     quartiles of the control pairs' per-pair ratios (change over parent),
-    false when it lies inside, and None when no control pair completed.
+    false when it lies inside, and None when fewer than ``MIN_CONTROL_PAIRS``
+    control pairs completed (with a nonzero parent value, so a ratio).
     """
     out = {}
     complete, controls = _complete(runs), _complete(control)
@@ -111,7 +116,7 @@ def summarize(runs, better, control=()):
         noise = [pair["change"]["metrics"][name] / pair["parent"]["metrics"][name]
                  for pair in controls if pair["parent"]["metrics"][name]]
         resolved = None
-        if noise and ratio is not None:
+        if len(noise) >= MIN_CONTROL_PAIRS and ratio is not None:
             bounds = spread(noise)
             resolved = not bounds["q1"] <= ratio <= bounds["q3"]
         out[name] = {

@@ -10,8 +10,11 @@ For each spectral width the script reports the 99% containment radius of
 In the narrowband limit all three agree; as the bandwidth grows they
 separate, because the three densities weight the spectrum by different
 powers of the frequency and the nonlocal half-power frequency operator
-redistributes the spatial tails.  The last column gives the naive
-reciprocal-bandwidth scale 1/sigma for orientation.
+redistributes the spatial tails.  The column 1/sigma gives the naive
+reciprocal-bandwidth scale for orientation, and the last column the
+negative mass of the number density (the integral of max(-rho, 0), see
+``observables.negative_mass``): rho is not positive definite, and this is
+how much of it reads as a negative probability.
 
 Example
 -------
@@ -30,7 +33,7 @@ from photonlab.densities import (
 )
 from photonlab.field_synthesis import SpatialGrid, synthesize
 from photonlab.mode_space import WaveVectorGrid, gaussian_spectrum
-from photonlab.observables import is_box_limited, localization_widths
+from photonlab.observables import is_box_limited, localization_widths, negative_mass
 
 
 def parse_args() -> argparse.Namespace:
@@ -54,15 +57,14 @@ def main() -> None:
           f"box length {min(sgrid.box_lengths):.3f}, carrier k0x={args.k0x}")
     print()
     print(f"{'sigma':>6} {'r99(number)':>12} {'r99(|F|^2)':>11} "
-          f"{'r99(|psi|^2)':>13} {'1/sigma':>8}")
+          f"{'r99(|psi|^2)':>13} {'1/sigma':>8} {'neg(number)':>11}")
 
     for sigma in args.sigmas:
         spectrum = gaussian_spectrum(kgrid, (args.k0x, 0.0, 0.0), sigma)
         snap = synthesize(spectrum, sgrid, 0.0)
         wave = photon_wave_fields(snap)
-        widths = localization_widths(
-            (number_density(snap), bb_energy_density(wave), lp_number_density(wave))
-        )
+        rho = number_density(snap)
+        widths = localization_widths((rho, bb_energy_density(wave), lp_number_density(wave)))
         flags = {
             kind: " (box-limited)" if is_box_limited(w, sgrid) else ""
             for kind, w in widths.items()
@@ -70,7 +72,7 @@ def main() -> None:
         print(f"{sigma:6.2f} {widths['number']:12.4f}{flags['number']}"
               f" {widths['bb_energy']:11.4f}{flags['bb_energy']}"
               f" {widths['lp_number']:13.4f}{flags['lp_number']}"
-              f" {1.0 / sigma:8.4f}")
+              f" {1.0 / sigma:8.4f} {negative_mass(rho):11.3e}")
 
 
 if __name__ == "__main__":

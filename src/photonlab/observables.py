@@ -208,6 +208,15 @@ def _first_reaching(cum, target) -> int:
     return int(np.argmax(reached)) if reached.any() else cum.size
 
 
+def negative_mass(rho: dn.DensityField) -> float:
+    """cell volume * sum of max(-rho, 0): the mass of a scalar density below zero.
+
+    The number density is not positive definite, so this measures how far
+    it is from a probability density; numpy's own sum, no BLAS.
+    """
+    return float(rho.grid.cell_volume * np.sum(np.maximum(0.0, -rho.data)))
+
+
 def localization_widths(fields) -> dict[str, float]:
     """99%-containment radius about each density's centroid, keyed by kind."""
     out = {}

@@ -22,11 +22,12 @@ import numpy as np
 
 from . import __version__, densities, field_synthesis, observables, slabs
 from .config import DEFAULT_TOLERANCES
-from .field_synthesis import FieldSnapshot, synthesize, translation_check_1d
+from .field_synthesis import FieldSnapshot, synthesize
 from .fock_algebra import (FockVector, ModeSet, apply_annihilate, apply_create,
                            commutator_expectation, inner_product, n_photon_state, vacuum)
 from .mode_space import (HELICITIES, PhotonSpectrum, SpatialGrid, WaveVectorGrid, evolve,
-                         gaussian_spectrum, normalize, scalar_product, spectral_summary)
+                         gaussian_spectrum, leading, normalize, scalar_product,
+                         spectral_summary, trailing)
 from .retarded_solver import (SourceCurrent, gauge_residual, gaussian_dipole_source,
                               retarded_potential, uniform_ball_source)
 
@@ -148,6 +149,24 @@ def broadband_packet(n: int, delta_k: float):
     spatial = SpatialGrid.paired(grid)
     packet = gaussian_spectrum(grid, (10.0, 0.0, 0.0), 1.8, (1.0, 0.0))
     return grid, spatial, packet
+
+
+#: (k_z = omega, A+ amplitude) of the two modes of :func:`two_mode_line`
+TWO_MODES = ((2.0, 1.0), (8.0, 0.5))
+
+
+@lru_cache(maxsize=None)
+def two_mode_line() -> tuple[PhotonSpectrum, SpatialGrid]:
+    """Helicity +1 modes of :data:`TWO_MODES` on the 64-mode line, with its spatial grid.
+
+    c = |A| sqrt(omega) / g, not normalized; the number density dips below zero.
+    """
+    grid = WaveVectorGrid.collinear(64, 0.5)
+    c = np.zeros((2,) + grid.n_per_axis, np.complex128)
+    for k_z, amplitude in TWO_MODES:
+        index = round((k_z - grid.k_min[2]) / grid.delta_k[2])
+        c[HELICITIES.index(1), 0, 0, index] = amplitude * math.sqrt(k_z) / grid.cell_weight
+    return PhotonSpectrum(grid, c), SpatialGrid.paired(grid)
 
 
 @lru_cache(maxsize=None)
@@ -293,6 +312,33 @@ def check_helicity_spin() -> tuple[Metric, ...]:
         Metric("helicity_err", helicity_err, DEFAULT_TOLERANCES["helicity"]),
         Metric("spin_err", spin_err, DEFAULT_TOLERANCES["spin_match"]),
     )
+
+
+def translation_check_1d(s: PhotonSpectrum, dt: float) -> float:
+    """Translation residual max |A+(z, dt) - A+(z - c dt, 0)| / max |A+|.
+
+    Valid for spectra supported on k parallel to +z only; there the shift
+    identity is exact because omega = c k_z on the support.  The spatial
+    shift is applied spectrally (phase exp(-i k_z c dt)).
+    """
+    grid = s.grid
+    kz = grid.k_vectors[..., 2]
+    on_axis = (np.abs(grid.k_vectors[..., 0]) < 1e-12) & (
+        np.abs(grid.k_vectors[..., 1]) < 1e-12
+    )
+    forward = on_axis & (kz > 0)
+    p2 = np.abs(s.c) ** 2
+    total = float(np.sum(p2))
+    off = float(np.sum(p2[~np.broadcast_to(forward[None, ...], p2.shape)]))
+    if total == 0.0 or off > 1e-20 * total:
+        raise ValueError("non-collinear spectrum (support off the +z axis)")
+    sgrid = SpatialGrid.paired(grid)
+    evolved = synthesize(s, sgrid, float(dt)).A_plus
+    engine = field_synthesis.spectral_engine(grid, sgrid)
+    shift = np.exp(-1j * kz * float(dt))
+    shifted = engine.to_field(trailing(leading(engine.amplitude(s)) * shift, 1))
+    scale = float(np.max(np.abs(evolved))) or 1.0
+    return float(np.max(np.abs(evolved - shifted))) / scale
 
 
 def check_transport() -> tuple[Metric, ...]:
@@ -464,9 +510,8 @@ def check_localization() -> tuple[Metric, ...]:
 def check_negative_density() -> tuple[Metric, ...]:
     """Two parallel modes give a number density below zero, as its closed form says.
 
-    Helicity +1 modes at k_z = omega_1 = 2 and omega_2 = 8 on the 64-mode
-    line have A+ amplitudes a = 1 and b = 0.5 (c = |A| sqrt(omega) / g, not
-    normalized).  With d their phase difference,
+    On :func:`two_mode_line`, with omega_1 = 2, omega_2 = 8, a = 1, b = 0.5
+    and d the phase difference of the two modes,
     rho = omega_1 a^2 + omega_2 b^2 + a b (omega_1 + omega_2) cos d runs from
     (a - b)(omega_1 a - omega_2 b) = -1 at d = pi to
     (a + b)(omega_1 a + omega_2 b) = 9 at d = 0.  At t = 0 and t = 4 dz the
@@ -474,15 +519,8 @@ def check_negative_density() -> tuple[Metric, ...]:
     The metrics are the relative errors of the lattice extremes; the
     negativity itself is measured, never gated.
     """
-    grid = WaveVectorGrid.collinear(64, 0.5)
-    spatial = SpatialGrid.paired(grid)
-    modes = ((2.0, 1.0), (8.0, 0.5))  # (k_z = omega, A+ amplitude)
-    (omega_1, a), (omega_2, b) = modes
-    c = np.zeros((2,) + grid.n_per_axis, np.complex128)
-    for k_z, amplitude in modes:
-        index = round((k_z - grid.k_min[2]) / grid.delta_k[2])
-        c[HELICITIES.index(1), 0, 0, index] = amplitude * math.sqrt(k_z) / grid.cell_weight
-    spectrum = PhotonSpectrum(grid, c)
+    spectrum, spatial = two_mode_line()
+    (omega_1, a), (omega_2, b) = TWO_MODES
     lowest = (a - b) * (omega_1 * a - omega_2 * b)
     highest = (a + b) * (omega_1 * a + omega_2 * b)
     min_err = max_err = 0.0

@@ -94,7 +94,7 @@ def _as_float_array(value, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourceCurrent:
     """Four-current sampled on a uniform space-time lattice, in factored form.
 

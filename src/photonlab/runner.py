@@ -1,7 +1,8 @@
 """Scenario orchestration and artifact export.
 
 ``photonlab run`` and ``export-slice`` go through here; the acceptance
-checks and ``photonlab selftest`` live in :mod:`photonlab.registry`.
+checks and ``photonlab selftest`` live in :mod:`photonlab.registry`, and
+the quadrature of the ``fft-quadrature`` spot check in :mod:`photonlab.oracle`.
 
 Exported artifacts are deterministic: identical configuration (including the
 seed) produces byte-identical summaries.  Summaries are sorted key=value
@@ -20,12 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, densities, slabs
+from . import __version__, densities, observables, slabs
 from .config import ScenarioConfig
 from .diskio import atomic_write_bytes, atomic_write_text
-from .field_synthesis import FieldSnapshot, synthesize, vector_potential_at_points
+from .field_synthesis import FieldSnapshot, synthesize
 from .mode_space import (PhotonSpectrum, SpatialGrid, WaveVectorGrid, gaussian_spectrum,
                          localized_spectrum, normalize, single_mode_spectrum)
+from .oracle import vector_potential_at_points
 from .registry import CheckResult, Metric
 
 # ---------------------------------------------------------------------------
@@ -210,6 +212,8 @@ def _export_time(cfg: ScenarioConfig, snap: FieldSnapshot, t_index: int, oracle,
                 summary_values[f"integral.{kind}.{label}.t{t_index}"] = f"{float(value):.17g}"
         if kind == "number":
             number = integral
+            summary_values[f"negative_mass.number.t{t_index}"] = (
+                f"{observables.negative_mass(field):.17g}")
     if t_index == 0 and "number" in cfg.outputs.densities:
         results.append(CheckResult(
             "number-norm",

@@ -96,7 +96,8 @@ import numpy as np
 from photonlab import observables
 from photonlab.cli import main
 from photonlab.config import load_scenario
-from photonlab.field_synthesis import SpatialGrid, synthesize, synthesize_at_points
+from photonlab.field_synthesis import SpatialGrid, synthesize
+from photonlab.oracle import synthesize_at_points
 from photonlab.retarded_solver import gaussian_dipole_source
 from photonlab.runner import build_grid, build_spectrum
 with contextlib.redirect_stdout(io.StringIO()):
@@ -570,6 +571,14 @@ def test_the_desk_run_writes_the_recorded_artifacts(tmp_path):
     assert report.ok and report.artifacts == DESK_DIGESTS
     for name, digest in DESK_DIGESTS.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_the_desk_summary_has_one_negative_mass_per_time(tmp_path):
+    report = runner.run_scenario(config.load_scenario(str(ROOT / "configs" / "gaussian_desk.cfg")),
+                                 str(tmp_path))
+    lines = Path(report.summary_path).read_text().splitlines()
+    keys = [line.split(" = ")[0] for line in lines if line.startswith("negative_mass.")]
+    assert keys == ["negative_mass.number.t0", "negative_mass.number.t1", "negative_mass.number.t2"]
 
 
 def test_truncated_or_garbled_array_files_name_the_file(tmp_path):

@@ -1,6 +1,6 @@
 """Module boundaries: the registry stands apart from the run pipeline, the
-quadrature and the slab layer stand apart from the FFT engine, and the
-benchmark finds every name it binds."""
+quadrature, the oracle and the slab layer stand apart from the FFT engine,
+which alone imports the FFT, and the benchmark finds every name it binds."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import photonlab
-from photonlab import field_synthesis, registry, retarded_solver, runner, slabs
+from photonlab import field_synthesis, oracle, registry, retarded_solver, runner, slabs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,6 +31,19 @@ def _imported(module):
     return named
 
 
+def _named(module):
+    """Every import, variable, attribute and argument name in ``module``."""
+    named = _imported(module)
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.arg):
+            named.add(node.arg)
+    return named
+
+
 def test_registry_imports_nothing_from_runner():
     named = _imported(registry)
     assert {"densities", "config"} <= named  # the scan sees the package's relative imports
@@ -39,12 +52,7 @@ def test_registry_imports_nothing_from_runner():
 
 def test_the_quadrature_names_nothing_of_the_fft_engine():
     """retarded_solver takes its grid from mode_space and its threads from slabs."""
-    named = _imported(retarded_solver)
-    for node in ast.walk(_tree(retarded_solver)):
-        if isinstance(node, ast.Name):
-            named.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            named.add(node.attr)
+    named = _named(retarded_solver)
     assert {"mode_space", "slabs", "SpatialGrid", "_in_slabs"} <= named
     assert not [name for name in named if "field_synthesis" in name]
 
@@ -57,32 +65,41 @@ def test_the_slab_layer_imports_no_package_module():
     assert relative == [] and not [name for name in named if name.startswith("photonlab")]
 
 
-def test_the_oracle_amplitude_names_nothing_of_the_engine():
-    """The direct-quadrature oracle reads no attribute, method or constructor of
-    the spectral engine (its table of distinct frequencies included) and
-    calls no FFT."""
-    engine = {"SpectralEngine", "spectral_engine", "_sfft", "fftn", "ifftn"}
-    functions = {}
-    for node in ast.walk(_tree(field_synthesis)):
-        if isinstance(node, ast.ClassDef) and node.name == "SpectralEngine":
-            engine.update(item.name for item in node.body if isinstance(item, ast.FunctionDef))
-            engine.update(item.attr for item in ast.walk(node) if isinstance(item, ast.Attribute)
-                          and isinstance(item.value, ast.Name) and item.value.id == "self")
-        elif isinstance(node, ast.FunctionDef):
-            functions[node.name] = node
+def test_the_oracle_names_nothing_of_the_engine():
+    """The direct-quadrature oracle imports only the basis and the slab layer, reads
+    no attribute, method or constructor of the spectral engine (its table of
+    distinct frequencies included) and calls no FFT, in any of its functions."""
+    engine = {"field_synthesis", "SpectralEngine", "spectral_engine", "_sfft", "fftn", "ifftn"}
+    spectral = next(node for node in ast.walk(_tree(field_synthesis))
+                    if isinstance(node, ast.ClassDef) and node.name == "SpectralEngine")
+    engine.update(item.name for item in spectral.body if isinstance(item, ast.FunctionDef))
+    engine.update(item.attr for item in ast.walk(spectral) if isinstance(item, ast.Attribute)
+                  and isinstance(item.value, ast.Name) and item.value.id == "self")
     assert {"_levels", "_level_index", "time_phase", "phase_k", "mode_factor", "kgrid"} <= engine
-    oracle = ("_direct_amplitude", "_direct_eval", "_direct_fields", "synthesize_at_points",
-              "vector_potential_at_points")
-    named = set()
-    for node in (item for name in oracle for item in ast.walk(functions[name])):
-        if isinstance(node, ast.Name):
-            named.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            named.add(node.attr)
-        elif isinstance(node, ast.arg):
-            named.add(node.arg)
+    relative = {node.module for node in ast.walk(_tree(oracle))
+                if isinstance(node, ast.ImportFrom) and node.level > 0}
+    assert relative == {"mode_space", "slabs"}
+    assert not [name for name in _imported(oracle) if name.startswith("scipy")]
+    named = _named(oracle)
     assert {"omega", "build_basis", "einsum", "grid"} <= named  # the scan sees the oracle's names
     assert not named & engine, named & engine
+
+
+def test_only_the_engine_imports_the_fft():
+    """field_synthesis is the one package module that imports ``scipy.fft``
+    (as ``import scipy.fft``, ``from scipy import fft`` or ``from scipy.fft import``)."""
+    importers = set()
+    for path in Path(photonlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if [name for name in names if name.split(".")[:2] == ["scipy", "fft"]]:
+                importers.add(path.stem)
+    assert importers == {"field_synthesis"}
 
 
 def test_the_benchmark_reads_the_fft_thread_count_from_field_synthesis():

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from photonlab import observables
+from photonlab import observables, registry
 from photonlab.densities import (
     DensityField,
     bb_energy_density,
@@ -161,6 +161,19 @@ def test_widths_are_finite_and_positive(desk_spatial, desk_snapshot):
     width = widths["number"]
     assert np.isfinite(width) and width > 0.0
     assert not is_box_limited(width, desk_spatial)
+
+
+def test_negative_mass_of_a_non_negative_density_is_zero(desk_snapshot):
+    assert observables.negative_mass(lp_number_density(photon_wave_fields(desk_snapshot))) == 0.0
+
+
+def test_negative_mass_of_the_two_mode_line_is_its_mass_below_zero():
+    """The negative-density check's line dips to rho = -1, so mass lies below zero."""
+    spectrum, spatial = registry.two_mode_line()
+    rho = number_density(synthesize(spectrum, spatial, 0.0))
+    below = -spatial.cell_volume * float(np.sum(rho.data[rho.data < 0.0]))
+    assert below > 0.0
+    assert observables.negative_mass(rho) == pytest.approx(below, rel=1e-14)
 
 
 def test_uniform_density_is_box_limited():

@@ -555,6 +555,13 @@ def test_source_samples_are_read_only_views_of_one_table(small_dipole):
             samples[0, 0] = 1.0
 
 
+def test_a_source_compares_and_hashes_by_identity():
+    """No elementwise comparison of the factors: an equal copy is another source."""
+    src = dipole_source()
+    assert (src == replace(src)) is False
+    assert src == src and {src, src} == {src}
+
+
 def test_table_is_the_product_of_the_factors(small_dipole, ball):
     for src, rank in ((small_dipole, 2), (ball, 1)):
         assert src.time_coefficients.shape == (src.n_times, rank)

@@ -89,18 +89,31 @@ def test_bench_pairs_summarizes_control_pairs_like_the_claim():
 
 
 def test_bench_pairs_resolves_a_ratio_outside_the_control_quartiles():
-    """Control ratios 0.9, 1.0 and 1.1 have quartiles 0.95 and 1.05: a median
-    ratio of 1.25 is resolved, one of 1.0 is not; a failed control pair is
-    skipped, and without control pairs nothing is resolved."""
+    """Control ratios 0.9 to 1.1 in steps of 0.05 have quartiles 0.95 and 1.05:
+    a median ratio of 1.25 is resolved, one of 1.0 is not; a failed control
+    pair is skipped, and without control pairs nothing is resolved."""
     summarize = _bench_pairs()["summarize"]
     base = {"op_s_p50": 1.0, "ops_per_s": 2.0}
-    control = [_pair(base, {"op_s_p50": r, "ops_per_s": 2.0}) for r in (0.9, 1.0, 1.1)]
+    control = [_pair(base, {"op_s_p50": r, "ops_per_s": 2.0})
+               for r in (0.9, 0.95, 1.0, 1.05, 1.1)]
     control.append({"parent": base, "change": {"error": "exit 1"}})
     runs = [_pair(base, {"op_s_p50": 1.25, "ops_per_s": 2.0}) for _ in range(3)]
     out = summarize(runs, BETTER, control)
     assert (out["op_s_p50"]["median_ratio"], out["op_s_p50"]["resolved"]) == (1.25, True)
     assert (out["ops_per_s"]["median_ratio"], out["ops_per_s"]["resolved"]) == (1.0, False)
     assert {entry["resolved"] for entry in summarize(runs, BETTER).values()} == {None}
+
+
+def test_bench_pairs_resolves_nothing_below_the_minimum_of_control_pairs():
+    """Two completed control pairs give null, five give a bool."""
+    namespace = _bench_pairs()
+    summarize = namespace["summarize"]
+    assert namespace["MIN_CONTROL_PAIRS"] == 5
+    base = {"op_s_p50": 1.0, "ops_per_s": 2.0}
+    runs = [_pair(base, {"op_s_p50": 1.25, "ops_per_s": 2.0})]
+    control = [_pair(base, dict(base)) for _ in range(5)]
+    for count, resolved in ((2, None), (5, True)):
+        assert summarize(runs, BETTER, control[:count])["op_s_p50"]["resolved"] is resolved
 
 
 def test_bench_pairs_spread_gives_inclusive_quartiles():
@@ -161,8 +174,8 @@ def test_bench_pairs_interleaves_control_pairs_of_the_parent(tmp_path, capsys):
     assert [pair["seed"] for pair in entry["control"]["runs"]] == [1, 2]
     assert entry["control"]["summary"]["op_s_p50"]["pairs"] == 2
     assert entry["summary"]["op_s_p50"]["pairs"] == 3
-    # equal runs: a ratio of 1 inside the control pairs' quartiles
-    assert entry["summary"]["op_s_p50"]["resolved"] is False
+    # two control pairs are too few to resolve a ratio
+    assert entry["summary"]["op_s_p50"]["resolved"] is None
 
 
 def _run_script(name, args, capsys, monkeypatch):
@@ -181,5 +194,6 @@ def test_transport_demo_runs_and_reports_the_centroid_speed(capsys, monkeypatch)
 def test_localization_scan_runs_and_reports_three_widths(capsys, monkeypatch):
     out = _run_script("localization_scan.py", ["--n", "40", "--sigmas", "1.5"],
                       capsys, monkeypatch)
-    # sigma, r99 of number, |F|^2 and |psi|^2, 1/sigma
-    assert out.splitlines()[-1].split() == ["1.50", "3.4134", "3.6745", "3.4134", "0.6667"]
+    # sigma, r99 of number, |F|^2 and |psi|^2, 1/sigma, negative mass of number
+    assert out.splitlines()[-1].split() == ["1.50", "3.4134", "3.6745", "3.4134", "0.6667",
+                                            "2.663e-12"]

@@ -15,13 +15,13 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonlab import config, densities, field_synthesis, observables, registry, runner, slabs
+from photonlab import (config, densities, field_synthesis, observables, oracle, registry, runner,
+                       slabs)
 from photonlab.field_synthesis import (
     SpatialGrid,
     spectral_engine,
     spectrum_to_field,
     synthesize,
-    synthesize_at_points,
 )
 from photonlab.mode_space import (
     PhotonSpectrum,
@@ -32,6 +32,7 @@ from photonlab.mode_space import (
     normalize,
     spectral_summary,
 )
+from photonlab.oracle import synthesize_at_points
 
 
 def _random_spectrum(grid, seed):
@@ -73,11 +74,11 @@ def test_fft_fields_match_direct_quadrature(pair, seed, t1, t2):
         for fast, slow in ((snap.A_plus, A), (snap.E_plus, E), (snap.B_plus, B)):
             assert _close(fast.reshape(-1, 3), slow)
     # the separable-phase oracle against the plain exp(i k.x) mode sum
-    coeffs = field_synthesis._direct_amplitude(s, t1)
+    coeffs = oracle._direct_amplitude(s, t1)
     k_flat = kgrid.k_vectors.reshape(-1, 3)
     c_flat = coeffs.reshape(k_flat.shape[0], -1)
     full_phase = np.array([np.exp(1j * (k_flat @ x)) @ c_flat for x in points])
-    assert _close(field_synthesis._direct_eval(coeffs, kgrid, points), full_phase, 1e-13)
+    assert _close(oracle._direct_eval(coeffs, kgrid, points), full_phase, 1e-13)
 
 
 @settings(max_examples=40, deadline=None)
@@ -369,7 +370,7 @@ def test_fields_do_not_depend_on_the_thread_count(monkeypatch):
             arrays += [snap.A_plus, snap.E_plus, snap.B_plus, densities.helicity_density(snap)]
             arrays += [entry.build(snap).data for entry in densities.DENSITY_TABLE.values()
                        if s is pure or not entry.pure_helicity]
-            arrays.append(field_synthesis._direct_amplitude(s, 0.4))
+            arrays.append(oracle._direct_amplitude(s, 0.4))
         outputs[threads] = arrays
     assert len(outputs["1"]) == 8 + 2 + 6 + len(densities.DENSITY_TABLE)
     for two, one in zip(outputs["2"], outputs["1"], strict=True):
@@ -466,7 +467,7 @@ def test_the_oracle_amplitude_equals_its_one_expression_form(monkeypatch):
     for s in (gaussian_spectrum(grid, (1.5, -1.0, 3.5), 0.6, (0.6, 0.8)),
               PhotonSpectrum(grid, seeded[0] + 1j * seeded[1])):
         for t in (0.0, 0.73, -2.4, 31.7):
-            coeffs = field_synthesis._direct_amplitude(s, t)
+            coeffs = oracle._direct_amplitude(s, t)
             assert leading(coeffs).flags.c_contiguous
             assert np.array_equal(coeffs, _old_direct_amplitude(s, t))
 
@@ -476,11 +477,11 @@ def test_the_oracle_contraction_makes_no_full_grid_array():
     peak allocation stays below one complex scalar on the grid."""
     grid = WaveVectorGrid.centered((16, 16, 16), (0.8, 0.8, 0.8))
     s = gaussian_spectrum(grid, (1.5, -1.0, 3.5), 0.6, (0.6, 0.8))
-    coeffs = field_synthesis._direct_amplitude(s, 0.3)
+    coeffs = oracle._direct_amplitude(s, 0.3)
     points = np.random.default_rng(2).uniform(-3.0, 3.0, size=(4, 3))
     tracemalloc.start()
     try:
-        field_synthesis._direct_eval(coeffs, grid, points)
+        oracle._direct_eval(coeffs, grid, points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
