@@ -14,10 +14,9 @@ measured in the same round as the claim.
 
 The output JSON holds, per workload, every run's end-to-end metrics, each
 side's median and quartiles per metric (inclusive method), the ratio of the
-change's median to the parent's, whether that ratio is resolved (outside
-the quartiles of the control pairs' ratios; null with fewer than
-``MIN_CONTROL_PAIRS`` completed control pairs, whose quartiles would read
-noise as a result), the number of pairs in which the change is better (the
+change's median to the parent's, whether that ratio is resolved (see
+:func:`summarize`; null with fewer than ``MIN_CONTROL_PAIRS`` completed
+control pairs), the number of pairs in which the change is better (the
 direction comes from ``BENCHMARK.json``), the same for the control pairs
 under ``control``, and the environment record of each side's first
 successful run (``environment.parent``, ``environment.change``).
@@ -97,10 +96,13 @@ def summarize(runs, better, control=()):
     """Per metric: each side's spread, their median ratio, the pairs the change wins
     and whether the ratio is resolved against the ``control`` pairs.
 
-    ``resolved`` is true when the median ratio lies outside the inclusive
-    quartiles of the control pairs' per-pair ratios (change over parent),
-    false when it lies inside, and None when fewer than ``MIN_CONTROL_PAIRS``
-    control pairs completed (with a nonzero parent value, so a ratio).
+    ``resolved`` is true when both hold: the change lies on one side of the
+    parent in at least 90% of the completed pairs (ties count for neither
+    side), and the median ratio lies outside the full range of the control
+    pairs' per-pair ratios (change over parent), not only outside their
+    quartiles, which a median of few pairs crosses by drift alone.  It is
+    false otherwise, and None when fewer than ``MIN_CONTROL_PAIRS`` control
+    pairs completed (with a nonzero parent value, so a ratio).
     """
     out = {}
     complete, controls = _complete(runs), _complete(control)
@@ -111,14 +113,15 @@ def summarize(runs, better, control=()):
         change = [pair["change"]["metrics"][name] for pair in complete]
         sign = 1.0 if direction == "lower" else -1.0
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         parent, change = spread(parent), spread(change)
         ratio = change["median"] / parent["median"] if parent["median"] else None
         noise = [pair["change"]["metrics"][name] / pair["parent"]["metrics"][name]
                  for pair in controls if pair["parent"]["metrics"][name]]
         resolved = None
         if len(noise) >= MIN_CONTROL_PAIRS and ratio is not None:
-            bounds = spread(noise)
-            resolved = not bounds["q1"] <= ratio <= bounds["q3"]
+            one_sided = max(wins, losses) >= 0.9 * len(complete)
+            resolved = one_sided and not min(noise) <= ratio <= max(noise)
         out[name] = {
             "better": direction,
             "parent": parent,

@@ -13,6 +13,7 @@ from .mode_space import (  # noqa: F401
     SpectralSummary,
     WaveVectorGrid,
     build_basis,
+    circular_spectrum,
     evolve,
     gaussian_spectrum,
     localized_spectrum,

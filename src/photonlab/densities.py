@@ -9,11 +9,13 @@ All densities are bilinears of the positive-frequency fields,
 
 with the spectral operators (omega A), (k_j A) applied mode-wise.  Because
 E+ = i omega A+ mode by mode, (omega A)+ = -i E+ and the energy density is
-the plain |E+|^2 (-sigma = +1): no transform at all.  The three momentum
-components are one batched inverse FFT of the k_j A+ amplitudes, formed from
-the snapshot's mode amplitudes and transformed by the snapshot's engine.
-``sigma`` is the constant :data:`SIGMA`, fixed by the convention
-E+ = i omega A+ (see there).
+the plain |E+|^2 (-sigma = +1): no transform at all.  ``sigma`` is the
+constant :data:`SIGMA`, fixed by the convention E+ = i omega A+ (see there).
+
+This module works in real space: every density is a bilinear of fields that
+a :class:`~photonlab.field_synthesis.FieldSnapshot` hands out (A+, E+, B+,
+Omega^{1/2} A+ and the helicity and momentum operands), and every spectral
+multiplier behind them is applied in :mod:`photonlab.field_synthesis`.
 
 The comparison wave fields are, per helicity lambda,
 
@@ -34,15 +36,12 @@ tautology.
 What several output kinds need is computed once per snapshot and kept
 read-only in its instance dict by ``field_synthesis._memo``, so it is freed
 with the snapshot: the energy density H, the real momentum density P (the
-9-component transform behind it is not kept) and the wave fields F and psi.
-All eight output kinds of one snapshot thus cost four inverse FFTs: the
-synthesis, B+, the momentum transform and psi.  ``energy_density`` and
-``momentum_density`` return the kept H and P, so copy their data before
-modifying it.
+momentum operands behind it are not kept) and the wave fields F and psi.
+``energy_density`` and ``momentum_density`` return the kept H and P, so copy
+their data before modifying it.
 
-The contractions, cross products and per-mode products follow the slab rule
-of :mod:`photonlab.slabs`, and transform inputs the layout of
-:mod:`photonlab.mode_space`.  Every ``DensityField.data`` stays C-ordered
+The contractions and cross products follow the slab rule of
+:mod:`photonlab.slabs`.  Every ``DensityField.data`` stays C-ordered
 (nx, ny, nz[, c]), because ``integral`` sums in memory order: the same
 layout gives the same sums.
 """
@@ -55,9 +54,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field_synthesis as fs
-from .mode_space import (SpatialGrid, WaveVectorGrid, _read_only, broadcast_along, leading,
-                         trailing, vector_array)
-from .slabs import _cross, _in_slabs, _multiply
+# re-exported: the frequency powers are applied in field_synthesis, under this public name too
+from .field_synthesis import apply_frequency_operator  # noqa: F401
+from .mode_space import SpatialGrid, _read_only, broadcast_along
+from .slabs import _cross, _in_slabs
 
 # E+ = i omega A+ gives Im(A+ . conj(E+)) = -omega |A+|^2, so sigma = -1 makes rho >= 0
 SIGMA = -1
@@ -147,14 +147,12 @@ def photon_current(f: fs.FieldSnapshot) -> DensityField:
     return DensityField("current", cur, f.t, f.sgrid)
 
 
-def _operator_density(f: fs.FieldSnapshot, op_coeffs):
+def _operator_density(f: fs.FieldSnapshot, op_a):
     """sigma/2 ( i E+ . conj(op A+) + c.c. ) = sigma Im(conj(E+) . op A+).
 
-    ``op_coeffs`` holds the mode amplitudes of op A+: (nx, ny, nz, 3) for one
-    operator, or (nx, ny, nz, m, 3) for m operators transformed together,
-    stored component-major; it is used as the work array.
+    ``op_a`` is the field op A+: (nx, ny, nz, 3) for one operator, or
+    (nx, ny, nz, m, 3) for m operators transformed together.
     """
-    op_a = f.engine.to_field(op_coeffs)
     subscripts = "...c,...c->..." if op_a.ndim == 4 else "...c,...jc->...j"
     out = _im_dot(f.E_plus, op_a, subscripts)
     out *= SIGMA
@@ -173,16 +171,9 @@ def _energy(f: fs.FieldSnapshot):
 
 
 def _momentum(f: fs.FieldSnapshot):
-    """(P_x, P_y, P_z) on the trailing axis from one 9-component transform, kept per snapshot."""
-
-    def build():
-        k, amp = leading(f.kgrid.k_vectors), leading(f.amplitude)
-        op_coeffs = np.empty((3, 3) + f.kgrid.n_per_axis, np.complex128)
-        _multiply(k[:, None], amp[None, :], op_coeffs)
-        _multiply(op_coeffs, f.time_phase, op_coeffs)
-        return _read_only(_operator_density(f, trailing(op_coeffs, 2)))
-
-    return fs._memo(f, "_momentum", build)
+    """(P_x, P_y, P_z) on the trailing axis from the momentum operands, kept per snapshot."""
+    return fs._memo(f, "_momentum",
+                    lambda: _read_only(_operator_density(f, f.momentum_operands())))
 
 
 def four_momentum_density(f: fs.FieldSnapshot) -> DensityField:
@@ -205,13 +196,7 @@ def helicity_density(f: fs.FieldSnapshot) -> np.ndarray:
     The operator i khat x (.) has the helicity eigenvalue lambda on each
     helicity mode, so the integral reproduces the k-space helicity sum.
     """
-    kgrid = f.kgrid
-    mask = kgrid.exclusion_mask
-    khat = np.where(mask, 0.0, leading(kgrid.k_vectors) / np.where(mask, 1.0, kgrid.omega))
-    coeffs = _cross(trailing(khat, 1), f.a_coeffs,
-                       out=vector_array(kgrid.n_per_axis, np.complex128))
-    coeffs *= 1j
-    return _operator_density(f, coeffs)
+    return _operator_density(f, f.helicity_operand())
 
 
 def spin_angular_momentum_density(f: fs.FieldSnapshot) -> DensityField:
@@ -245,34 +230,6 @@ def angular_momentum_density(f: fs.FieldSnapshot, origin) -> DensityField:
     return DensityField("angular_momentum", total, f.t, f.sgrid)
 
 
-def apply_frequency_operator(field, kgrid: WaveVectorGrid, sgrid: SpatialGrid, power):
-    """Apply the spectral multiplier (c |k|)^power to a field array.
-
-    power must be 1, 1/2 or -1/2.  The field must be band-limited to the
-    paired grid (true for everything synthesized here).  Content on the
-    excluded omega = 0 bins is rejected for the inverse power and zeroed
-    otherwise.
-    """
-    if power not in (1, 1.0, 0.5, -0.5):
-        raise ValueError(f"unsupported power {power!r}; use 1, 0.5 or -0.5")
-    field = np.asarray(field, dtype=np.complex128)
-    scalar = field.ndim == 3
-    work = field[..., None] if scalar else field
-    coeffs = fs.field_to_spectrum(work, kgrid, sgrid)
-    mask = kgrid.exclusion_mask
-    if np.count_nonzero(mask):
-        content = float(np.max(np.abs(coeffs[mask])))
-        scale = float(np.max(np.abs(coeffs))) or 1.0
-        if power < 0 and content > 1e-12 * scale:
-            raise ValueError("field has content on the omega = 0 mode; "
-                             "cannot apply a negative frequency power")
-        coeffs = np.where(mask[..., None], 0.0, coeffs)
-    omega = np.where(mask, 1.0, kgrid.omega)
-    coeffs = coeffs * (omega**float(power))[..., None]
-    out = fs.spectrum_to_field(coeffs, kgrid, sgrid)
-    return out[..., 0] if scalar else out
-
-
 @dataclass(frozen=True)
 class PhotonWaveFields:
     """Pure-helicity comparison wave functions F and psi (see module docs)."""
@@ -297,10 +254,7 @@ def photon_wave_fields(f: fs.FieldSnapshot) -> PhotonWaveFields:
         F = np.empty(f.E_plus.shape, np.complex128)
         np.copyto(F.real, f.E_plus.real)
         np.multiply(lam, f.B_plus.real, out=F.imag)
-        psi_coeffs = leading(f.a_coeffs)  # a fresh array, scaled in place
-        np.multiply(np.sqrt(f.kgrid.omega), psi_coeffs, out=psi_coeffs)
-        psi = f.engine.to_field(trailing(psi_coeffs, 1))
-        return PhotonWaveFields(helicity=lam, F=_read_only(F), psi=_read_only(psi),
+        return PhotonWaveFields(helicity=lam, F=_read_only(F), psi=_read_only(f.psi),
                                 t=f.t, grid=f.sgrid)
 
     return fs._memo(f, "_wave_fields", build)

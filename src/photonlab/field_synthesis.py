@@ -16,17 +16,27 @@ payoff is that discrete Parseval holds on any FFT-paired grid pair:
 to machine precision, which is the convention every density in this package
 relies on.  The factor is covered by a direct-quadrature unit test.
 
-E+ = -dA+/dt (so iw * A+ per mode) and B+ = curl A+ (ik x A+ per mode); all
-derivatives are spectral multipliers, never finite differences.
+Every spectral multiplier of A+ is applied here, never by finite
+differences: E+ = -dA+/dt (i omega A+ per mode), B+ = curl A+ (i k x A+),
+Omega^{1/2} A+ (sqrt(omega) A+), the helicity operand (i khat x A)+, the
+momentum operands (k_j A)+, the spectral divergence of
+:meth:`SpectralEngine.divergence` and the frequency powers of
+:func:`apply_frequency_operator`.  :mod:`photonlab.densities` and
+:mod:`photonlab.observables` take these fields from a snapshot and work in
+real space.  A snapshot synthesizes A+ and E+ together; B+ and
+Omega^{1/2} A+ are transformed on first access and kept, the helicity and
+momentum operands on each call and not kept.  All eight output kinds of one
+snapshot thus cost four inverse FFTs: the synthesis, B+, the 9-component
+momentum transform and Omega^{1/2} A+.
 
 Every FFT goes through one :class:`SpectralEngine` per (WaveVectorGrid,
 SpatialGrid) pair; :func:`spectral_engine` is the one place that finds and
 keeps engines.  A :class:`FieldSnapshot` holds its spectrum and its engine:
-densities and observables read the helicity, the k-grid, the transforms and
-the fields at other times from the snapshot alone.  Work arrays are
-component-major (see :mod:`photonlab.mode_space`), and the FFTs and
-per-mode passes follow the slab rule of :mod:`photonlab.slabs`.  The FFT
-path is checked against the direct quadrature of :mod:`photonlab.oracle`.
+densities and observables read the helicity, the grids and the fields at
+other times from the snapshot alone.  Work arrays are component-major (see
+:mod:`photonlab.mode_space`), and the FFTs and per-mode passes follow the
+slab rule of :mod:`photonlab.slabs`.  The FFT path is checked against the
+direct quadrature of :mod:`photonlab.oracle`.
 """
 
 from __future__ import annotations
@@ -134,6 +144,23 @@ class SpectralEngine:
         coeffs *= np.conj(self.phase_k)
         return trailing(coeffs, field.ndim - 3)
 
+    def divergence(self, vec):
+        """Spectral divergence of a real vector field on the engine's grid pair.
+
+        ``i ((k_x J^_x + k_y J^_y) + k_z J^_z)`` is accumulated in place in the
+        x component of the forward transform, which is then transformed back in
+        place, so no ``(n, n, n, 3)`` product is formed.  That operand order
+        keeps the result bitwise equal to ``1j * np.sum(k_vectors * J^, axis=-1)``,
+        the tests' reference.
+        """
+        coeffs = leading(self.to_spectrum(vec))
+        np.multiply(leading(self.kgrid.k_vectors), coeffs, out=coeffs)
+        div_coeffs = coeffs[0]
+        div_coeffs += coeffs[1]
+        div_coeffs += coeffs[2]
+        np.multiply(1j, div_coeffs, out=div_coeffs)
+        return np.real(self.to_field(div_coeffs))
+
     def amplitude(self, s: PhotonSpectrum):
         """Time-independent grid-order amplitude i g omega^{-1/2} (c+ e+ + c- e-).
 
@@ -220,6 +247,34 @@ def field_to_spectrum(field, kgrid: WaveVectorGrid, sgrid: SpatialGrid):
     return spectral_engine(kgrid, sgrid).to_spectrum(np.asarray(field))
 
 
+def apply_frequency_operator(field, kgrid: WaveVectorGrid, sgrid: SpatialGrid, power):
+    """Apply the spectral multiplier (c |k|)^power to a field array.
+
+    power must be 1, 1/2 or -1/2.  The field must be band-limited to the
+    paired grid (true for everything synthesized here).  Content on the
+    excluded omega = 0 bins is rejected for the inverse power and zeroed
+    otherwise.
+    """
+    if power not in (1, 1.0, 0.5, -0.5):
+        raise ValueError(f"unsupported power {power!r}; use 1, 0.5 or -0.5")
+    field = np.asarray(field, dtype=np.complex128)
+    scalar = field.ndim == 3
+    work = field[..., None] if scalar else field
+    coeffs = field_to_spectrum(work, kgrid, sgrid)
+    mask = kgrid.exclusion_mask
+    if np.count_nonzero(mask):
+        content = float(np.max(np.abs(coeffs[mask])))
+        scale = float(np.max(np.abs(coeffs))) or 1.0
+        if power < 0 and content > 1e-12 * scale:
+            raise ValueError("field has content on the omega = 0 mode; "
+                             "cannot apply a negative frequency power")
+        coeffs = np.where(mask[..., None], 0.0, coeffs)
+    omega = np.where(mask, 1.0, kgrid.omega)
+    coeffs = coeffs * (omega**float(power))[..., None]
+    out = spectrum_to_field(coeffs, kgrid, sgrid)
+    return out[..., 0] if scalar else out
+
+
 @dataclass(frozen=True)
 class FieldSnapshot:
     """Positive-frequency A, E, B of ``spectrum`` at one instant, with the
@@ -228,9 +283,9 @@ class FieldSnapshot:
     ``amplitude`` is the time-independent vector mode amplitude of A+, so
     that spectral operators can be applied later without a forward FFT;
     it is the spectrum's own, except in the corrupted-convention control.
-    ``time_phase`` (exp(-i omega t) per mode) and ``B_plus`` are formed on
-    first access, so number-only runs never transform B+; ``a_coeffs`` (the
-    amplitude times the time phase) is formed on each.
+    ``time_phase`` (exp(-i omega t) per mode), ``B_plus`` and ``psi`` are
+    formed on first access, so number-only runs never transform B+;
+    ``a_coeffs`` (the amplitude times the time phase) is formed on each.
     """
 
     t: float
@@ -242,7 +297,7 @@ class FieldSnapshot:
 
     @property
     def kgrid(self) -> WaveVectorGrid:
-        return self.spectrum.grid
+        return self.engine.kgrid
 
     @property
     def sgrid(self) -> SpatialGrid:
@@ -263,6 +318,36 @@ class FieldSnapshot:
         _cross(self.kgrid.k_vectors, self.a_coeffs, out=b_coeffs)
         b_coeffs *= 1j
         return self.engine.to_field(b_coeffs)
+
+    @cached_property
+    def psi(self):
+        """Omega^{1/2} A+: one inverse FFT of the mode amplitudes scaled by sqrt(omega)."""
+        psi_coeffs = leading(self.a_coeffs)  # a fresh array, scaled in place
+        np.multiply(np.sqrt(self.kgrid.omega), psi_coeffs, out=psi_coeffs)
+        return self.engine.to_field(trailing(psi_coeffs, 1))
+
+    def helicity_operand(self):
+        """(i khat x A)+, transformed on each call and not kept.
+
+        The operator i khat x (.) has the helicity eigenvalue lambda on each
+        helicity mode; masked modes carry khat = 0.
+        """
+        kgrid = self.kgrid
+        mask = kgrid.exclusion_mask
+        khat = np.where(mask, 0.0, leading(kgrid.k_vectors) / np.where(mask, 1.0, kgrid.omega))
+        coeffs = _cross(trailing(khat, 1), self.a_coeffs,
+                        out=vector_array(kgrid.n_per_axis, np.complex128))
+        coeffs *= 1j
+        return self.engine.to_field(coeffs)
+
+    def momentum_operands(self):
+        """(k_j A)+ as (nx, ny, nz, 3, 3), j on the second-last axis, from one
+        9-component transform; transformed on each call and not kept."""
+        k, amp = leading(self.kgrid.k_vectors), leading(self.amplitude)
+        op_coeffs = np.empty((3, 3) + self.kgrid.n_per_axis, np.complex128)
+        _multiply(k[:, None], amp[None, :], op_coeffs)
+        _multiply(op_coeffs, self.time_phase, op_coeffs)
+        return self.engine.to_field(trailing(op_coeffs, 2))
 
 
 def synthesize(s: PhotonSpectrum, sgrid: SpatialGrid, t: float) -> FieldSnapshot:

@@ -355,6 +355,28 @@ def evolve(s: PhotonSpectrum, dt: float) -> PhotonSpectrum:
     return PhotonSpectrum(s.grid, s.c * phase[None, ...])
 
 
+def _gaussian_envelope(grid, k0, sigma):
+    """exp(-|k-k0|^2 / (4 sigma^2)) on every sample of ``grid``, after checking k0 and sigma.
+
+    Warns when |k0| < 5 sigma (packet reaches into the excluded zero mode
+    region), at the caller of the packet constructor.
+    """
+    k0 = _triple(k0, "k0")
+    sigma = float(sigma)
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    if not grid.coverage_contains(k0):
+        raise ValueError(f"k0 {k0!r} lies outside the grid coverage")
+    if l2_norm(k0) < 5.0 * sigma:
+        warnings.warn(
+            "gaussian packet is not well separated from the zero mode "
+            "(|k0| < 5 sigma); low-frequency truncation may be visible",
+            stacklevel=3,
+        )
+    d2 = np.sum((grid.k_vectors - np.asarray(k0)) ** 2, axis=-1)
+    return np.exp(-d2 / (4.0 * sigma**2))
+
+
 def gaussian_spectrum(grid, k0, sigma, helicity_weights=(1.0, 0.0)) -> PhotonSpectrum:
     """Normalized gaussian packet exp(-|k-k0|^2 / (4 sigma^2)) per helicity.
 
@@ -362,25 +384,27 @@ def gaussian_spectrum(grid, k0, sigma, helicity_weights=(1.0, 0.0)) -> PhotonSpe
     relative magnitude fixes the helicity mixture.  Warns when |k0| < 5 sigma
     (packet reaches into the excluded zero mode region).
     """
-    k0 = _triple(k0, "k0")
-    sigma = float(sigma)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     w_plus, w_minus = (complex(w) for w in helicity_weights)
     if w_plus == 0 and w_minus == 0:
         raise ValueError("helicity_weights must not both vanish")
-    if not grid.coverage_contains(k0):
-        raise ValueError(f"k0 {k0!r} lies outside the grid coverage")
-    if l2_norm(k0) < 5.0 * sigma:
-        warnings.warn(
-            "gaussian packet is not well separated from the zero mode "
-            "(|k0| < 5 sigma); low-frequency truncation may be visible",
-            stacklevel=2,
-        )
-    d2 = np.sum((grid.k_vectors - np.asarray(k0)) ** 2, axis=-1)
-    envelope = np.exp(-d2 / (4.0 * sigma**2))
+    envelope = _gaussian_envelope(grid, k0, sigma)
     c = np.stack([w_plus * envelope, w_minus * envelope], axis=0)
     return normalize(PhotonSpectrum(grid, c))
+
+
+def circular_spectrum(grid, k0, sigma) -> PhotonSpectrum:
+    """Normalized smooth circular packet: the envelope of :func:`gaussian_spectrum`
+    times the fixed polarization (x + i y)/sqrt(2), projected on e+.
+
+    c+ = g(k) conj(e+(k)) . (x + i y)/sqrt(2) = g(k) (1 + cos theta)/2 e^{i phi}
+    and c- = 0.  The factor e^{i phi} cancels the phase vortex of e+ about
+    the k_z axis, so a packet with k0 along +z has a smooth c+ e+, where the
+    constant c+ of :func:`gaussian_spectrum` leaves a vortex on the pole line.
+    """
+    envelope = _gaussian_envelope(grid, k0, sigma)
+    e_x, e_y, _ = leading(build_basis(grid))
+    c_plus = envelope * (np.conj(e_x) + 1j * np.conj(e_y)) / np.sqrt(2.0)
+    return normalize(PhotonSpectrum(grid, np.stack([c_plus, np.zeros_like(c_plus)])))
 
 
 def single_mode_spectrum(grid, index, helicity=+1) -> PhotonSpectrum:

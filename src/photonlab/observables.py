@@ -1,5 +1,10 @@
 """Expectation values and diagnostics computed from the densities.
 
+This module works in real space: it reduces densities and synthesizes a
+snapshot's spectrum at other times, and takes the spectral divergence of
+the continuity residual from the snapshot's engine
+(:meth:`~photonlab.field_synthesis.SpectralEngine.divergence`).
+
 Positions on the periodic box are always taken as circular means (the box is
 mapped to angles per axis) so that centroids and displacements are free of
 wraparound bias; displacements use the shortest wrapped difference.  A
@@ -20,7 +25,7 @@ import numpy as np
 
 from . import densities as dn
 from . import field_synthesis as fs
-from .mode_space import PhotonSpectrum, SpatialGrid, broadcast_along, l2_norm, leading
+from .mode_space import PhotonSpectrum, SpatialGrid, broadcast_along, l2_norm
 
 #: guard band: a packet's 90% containment radius must stay below this fraction of the box
 GUARD_FRACTION = 0.25
@@ -94,24 +99,6 @@ def _circular_distances(sgrid: SpatialGrid, center):
     return np.sqrt(d2)
 
 
-def _divergence(vec, engine: fs.SpectralEngine):
-    """Spectral divergence of a real vector field on the grid pair of ``engine``.
-
-    ``i ((k_x J^_x + k_y J^_y) + k_z J^_z)`` is accumulated in place in the
-    x component of the forward transform, which is then transformed back in
-    place, so no ``(n, n, n, 3)`` product is formed.  That operand order
-    keeps the result bitwise equal to ``1j * np.sum(k_vectors * J^, axis=-1)``,
-    the tests' reference.
-    """
-    coeffs = leading(engine.to_spectrum(vec))
-    np.multiply(leading(engine.kgrid.k_vectors), coeffs, out=coeffs)
-    div_coeffs = coeffs[0]
-    div_coeffs += coeffs[1]
-    div_coeffs += coeffs[2]
-    np.multiply(1j, div_coeffs, out=div_coeffs)
-    return np.real(engine.to_field(div_coeffs))
-
-
 def continuity_residual(snap: fs.FieldSnapshot, dt: float) -> float:
     """|| d_t rho + div J ||_2 / || div J ||_2 about the time of ``snap``.
 
@@ -130,7 +117,7 @@ def continuity_residual(snap: fs.FieldSnapshot, dt: float) -> float:
     rho_m = dn.number_density(fs.synthesize(s, sgrid, t - dt)).data
     drho = (rho_p - rho_m) / (2.0 * dt)
     cur = dn.photon_current(snap).data
-    div = _divergence(cur, snap.engine)
+    div = snap.engine.divergence(cur)
     num = l2_norm(drho + div)
     den = l2_norm(div)
     floor = 1e-12 * l2_norm(cur) * max(omega_max, 1.0)

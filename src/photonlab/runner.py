@@ -18,11 +18,12 @@ import math
 import os
 from concurrent.futures import Future, wait
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import __version__, densities, observables, slabs
-from .config import ScenarioConfig
+from .config import GridSection, ScenarioConfig
 from .diskio import atomic_write_bytes, atomic_write_text
 from .field_synthesis import FieldSnapshot, synthesize
 from .mode_space import (PhotonSpectrum, SpatialGrid, WaveVectorGrid, gaussian_spectrum,
@@ -116,7 +117,15 @@ def write_slice_csv(
 
 
 def build_grid(cfg: ScenarioConfig) -> WaveVectorGrid:
-    return cfg.grid.wave_vector_grid()
+    """The wave-vector grid of ``cfg``: one object per grid section, so a repeated
+    run reuses its k vectors, omega and mask (see :func:`_grid`)."""
+    return _grid(cfg.grid)
+
+
+@lru_cache(maxsize=2)
+def _grid(section: GridSection) -> WaveVectorGrid:
+    """The grid of a section value; the two most recently used are kept, like engines."""
+    return section.wave_vector_grid()
 
 
 def build_spectrum(cfg: ScenarioConfig, grid: WaveVectorGrid):

@@ -17,6 +17,7 @@ import pytest
 import photonlab
 from photonlab import __version__, cli, config, densities, runner, slabs
 from photonlab.cli import main
+from photonlab.mode_space import WaveVectorGrid
 from photonlab.runner import read_array, write_array
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -579,6 +580,24 @@ def test_the_desk_summary_has_one_negative_mass_per_time(tmp_path):
     lines = Path(report.summary_path).read_text().splitlines()
     keys = [line.split(" = ")[0] for line in lines if line.startswith("negative_mass.")]
     assert keys == ["negative_mass.number.t0", "negative_mass.number.t1", "negative_mass.number.t2"]
+
+
+def test_equal_grid_sections_build_one_grid():
+    desk = str(ROOT / "configs" / "gaussian_desk.cfg")
+    first, second = config.load_scenario(desk), config.load_scenario(desk)
+    assert first.grid is not second.grid
+    assert runner.build_grid(first) is runner.build_grid(second)
+
+
+def test_a_second_desk_run_does_not_compute_the_k_vectors_again(tmp_path, monkeypatch):
+    """The spectrum, the engine and the basis of a warm run share the first run's grid."""
+    cfg = config.load_scenario(str(ROOT / "configs" / "gaussian_desk.cfg"))
+    assert runner.run_scenario(cfg, str(tmp_path / "first")).ok
+    k_vectors = WaveVectorGrid.__dict__["k_vectors"]  # the cached_property itself
+    build, computed = k_vectors.func, []
+    monkeypatch.setattr(k_vectors, "func", lambda grid: computed.append(grid) or build(grid))
+    assert runner.run_scenario(cfg, str(tmp_path / "second")).ok
+    assert computed == []
 
 
 def test_truncated_or_garbled_array_files_name_the_file(tmp_path):

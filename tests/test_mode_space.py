@@ -12,6 +12,7 @@ from photonlab.mode_space import (
     PhotonSpectrum,
     WaveVectorGrid,
     build_basis,
+    circular_spectrum,
     evolve,
     gaussian_spectrum,
     localized_spectrum,
@@ -184,6 +185,23 @@ def test_gaussian_spectrum_is_normalized_and_pure():
 def test_gaussian_spectrum_rejects_uncovered_center():
     with pytest.raises(ValueError, match="coverage"):
         gaussian_spectrum(GRID, (0.0, 0.0, 50.0), 0.6)
+
+
+def test_circular_spectrum_is_the_envelope_times_the_polarization_on_e_plus():
+    """c+ = g (1 + cos theta)/2 e^{i phi} up to the norm, c- = 0, and the checks
+    of the gaussian packet's center and width."""
+    s = circular_spectrum(GRID, (0.0, 0.0, 3.0), 0.6)
+    kx, ky, kz = np.moveaxis(GRID.k_vectors, -1, 0)
+    cos_theta = kz / np.where(GRID.exclusion_mask, 1.0, GRID.omega)
+    envelope = gaussian_spectrum(GRID, (0.0, 0.0, 3.0), 0.6).c[0]
+    expected = normalize(PhotonSpectrum(GRID, np.stack(
+        [envelope * (1.0 + cos_theta) / 2 * np.exp(1j * np.arctan2(ky, kx)), 0 * envelope])))
+    assert s.pure_helicity() == +1 and abs(s.norm - 1.0) < 1e-12
+    assert np.allclose(s.c, expected.c, rtol=0, atol=1e-12 * np.max(np.abs(s.c)))
+    with pytest.raises(ValueError, match="coverage"):
+        circular_spectrum(GRID, (0.0, 0.0, 50.0), 0.6)
+    with pytest.raises(ValueError, match="sigma"):
+        circular_spectrum(GRID, (0.0, 0.0, 3.0), 0.0)
 
 
 def test_single_mode_summary_matches_its_sample():

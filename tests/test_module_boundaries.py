@@ -1,6 +1,7 @@
 """Module boundaries: the registry stands apart from the run pipeline, the
 quadrature, the oracle and the slab layer stand apart from the FFT engine,
-which alone imports the FFT, and the benchmark finds every name it binds."""
+which alone imports the FFT and applies the spectral multipliers, and the
+benchmark finds every name it binds."""
 
 from __future__ import annotations
 
@@ -11,7 +12,9 @@ import sys
 from pathlib import Path
 
 import photonlab
-from photonlab import field_synthesis, oracle, registry, retarded_solver, runner, slabs
+import pytest
+from photonlab import (densities, field_synthesis, observables, oracle, registry,
+                       retarded_solver, runner, slabs)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -83,6 +86,22 @@ def test_the_oracle_names_nothing_of_the_engine():
     named = _named(oracle)
     assert {"omega", "build_basis", "einsum", "grid"} <= named  # the scan sees the oracle's names
     assert not named & engine, named & engine
+
+
+# The engine's transforms, its kept amplitude and time phase, the per-mode
+# wavevectors and phases, and the component-major layout helpers.
+K_SPACE = {"to_field", "to_spectrum", "spectrum_to_field", "field_to_spectrum", "amplitude",
+           "a_coeffs", "time_phase", "k_vectors", "phase_k", "phase_x", "leading", "trailing",
+           "vector_array", "_multiply"}
+
+
+@pytest.mark.parametrize("module", [densities, observables], ids=lambda m: m.__name__)
+def test_densities_and_observables_name_nothing_of_k_space(module):
+    """Every spectral multiplier of A+ is applied in field_synthesis: the
+    densities and observables work in real space on a snapshot's fields."""
+    named = _named(module)
+    assert {"field_synthesis", "sgrid"} <= named  # the scan sees the module's names
+    assert not named & K_SPACE, named & K_SPACE
 
 
 def test_only_the_engine_imports_the_fft():

@@ -18,7 +18,9 @@ from photonlab.densities import (
 )
 from photonlab.field_synthesis import SpatialGrid, spectral_engine, synthesize
 from photonlab.mode_space import (
+    PhotonSpectrum,
     WaveVectorGrid,
+    circular_spectrum,
     gaussian_spectrum,
     single_mode_spectrum,
     spectral_summary,
@@ -185,6 +187,44 @@ def test_uniform_density_is_box_limited():
     assert is_box_limited(widths["number"], spatial)
 
 
+# ---------------------------------------------------------------------------
+# The smooth circular packet against the desk packet's pole-line vortex
+
+
+def _centroid_in_cells(spectrum, sgrid):
+    """Circular-mean centroid of the t = 0 number density, in cells from the origin."""
+    rho = number_density(synthesize(spectrum, sgrid, 0.0))
+    return np.array(observables._circular_mean(rho.data, sgrid)) / np.array(sgrid.delta_x)
+
+
+def _without_the_pole_line(spectrum):
+    """``spectrum`` with the modes on the line k_x = k_y = 0 zeroed, and their number."""
+    grid = spectrum.grid
+    on_line = (grid.k_vectors[..., 0] == 0.0) & (grid.k_vectors[..., 1] == 0.0)
+    number = grid.cell_weight * float(np.sum(np.abs(spectrum.c[:, on_line]) ** 2))
+    return PhotonSpectrum(grid, np.where(on_line, 0.0, spectrum.c)), number
+
+
+def test_the_circular_packet_is_centred_on_the_origin(desk_grid, desk_spatial):
+    circular = circular_spectrum(desk_grid, (0.0, 0.0, 10.0), 1.0)
+    assert np.max(np.abs(_centroid_in_cells(circular, desk_spatial))) < 0.01
+
+
+def test_the_pole_line_moves_the_desk_packet_and_not_the_circular_one(desk_grid, desk_spatial,
+                                                                       desk_packet):
+    """Zeroing the pole line (4% of the number) leaves the smooth packet's centroid
+    in place, and removes the desk packet's vortex offset of almost a cell."""
+    shifts = {}
+    circular = circular_spectrum(desk_grid, (0.0, 0.0, 10.0), 1.0)
+    for name, spectrum in (("circular", circular), ("desk", desk_packet)):
+        zeroed, number = _without_the_pole_line(spectrum)
+        assert 0.035 < number < 0.045, name
+        before, after = (_centroid_in_cells(s, desk_spatial) for s in (spectrum, zeroed))
+        shifts[name] = float(np.linalg.norm(after - before))
+    assert shifts["circular"] < 0.01
+    assert shifts["desk"] > 0.5
+
+
 FRACTIONS = (0.5, 0.9, 0.99, 1.0)
 
 
@@ -298,7 +338,7 @@ def test_divergence_is_the_summed_products(small_grid, small_spatial):
     packet = gaussian_spectrum(small_grid, (1.5, -1.0, 2.5), 0.6, (0.6, 0.8))
     current = photon_current(synthesize(packet, small_spatial, 0.3)).data
     engine = spectral_engine(small_grid, small_spatial)
-    assert np.array_equal(observables._divergence(current, engine),
+    assert np.array_equal(engine.divergence(current),
                           summed_product_divergence(current, small_grid, small_spatial))
 
 

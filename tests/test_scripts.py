@@ -89,9 +89,10 @@ def test_bench_pairs_summarizes_control_pairs_like_the_claim():
 
 
 def test_bench_pairs_resolves_a_ratio_outside_the_control_quartiles():
-    """Control ratios 0.9 to 1.1 in steps of 0.05 have quartiles 0.95 and 1.05:
-    a median ratio of 1.25 is resolved, one of 1.0 is not; a failed control
-    pair is skipped, and without control pairs nothing is resolved."""
+    """Control ratios 0.9 to 1.1 in steps of 0.05 span the range 0.9 to 1.1:
+    a median ratio of 1.25, on one side in every pair, is resolved, one of 1.0
+    is not; a failed control pair is skipped, and without control pairs
+    nothing is resolved."""
     summarize = _bench_pairs()["summarize"]
     base = {"op_s_p50": 1.0, "ops_per_s": 2.0}
     control = [_pair(base, {"op_s_p50": r, "ops_per_s": 2.0})
@@ -105,7 +106,8 @@ def test_bench_pairs_resolves_a_ratio_outside_the_control_quartiles():
 
 
 def test_bench_pairs_resolves_nothing_below_the_minimum_of_control_pairs():
-    """Two completed control pairs give null, five give a bool."""
+    """Two completed control pairs give null, five give a bool (a ratio of 1.25
+    in the one pair, outside the control range 1.0 to 1.0)."""
     namespace = _bench_pairs()
     summarize = namespace["summarize"]
     assert namespace["MIN_CONTROL_PAIRS"] == 5
@@ -114,6 +116,20 @@ def test_bench_pairs_resolves_nothing_below_the_minimum_of_control_pairs():
     control = [_pair(base, dict(base)) for _ in range(5)]
     for count, resolved in ((2, None), (5, True)):
         assert summarize(runs, BETTER, control[:count])["op_s_p50"]["resolved"] is resolved
+
+
+def test_bench_pairs_does_not_resolve_drift_inside_the_control_range():
+    """A median ratio of x1.102 with the change faster in 4 of 10 pairs lies outside
+    the quartiles of control ratios 0.81 to 1.26, but inside their range."""
+    summarize = _bench_pairs()["summarize"]
+    base = {"op_s_p50": 1.0, "ops_per_s": 2.0}
+    runs = [_pair(base, {"op_s_p50": c, "ops_per_s": 2.0})
+            for c in (0.95, 0.95, 0.95, 0.95, 1.102, 1.102, 1.2, 1.2, 1.2, 1.2)]
+    control = [_pair(base, {"op_s_p50": r, "ops_per_s": 2.0})
+               for r in (0.81, 0.9, 1.0, 1.1, 1.26)]
+    out = summarize(runs, BETTER, control)["op_s_p50"]
+    assert (out["median_ratio"], out["change_wins"]) == (1.102, 4)
+    assert out["resolved"] is False
 
 
 def test_bench_pairs_spread_gives_inclusive_quartiles():
@@ -194,6 +210,7 @@ def test_transport_demo_runs_and_reports_the_centroid_speed(capsys, monkeypatch)
 def test_localization_scan_runs_and_reports_three_widths(capsys, monkeypatch):
     out = _run_script("localization_scan.py", ["--n", "40", "--sigmas", "1.5"],
                       capsys, monkeypatch)
-    # sigma, r99 of number, |F|^2 and |psi|^2, 1/sigma, negative mass of number
+    # sigma, r99 of number, |F|^2 and |psi|^2, 1/sigma, negative mass of number; the
+    # 5 sigma ball about k0 = 10 reaches k = 17.5, beyond this grid's 11.4
     assert out.splitlines()[-1].split() == ["1.50", "3.4134", "3.6745", "3.4134", "0.6667",
-                                            "2.663e-12"]
+                                            "2.663e-12", "(clipped)"]
