@@ -17,12 +17,15 @@ next column the negative mass of the number density (the integral of
 max(-rho, 0), see ``observables.negative_mass``): rho is not positive
 definite, and this is how much of it reads as a negative probability.
 
-A packet whose 5 sigma ball about k0 leaves the sampled k-range on any axis
-is flagged ``(clipped)``: the grid cuts its spectrum, and part of the
-separation of its widths is that truncation.  The defaults (72^3 modes,
-delta_k = 0.6, so k reaches 21.0 >= 10 + 5 * 2.0) clip no packet; the
-earlier 48^3 grid of the same box did, and there r99 of |F|^2 at
-sigma = 1.5 read 1.1749 against 1.1454 on a 64^3 grid.
+A packet whose 5 sigma ball about k0 leaves the sampled k-range on any axis,
+or reaches the excluded zero mode (|k0| <= 5 sigma), is flagged
+``(clipped)``: the grid cuts its spectrum, and part of the separation of its
+widths is that truncation.  On the defaults (72^3 modes, delta_k = 0.6, so
+k reaches 21.0 >= 10 + 5 * 2.0) only sigma = 2.0 is flagged: its ball
+reaches k = 0, and its negative mass is four orders of magnitude above that
+of sigma = 1.5.  The earlier 48^3 grid of the same box cut the grid edge
+too, and there r99 of |F|^2 at sigma = 1.5 read 1.1749 against 1.1454 on a
+64^3 grid.
 
 Example
 -------
@@ -32,6 +35,7 @@ Example
 from __future__ import annotations
 
 import argparse
+import math
 
 from photonlab.densities import (
     bb_energy_density,
@@ -57,9 +61,10 @@ def parse_args() -> argparse.Namespace:
 
 
 def is_clipped(kgrid: WaveVectorGrid, k0, sigma: float) -> bool:
-    """True when the 5 sigma ball about ``k0`` leaves the sampled k-range on an axis."""
-    return any(k - 5.0 * sigma < axis[0] or k + 5.0 * sigma > axis[-1]
-               for k, axis in zip(k0, kgrid.axes))
+    """True when the 5 sigma ball about ``k0`` leaves the sampled k-range on an
+    axis or reaches the excluded zero mode."""
+    return math.hypot(*k0) <= 5.0 * sigma or any(
+        k - 5.0 * sigma < axis[0] or k + 5.0 * sigma > axis[-1] for k, axis in zip(k0, kgrid.axes))
 
 
 def main() -> None:

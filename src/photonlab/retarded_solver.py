@@ -55,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .mode_space import SpatialGrid, _read_only, l2_norm
-from .slabs import _in_slabs, _slab_bounds, _workers
+from .slabs import _in_slabs
 
 FOUR_PI = 4.0 * math.pi
 
@@ -65,10 +65,10 @@ FOUR_PI = 4.0 * math.pi
 # chunk on the calling thread.
 _EVAL_CHUNK = 32
 
-# (point, cell) pairs per block of whole z-rows of cells.  A block's work
-# arrays (512 kB per float64 or index array) and its interpolation operator
-# (1.5 MB: two float64 weights and one slice index per pair) stay in cache
-# while the operator is built and applied at every time that reuses it.
+# (point, cell) pairs per block of whole z-rows of cells.  A block's arrays
+# (512 kB per float64 or index array) and its interpolation operator (1.5 MB:
+# two float64 weights and one slice index per pair) stay in cache while the
+# operator is built and applied at every time that reuses it.
 _BLOCK_PAIRS = 2**16
 
 # Slack, in source steps, allowed when checking retarded times against the
@@ -137,6 +137,9 @@ class SourceCurrent:
                 f"profiles shape {rows.shape} does not match (r,) + grid.n_per_axis + (4,) "
                 f"= {expected}"
             )
+        for name in ("t0", "delta_t"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_times > 1 and self.delta_t <= 0:
             raise ValueError("delta_t must be positive for a multi-slice source")
         if self.delta_t < 0:
@@ -254,15 +257,14 @@ class PotentialField:
     """Potentials sampled on evaluation points (or a grid) over listed times.
 
     ``phi_over_c`` has a leading time axis of length ``len(times)``; ``A``
-    carries a trailing component axis.  Exactly one of ``grid`` / ``points``
-    is set, according to how the evaluation targets were supplied.
+    carries a trailing component axis.  ``grid`` is the evaluation grid, or
+    None when the targets were points (point mode), in the order given.
     """
 
     phi_over_c: np.ndarray
     A: np.ndarray
     times: tuple[float, ...]
     grid: SpatialGrid | None = None
-    points: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         phi = _as_float_array(self.phi_over_c, "phi_over_c")
@@ -274,8 +276,6 @@ class PotentialField:
             raise ValueError(f"A shape {vec.shape} does not match phi shape {phi.shape} + (3,)")
         if phi.shape[0] != len(self.times):
             raise ValueError("leading axis must match the number of evaluation times")
-        if (self.grid is None) == (self.points is None):
-            raise ValueError("exactly one of grid/points must be given")
         if self.grid is not None and phi.shape[1:] != self.grid.n_per_axis:
             raise ValueError("grid-mode arrays must have shape (n_times,) + grid shape")
 
@@ -314,18 +314,14 @@ def _distance_range(squares: tuple[np.ndarray, np.ndarray], r_reg: float) -> tup
             float(np.maximum(np.sqrt(high.max()), r_reg)))
 
 
-def _distances(squares: tuple[np.ndarray, np.ndarray], rows: slice, r_reg: float,
-               out: np.ndarray) -> np.ndarray:
+def _distances(squares: tuple[np.ndarray, np.ndarray], rows: slice, r_reg: float) -> np.ndarray:
     """(n_points, n_block) distances, floored at ``r_reg``, to the cells of
-    the z-rows ``rows``, numbered as in the profile rows; written into the
-    front of the flat buffer ``out``."""
+    the z-rows ``rows``, numbered as in the profile rows."""
     sxy, sz = squares
-    shape = (sxy.shape[0], rows.stop - rows.start, sz.shape[1])
-    dist = out[:math.prod(shape)].reshape(shape)
-    np.add(sxy[:, rows, None], sz[:, None, :], out=dist)
+    dist = np.add(sxy[:, rows, None], sz[:, None, :])
     np.sqrt(dist, out=dist)
     np.maximum(dist, r_reg, out=dist)
-    return dist.reshape(shape[0], -1)
+    return dist.reshape(sxy.shape[0], -1)
 
 
 def _shift_groups(
@@ -357,47 +353,29 @@ def _shift_groups(
     return groups
 
 
-class _BlockWork:
-    """One worker's arrays for the blocks of its chunks: (pairs,) or (pairs, 2)
-    each, and one (points, 4) product.
-
-    ``offset`` holds a block's retarded times in source steps while an
-    operator is built, and the weighted coefficients of one rank after.
-    ``weights`` and ``index`` hold the operator a group of times shares.
-    """
-
-    def __init__(self, pairs: int, n_chunk: int) -> None:
-        self.dist = np.empty(pairs)
-        self.kernel = np.empty(pairs)
-        self.offset = np.empty(pairs)
-        self.gathered = np.empty((pairs, 2))
-        self.weights = np.empty((pairs, 2))
-        self.index = np.empty(pairs, dtype=np.intp)
-        self.product = np.empty((n_chunk, 4))
-
-
 def _interpolation_operator(
-    offset: np.ndarray, kernel: np.ndarray, n_times: int, weights: np.ndarray, index: np.ndarray
-) -> int:
+    offset: np.ndarray, kernel: np.ndarray, n_times: int
+) -> tuple[int, np.ndarray, np.ndarray]:
     """One block's retarded-time interpolation, as two weights and a slice per pair.
 
     ``offset`` and ``kernel`` are (pairs,); ``offset`` holds the retarded
     times in source steps (overwritten).  Clipped to the window, an offset is
     ``i + frac`` with ``i`` at most ``n_times - 2``; the pair's row of
-    ``weights`` (pairs, 2) becomes ``[kernel * (1 - frac), kernel * frac]``
-    and its ``index`` (pairs,) ``i - first``.  Returns ``first``, the
-    earliest slice the operator reads.
+    ``weights`` (pairs, 2) is ``[kernel * (1 - frac), kernel * frac]`` and
+    its ``index`` (pairs,) ``i - first``.  Returns ``(first, weights,
+    index)``, with ``first`` the earliest slice the operator reads.
     """
     np.clip(offset, 0.0, n_times - 1.0, out=offset)
-    np.copyto(index, offset, casting="unsafe")  # truncates, as astype does
+    index = offset.astype(np.intp)
     np.minimum(index, n_times - 2, out=index)
     frac = np.subtract(offset, index, out=offset)
     first = int(index.min())
+    weights = np.empty(offset.shape + (2,))
     np.subtract(1.0, frac, out=weights[:, 0])
     weights[:, 0] *= kernel
     np.multiply(kernel, frac, out=weights[:, 1])
     index -= first
-    return first
+    return first, weights, index
 
 
 def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
@@ -413,13 +391,12 @@ def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
     range is raised.  Single-slice sources are treated as static and skip
     the window check.
 
-    Besides the output, a call holds one set of block work arrays per worker
-    thread that has chunks to evaluate, 64 bytes for each (point, cell) pair
-    of a block, of which there are at most ``max(_BLOCK_PAIRS, n_chunk *
-    nz)`` (4.2 MB per worker for the 2**16 pairs of a block that spans
-    several z-rows), and the squared offsets of its current chunk, 8 bytes
-    per point and z-row of cells, with ``n_chunk`` the points of a chunk and
-    ``nz`` the source cells per z-row.  None of it grows with the number of
+    Besides the output, each worker thread holds the squared offsets of its
+    current chunk (8 bytes per point and z-row of cells) and the arrays of
+    its current block, allocated per block: 64 bytes per (point, cell) pair,
+    at most ``max(_BLOCK_PAIRS, 32 * nz)`` pairs with ``nz`` cells per z-row
+    (4.2 MB for 2**16 pairs), and 24 more per pair while a later group of
+    times replaces its operator.  None of it grows with the number of
     blocks, chunks, times or ranks.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
@@ -452,29 +429,24 @@ def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
     padded = np.pad(coefficients, ((0, 0), (1, 1)))
     brackets = np.stack((padded[:, :-1], padded[:, 1:]), axis=-1)
     profiles = src.profiles.reshape(rank, -1, 4)
-    n_cells = profiles.shape[1]
     n_z = src.n_per_axis[2]
-    n_rows = n_cells // n_z
+    n_rows = profiles.shape[1] // n_z
     n_points = points.shape[0]
     weight = src.grid.cell_volume / FOUR_PI
     values = np.zeros((times.size, n_points, 4))
 
     chunks = [slice(lo, min(lo + _EVAL_CHUNK, n_points))
               for lo in range(0, n_points, _EVAL_CHUNK)]
-    # The first chunk is the largest; _in_slabs hands out these slabs of chunks.
-    n_chunk = max(1, min(_EVAL_CHUNK, n_points))
-    pairs = min(n_chunk * n_cells, max(_BLOCK_PAIRS, n_chunk * n_z))
-    work = {slab.start: _BlockWork(pairs, n_chunk)
-            for slab in _slab_bounds(len(chunks), _workers())}
 
-    def add_block(squares, rows, groups, arrays, out):
+    def add_block(squares, rows, groups, out):
         """Add the contribution of the cells in z-rows ``rows`` to ``out``
         (times, points, 4), rank by rank."""
-        dist = _distances(squares, rows, r_reg, arrays.dist)
-        n_pairs = dist.size
-        kernel = np.divide(weight, dist, out=arrays.kernel[:n_pairs].reshape(dist.shape))
-        weighted = arrays.offset[:n_pairs].reshape(dist.shape)
-        product = arrays.product[:dist.shape[0]]
+        dist = _distances(squares, rows, r_reg)
+        kernel = np.divide(weight, dist)
+        # The retarded times in source steps while an operator is built, then
+        # the weighted coefficients of one rank.
+        weighted = np.empty(dist.shape)
+        product = np.empty((dist.shape[0], 4))
         cells = slice(rows.start * n_z, rows.stop * n_z)
         if static:
             for q in range(rank):
@@ -482,23 +454,22 @@ def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
                 np.matmul(weighted, profiles[q, cells], out=product)
                 out += product
             return
-        dist, kernel, offset = dist.reshape(-1), kernel.reshape(-1), arrays.offset[:n_pairs]
-        gathered = arrays.gathered[:n_pairs]
-        weights, index = arrays.weights[:n_pairs], arrays.index[:n_pairs]
+        dist, kernel, offset = dist.reshape(-1), kernel.reshape(-1), weighted.reshape(-1)
+        gathered = np.empty((dist.size, 2))
         for group in groups:
             # The group's first time builds the operator; a time `shift` steps
             # later applies it to the coefficients `shift` slices on.
             np.subtract(times[group[0][0]], dist, out=offset)
             offset -= src.t0
             offset /= src.delta_t
-            first = _interpolation_operator(offset, kernel, n_times, weights, index)
+            first, weights, index = _interpolation_operator(offset, kernel, n_times)
             for k, shift in group:
                 # w0 * c[i] + w1 * c[i + 1] per pair, into `weighted`.
                 for q in range(rank):
                     np.take(brackets[q, first + shift + 1:], index, axis=0, mode="clip",
                             out=gathered)
                     gathered *= weights
-                    np.add(gathered[:, 0], gathered[:, 1], out=weighted.reshape(-1))
+                    np.add(gathered[:, 0], gathered[:, 1], out=offset)
                     np.matmul(weighted, profiles[q, cells], out=product)
                     out[k] += product
 
@@ -528,7 +499,7 @@ def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
             block_rows = max(1, _BLOCK_PAIRS // (n_z * (targets.stop - targets.start)))
             for row in range(0, n_rows, block_rows):
                 add_block(squares, slice(row, min(row + block_rows, n_rows)), groups,
-                          work[slab.start], values[:, targets])
+                          values[:, targets])
 
     _in_slabs(run, len(chunks))
 
@@ -537,8 +508,7 @@ def retarded_potential(src: SourceCurrent, eval_points, t) -> PotentialField:
     if grid is not None:
         phi = phi.reshape((times.size,) + grid.n_per_axis)
         vec = vec.reshape((times.size,) + grid.n_per_axis + (3,))
-        return PotentialField(phi, vec, tuple(times), grid=grid)
-    return PotentialField(phi, vec, tuple(times), points=points)
+    return PotentialField(phi, vec, tuple(times), grid=grid)
 
 
 def _require_stencil(pf: PotentialField) -> tuple[float, tuple[float, float, float]]:

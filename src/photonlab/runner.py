@@ -182,16 +182,19 @@ class RunReport:
         return [name for result in self.results for name in result.failed_names()]
 
 
+# The exact SI defining constants, as the floats scipy.constants gives them.
+_HBAR = 6.62607015e-34 / (2 * math.pi)  # J s
+_C = 299792458.0  # m / s
+
+
 def _si_scale_lines(cfg: ScenarioConfig) -> list[str]:
     if cfg.units.system != "si":
         return []
-    from scipy import constants
-
     length = cfg.units.length_scale_m
     return [
-        f"units.energy_scale_J = {constants.hbar * constants.c / length:.17g}",
+        f"units.energy_scale_J = {_HBAR * _C / length:.17g}",
         f"units.length_scale_m = {length:.17g}",
-        f"units.time_scale_s = {length / constants.c:.17g}",
+        f"units.time_scale_s = {length / _C:.17g}",
     ]
 
 

@@ -18,8 +18,16 @@ runs slabs of whole chunks of evaluation points on the same pool.
 
 A slab owns its outputs: a callback writes only its own part of arrays that
 its caller allocated (``out=`` and in-place ufuncs), so no two slabs touch
-one element.  It allocates nothing of its own beyond small temporaries: the
-C library keeps memory freed on a pool thread in that thread's heap.
+one element.  The C library keeps memory freed on a pool thread in that
+thread's heap, so a callback bounds what it allocates itself:
+
+* each per-mode or per-point pass above allocates nothing beyond small
+  temporaries (slab-local arrays there raise the peak resident set by
+  megabytes);
+* a quadrature chunk holds the arrays of one cell block at a time, each
+  allocated in its block: 64 bytes per (point, cell) pair (88 while a later
+  group of times builds its operator) for at most the quadrature's
+  ``max(_BLOCK_PAIRS, 32 * nz)`` pairs, ``nz`` the source cells per z-row.
 
 :func:`_writer` is one more thread, there whatever ``PHOTONLAB_THREADS``
 says: ``photonlab run`` hands it each finished density to write, hash and

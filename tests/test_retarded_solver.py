@@ -533,6 +533,10 @@ def test_source_shape_validation():
     src = SourceCurrent(np.ones((2, 1)), np.zeros((1, 3, 3, 3, 4)), cube, delta_t=0.5)
     with pytest.raises(ValueError, match=r"profiles shape \(1, 3, 3, 2, 4\) does not match"):
         replace(src, profiles=np.zeros((1, 3, 3, 2, 4)))
+    # a non-finite slice time is named, not carried into the quadrature
+    for name, value in (("t0", np.nan), ("t0", np.inf), ("delta_t", np.nan), ("delta_t", np.inf)):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            replace(src, **{name: value})
     # an edit is copied and frozen exactly as a new source is
     profiles = np.ones((1, 3, 3, 3, 4))
     edited = replace(src, profiles=profiles)

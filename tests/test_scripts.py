@@ -214,3 +214,14 @@ def test_localization_scan_runs_and_reports_three_widths(capsys, monkeypatch):
     # 5 sigma ball about k0 = 10 reaches k = 17.5, beyond this grid's 11.4
     assert out.splitlines()[-1].split() == ["1.50", "3.4134", "3.6745", "3.4134", "0.6667",
                                             "2.663e-12", "(clipped)"]
+
+
+def test_localization_scan_flags_a_packet_that_reaches_the_zero_mode():
+    """On the default 72^3 grid no 5 sigma ball about k0 = 10 x reaches the grid
+    edge, but at sigma = 2.0 it reaches the excluded k = 0."""
+    from photonlab.mode_space import WaveVectorGrid
+
+    is_clipped = runpy.run_path(str(SCRIPT_DIR / "localization_scan.py"))["is_clipped"]
+    kgrid = WaveVectorGrid.centered((72,) * 3, (0.6,) * 3)
+    assert is_clipped(kgrid, (10.0, 0.0, 0.0), 2.0)
+    assert not is_clipped(kgrid, (10.0, 0.0, 0.0), 1.5)
