@@ -41,9 +41,10 @@ momentum operands behind it are not kept) and the wave fields F and psi.
 their data before modifying it.
 
 The contractions and cross products follow the slab rule of
-:mod:`photonlab.slabs`.  Every ``DensityField.data`` stays C-ordered
-(nx, ny, nz[, c]), because ``integral`` sums in memory order: the same
-layout gives the same sums.
+:mod:`photonlab.slabs`; a contraction's scratch holds one group of
+x-planes.  Every ``DensityField.data`` stays C-ordered (nx, ny, nz[, c]),
+because ``integral`` sums in memory order: the same layout gives the same
+sums.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from . import field_synthesis as fs
 # re-exported: the frequency powers are applied in field_synthesis, under this public name too
 from .field_synthesis import apply_frequency_operator  # noqa: F401
 from .mode_space import SpatialGrid, _read_only, broadcast_along
-from .slabs import _cross, _in_slabs
+from .slabs import _cross, _in_plane_groups
 
 # E+ = i omega A+ gives Im(A+ . conj(E+)) = -omega |A+|^2, so sigma = -1 makes rho >= 0
 SIGMA = -1
@@ -92,17 +93,17 @@ class DensityField:
 def _contract_pair(subscripts, first, second, combine, shape):
     """combine(einsum(subscripts, *first), einsum(subscripts, *second)), C-ordered ``shape``.
 
-    Evaluated in x-slabs into two arrays allocated here.
+    Evaluated per group of x-planes into the array returned, the second
+    einsum into a scratch array of that group.
     """
     out = np.empty(shape)
-    scratch = np.empty(shape)
 
-    def contract(x):
-        np.einsum(subscripts, *(op[x] for op in first), out=out[x])
-        np.einsum(subscripts, *(op[x] for op in second), out=scratch[x])
-        combine(out[x], scratch[x], out=out[x])
+    def contract(g):
+        np.einsum(subscripts, *(op[g] for op in first), out=out[g])
+        scratch = np.einsum(subscripts, *(op[g] for op in second), out=np.empty(out[g].shape))
+        combine(out[g], scratch, out=out[g])
 
-    _in_slabs(contract, shape[0])
+    _in_plane_groups(contract, shape)
     return out
 
 

@@ -35,7 +35,11 @@ keeps engines.  A :class:`FieldSnapshot` holds its spectrum and its engine:
 densities and observables read the helicity, the grids and the fields at
 other times from the snapshot alone.  Work arrays are component-major (see
 :mod:`photonlab.mode_space`), and the FFTs and per-mode passes follow the
-slab rule of :mod:`photonlab.slabs`.  The FFT path is checked against the
+slab rule of :mod:`photonlab.slabs`.  The per-mode multipliers (the two FFT
+phases from their per-axis factors, the mode factor omega^{-1/2} and
+exp(-i omega t) from the level table) are per-plane temporaries: each pass
+forms them for one group of x-planes at a time, so neither the engine nor a
+snapshot keeps a full-grid phase.  The FFT path is checked against the
 direct quadrature of :mod:`photonlab.oracle`.
 """
 
@@ -59,7 +63,7 @@ from .mode_space import (
 )
 # kept here only because perfbench/tracer.py traces the oracle under this module's name
 from .oracle import synthesize_at_points  # noqa: F401
-from .slabs import _cross, _in_slabs, _multiply, _workers
+from .slabs import _cross, _in_plane_groups, _multiply, _workers
 
 
 def _memo(owner, key: str, build):
@@ -74,10 +78,19 @@ def _memo(owner, key: str, build):
     return kept[key]
 
 
-def _separable_phase(angles):
-    """exp(i (a0[i] + a1[j] + a2[l])) on the 3-D grid from three 1-D angle arrays."""
-    x, y, z = (np.exp(1j * a) for a in angles)
-    return x[:, None, None] * y[None, :, None] * z[None, None, :]
+def _phase_factors(angles):
+    """The per-axis factors exp(i a) of the phase exp(i (a0[i] + a1[j] + a2[l]))."""
+    return tuple(_read_only(np.exp(1j * a)) for a in angles)
+
+
+def _phase(factors, g):
+    """The separable phase of the per-axis ``factors`` on the x-planes ``g``.
+
+    Formed as (x y) z, so each element is the one a full-grid table
+    x[:, None, None] * y[None, :, None] * z[None, None, :] would hold.
+    """
+    x, y, z = factors
+    return (x[g, None, None] * y[None, :, None]) * z[None, None, :]
 
 
 class SpectralEngine:
@@ -85,11 +98,13 @@ class SpectralEngine:
 
     With k = k_min + j dk and x = origin + n dx, the grid-order mode sum
     sum_k c(k) exp(i k.x) is the inverse DFT of c(k) exp(i k.origin), times
-    exp(i k_min.(x - origin)); ``phase_k`` and ``phase_x`` are those two
-    factors.  :meth:`time_phase` evaluates exp(-i omega t) once per distinct
-    frequency.  Build it through :func:`spectral_engine`.  It is shared by
-    the whole process, so it keeps nothing of any one spectrum, and all its
-    arrays are read-only.
+    exp(i k_min.(x - origin)).  ``phase_k`` and ``phase_x`` are the per-axis
+    factors of those two phases, formed on the grid one group of x-planes
+    at a time where a pass applies them.  exp(-i omega t) is evaluated once
+    per distinct frequency and gathered per group from the level table.
+    Build it through :func:`spectral_engine`.  It is shared by the whole
+    process, so it keeps nothing of any one spectrum, and all its arrays are
+    read-only: no full-grid complex array among them.
     """
 
     def __init__(self, kgrid: WaveVectorGrid, sgrid: SpatialGrid):
@@ -97,26 +112,43 @@ class SpectralEngine:
             raise ValueError("unpaired grids in FFT mode (delta_x != 2 pi / (n delta_k))")
         self.kgrid = kgrid
         self.sgrid = sgrid
-        mask = kgrid.exclusion_mask
-        safe = np.where(mask, 1.0, kgrid.omega)
-        self.mode_factor = _read_only(np.where(mask, 0.0, 1.0 / np.sqrt(safe)))
-        self.phase_k = _read_only(_separable_phase(
-            [k * o for k, o in zip(kgrid.axes, sgrid.origin)]
-        ))
-        self.phase_x = _read_only(_separable_phase(
+        self.phase_k = _phase_factors([k * o for k, o in zip(kgrid.axes, sgrid.origin)])
+        self.phase_x = _phase_factors(
             [(x - o) * k for x, o, k in zip(sgrid.axes, sgrid.origin, kgrid.k_min)]
-        ))
+        )
         levels, index = np.unique(kgrid.omega, return_inverse=True)
         self._levels = _read_only(levels)
-        self._level_index = _read_only(index.reshape(kgrid.n_per_axis))
+        self._level_index = _read_only(
+            index.reshape(kgrid.n_per_axis).astype(np.min_scalar_type(levels.size - 1)))
+
+    def mode_factor(self, g):
+        """omega^{-1/2} on the x-planes ``g``, 0 on the excluded modes."""
+        mask = self.kgrid.exclusion_mask[g]
+        safe = np.where(mask, 1.0, self.kgrid.omega[g])
+        return np.where(mask, 0.0, 1.0 / np.sqrt(safe))
 
     def time_phase(self, t: float):
         """exp(-i omega t) per mode, one exponential per distinct omega.
 
         Each element is the same expression on the same float as
-        ``np.exp(-1j * omega * t)``, so the two are bitwise equal.
+        ``np.exp(-1j * omega * t)``, so the two are bitwise equal.  The
+        passes gather it per group of x-planes instead (:meth:`_evolve`).
         """
         return np.exp(-1j * self._levels * t)[self._level_index]
+
+    def _scale(self, src, factor, out):
+        """out = src * factor(g) on each group g of x-planes, component axes leading."""
+
+        def fill(g):
+            np.multiply(src[..., g, :, :], factor(g), out=out[..., g, :, :])
+
+        _in_plane_groups(fill, self.kgrid.n_per_axis)
+        return out
+
+    def _evolve(self, coeffs, t: float, out):
+        """out = coeffs * exp(-i omega t), gathered per group of x-planes."""
+        per_level = np.exp(-1j * self._levels * t)
+        return self._scale(coeffs, lambda g: per_level[self._level_index[g]], out)
 
     def to_field(self, coeffs):
         """sum_k coeffs(k) exp(i k.x) on the spatial grid with one inverse FFT.
@@ -127,21 +159,23 @@ class SpectralEngine:
         place, and the field comes back as the same view of that buffer.
         """
         work = leading(coeffs)
-        return trailing(self._transform(_multiply(work, self.phase_k, work)), coeffs.ndim - 3)
+        self._scale(work, lambda g: _phase(self.phase_k, g), work)
+        return trailing(self._transform(work), coeffs.ndim - 3)
 
     def _transform(self, work):
         """In-place inverse FFT of component-first coefficients that carry ``phase_k``."""
         field = _sfft.ifftn(work, axes=(-3, -2, -1), norm="forward",
                             overwrite_x=True, workers=_workers())
-        return _multiply(field, self.phase_x, field)
+        return self._scale(field, lambda g: _phase(self.phase_x, g), field)
 
     def to_spectrum(self, field):
         """Inverse of :meth:`to_field` (exact for on-grid band-limited fields)."""
         lead = leading(field)
-        work = np.multiply(lead, np.conj(self.phase_x), out=np.empty(lead.shape, np.complex128))
+        work = self._scale(lead, lambda g: np.conj(_phase(self.phase_x, g)),
+                           np.empty(lead.shape, np.complex128))
         coeffs = _sfft.fftn(work, axes=(-3, -2, -1), norm="forward",
                             overwrite_x=True, workers=_workers())
-        coeffs *= np.conj(self.phase_k)
+        self._scale(coeffs, lambda g: np.conj(_phase(self.phase_k, g)), coeffs)
         return trailing(coeffs, field.ndim - 3)
 
     def divergence(self, vec):
@@ -179,18 +213,17 @@ class SpectralEngine:
         e_plus = leading(build_basis(self.kgrid))
         c_plus, c_minus = s.c
         amp = np.empty(e_plus.shape, np.complex128)
-        term = np.empty_like(amp)
 
-        def fill(x):
+        def fill(g):
             # c+ e+ + c- conj(e+), then times i weight * mode_factor (formed in term[0])
-            np.multiply(c_plus[x], e_plus[:, x], out=amp[:, x])
-            np.conjugate(e_plus[:, x], out=term[:, x])
-            np.multiply(c_minus[x], term[:, x], out=term[:, x])
-            np.add(amp[:, x], term[:, x], out=amp[:, x])
-            np.multiply(1j * weight, self.mode_factor[x], out=term[0, x])
-            np.multiply(amp[:, x], term[0, x], out=amp[:, x])
+            np.multiply(c_plus[g], e_plus[:, g], out=amp[:, g])
+            term = np.conjugate(e_plus[:, g])
+            np.multiply(c_minus[g], term, out=term)
+            np.add(amp[:, g], term, out=amp[:, g])
+            np.multiply(1j * weight, self.mode_factor(g), out=term[0])
+            np.multiply(amp[:, g], term[0], out=amp[:, g])
 
-        _in_slabs(fill, amp.shape[1])
+        _in_plane_groups(fill, self.kgrid.n_per_axis)
         return trailing(amp, 1)
 
     def snapshot(self, s: PhotonSpectrum, amplitude, t: float) -> FieldSnapshot:
@@ -204,23 +237,23 @@ class SpectralEngine:
     def _coefficients(self, amp, t: float):
         """(6, nx, ny, nz) mode amplitudes of A+ and E+ at time t, times ``phase_k``.
 
-        Its per-mode buffers are freed on return, before the transform.
+        Its per-mode multipliers are formed one group of x-planes at a time.
         """
         omega = self.kgrid.omega
-        factor = self.time_phase(t)
+        per_level = np.exp(-1j * self._levels * t)
         work = np.empty((6,) + omega.shape, dtype=np.complex128)
 
-        def fill(x):
+        def fill(g):
             # exp(-i omega t) and phase_k as one per-mode multiplier
-            f = factor[x]
-            f *= self.phase_k[x]
-            np.multiply(amp[:, x], f, out=work[:3, x])
+            f = per_level[self._level_index[g]]
+            f *= _phase(self.phase_k, g)
+            np.multiply(amp[:, g], f, out=work[:3, g])
             # i omega in the first E+ slot, which the last product overwrites
-            i_omega = np.multiply(1j, omega[x], out=work[3, x])
+            i_omega = np.multiply(1j, omega[g], out=work[3, g])
             f *= i_omega
-            np.multiply(amp[:, x], f, out=work[3:, x])
+            np.multiply(amp[:, g], f, out=work[3:, g])
 
-        _in_slabs(fill, omega.shape[0])
+        _in_plane_groups(fill, omega.shape)
         return work
 
 
@@ -283,9 +316,10 @@ class FieldSnapshot:
     ``amplitude`` is the time-independent vector mode amplitude of A+, so
     that spectral operators can be applied later without a forward FFT;
     it is the spectrum's own, except in the corrupted-convention control.
-    ``time_phase`` (exp(-i omega t) per mode), ``B_plus`` and ``psi`` are
-    formed on first access, so number-only runs never transform B+;
-    ``a_coeffs`` (the amplitude times the time phase) is formed on each.
+    ``B_plus`` and ``psi`` are formed on first access, so number-only runs
+    never transform B+; ``a_coeffs`` (the amplitude times exp(-i omega t))
+    is formed on each.  No time phase is kept: each pass gathers it per
+    group of x-planes from the engine's level table.
     """
 
     t: float
@@ -303,14 +337,10 @@ class FieldSnapshot:
     def sgrid(self) -> SpatialGrid:
         return self.engine.sgrid
 
-    @cached_property
-    def time_phase(self):
-        return self.engine.time_phase(self.t)
-
     @property
     def a_coeffs(self):
         amp = leading(self.amplitude)
-        return trailing(_multiply(amp, self.time_phase, np.empty(amp.shape, np.complex128)), 1)
+        return trailing(self.engine._evolve(amp, self.t, np.empty(amp.shape, np.complex128)), 1)
 
     @cached_property
     def B_plus(self):
@@ -346,7 +376,7 @@ class FieldSnapshot:
         k, amp = leading(self.kgrid.k_vectors), leading(self.amplitude)
         op_coeffs = np.empty((3, 3) + self.kgrid.n_per_axis, np.complex128)
         _multiply(k[:, None], amp[None, :], op_coeffs)
-        _multiply(op_coeffs, self.time_phase, op_coeffs)
+        self.engine._evolve(op_coeffs, self.t, op_coeffs)
         return self.engine.to_field(trailing(op_coeffs, 2))
 
 

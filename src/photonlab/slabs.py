@@ -6,10 +6,10 @@ threads: the CPUs the process may run on, or ``PHOTONLAB_THREADS`` clamped
 to [1, that count].  pocketfft splits its 1-D lines over them, so a
 transform does not depend on the count.
 
-The per-mode and per-point passes (the time phase and the two FFT phase
-factors of a transform, the amplitude, the cross products, the density
-bilinears of :mod:`photonlab.densities` and the oracle's own amplitude) run
-through :func:`_in_slabs`: one call per contiguous slab of the leading
+The per-mode and per-point passes (the time phase and the two FFT phases
+of a transform, the amplitude, the cross products, the density bilinears of
+:mod:`photonlab.densities` and the oracle's own amplitude) run through
+:func:`_in_slabs`: one call per contiguous slab of the leading
 spatial axis x, the first on the calling thread and the others on one
 process-wide pool.  No pass reduces across x, and each element sees the same
 operations in the same order, so every output is bitwise identical for any
@@ -23,7 +23,11 @@ thread's heap, so a callback bounds what it allocates itself:
 
 * each per-mode or per-point pass above allocates nothing beyond small
   temporaries (slab-local arrays there raise the peak resident set by
-  megabytes);
+  megabytes).  A pass whose operands are formed per mode (a phase from its
+  per-axis factors, the mode factor, the time phase gathered from its
+  level table, a contraction's scratch) forms them per-plane: over the runs
+  of :func:`_plane_groups`, whole x-planes of about :data:`_GROUP_MODES`
+  modes each, through :func:`_in_plane_groups`;
 * a quadrature chunk holds the arrays of one cell block at a time, each
   allocated in its block: 64 bytes per (point, cell) pair (88 while a later
   group of times builds its operator) for at most the quadrature's
@@ -112,6 +116,29 @@ def _in_slabs(fn, n: int):
         wait(futures)
     for future in futures:
         future.result()
+
+
+#: modes per group of x-planes whose temporaries a slab pass forms at once
+_GROUP_MODES = 2**13
+
+
+def _plane_groups(x: slice, plane: int):
+    """The x-slab ``x`` in runs of whole x-planes of ``plane`` modes each, about
+    :data:`_GROUP_MODES` modes per run (one plane at least)."""
+    step = max(1, _GROUP_MODES // plane)
+    return [slice(lo, min(lo + step, x.stop)) for lo in range(x.start, x.stop, step)]
+
+
+def _in_plane_groups(fn, shape):
+    """Call ``fn(g)`` for each run g of :func:`_plane_groups` of the x-slabs of an
+    (nx, ny, nz, ...) ``shape``; the slabs run as in :func:`_in_slabs`."""
+    plane = shape[1] * shape[2]
+
+    def slab(x):
+        for g in _plane_groups(x, plane):
+            fn(g)
+
+    _in_slabs(slab, shape[0])
 
 
 def _multiply(a, b, out):

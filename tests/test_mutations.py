@@ -3,8 +3,10 @@
 Each entry copies the package under ``tmp_path``, replaces the text ``old``
 of one file (it must occur there exactly once, so a moved line fails the
 entry by name instead of mutating nothing) by ``new``, and runs the check
-``check`` of :mod:`photonlab.registry` on the copy in a fresh interpreter;
-its metric ``metric`` must then fail.  The same check run on an unmutated
+``check`` of :mod:`photonlab.registry` (an acceptance check or a negative
+control) on the copy in a fresh interpreter; its metric ``metric`` must
+then fail.  A control's metric fails when the control no longer injects
+its fault, or its check no longer sees it.  The same check run on an unmutated
 copy passes every metric, so a failure is the fault's and not the
 harness's.  The package itself has no hook for any of this.
 
@@ -55,6 +57,18 @@ MUTATIONS = (
     ("second-weight-one-minus-fraction", "retarded_solver.py",
      "np.multiply(kernel, frac, out=weights[:, 1])",
      "np.multiply(kernel, 1.0 - frac, out=weights[:, 1])", "retarded-solver", "gauge_residual"),
+    ("scalar-sign-dropped", "registry.py", "metric_sign=(1, 1, -1)", "metric_sign=(1, 1, 1)",
+     "longitudinal-cancellation", "matched_residual"),
+    ("mismatch-matched", "registry.py", "apply_create(one, 2), -r)",
+     "apply_create(one, 2), -1.0)", "longitudinal-cancellation", "mismatch_detected"),
+    ("corruption-dropped", "registry.py", "weight = (2.0 * math.pi) ** 1.5 * desk_grid()",
+     "weight = desk_grid()", "control-corrupted-convention", "norm_drift_detected"),
+    ("deficit-dropped", "registry.py", "profiles=src.profiles * (1.0, 0.5, 0.5, 0.5)",
+     "profiles=src.profiles * (1.0, 1.0, 1.0, 1.0)", "control-nonconserved-source",
+     "conservation_detected"),
+    ("deficit-dropped", "registry.py", "profiles=src.profiles * (1.0, 0.5, 0.5, 0.5)",
+     "profiles=src.profiles * (1.0, 1.0, 1.0, 1.0)", "control-nonconserved-source",
+     "gauge_detected"),
 )
 
 CHECKS = sorted({entry[4] for entry in MUTATIONS})
@@ -64,7 +78,7 @@ import json, sys
 import photonlab
 from photonlab import registry
 assert photonlab.__file__.startswith(sys.argv[1]), photonlab.__file__
-checks = dict(registry.ACCEPTANCE_CHECKS)
+checks = dict(registry.ACCEPTANCE_CHECKS + registry.CONTROL_CHECKS)
 print(json.dumps({check: {metric.label: [metric.ok, metric.value] for metric in checks[check]()}
                   for check in sys.argv[2:]}))
 """

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from photonlab import config, densities, oracle, registry, runner, slabs
 from photonlab.field_synthesis import (
     SpatialGrid,
+    SpectralEngine,
     spectral_engine,
     spectrum_to_field,
     synthesize,
@@ -156,12 +157,28 @@ def test_interleaved_grid_pairs_use_their_own_engine():
 
 
 def test_engine_arrays_are_read_only(small_grid, small_spatial, small_packet):
+    """The per-axis phase factors, the level table and a spectrum's kept amplitude."""
     engine = spectral_engine(small_grid, small_spatial)
     amplitude = engine.amplitude(small_packet)
-    for arr in (engine.mode_factor, engine.phase_k, engine.phase_x, amplitude):
+    arrays = (*engine.phase_k, *engine.phase_x, engine._levels, engine._level_index, amplitude)
+    for arr in arrays:
         with pytest.raises(ValueError):
-            arr[0, 0, 0] = 1.0
+            arr[(0,) * arr.ndim] = 1
     assert engine.amplitude(small_packet) is amplitude
+
+
+def test_the_engine_holds_no_full_grid_complex_array():
+    """Per-axis phase factors and a level table: at 64^3 the one full-grid array
+    is the level index, uint16 for the grid's 1914 frequencies."""
+    grid = registry.desk_grid()
+    engine = spectral_engine(grid, registry.desk_spatial())
+    arrays = [value for item in vars(engine).values()
+              for value in (item if isinstance(item, tuple) else (item,))
+              if isinstance(value, np.ndarray)]
+    assert len(arrays) == 8  # three factors of each phase, the levels and their index
+    big = [a for a in arrays if a.size >= grid.omega.size]
+    assert [a.dtype for a in big] == [np.uint16] and engine._levels.size == 1914
+    assert not [a for a in arrays if np.iscomplexobj(a) and a.size > max(grid.n_per_axis)]
 
 
 def test_unpaired_grids_build_no_engine(small_grid):
@@ -333,6 +350,38 @@ def test_a_corrupted_level_index_fails_the_spot_check(tmp_path):
     finally:
         spectral_engine.cache_clear()
     assert report.failed_names() == ["fft-quadrature:spot_check"]
+
+
+def test_a_snapshot_keeps_no_time_phase(small_grid, small_spatial, small_packet):
+    """B+, psi and the momentum operands gather exp(-i omega t) per group of x-planes."""
+    snap = synthesize(small_packet, small_spatial, 0.2)
+    snap.B_plus, snap.psi
+    densities.momentum_density(snap)
+    kept = vars(snap)
+    assert {"B_plus", "psi", "_momentum"} <= kept.keys() and "time_phase" not in kept
+    phases = [key for key, value in kept.items() if isinstance(value, np.ndarray)
+              and np.iscomplexobj(value) and value.shape == small_grid.n_per_axis]
+    assert phases == []
+
+
+def test_two_runs_of_one_config_build_the_spectrum_once(tmp_path, monkeypatch):
+    """The second run reuses the kept spectrum and the amplitude it keeps."""
+    text = ("grid.n_per_axis = 12\ngrid.delta_k = 0.85\npacket.k0 = 0, 3.2, 0\n"
+            "packet.sigma = 0.55\npacket.helicity_weights = 0.6, 0.8\ntime.t_list = 0.7\n")
+    cfg = config.parse_scenario(text, "spectrum.cfg")
+    built = []
+    weighted = SpectralEngine._weighted_amplitude
+
+    def counted(engine, s, weight):
+        built.append(s)
+        return weighted(engine, s, weight)
+
+    monkeypatch.setattr(SpectralEngine, "_weighted_amplitude", counted)
+    runner._spectrum.cache_clear()
+    for name in ("first", "second"):
+        assert runner.run_scenario(cfg, str(tmp_path / name)).ok
+    assert len(built) == 1
+    assert runner.build_spectrum(cfg, runner.build_grid(cfg)) is built[0]
 
 
 def test_two_runs_of_one_config_build_the_basis_once(tmp_path):
@@ -530,13 +579,13 @@ def test_a_run_holds_one_snapshot_at_a_time(monkeypatch, tmp_path):
     assert len(made) == 3
 
 
-def test_a_run_peaks_below_six_vector_fields(tmp_path):
+def test_a_warm_run_peaks_below_three_and_a_half_vector_fields(tmp_path):
     """A warm 32^3 number-only run at three times, traced by tracemalloc.
 
-    One complex 3-vector field is n^3 * 48 B.  A run holds the spectrum and
-    its amplitude, one snapshot (A+ and E+) and the per-time buffers: about
-    5.2 fields.  Holding the previous snapshot during the next synthesis,
-    or the oracle's full-grid temporaries beside the first, read 8.2.
+    One complex 3-vector field is n^3 * 48 B.  A warm run reuses the kept
+    spectrum and its amplitude, and holds one snapshot (A+ and E+) and the
+    per-time buffers: about 2.5 fields.  Holding the previous snapshot
+    during the next synthesis reads 4.6.
     """
     text = RUN_CONFIG.format(n=32, dk=0.75, k0=10, sigma=1.0, kinds="number")
     cfg = config.parse_scenario(text, "memory.cfg")
@@ -547,4 +596,4 @@ def test_a_run_peaks_below_six_vector_fields(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / (32**3 * 48) <= 6.0
+    assert peak / (32**3 * 48) <= 3.5
