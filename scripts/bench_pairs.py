@@ -15,13 +15,11 @@ measured in the same round as the claim.
 The output JSON holds, per workload, every run's end-to-end metrics, each
 side's median and quartiles per metric (inclusive method), the ratio of the
 change's median to the parent's, whether that ratio is resolved (see
-:func:`summarize`: one-sided pairs, a ratio outside the control range and
-a median gap beyond the parent's quartile spread; null with fewer than
-``MIN_CONTROL_PAIRS`` completed control pairs), the number of pairs in
-which the change is better (the direction comes from ``BENCHMARK.json``),
-the same for the control pairs under ``control``, and the environment
-record of each side's first successful run (``environment.parent``,
-``environment.change``).
+:func:`summarize`; null with fewer than ``MIN_CONTROL_PAIRS`` completed
+control pairs), the number of pairs in which the change is better (the
+direction comes from ``BENCHMARK.json``), the same for the control pairs
+under ``control``, and the environment record of each side's first
+successful run (``environment.parent``, ``environment.change``).
 
 Example
 -------
@@ -98,13 +96,11 @@ def summarize(runs, better, control=()):
     """Per metric: each side's spread, their median ratio, the pairs the change wins
     and whether the ratio is resolved against the ``control`` pairs.
 
-    ``resolved`` is true when all three hold: the change lies on one side of
-    the parent in at least 90% of the completed pairs (ties count for neither
-    side); the median ratio lies outside the full range of the control
+    ``resolved`` is true when both hold: the change lies on one side of the
+    parent in at least 90% of the completed pairs (ties count for neither
+    side), and the median ratio lies outside the full range of the control
     pairs' per-pair ratios (change over parent), not only outside their
-    quartiles, which a median of few pairs crosses by drift alone; and the
-    two medians differ by more than the parent's quartile spread (q3 - q1),
-    so a gap the parent's own runs span is not read as a change.  It is
+    quartiles, which a median of few pairs crosses by drift alone.  It is
     false otherwise, and None when fewer than ``MIN_CONTROL_PAIRS`` control
     pairs completed (with a nonzero parent value, so a ratio).
     """
@@ -125,8 +121,7 @@ def summarize(runs, better, control=()):
         resolved = None
         if len(noise) >= MIN_CONTROL_PAIRS and ratio is not None:
             one_sided = max(wins, losses) >= 0.9 * len(complete)
-            apart = abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"]
-            resolved = one_sided and apart and not min(noise) <= ratio <= max(noise)
+            resolved = one_sided and not min(noise) <= ratio <= max(noise)
         out[name] = {
             "better": direction,
             "parent": parent,

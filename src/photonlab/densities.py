@@ -100,7 +100,7 @@ def _contract_pair(subscripts, first, second, combine, shape):
 
     def contract(g):
         np.einsum(subscripts, *(op[g] for op in first), out=out[g])
-        scratch = np.einsum(subscripts, *(op[g] for op in second), out=np.empty(out[g].shape))
+        scratch = np.einsum(subscripts, *(op[g] for op in second))
         combine(out[g], scratch, out=out[g])
 
     _in_plane_groups(contract, shape)

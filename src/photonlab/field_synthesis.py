@@ -127,14 +127,12 @@ class SpectralEngine:
         safe = np.where(mask, 1.0, self.kgrid.omega[g])
         return np.where(mask, 0.0, 1.0 / np.sqrt(safe))
 
-    def time_phase(self, t: float):
-        """exp(-i omega t) per mode, one exponential per distinct omega.
-
-        Each element is the same expression on the same float as
-        ``np.exp(-1j * omega * t)``, so the two are bitwise equal.  The
-        passes gather it per group of x-planes instead (:meth:`_evolve`).
-        """
-        return np.exp(-1j * self._levels * t)[self._level_index]
+    def _time_phase(self, t: float):
+        """exp(-i omega t) on a group g of x-planes: one exponential per distinct
+        omega, gathered by the level index, so each element is the same
+        expression on the same float as ``np.exp(-1j * omega * t)``."""
+        per_level = np.exp(-1j * self._levels * t)
+        return lambda g: per_level[self._level_index[g]]
 
     def _scale(self, src, factor, out):
         """out = src * factor(g) on each group g of x-planes, component axes leading."""
@@ -146,9 +144,8 @@ class SpectralEngine:
         return out
 
     def _evolve(self, coeffs, t: float, out):
-        """out = coeffs * exp(-i omega t), gathered per group of x-planes."""
-        per_level = np.exp(-1j * self._levels * t)
-        return self._scale(coeffs, lambda g: per_level[self._level_index[g]], out)
+        """out = coeffs * exp(-i omega t), per group of x-planes."""
+        return self._scale(coeffs, self._time_phase(t), out)
 
     def to_field(self, coeffs):
         """sum_k coeffs(k) exp(i k.x) on the spatial grid with one inverse FFT.
@@ -240,12 +237,12 @@ class SpectralEngine:
         Its per-mode multipliers are formed one group of x-planes at a time.
         """
         omega = self.kgrid.omega
-        per_level = np.exp(-1j * self._levels * t)
+        time_phase = self._time_phase(t)
         work = np.empty((6,) + omega.shape, dtype=np.complex128)
 
         def fill(g):
             # exp(-i omega t) and phase_k as one per-mode multiplier
-            f = per_level[self._level_index[g]]
+            f = time_phase(g)
             f *= _phase(self.phase_k, g)
             np.multiply(amp[:, g], f, out=work[:3, g])
             # i omega in the first E+ slot, which the last product overwrites

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__, densities, observables, slabs
-from .config import GridSection, PacketSection, ScenarioConfig
+from .config import GridSection, ScenarioConfig
 from .diskio import atomic_write_bytes, atomic_write_text
 from .field_synthesis import FieldSnapshot, synthesize
 from .mode_space import (PhotonSpectrum, SpatialGrid, WaveVectorGrid, gaussian_spectrum,
@@ -129,20 +129,7 @@ def _grid(section: GridSection) -> WaveVectorGrid:
 
 
 def build_spectrum(cfg: ScenarioConfig, grid: WaveVectorGrid):
-    """The spectrum of ``cfg``'s packet on ``grid``, kept for a repeated run (see
-    :func:`_spectrum`)."""
-    return _spectrum(grid, cfg.packet)
-
-
-@lru_cache(maxsize=1)
-def _spectrum(grid: WaveVectorGrid, packet: PacketSection) -> PhotonSpectrum:
-    """The spectrum of a packet section on a grid; only the last one is kept.
-
-    It keeps its amplitude (``SpectralEngine.amplitude``), so a repeated run
-    reuses both: 21 MB at 64^3, 168 MB at 128^3, hence one entry.  The
-    ``|k0| < 5 sigma`` warning is given when the spectrum is built, not on
-    reuse.
-    """
+    packet = cfg.packet
     if packet.kind == "gaussian":
         state = gaussian_spectrum(grid, packet.k0, packet.sigma, packet.helicity_weights)
     elif packet.kind == "single_mode":

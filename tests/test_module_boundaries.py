@@ -78,7 +78,7 @@ def test_the_oracle_names_nothing_of_the_engine():
     engine.update(item.name for item in spectral.body if isinstance(item, ast.FunctionDef))
     engine.update(item.attr for item in ast.walk(spectral) if isinstance(item, ast.Attribute)
                   and isinstance(item.value, ast.Name) and item.value.id == "self")
-    assert {"_levels", "_level_index", "time_phase", "phase_k", "mode_factor", "kgrid"} <= engine
+    assert {"_levels", "_level_index", "_time_phase", "phase_k", "mode_factor", "kgrid"} <= engine
     relative = {node.module for node in ast.walk(_tree(oracle))
                 if isinstance(node, ast.ImportFrom) and node.level > 0}
     assert relative == {"mode_space", "slabs"}
@@ -88,10 +88,10 @@ def test_the_oracle_names_nothing_of_the_engine():
     assert not named & engine, named & engine
 
 
-# The engine's transforms, its kept amplitude and time phase, the per-mode
-# wavevectors and phases, and the component-major layout helpers.
+# The engine's transforms, its kept amplitude, the per-mode wavevectors and
+# phases, and the component-major layout helpers.
 K_SPACE = {"to_field", "to_spectrum", "spectrum_to_field", "field_to_spectrum", "amplitude",
-           "a_coeffs", "time_phase", "k_vectors", "phase_k", "phase_x", "leading", "trailing",
+           "a_coeffs", "k_vectors", "phase_k", "phase_x", "leading", "trailing",
            "vector_array", "_multiply"}
 
 
