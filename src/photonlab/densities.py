@@ -36,15 +36,17 @@ tautology.
 What several output kinds need is computed once per snapshot and kept
 read-only in its instance dict by ``field_synthesis._memo``, so it is freed
 with the snapshot: the energy density H, the real momentum density P (the
-momentum operands behind it are not kept) and the wave fields F and psi.
-``energy_density`` and ``momentum_density`` return the kept H and P, so copy
-their data before modifying it.
+momentum operands behind it are not kept) and the wave fields, which keep
+psi but not F: F is formed read-only from the snapshot's E+ and B+ on each
+access, and |F|^2 one group of x-planes at a time.  ``energy_density`` and
+``momentum_density`` return the kept H and P, so copy their data before
+modifying it; ``field_synthesis._forget`` drops them.
 
-The contractions and cross products follow the slab rule of
-:mod:`photonlab.slabs`; a contraction's scratch holds one group of
-x-planes.  Every ``DensityField.data`` stays C-ordered (nx, ny, nz[, c]),
-because ``integral`` sums in memory order: the same layout gives the same
-sums.
+The contractions, cross products and squared norms follow the slab rule of
+:mod:`photonlab.slabs`: each forms its scratch for one group of x-planes,
+never a second full-grid array.  Every ``DensityField.data`` stays C-ordered
+(nx, ny, nz[, c]), because ``integral`` sums in memory order: the same layout
+gives the same sums.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from . import field_synthesis as fs
 # re-exported: the frequency powers are applied in field_synthesis, under this public name too
 from .field_synthesis import apply_frequency_operator  # noqa: F401
 from .mode_space import SpatialGrid, _read_only, broadcast_along
-from .slabs import _cross, _in_plane_groups
+from .slabs import _cross_into, _in_plane_groups
 
 # E+ = i omega A+ gives Im(A+ . conj(E+)) = -omega |A+|^2, so sigma = -1 makes rho >= 0
 SIGMA = -1
@@ -116,6 +118,26 @@ def _im_dot(a, b, subscripts="...c,...c->..."):
                           b.shape[:-1])
 
 
+def _cross_pair(first, second, combine):
+    """combine(a x b, c x d) of the real (nx, ny, nz, 3) pairs ``first`` = (a, b)
+    and ``second`` = (c, d), C-ordered.
+
+    Evaluated per group of x-planes into the array returned, the second cross
+    product into a scratch array of that group.
+    """
+    a, b = first
+    out = np.empty(a.shape)
+
+    def fill(g):
+        term = np.empty(out[g].shape[:-1])
+        _cross_into(a[g], b[g], out[g], term)
+        c, d = (op[g] for op in second)
+        combine(out[g], _cross_into(c, d, np.empty(out[g].shape), term), out=out[g])
+
+    _in_plane_groups(fill, a.shape)
+    return out
+
+
 def number_density(f: fs.FieldSnapshot) -> DensityField:
     """rho = sigma/2 (-i A+ . E- + c.c.) = sigma Im(A+ . conj(E+)).
 
@@ -142,8 +164,7 @@ def cross_number_density(f: fs.FieldSnapshot, g: fs.FieldSnapshot) -> np.ndarray
 def photon_current(f: fs.FieldSnapshot) -> DensityField:
     """J = sigma/2 (-i A+ x cB- + c.c.) = sigma Im(A+ x conj(cB+)) (c = 1 here)."""
     a_plus, b_plus = f.A_plus, f.B_plus
-    cur = _cross(a_plus.imag, b_plus.real)
-    cur -= _cross(a_plus.real, b_plus.imag)
+    cur = _cross_pair((a_plus.imag, b_plus.real), (a_plus.real, b_plus.imag), np.subtract)
     cur *= SIGMA
     return DensityField("current", cur, f.t, f.sgrid)
 
@@ -204,8 +225,7 @@ def spin_angular_momentum_density(f: fs.FieldSnapshot) -> DensityField:
     """Spin part Re(E+ x A-); sign fixed so a pure-lambda state integrates
     to lambda * khat (checked against the k-space oracle)."""
     e_plus, a_plus = f.E_plus, f.A_plus
-    data = _cross(e_plus.real, a_plus.real)
-    data += _cross(e_plus.imag, a_plus.imag)
+    data = _cross_pair((e_plus.real, a_plus.real), (e_plus.imag, a_plus.imag), np.add)
     return DensityField("angular_momentum", data, f.t, f.sgrid)
 
 
@@ -223,27 +243,43 @@ def orbital_angular_momentum_density(f: fs.FieldSnapshot, origin) -> DensityFiel
 
 
 def angular_momentum_density(f: fs.FieldSnapshot, origin) -> DensityField:
-    """Total angular momentum density: orbital (r x P) plus spin."""
-    total = (
-        orbital_angular_momentum_density(f, origin).data
-        + spin_angular_momentum_density(f).data
-    )
+    """Total angular momentum density: orbital (r x P) plus spin, in the orbital array."""
+    total = orbital_angular_momentum_density(f, origin).data
+    total += spin_angular_momentum_density(f).data
     return DensityField("angular_momentum", total, f.t, f.sgrid)
 
 
 @dataclass(frozen=True)
 class PhotonWaveFields:
-    """Pure-helicity comparison wave functions F and psi (see module docs)."""
+    """Pure-helicity comparison wave functions F and psi (see module docs).
+
+    psi is kept; F = Re E+ + i lambda Re B+ is formed from the snapshot's
+    ``E_plus`` and ``B_plus`` on each access.
+    """
 
     helicity: int
-    F: np.ndarray
     psi: np.ndarray
+    E_plus: np.ndarray
+    B_plus: np.ndarray
     t: float
     grid: SpatialGrid
 
+    def F_planes(self, g=slice(None)):
+        """F on the x-planes ``g``, in a fresh C-ordered array."""
+        e_plus = self.E_plus[g]
+        F = np.empty(e_plus.shape, np.complex128)
+        np.copyto(F.real, e_plus.real)
+        np.multiply(self.helicity, self.B_plus[g].real, out=F.imag)
+        return F
+
+    @property
+    def F(self):
+        """F on the whole grid, formed read-only on each access and not kept."""
+        return _read_only(self.F_planes())
+
 
 def photon_wave_fields(f: fs.FieldSnapshot) -> PhotonWaveFields:
-    """F from the real fields E and B and psi = Omega^{1/2} A+, kept per snapshot.
+    """psi = Omega^{1/2} A+ and the real fields E and B behind F, kept per snapshot.
 
     The helicity is the snapshot spectrum's.
     """
@@ -252,36 +288,42 @@ def photon_wave_fields(f: fs.FieldSnapshot) -> PhotonWaveFields:
         lam = f.spectrum.pure_helicity()
         if lam is None:
             raise ValueError("mixed-helicity spectrum: F and psi need a pure helicity")
-        F = np.empty(f.E_plus.shape, np.complex128)
-        np.copyto(F.real, f.E_plus.real)
-        np.multiply(lam, f.B_plus.real, out=F.imag)
-        return PhotonWaveFields(helicity=lam, F=_read_only(F), psi=_read_only(f.psi),
-                                t=f.t, grid=f.sgrid)
+        b_plus = f.B_plus  # transformed before psi
+        return PhotonWaveFields(helicity=lam, psi=_read_only(f.psi), E_plus=f.E_plus,
+                                B_plus=b_plus, t=f.t, grid=f.sgrid)
 
     return fs._memo(f, "_wave_fields", build)
 
 
-def _squared_norm(v):
-    """|v|^2 of a (nx, ny, nz, 3) field, C-ordered.
+def _squared_norm(planes, shape):
+    """|v|^2 of a complex (nx, ny, nz, 3) field v, C-ordered ``shape`` (nx, ny, nz).
 
-    The components add as ``(a_x + a_y) + a_z``, the order of a sum over the
-    trailing axis, without its strided reduction.
+    ``planes(g)`` gives v on the x-planes g, and |v| is formed one such group
+    at a time.  The components add as ``(a_x + a_y) + a_z``, the order of a
+    sum over the trailing axis, without its strided reduction.
     """
-    a = np.abs(v)
-    np.square(a, out=a)
-    data = a[..., 0] + a[..., 1]
-    data += a[..., 2]
-    return data
+    out = np.empty(shape)
+
+    def fill(g):
+        a = np.abs(planes(g))
+        np.square(a, out=a)
+        np.add(a[..., 0], a[..., 1], out=out[g])
+        np.add(out[g], a[..., 2], out=out[g])
+
+    _in_plane_groups(fill, shape)
+    return out
 
 
 def bb_energy_density(wf: PhotonWaveFields) -> DensityField:
     """|F|^2: the energy-density reading of the first wave function."""
-    return DensityField("bb_energy", _squared_norm(wf.F), wf.t, wf.grid)
+    return DensityField("bb_energy", _squared_norm(wf.F_planes, wf.psi.shape[:-1]), wf.t, wf.grid)
 
 
 def lp_number_density(wf: PhotonWaveFields) -> DensityField:
     """|psi|^2: the number-density reading of the second wave function."""
-    return DensityField("lp_number", _squared_norm(wf.psi), wf.t, wf.grid)
+    psi = wf.psi
+    return DensityField("lp_number", _squared_norm(lambda g: psi[g], psi.shape[:-1]), wf.t,
+                        wf.grid)
 
 
 @dataclass(frozen=True)

@@ -59,11 +59,10 @@ from .mode_space import (
     build_basis,
     leading,
     trailing,
-    vector_array,
 )
 # kept here only because perfbench/tracer.py traces the oracle under this module's name
 from .oracle import synthesize_at_points  # noqa: F401
-from .slabs import _cross, _in_plane_groups, _multiply, _workers
+from .slabs import _cross_into, _in_plane_groups, _multiply, _workers
 
 
 def _memo(owner, key: str, build):
@@ -76,6 +75,13 @@ def _memo(owner, key: str, build):
     if key not in kept:
         kept[key] = build()
     return kept[key]
+
+
+def _forget(owner, *keys):
+    """Drop what :func:`_memo` keeps under ``keys`` for ``owner``, if anything."""
+    kept = vars(owner)
+    for key in keys:
+        kept.pop(key, None)
 
 
 def _phase_factors(angles):
@@ -315,7 +321,9 @@ class FieldSnapshot:
     it is the spectrum's own, except in the corrupted-convention control.
     ``B_plus`` and ``psi`` are formed on first access, so number-only runs
     never transform B+; ``a_coeffs`` (the amplitude times exp(-i omega t))
-    is formed on each.  No time phase is kept: each pass gathers it per
+    is formed on each.  B+ and the helicity operand form i v x (amplitude
+    exp(-i omega t)) one group of x-planes at a time, straight into the
+    transform's work array.  No time phase is kept: each pass gathers it per
     group of x-planes from the engine's level table.
     """
 
@@ -339,12 +347,33 @@ class FieldSnapshot:
         amp = leading(self.amplitude)
         return trailing(self.engine._evolve(amp, self.t, np.empty(amp.shape, np.complex128)), 1)
 
+    def _curl_coeffs(self, vectors):
+        """i v x (amplitude exp(-i omega t)) in a fresh component-major work array.
+
+        ``vectors(g)`` gives the real (gx, ny, nz, 3) vectors v on the x-planes
+        g.  Each group evolves its amplitude and forms the cross product by
+        itself, with the products of ``np.cross(v, a_coeffs) * 1j`` in their
+        order, so the result is bitwise that full-grid form.
+        """
+        amp = leading(self.amplitude)
+        time_phase = self.engine._time_phase(self.t)
+        coeffs = np.empty(amp.shape, np.complex128)
+
+        def fill(g):
+            a = np.multiply(amp[:, g], time_phase(g))
+            out = coeffs[:, g]
+            _cross_into(vectors(g), trailing(a, 1), trailing(out, 1),
+                        np.empty(a.shape[1:], np.complex128))
+            np.multiply(out, 1j, out=out)
+
+        _in_plane_groups(fill, self.kgrid.n_per_axis)
+        return trailing(coeffs, 1)
+
     @cached_property
     def B_plus(self):
-        b_coeffs = vector_array(self.kgrid.n_per_axis, np.complex128)
-        _cross(self.kgrid.k_vectors, self.a_coeffs, out=b_coeffs)
-        b_coeffs *= 1j
-        return self.engine.to_field(b_coeffs)
+        """curl A+ = (i k x A)+: one inverse FFT."""
+        k = self.kgrid.k_vectors
+        return self.engine.to_field(self._curl_coeffs(lambda g: k[g]))
 
     @cached_property
     def psi(self):
@@ -359,13 +388,13 @@ class FieldSnapshot:
         The operator i khat x (.) has the helicity eigenvalue lambda on each
         helicity mode; masked modes carry khat = 0.
         """
-        kgrid = self.kgrid
-        mask = kgrid.exclusion_mask
-        khat = np.where(mask, 0.0, leading(kgrid.k_vectors) / np.where(mask, 1.0, kgrid.omega))
-        coeffs = _cross(trailing(khat, 1), self.a_coeffs,
-                        out=vector_array(kgrid.n_per_axis, np.complex128))
-        coeffs *= 1j
-        return self.engine.to_field(coeffs)
+        k, omega, mask = self.kgrid.k_vectors, self.kgrid.omega, self.kgrid.exclusion_mask
+
+        def khat(g):
+            masked = mask[g, ..., None]
+            return np.where(masked, 0.0, k[g] / np.where(masked, 1.0, omega[g, ..., None]))
+
+        return self.engine.to_field(self._curl_coeffs(khat))
 
     def momentum_operands(self):
         """(k_j A)+ as (nx, ny, nz, 3, 3), j on the second-last axis, from one

@@ -287,12 +287,19 @@ def build_basis(grid: WaveVectorGrid) -> np.ndarray:
     return trailing(_read_only((e_theta + 1j * e_phi) * (1.0 / np.sqrt(2.0))), 1)
 
 
+def _is_masked(c, mask):
+    """True when ``c`` is C-ordered and every masked sample holds +0 + 0j, bit for bit."""
+    return c.flags.c_contiguous and not c[:, mask].view(np.uint64).any()
+
+
 @dataclass(frozen=True)
 class PhotonSpectrum:
     """Transverse helicity amplitudes c_lambda(k) on a wavevector grid.
 
     ``c`` has shape (2, nx, ny, nz); c[0] is the lambda = +1 block and c[1]
-    the lambda = -1 block.
+    the lambda = -1 block.  Masked samples are zeroed in a copy, unless ``c``
+    is a C-ordered complex128 array that already holds +0 there: the
+    spectrum then keeps ``c`` itself and makes it read-only.
     """
 
     grid: WaveVectorGrid
@@ -306,7 +313,7 @@ class PhotonSpectrum:
         if not np.isfinite(c.view(np.float64)).all():
             raise ValueError("amplitude array contains non-finite entries")
         mask = self.grid.exclusion_mask
-        if np.count_nonzero(mask):
+        if np.count_nonzero(mask) and not _is_masked(c, mask):
             c = np.where(mask[None, ...], 0.0 + 0.0j, c)
         object.__setattr__(self, "c", _read_only(c))
 
@@ -335,10 +342,15 @@ class SpectralSummary:
 
 
 def scalar_product(s1: PhotonSpectrum, s2: PhotonSpectrum) -> complex:
-    """Mode-wise product sum_lambda sum_k w conj(c1) c2 (conjugate-linear in s1)."""
+    """Mode-wise product sum_lambda sum_k w conj(c1) c2 (conjugate-linear in s1).
+
+    One full-grid temporary: the product is formed in the conjugate's array.
+    """
     if not s1.grid.same_grid(s2.grid):
         raise ValueError("grid mismatch between spectra")
-    return complex(s1.grid.cell_weight * np.sum(np.conj(s1.c) * s2.c))
+    product = np.conj(s1.c)
+    np.multiply(product, s2.c, out=product)
+    return complex(s1.grid.cell_weight * np.sum(product))
 
 
 def normalize(s: PhotonSpectrum) -> PhotonSpectrum:
@@ -388,7 +400,11 @@ def gaussian_spectrum(grid, k0, sigma, helicity_weights=(1.0, 0.0)) -> PhotonSpe
     if w_plus == 0 and w_minus == 0:
         raise ValueError("helicity_weights must not both vanish")
     envelope = _gaussian_envelope(grid, k0, sigma)
-    c = np.stack([w_plus * envelope, w_minus * envelope], axis=0)
+    c = np.empty((2,) + grid.n_per_axis, np.complex128)
+    np.multiply(w_plus, envelope, out=c[0])
+    np.multiply(w_minus, envelope, out=c[1])
+    del envelope
+    c[:, grid.exclusion_mask] = 0.0  # masked here, so the spectrum keeps c without a copy
     return normalize(PhotonSpectrum(grid, c))
 
 

@@ -14,6 +14,11 @@ Containment radii (the 90% guard band of :func:`transport_speed`, the 99%
 widths of :func:`localization_widths`) are the distance of the first point,
 in ascending distance from the centroid, at which the cumulative mass
 reaches the target (see :func:`_containment_radius`).
+
+:func:`expectations` holds an array only while it reduces it: the
+four-momentum density and the H and P its snapshot keeps go once
+integrated (``field_synthesis._forget``), and the snapshot itself before the
+widths, which read the densities alone.
 """
 
 from __future__ import annotations
@@ -219,13 +224,21 @@ def is_box_limited(width: float, sgrid: SpatialGrid) -> bool:
     return width >= 0.5 * min(sgrid.box_lengths)
 
 
+def _wave_densities(snap: fs.FieldSnapshot) -> list[dn.DensityField]:
+    """|F|^2 and |psi|^2 of a pure-helicity snapshot; none for a mixed one."""
+    if snap.spectrum.pure_helicity() is None:
+        return []
+    wf = dn.photon_wave_fields(snap)
+    return [dn.bb_energy_density(wf), dn.lp_number_density(wf)]
+
+
 def expectations(s: PhotonSpectrum, sgrid: SpatialGrid, t: float) -> ObservableReport:
     """Assemble the standard observable report at time t.
 
     All expectation values are density integrals (position from the number
     density via circular mean); the k-space sums are their independent cross
     checks, not inputs.  Wave-field widths are included for pure-helicity
-    states.
+    states.  The report keeps integrals, not arrays (see module docs).
     """
     norm = s.norm
     if abs(norm - 1.0) > 1e-10:
@@ -233,8 +246,8 @@ def expectations(s: PhotonSpectrum, sgrid: SpatialGrid, t: float) -> ObservableR
     snap = fs.synthesize(s, sgrid, t)
     rho = dn.number_density(snap)
     number = float(rho.integral())
-    fourm = dn.four_momentum_density(snap)
-    integrals = fourm.integral()
+    integrals = dn.four_momentum_density(snap).integral()
+    fs._forget(snap, "_energy", "_momentum")  # the snapshot's H and P: only integrals are read
     energy = float(integrals[0])
     momentum = tuple(float(v) for v in integrals[1:])
     helicity = float(np.sum(dn.helicity_density(snap)) * sgrid.cell_volume)
@@ -247,10 +260,8 @@ def expectations(s: PhotonSpectrum, sgrid: SpatialGrid, t: float) -> ObservableR
     probe = 3.0 * max(sgrid.delta_x)
     speed = transport_speed(rho, dn.number_density(fs.synthesize(s, sgrid, t + probe)))
 
-    fields = [rho]
-    if s.pure_helicity() is not None:
-        wf = dn.photon_wave_fields(snap)
-        fields += [dn.bb_energy_density(wf), dn.lp_number_density(wf)]
+    fields = [rho] + _wave_densities(snap)
+    del snap  # the widths read the densities alone
     widths = localization_widths(fields)
 
     return ObservableReport(

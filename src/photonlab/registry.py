@@ -359,8 +359,9 @@ def check_omega_identity() -> tuple[Metric, ...]:
     wave = densities.photon_wave_fields(snap)
     half_power = densities.apply_frequency_operator(wave.psi, grid, spatial, 0.5)
     predicted = 1j * half_power
-    scale = float(np.max(np.abs(wave.F)))
-    err = float(np.max(np.abs(wave.F - predicted))) / scale
+    F = wave.F  # formed on each access
+    scale = float(np.max(np.abs(F)))
+    err = float(np.max(np.abs(F - predicted))) / scale
     return (Metric("rel_err", err, DEFAULT_TOLERANCES["omega_identity"]),)
 
 

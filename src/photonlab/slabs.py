@@ -7,7 +7,8 @@ to [1, that count].  pocketfft splits its 1-D lines over them, so a
 transform does not depend on the count.
 
 The per-mode and per-point passes (the time phase and the two FFT phases
-of a transform, the amplitude, the cross products, the density bilinears of
+of a transform, the amplitude, the cross products (:func:`_cross_into`, one
+group of x-planes at a time), the density bilinears of
 :mod:`photonlab.densities` and the oracle's own amplitude) run through
 :func:`_in_slabs`: one call per contiguous slab of the leading
 spatial axis x, the first on the calling thread and the others on one
@@ -25,9 +26,10 @@ thread's heap, so a callback bounds what it allocates itself:
   temporaries (slab-local arrays there raise the peak resident set by
   megabytes).  A pass whose operands are formed per mode (a phase from its
   per-axis factors, the mode factor, the time phase gathered from its
-  level table, a contraction's scratch) forms them per-plane: over the runs
-  of :func:`_plane_groups`, whole x-planes of about :data:`_GROUP_MODES`
-  modes each, through :func:`_in_plane_groups`;
+  level table, a contraction's, cross product's or squared norm's
+  scratch, the evolved amplitude behind B+ and the helicity operand) forms
+  them per-plane: over the runs of :func:`_plane_groups`, whole x-planes of
+  about :data:`_GROUP_MODES` modes each, through :func:`_in_plane_groups`;
 * a quadrature chunk holds the arrays of one cell block at a time, each
   allocated in its block: 64 bytes per (point, cell) pair (88 while a later
   group of times builds its operator) for at most the quadrature's
@@ -148,23 +150,17 @@ def _multiply(a, b, out):
     return out
 
 
-def _cross(a, b, out=None):
-    """a x b of two (nx, ny, nz, 3) arrays from componentwise products, in x-slabs.
+def _cross_into(a, b, out, term):
+    """out = a x b of (..., 3) arrays from componentwise products; ``term`` is
+    scratch of one component's shape.
 
     The same products and differences as ``np.cross`` (so bit-identical
-    results), without its copies of both operands.  The result is C-ordered
-    unless ``out`` (for example a component-major ``vector_array``) is given.
+    results), without its copies of both operands.  Callers pass one group of
+    x-planes of each operand (see :func:`_in_plane_groups`).
     """
-    if out is None:
-        out = np.empty(a.shape, np.result_type(a, b))
-    term = np.empty(out.shape[:-1], out.dtype)
-
-    def fill(x):
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            np.multiply(a[x, ..., j], b[x, ..., k], out=out[x, ..., i])
-            np.multiply(a[x, ..., k], b[x, ..., j], out=term[x])
-            np.subtract(out[x, ..., i], term[x], out=out[x, ..., i])
-
-    _in_slabs(fill, out.shape[0])
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(a[..., j], b[..., k], out=out[..., i])
+        np.multiply(a[..., k], b[..., j], out=term)
+        np.subtract(out[..., i], term, out=out[..., i])
     return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,18 @@ def small_snapshot(small_spatial, small_packet):
 
 
 @pytest.fixture(scope="session")
+def planar_grid():
+    """24 x-planes of 48 x 48 modes: three planes per group of x-planes, so a
+    per-group pass runs several groups per slab."""
+    return WaveVectorGrid.centered((24, 48, 48), (0.9, 0.6, 0.6))
+
+
+@pytest.fixture(scope="session")
+def planar_spatial(planar_grid):
+    return SpatialGrid.paired(planar_grid)
+
+
+@pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260823)
 
@@ -73,3 +86,20 @@ def selftest_run():
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["selftest"])
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def traced():
+    """Call ``fn()`` under tracemalloc; returns its result, the bytes it left
+    allocated and its peak, both counted from the call's start."""
+
+    def run(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, held, peak
+
+    return run

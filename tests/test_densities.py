@@ -286,3 +286,73 @@ def test_frequency_operator_powers_compose(small_grid, small_spatial, small_snap
 def test_frequency_operator_rejects_other_powers(small_grid, small_spatial, small_snapshot):
     with pytest.raises(ValueError, match="power"):
         apply_frequency_operator(small_snapshot.A_plus, small_grid, small_spatial, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Per-group forms against their full-grid forms
+
+@pytest.fixture
+def planar_snapshot(planar_grid, planar_spatial):
+    """The snapshot of a packet of helicity ``weights`` on the planar grid pair."""
+
+    def make(weights):
+        packet = gaussian_spectrum(planar_grid, (2.0, -1.0, 6.0), 1.0, weights)
+        return synthesize(packet, planar_spatial, 0.3)
+
+    return make
+
+
+def _full_grid_squared_norm(v):
+    a = np.abs(v)
+    np.square(a, out=a)
+    data = a[..., 0] + a[..., 1]
+    data += a[..., 2]
+    return data
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0)], ids=["plus", "minus"])
+def test_wave_densities_and_F_equal_their_full_grid_forms_bitwise(monkeypatch, threads,
+                                                                   weights, planar_snapshot):
+    """F on access, |F|^2 and |psi|^2, formed per group of x-planes, against one
+    full-grid F (Re E+ copied, lambda Re B+ multiplied) and full-grid |v|^2."""
+    monkeypatch.setenv("PHOTONLAB_THREADS", threads)
+    snap = planar_snapshot(weights)
+    wave = photon_wave_fields(snap)
+    F = np.empty(snap.E_plus.shape, np.complex128)
+    np.copyto(F.real, snap.E_plus.real)
+    np.multiply(wave.helicity, snap.B_plus.real, out=F.imag)
+    assert np.array_equal(wave.F, F)
+    assert not wave.F.flags.writeable
+    assert np.array_equal(bb_energy_density(wave).data, _full_grid_squared_norm(F))
+    assert np.array_equal(lp_number_density(wave).data, _full_grid_squared_norm(wave.psi))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_current_and_spin_equal_their_np_cross_forms_bitwise(monkeypatch, threads,
+                                                             planar_snapshot):
+    monkeypatch.setenv("PHOTONLAB_THREADS", threads)
+    snap = planar_snapshot((0.6, 0.8))
+    a_plus, b_plus, e_plus = snap.A_plus, snap.B_plus, snap.E_plus
+    current = np.cross(a_plus.imag, b_plus.real) - np.cross(a_plus.real, b_plus.imag)
+    current *= densities.SIGMA
+    spin = np.cross(e_plus.real, a_plus.real) + np.cross(e_plus.imag, a_plus.imag)
+    total = orbital_angular_momentum_density(snap, (0.5, 0, 0)).data + spin
+    assert np.array_equal(photon_current(snap).data, current)
+    assert np.array_equal(spin_angular_momentum_density(snap).data, spin)
+    assert np.array_equal(angular_momentum_density(snap, (0.5, 0, 0)).data, total)
+
+
+@pytest.mark.parametrize("build", [photon_current, spin_angular_momentum_density],
+                         ids=["current", "spin"])
+def test_a_cross_product_density_holds_no_second_full_grid_array(monkeypatch, traced, build,
+                                                                planar_snapshot):
+    """On one thread the scratch of a density's two cross products is one
+    group's; full-grid cross products added 1.33 real 3-vector fields."""
+    monkeypatch.setenv("PHOTONLAB_THREADS", "1")
+    snap = planar_snapshot((1.0, 0.0))
+    assert snap.B_plus.size  # transformed and kept before the trace
+    field = snap.kgrid.omega.size * 24
+    density, held, peak = traced(lambda: build(snap))
+    assert held >= density.data.nbytes
+    assert (peak - held) / field <= 0.5

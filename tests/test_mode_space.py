@@ -182,6 +182,54 @@ def test_gaussian_spectrum_is_normalized_and_pure():
     assert abs(mixed.norm - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8j)])
+def test_gaussian_spectrum_equals_its_stacked_form_bitwise(weights):
+    """One coefficient array, masked in place, against the stacked products
+    masked by a copy and a norm from the conjugate and product temporaries."""
+    s = gaussian_spectrum(GRID, (1.0, -2.0, 3.0), 0.6, weights)
+    k = GRID.k_vectors
+    envelope = np.exp(-np.sum((k - np.array([1.0, -2.0, 3.0])) ** 2, axis=-1) / (4.0 * 0.6**2))
+    c = np.stack([weights[0] * envelope, weights[1] * envelope], axis=0)
+    c = np.where(GRID.exclusion_mask[None, ...], 0.0 + 0.0j, c)
+    norm = float(np.real(complex(GRID.cell_weight * np.sum(np.conj(c) * c))))
+    want = np.where(GRID.exclusion_mask[None, ...], 0.0 + 0.0j, c / np.sqrt(norm))
+    assert np.array_equal(s.c, want)
+    assert np.array_equal(np.signbit(s.c.view(np.float64)), np.signbit(want.view(np.float64)))
+
+
+def test_gaussian_spectrum_holds_one_product_beyond_its_coefficients(traced):
+    """Above the coefficients it returns, building a packet allocates at most
+    1.5 times their size (the norm's one product); stacking, masking by a copy
+    and a second normalized spectrum peaked at 3.25 times."""
+    grid = WaveVectorGrid.centered((32, 32, 32), (0.75, 0.75, 0.75))
+    def packet():
+        return gaussian_spectrum(grid, (3.0, -4.0, 8.0), 1.0, (0.6, 0.8j))
+
+    packet()  # the grid keeps its k vectors and mask
+    s, held, peak = traced(packet)
+    assert held >= s.c.nbytes
+    assert (peak - held) / s.c.nbytes <= 1.5
+
+
+def test_a_spectrum_keeps_masked_coefficients_and_copies_the_rest():
+    """A C-ordered complex array with +0 on every masked sample is kept, read-only;
+    any other input is masked in a copy and left as it was."""
+    mask = GRID.exclusion_mask
+    c = np.ones((2,) + GRID.n_per_axis, np.complex128)
+    c[:, mask] = 0.0
+    assert PhotonSpectrum(GRID, c).c is c and not c.flags.writeable
+    for masked_value in (1.0, -0.0, complex(0.0, -0.0)):
+        c = np.ones((2,) + GRID.n_per_axis, np.complex128)
+        c[:, mask] = masked_value
+        s = PhotonSpectrum(GRID, c)
+        assert s.c is not c and c.flags.writeable
+        assert not s.c[:, mask].view(np.uint64).any()
+        assert np.array_equal(c[:, ~mask], s.c[:, ~mask])
+    strided = np.ones((2,) + GRID.n_per_axis, np.complex128)
+    strided[:, mask] = 0.0
+    assert PhotonSpectrum(GRID, strided[::-1]).c.flags.c_contiguous
+
+
 def test_gaussian_spectrum_rejects_uncovered_center():
     with pytest.raises(ValueError, match="coverage"):
         gaussian_spectrum(GRID, (0.0, 0.0, 50.0), 0.6)

@@ -48,7 +48,7 @@ MUTATIONS = (
      "negative-density", "min_err"),
     ("orbital-sign-flipped", "densities.py", "r[b] * p[..., c] - r[c] * p[..., b]",
      "r[c] * p[..., b] - r[b] * p[..., c]", "angular-momentum", "jz_err"),
-    ("spin-dropped", "densities.py", "+ spin_angular_momentum_density(f).data", "+ 0.0",
+    ("spin-dropped", "densities.py", "+= spin_angular_momentum_density(f).data", "+= 0.0",
      "angular-momentum", "jz_err"),
     ("origin-ignored", "densities.py", "f.sgrid.axes[a] - float(origin[a])",
      "f.sgrid.axes[a] - 0.0", "angular-momentum", "origin_err"),

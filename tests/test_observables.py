@@ -413,3 +413,21 @@ def test_expectations_require_normalized_input(small_grid, small_spatial):
     raw = PhotonSpectrum(small_grid, np.ones((2,) + small_grid.n_per_axis, complex))
     with pytest.raises(ValueError, match="normalized"):
         expectations(raw, small_spatial, 0.0)
+
+
+def test_a_warm_report_peaks_below_six_and_a_half_vector_fields(monkeypatch, traced):
+    """One warm 32^3 report on one thread, in complex 3-vector fields (n^3 48 B).
+
+    The report keeps integrals, not arrays: the four-momentum density and the
+    snapshot's H and P go once integrated, F is never kept, and |F|^2 and
+    |psi|^2 are formed per group of x-planes.  Its highest stage is then the
+    9-component momentum transform, 6.0 fields; keeping those arrays read 7.3.
+    """
+    monkeypatch.setenv("PHOTONLAB_THREADS", "1")
+    grid = WaveVectorGrid.centered((32, 32, 32), (0.75, 0.75, 0.75))
+    spatial = SpatialGrid.paired(grid)
+    packet = gaussian_spectrum(grid, (0.0, 6.0, 8.0), 1.0, (1.0, 0.0))
+    cold = expectations(packet, spatial, 0.2)
+    warm, _, peak = traced(lambda: expectations(packet, spatial, 0.2))
+    assert warm == cold
+    assert peak / (32**3 * 48) <= 6.5

@@ -579,3 +579,33 @@ def test_a_run_peaks_below_six_vector_fields(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak / (32**3 * 48) <= 6.0
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_curl_operands_equal_their_np_cross_forms_bitwise(monkeypatch, threads, planar_grid,
+                                                          planar_spatial):
+    """B+ = (i k x A)+ and the helicity operand (i khat x A)+, formed per group of
+    x-planes, against np.cross on the full-grid evolved amplitude."""
+    monkeypatch.setenv("PHOTONLAB_THREADS", threads)
+    packet = gaussian_spectrum(planar_grid, (2.0, -1.0, 6.0), 1.0, (0.6, 0.8))
+    snap = synthesize(packet, planar_spatial, 0.3)
+    k, omega, mask = planar_grid.k_vectors, planar_grid.omega, planar_grid.exclusion_mask
+    khat = np.where(mask[..., None], 0.0, k / np.where(mask, 1.0, omega)[..., None])
+    for vectors, field in ((k, snap.B_plus), (khat, snap.helicity_operand())):
+        want = spectrum_to_field(np.cross(vectors, snap.a_coeffs) * 1j, planar_grid,
+                                 planar_spatial)
+        assert np.array_equal(field, want)
+
+
+def test_b_plus_holds_no_second_full_grid_array(monkeypatch, traced, planar_grid,
+                                                planar_spatial):
+    """On one thread B+ keeps its field and forms the evolved amplitude and the
+    cross product's scratch per group; a full-grid a_coeffs and scratch added
+    1.38 complex 3-vector fields on top."""
+    monkeypatch.setenv("PHOTONLAB_THREADS", "1")
+    packet = gaussian_spectrum(planar_grid, (2.0, -1.0, 6.0), 1.0, (1.0, 0.0))
+    snap = synthesize(packet, planar_spatial, 0.3)
+    field = planar_grid.omega.size * 48
+    b_plus, held, peak = traced(lambda: snap.B_plus)
+    assert held >= b_plus.nbytes
+    assert (peak - held) / field <= 0.5
