@@ -35,12 +35,16 @@ tautology.
 
 What several output kinds need is computed once per snapshot and kept
 read-only in its instance dict by ``field_synthesis._memo``, so it is freed
-with the snapshot: the energy density H, the real momentum density P (the
-momentum operands behind it are not kept) and the wave fields, which keep
-psi but not F: F is formed read-only from the snapshot's E+ and B+ on each
-access, and |F|^2 one group of x-planes at a time.  ``energy_density`` and
-``momentum_density`` return the kept H and P, so copy their data before
-modifying it; ``field_synthesis._forget`` drops them.
+with the snapshot: the energy density H, the real momentum density P and
+the wave fields, which keep psi but not F: F is formed read-only from the
+snapshot's E+ and B+ on each access, and |F|^2 one group of x-planes at a
+time.  P costs three inverse FFTs over the 9 n^3 points of the three
+operands (k_j A)+, one 3-component transform per direction, each
+contracted into P_j before the next is formed and none kept.
+``energy_density`` and ``momentum_density`` return the kept H and P, so copy
+their data before modifying it; ``field_synthesis._forget`` drops them, and
+``photonlab run`` drops each intermediate a :class:`DensityKind` ``reads``
+after its last requested reader.
 
 The contractions, cross products and squared norms follow the slab rule of
 :mod:`photonlab.slabs`: each forms its scratch for one group of x-planes,
@@ -109,12 +113,9 @@ def _contract_pair(subscripts, first, second, combine, shape):
     return out
 
 
-def _im_dot(a, b, subscripts="...c,...c->..."):
-    """Im(conj(a) . b) contracted per ``subscripts``, in real arithmetic.
-
-    The result has the shape of ``b`` without its last axis.
-    """
-    return _contract_pair(subscripts, (a.real, b.imag), (a.imag, b.real), np.subtract,
+def _im_dot(a, b):
+    """Im(conj(a) . b) of (nx, ny, nz, 3) fields, in real arithmetic."""
+    return _contract_pair("...c,...c->...", (a.real, b.imag), (a.imag, b.real), np.subtract,
                           b.shape[:-1])
 
 
@@ -170,13 +171,9 @@ def photon_current(f: fs.FieldSnapshot) -> DensityField:
 
 
 def _operator_density(f: fs.FieldSnapshot, op_a):
-    """sigma/2 ( i E+ . conj(op A+) + c.c. ) = sigma Im(conj(E+) . op A+).
-
-    ``op_a`` is the field op A+: (nx, ny, nz, 3) for one operator, or
-    (nx, ny, nz, m, 3) for m operators transformed together.
-    """
-    subscripts = "...c,...c->..." if op_a.ndim == 4 else "...c,...jc->...j"
-    out = _im_dot(f.E_plus, op_a, subscripts)
+    """sigma/2 ( i E+ . conj(op A+) + c.c. ) = sigma Im(conj(E+) . op A+), where
+    ``op_a`` is the (nx, ny, nz, 3) field op A+."""
+    out = _im_dot(f.E_plus, op_a)
     out *= SIGMA
     return out
 
@@ -193,9 +190,19 @@ def _energy(f: fs.FieldSnapshot):
 
 
 def _momentum(f: fs.FieldSnapshot):
-    """(P_x, P_y, P_z) on the trailing axis from the momentum operands, kept per snapshot."""
-    return fs._memo(f, "_momentum",
-                    lambda: _read_only(_operator_density(f, f.momentum_operands())))
+    """(P_x, P_y, P_z) on the trailing axis, kept per snapshot.
+
+    Each direction's operand (k_j A)+ is transformed and contracted into P_j
+    before the next is formed, so one 3-vector operand is held at a time.
+    """
+
+    def build():
+        p = np.empty(f.E_plus.shape)
+        for j in range(3):
+            p[..., j] = _operator_density(f, f.momentum_operand(j))
+        return _read_only(p)
+
+    return fs._memo(f, "_momentum", build)
 
 
 def four_momentum_density(f: fs.FieldSnapshot) -> DensityField:
@@ -333,19 +340,31 @@ class DensityKind:
     build: Callable[[fs.FieldSnapshot], DensityField]
     labels: str = ""  # components of a vector kind, in summaries and CSV headers
     pure_helicity: bool = False  # F and psi exist for one helicity only
+    # the snapshot intermediates it reads (``field_synthesis._memo`` keys and kept
+    # fields), which ``run`` drops after their last requested reader
+    reads: tuple[str, ...] = ()
 
+
+_WAVE_READS = ("_wave_fields", "B_plus", "psi")
 
 # The builders look each density function up in this module when they run,
 # so a rebound module attribute (a tracer's wrapper, say) is the one called.
 # The box center is the reference point of the orbital angular momentum.
+# ``run`` builds a time's kinds in this order, which holds the least at once: the
+# kinds that read P, then rho and |E+|^2, then the wave fields' kinds (B+ and psi),
+# and last the current, which keeps only B+ once psi has gone.
 DENSITY_TABLE = {
+    "momentum": DensityKind(lambda f: momentum_density(f), "xyz", reads=("_momentum",)),
+    "angular_momentum": DensityKind(lambda f: angular_momentum_density(f, (0, 0, 0)), "xyz",
+                                    reads=("_momentum",)),
+    "four_momentum": DensityKind(lambda f: four_momentum_density(f), "txyz",
+                                 reads=("_energy", "_momentum")),
     "number": DensityKind(lambda f: number_density(f)),
-    "current": DensityKind(lambda f: photon_current(f), "xyz"),
-    "energy": DensityKind(lambda f: energy_density(f)),
-    "momentum": DensityKind(lambda f: momentum_density(f), "xyz"),
-    "four_momentum": DensityKind(lambda f: four_momentum_density(f), "txyz"),
-    "angular_momentum": DensityKind(lambda f: angular_momentum_density(f, (0, 0, 0)), "xyz"),
-    "bb_energy": DensityKind(lambda f: bb_energy_density(photon_wave_fields(f)), "", True),
-    "lp_number": DensityKind(lambda f: lp_number_density(photon_wave_fields(f)), "", True),
+    "energy": DensityKind(lambda f: energy_density(f), reads=("_energy",)),
+    "bb_energy": DensityKind(lambda f: bb_energy_density(photon_wave_fields(f)), "", True,
+                             _WAVE_READS),
+    "lp_number": DensityKind(lambda f: lp_number_density(photon_wave_fields(f)), "", True,
+                             _WAVE_READS),
+    "current": DensityKind(lambda f: photon_current(f), "xyz", reads=("B_plus",)),
 }
 DENSITY_KINDS = frozenset(DENSITY_TABLE)

@@ -24,10 +24,11 @@ momentum operands (k_j A)+, the spectral divergence of
 :func:`apply_frequency_operator`.  :mod:`photonlab.densities` and
 :mod:`photonlab.observables` take these fields from a snapshot and work in
 real space.  A snapshot synthesizes A+ and E+ together; B+ and
-Omega^{1/2} A+ are transformed on first access and kept, the helicity and
-momentum operands on each call and not kept.  All eight output kinds of one
-snapshot thus cost four inverse FFTs: the synthesis, B+, the 9-component
-momentum transform and Omega^{1/2} A+.
+Omega^{1/2} A+ are transformed on first access and kept, the helicity
+operand and each momentum operand on each call and not kept.  All eight
+output kinds of one snapshot thus cost six inverse FFTs over 21 n^3 points:
+the synthesis (6 components), B+ (3), one 3-component momentum transform per
+direction (9 in all) and Omega^{1/2} A+ (3).
 
 Every FFT goes through one :class:`SpectralEngine` per (WaveVectorGrid,
 SpatialGrid) pair; :func:`spectral_engine` is the one place that finds and
@@ -62,7 +63,7 @@ from .mode_space import (
 )
 # kept here only because perfbench/tracer.py traces the oracle under this module's name
 from .oracle import synthesize_at_points  # noqa: F401
-from .slabs import _cross_into, _in_plane_groups, _multiply, _workers
+from .slabs import _cross_into, _in_plane_groups, _workers
 
 
 def _memo(owner, key: str, build):
@@ -196,7 +197,8 @@ class SpectralEngine:
         div_coeffs += coeffs[1]
         div_coeffs += coeffs[2]
         np.multiply(1j, div_coeffs, out=div_coeffs)
-        return np.real(self.to_field(div_coeffs))
+        # a copy of the real part, so the (3, nx, ny, nz) work array goes with this frame
+        return self.to_field(div_coeffs).real.copy()
 
     def amplitude(self, s: PhotonSpectrum):
         """Time-independent grid-order amplitude i g omega^{-1/2} (c+ e+ + c- e-).
@@ -377,9 +379,11 @@ class FieldSnapshot:
 
     @cached_property
     def psi(self):
-        """Omega^{1/2} A+: one inverse FFT of the mode amplitudes scaled by sqrt(omega)."""
+        """Omega^{1/2} A+: one inverse FFT of the mode amplitudes scaled by sqrt(omega),
+        which is formed one group of x-planes at a time."""
         psi_coeffs = leading(self.a_coeffs)  # a fresh array, scaled in place
-        np.multiply(np.sqrt(self.kgrid.omega), psi_coeffs, out=psi_coeffs)
+        omega = self.kgrid.omega
+        self.engine._scale(psi_coeffs, lambda g: np.sqrt(omega[g]), psi_coeffs)
         return self.engine.to_field(trailing(psi_coeffs, 1))
 
     def helicity_operand(self):
@@ -396,14 +400,25 @@ class FieldSnapshot:
 
         return self.engine.to_field(self._curl_coeffs(khat))
 
-    def momentum_operands(self):
-        """(k_j A)+ as (nx, ny, nz, 3, 3), j on the second-last axis, from one
-        9-component transform; transformed on each call and not kept."""
-        k, amp = leading(self.kgrid.k_vectors), leading(self.amplitude)
-        op_coeffs = np.empty((3, 3) + self.kgrid.n_per_axis, np.complex128)
-        _multiply(k[:, None], amp[None, :], op_coeffs)
-        self.engine._evolve(op_coeffs, self.t, op_coeffs)
-        return self.engine.to_field(trailing(op_coeffs, 2))
+    def momentum_operand(self, j: int):
+        """(k_j A)+ as (nx, ny, nz, 3) from one 3-component transform, transformed
+        on each call and not kept.
+
+        Each group of x-planes forms k_j times the amplitude and then evolves
+        it: the products, in their order, of one 9-component transform of all
+        three directions, so the operand is bitwise that transform's part j.
+        """
+        k_j, amp = self.kgrid.k_vectors[..., j], leading(self.amplitude)
+        time_phase = self.engine._time_phase(self.t)
+        coeffs = np.empty(amp.shape, np.complex128)
+
+        def fill(g):
+            out = coeffs[:, g]
+            np.multiply(k_j[g], amp[:, g], out=out)
+            np.multiply(out, time_phase(g), out=out)
+
+        _in_plane_groups(fill, self.kgrid.n_per_axis)
+        return self.engine.to_field(trailing(coeffs, 1))
 
 
 def synthesize(s: PhotonSpectrum, sgrid: SpatialGrid, t: float) -> FieldSnapshot:

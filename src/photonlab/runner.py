@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, densities, observables, slabs
 from .config import GridSection, ScenarioConfig
 from .diskio import atomic_write_bytes, atomic_write_text
-from .field_synthesis import FieldSnapshot, synthesize
+from .field_synthesis import FieldSnapshot, _forget, synthesize
 from .mode_space import (PhotonSpectrum, SpatialGrid, WaveVectorGrid, gaussian_spectrum,
                          localized_spectrum, normalize, single_mode_spectrum)
 from .oracle import vector_potential_at_points
@@ -206,15 +206,22 @@ def _export_time(cfg: ScenarioConfig, snap: FieldSnapshot, t_index: int, oracle,
                  writes: dict[str, Future], summary_values: dict[str, str]) -> list[CheckResult]:
     """Queue the densities of one snapshot for writing; at the first time, return its checks.
 
-    Each density is handed to the export thread once the previous write has
-    finished (and its error, if any, raised), so one write is queued at a time.
+    The kinds are built in the order of ``densities.DENSITY_TABLE``, whatever
+    the order requested, and each intermediate the snapshot keeps (``reads``)
+    is dropped once no later requested kind reads it.  Each density is handed
+    to the export thread once the previous write has finished (and its error,
+    if any, raised), so one write is queued at a time.
     """
     results = []
     if t_index == 0:
         results.append(CheckResult("fft-quadrature", (_spot_check(cfg, oracle, snap),)))
-    for kind in cfg.outputs.densities:
-        entry = densities.DENSITY_TABLE[kind]
+    table = densities.DENSITY_TABLE
+    kinds = [kind for kind in table if kind in cfg.outputs.densities]
+    for index, kind in enumerate(kinds):
+        entry = table[kind]
         field = entry.build(snap)
+        later = {key for other in kinds[index + 1:] for key in table[other].reads}
+        _forget(snap, *(key for key in entry.reads if key not in later))
         filename = f"{kind}_t{t_index}.f64"
         if writes:
             next(reversed(writes.values())).result()
@@ -230,6 +237,7 @@ def _export_time(cfg: ScenarioConfig, snap: FieldSnapshot, t_index: int, oracle,
             number = integral
             summary_values[f"negative_mass.number.t{t_index}"] = (
                 f"{observables.negative_mass(field):.17g}")
+        del field  # the export thread holds the data only until its write finishes
     if t_index == 0 and "number" in cfg.outputs.densities:
         results.append(CheckResult(
             "number-norm",

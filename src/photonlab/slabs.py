@@ -143,13 +143,6 @@ def _in_plane_groups(fn, shape):
     _in_slabs(slab, shape[0])
 
 
-def _multiply(a, b, out):
-    """out = a * b in x-slabs; all three are (..., nx, ny, nz), component axes leading."""
-    _in_slabs(lambda x: np.multiply(a[..., x, :, :], b[..., x, :, :], out=out[..., x, :, :]),
-              out.shape[-3])
-    return out
-
-
 def _cross_into(a, b, out, term):
     """out = a x b of (..., 3) arrays from componentwise products; ``term`` is
     scratch of one component's shape.

@@ -91,6 +91,31 @@ def test_first_run_of_a_process_costs_no_extra_transform(tmp_path, config_path):
     assert done.stdout.splitlines()[-1] == "[2, 2]"
 
 
+SUM_IFFTN_POINTS_PER_RUN = """\
+import contextlib, io, sys, scipy.fft
+from photonlab.cli import main
+points, ifftn = [], scipy.fft.ifftn
+scipy.fft.ifftn = lambda x, *args, **kwargs: points.append(x.size) or ifftn(x, *args, **kwargs)
+sums = []
+for outdir in sys.argv[2:]:
+    before = len(points)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", sys.argv[1], "--outdir", outdir]) == 0
+    sums.append(sum(points[before:]))
+print(sums)
+"""
+
+
+def test_a_desk_run_transforms_fifteen_components_per_time(tmp_path):
+    """FFT work, not FFT calls: a cold and a warm run of the desk config (3 times,
+    number, energy, momentum) each transform 6 components for the synthesis and
+    9 for the three momentum operands per time, whatever the calls."""
+    done = run_python("-c", SUM_IFFTN_POINTS_PER_RUN, str(ROOT / "configs" / "gaussian_desk.cfg"),
+                      str(tmp_path / "cold"), str(tmp_path / "warm"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str([3 * 15 * 64**3] * 2)
+
+
 PRINT_REDUCTIONS = """\
 import contextlib, io, sys
 import numpy as np

@@ -42,6 +42,8 @@ MUTATIONS = (
      "number-norm", "norm_drift"),
     ("sigma-flipped", "densities.py", "SIGMA = -1\n", "SIGMA = 1\n",
      "energy-momentum", "momentum_rel_err"),
+    ("momentum-operand-k-x", "field_synthesis.py", "k_vectors[..., j]", "k_vectors[..., 0]",
+     "energy-momentum", "momentum_rel_err"),
     ("a-f-unconjugated", "densities.py", "np.conj(f.A_plus), g.E_plus", "f.A_plus, g.E_plus",
      "number-norm", "offdiag_err"),
     ("mode-factor-one-over-omega", "field_synthesis.py", "1.0 / np.sqrt(safe)", "1.0 / safe",

@@ -342,6 +342,19 @@ def test_divergence_is_the_summed_products(small_grid, small_spatial):
                           summed_product_divergence(current, small_grid, small_spatial))
 
 
+def test_the_divergence_frees_its_work_array(monkeypatch, traced, planar_grid, planar_spatial):
+    """div J comes back as a C-ordered real copy: the (3, nx, ny, nz) complex work
+    array goes on return.  A real view of it held that whole array, six times the
+    bytes of the divergence."""
+    monkeypatch.setenv("PHOTONLAB_THREADS", "1")
+    packet = gaussian_spectrum(planar_grid, (2.0, -1.0, 6.0), 1.0, (1.0, 0.0))
+    current = photon_current(synthesize(packet, planar_spatial, 0.3)).data
+    engine = spectral_engine(planar_grid, planar_spatial)
+    div, held, _ = traced(lambda: engine.divergence(current))
+    assert div.flags.c_contiguous and div.dtype == np.float64
+    assert held / div.nbytes <= 1.5
+
+
 # ---------------------------------------------------------------------------
 # Causality of the free packet
 

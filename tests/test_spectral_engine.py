@@ -3,6 +3,7 @@ Parseval, the transform-free density forms, caching and FFT counts."""
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import multiprocessing
 import os
@@ -30,6 +31,7 @@ from photonlab.mode_space import (
     leading,
     normalize,
     spectral_summary,
+    trailing,
 )
 from photonlab.oracle import synthesize_at_points
 
@@ -215,11 +217,11 @@ def test_fft_counts_per_density(fft_calls, small_grid, small_spatial, small_pack
     densities.number_density(snap)
     densities.energy_density(snap)
     assert len(fft_calls["ifftn"]) == 1
-    densities.momentum_density(snap)
-    assert fft_calls["ifftn"][-1] == (3, 3) + small_grid.n_per_axis
+    densities.momentum_density(snap)  # one 3-component transform per direction
+    assert fft_calls["ifftn"][1:] == [(3,) + small_grid.n_per_axis] * 3
     densities.photon_wave_fields(snap)  # B+ on first access, then psi
     densities.photon_current(snap)  # reuses B+
-    assert len(fft_calls["ifftn"]) == 4
+    assert len(fft_calls["ifftn"]) == 6
     assert fft_calls["fftn"] == []
 
 
@@ -232,8 +234,8 @@ def test_all_kinds_share_four_transforms(fft_calls, small_grid, small_spatial, s
     for kind in ALL_KINDS:
         densities.DENSITY_TABLE[kind].build(snap)
     n = small_grid.n_per_axis
-    # synthesis, B+, the momentum transform, psi
-    assert fft_calls["ifftn"] == [(6,) + n, (3,) + n, (3, 3) + n, (3,) + n]
+    # synthesis, B+, the momentum transforms (k_x A, k_y A, k_z A), psi
+    assert fft_calls["ifftn"] == [(6,) + n, (3,) + n, (3,) + n, (3,) + n, (3,) + n, (3,) + n]
     assert fft_calls["fftn"] == []
 
 
@@ -561,6 +563,50 @@ def test_a_run_holds_one_snapshot_at_a_time(monkeypatch, tmp_path):
     assert len(made) == 3
 
 
+def _run_digests(kinds, outdir):
+    """Every file of a 12^3 run of ``kinds`` at three times, by name."""
+    text = RUN_CONFIG.format(n=12, dk=0.9, k0=3.2, sigma=0.55, kinds=", ".join(kinds))
+    assert runner.run_scenario(config.parse_scenario(text, "order.cfg"), str(outdir)).ok
+    return {path.name: path.read_bytes() for path in outdir.iterdir()}
+
+
+def test_the_requested_order_changes_no_artifact(tmp_path):
+    """Every .f64 and summary.txt, with the kinds listed forward and reversed."""
+    forward = _run_digests(ALL_KINDS, tmp_path / "forward")
+    assert len(forward) == 3 * len(ALL_KINDS) + 1
+    assert _run_digests(ALL_KINDS[::-1], tmp_path / "reversed") == forward
+
+
+_INTERMEDIATES = {"_energy", "_momentum", "B_plus", "psi", "_wave_fields"}
+
+
+@pytest.mark.parametrize("kinds, held", [
+    (ALL_KINDS, [("momentum", []), ("angular_momentum", ["_momentum"]),
+                 ("four_momentum", ["_momentum"]), ("number", ["_energy"]),
+                 ("energy", ["_energy"]), ("bb_energy", []),
+                 ("lp_number", ["B_plus", "_wave_fields", "psi"]), ("current", ["B_plus"])]),
+    (("current", "lp_number", "four_momentum"),
+     [("four_momentum", []), ("lp_number", []), ("current", ["B_plus"])]),
+], ids=["all", "three"])
+def test_a_run_drops_each_intermediate_after_its_last_reader(monkeypatch, tmp_path, kinds,
+                                                             held):
+    """The snapshot intermediates each kind finds when its build starts, at every
+    time, and none left after the last kind of a time."""
+    seen, snaps = [], []
+    for kind, entry in densities.DENSITY_TABLE.items():
+
+        def build(f, _kind=kind, _build=entry.build):
+            seen.append((_kind, sorted(_INTERMEDIATES & vars(f).keys())))
+            snaps.append(f)
+            return _build(f)
+
+        monkeypatch.setitem(densities.DENSITY_TABLE, kind, dataclasses.replace(entry, build=build))
+    text = RUN_CONFIG.format(n=12, dk=0.9, k0=3.2, sigma=0.55, kinds=", ".join(kinds))
+    assert runner.run_scenario(config.parse_scenario(text, "drops.cfg"), str(tmp_path)).ok
+    assert seen == held * 3
+    assert [sorted(_INTERMEDIATES & vars(snap).keys()) for snap in snaps] == [[]] * len(seen)
+
+
 def test_a_run_peaks_below_six_vector_fields(tmp_path):
     """A warm 32^3 number-only run at three times, traced by tracemalloc.
 
@@ -581,6 +627,28 @@ def test_a_run_peaks_below_six_vector_fields(tmp_path):
     assert peak / (32**3 * 48) <= 6.0
 
 
+def test_a_warm_all_kinds_run_peaks_below_seven_vector_fields(tmp_path):
+    """A warm 32^3 run of all eight kinds at three times, traced by tracemalloc.
+
+    Beyond the spectrum, its amplitude and the snapshot (3.7 fields), one
+    direction's momentum operand is held at a time, and each intermediate
+    only until its last reader: 6.50 fields on two threads, at |F|^2, while
+    the snapshot keeps B+ and psi.  The one 9-component momentum transform,
+    with B+ and H kept from the current and the energy built before it,
+    read 8.71.
+    """
+    text = RUN_CONFIG.format(n=32, dk=0.75, k0=10, sigma=1.0, kinds=", ".join(ALL_KINDS))
+    cfg = config.parse_scenario(text, "memory.cfg")
+    assert runner.run_scenario(cfg, str(tmp_path / "cold")).ok
+    tracemalloc.start()
+    try:
+        assert runner.run_scenario(cfg, str(tmp_path / "warm")).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (32**3 * 48) <= 7.0
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_curl_operands_equal_their_np_cross_forms_bitwise(monkeypatch, threads, planar_grid,
                                                           planar_spatial):
@@ -595,6 +663,38 @@ def test_curl_operands_equal_their_np_cross_forms_bitwise(monkeypatch, threads, 
         want = spectrum_to_field(np.cross(vectors, snap.a_coeffs) * 1j, planar_grid,
                                  planar_spatial)
         assert np.array_equal(field, want)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_psi_equals_its_full_grid_form_bitwise(monkeypatch, threads, planar_grid,
+                                               planar_spatial):
+    """psi scales the evolved amplitude by sqrt(omega) formed per group of x-planes:
+    the same bits as the full-grid multiplier."""
+    monkeypatch.setenv("PHOTONLAB_THREADS", threads)
+    packet = gaussian_spectrum(planar_grid, (2.0, -1.0, 6.0), 1.0, (1.0, 0.0))
+    snap = synthesize(packet, planar_spatial, 0.3)
+    psi_coeffs = leading(snap.a_coeffs)
+    np.multiply(np.sqrt(planar_grid.omega), psi_coeffs, out=psi_coeffs)
+    assert np.array_equal(snap.psi, snap.engine.to_field(trailing(psi_coeffs, 1)))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_momentum_operands_equal_one_nine_component_transform_bitwise(
+        monkeypatch, threads, planar_grid, planar_spatial):
+    """Each direction's (k_j A)+ is the j part of one transform of all three, and P
+    their "...c,...jc->...j" contraction, bit for bit."""
+    monkeypatch.setenv("PHOTONLAB_THREADS", threads)
+    packet = gaussian_spectrum(planar_grid, (2.0, -1.0, 6.0), 1.0, (0.6, 0.8))
+    snap = synthesize(packet, planar_spatial, 0.3)
+    coeffs = leading(planar_grid.k_vectors)[:, None] * leading(snap.amplitude)[None, :]
+    snap.engine._evolve(coeffs, snap.t, coeffs)
+    operands = snap.engine.to_field(trailing(coeffs, 2))
+    for j in range(3):
+        assert np.array_equal(snap.momentum_operand(j), operands[..., j, :])
+    e_plus = snap.E_plus
+    p = (np.einsum("...c,...jc->...j", e_plus.real, operands.imag)
+         - np.einsum("...c,...jc->...j", e_plus.imag, operands.real))
+    assert np.array_equal(densities.momentum_density(snap).data, densities.SIGMA * p)
 
 
 def test_b_plus_holds_no_second_full_grid_array(monkeypatch, traced, planar_grid,
