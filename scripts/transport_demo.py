@@ -21,8 +21,8 @@ import argparse
 
 import numpy as np
 
-from photonlab.densities import number_density
-from photonlab.field_synthesis import SpatialGrid, synthesize
+from photonlab.densities import number_density_at
+from photonlab.field_synthesis import SpatialGrid
 from photonlab.mode_space import WaveVectorGrid, gaussian_spectrum
 from photonlab.observables import expectations, transport_speed
 
@@ -60,7 +60,7 @@ def main() -> None:
               f"{report.group_speed:8.4f}")
 
     overall = transport_speed(
-        *(number_density(synthesize(spectrum, sgrid, t)) for t in (0.0, args.t_max))
+        *(number_density_at(spectrum, sgrid, t) for t in (0.0, args.t_max))
     )
     print()
     print(f"end-to-end centroid speed over [0, {args.t_max}]: {overall:.5f} "

@@ -44,7 +44,10 @@ contracted into P_j before the next is formed and none kept.
 ``energy_density`` and ``momentum_density`` return the kept H and P, so copy
 their data before modifying it; ``field_synthesis._forget`` drops them, and
 ``photonlab run`` drops each intermediate a :class:`DensityKind` ``reads``
-after its last requested reader.
+after its last requested reader.  Two readers that need less than a
+snapshot's worth have their own paths: :func:`number_density_at` forms rho
+at a time without a snapshot, and :func:`wave_densities` forms |F|^2 and
+|psi|^2 holding psi and B+ one at a time.
 
 The contractions, cross products and squared norms follow the slab rule of
 :mod:`photonlab.slabs`: each forms its scratch for one group of x-planes,
@@ -63,7 +66,7 @@ import numpy as np
 from . import field_synthesis as fs
 # re-exported: the frequency powers are applied in field_synthesis, under this public name too
 from .field_synthesis import apply_frequency_operator  # noqa: F401
-from .mode_space import SpatialGrid, _read_only, broadcast_along
+from .mode_space import PhotonSpectrum, SpatialGrid, _read_only, broadcast_along
 from .slabs import _cross_into, _in_plane_groups
 
 # E+ = i omega A+ gives Im(A+ . conj(E+)) = -omega |A+|^2, so sigma = -1 makes rho >= 0
@@ -147,6 +150,29 @@ def number_density(f: fs.FieldSnapshot) -> DensityField:
     rho = _im_dot(f.E_plus, f.A_plus)
     rho *= SIGMA
     return DensityField("number", rho, f.t, f.sgrid)
+
+
+def number_density_at(s: PhotonSpectrum, sgrid: SpatialGrid, t: float) -> DensityField:
+    """rho of ``s`` at time t without a snapshot: bitwise
+    ``number_density(synthesize(s, sgrid, t))``.
+
+    The pairs (A+_c, E+_c) of ``field_synthesis.synthesize_pairs`` come one
+    component at a time; sum_c Re E_c Im A_c and sum_c Im E_c Re A_c add them
+    to zeros in component order, as the contraction of :func:`number_density`
+    does, one group of x-planes at a time.
+    """
+    shape = sgrid.n_per_axis
+    first, second = np.zeros(shape), np.zeros(shape)
+    for a_plus, e_plus in fs.synthesize_pairs(s, sgrid, t):
+
+        def accumulate(g):
+            first[g] += e_plus.real[g] * a_plus.imag[g]
+            second[g] += e_plus.imag[g] * a_plus.real[g]
+
+        _in_plane_groups(accumulate, shape)
+    first -= second
+    first *= SIGMA
+    return DensityField("number", first, float(t), sgrid)
 
 
 def cross_number_density(f: fs.FieldSnapshot, g: fs.FieldSnapshot) -> np.ndarray:
@@ -273,16 +299,28 @@ class PhotonWaveFields:
 
     def F_planes(self, g=slice(None)):
         """F on the x-planes ``g``, in a fresh C-ordered array."""
-        e_plus = self.E_plus[g]
-        F = np.empty(e_plus.shape, np.complex128)
-        np.copyto(F.real, e_plus.real)
-        np.multiply(self.helicity, self.B_plus[g].real, out=F.imag)
-        return F
+        return _F_planes(self.helicity, self.E_plus, self.B_plus, g)
 
     @property
     def F(self):
         """F on the whole grid, formed read-only on each access and not kept."""
         return _read_only(self.F_planes())
+
+
+def _F_planes(helicity, e_plus, b_plus, g):
+    """F = Re E+ + i lambda Re B+ on the x-planes ``g``, in a fresh C-ordered array."""
+    e_plus = e_plus[g]
+    F = np.empty(e_plus.shape, np.complex128)
+    np.copyto(F.real, e_plus.real)
+    np.multiply(helicity, b_plus[g].real, out=F.imag)
+    return F
+
+
+def _pure_helicity(f: fs.FieldSnapshot) -> int:
+    lam = f.spectrum.pure_helicity()
+    if lam is None:
+        raise ValueError("mixed-helicity spectrum: F and psi need a pure helicity")
+    return lam
 
 
 def photon_wave_fields(f: fs.FieldSnapshot) -> PhotonWaveFields:
@@ -292,9 +330,7 @@ def photon_wave_fields(f: fs.FieldSnapshot) -> PhotonWaveFields:
     """
 
     def build():
-        lam = f.spectrum.pure_helicity()
-        if lam is None:
-            raise ValueError("mixed-helicity spectrum: F and psi need a pure helicity")
+        lam = _pure_helicity(f)
         b_plus = f.B_plus  # transformed before psi
         return PhotonWaveFields(helicity=lam, psi=_read_only(f.psi), E_plus=f.E_plus,
                                 B_plus=b_plus, t=f.t, grid=f.sgrid)
@@ -302,14 +338,14 @@ def photon_wave_fields(f: fs.FieldSnapshot) -> PhotonWaveFields:
     return fs._memo(f, "_wave_fields", build)
 
 
-def _squared_norm(planes, shape):
-    """|v|^2 of a complex (nx, ny, nz, 3) field v, C-ordered ``shape`` (nx, ny, nz).
+def _squared_norm(kind, planes, t, grid: SpatialGrid) -> DensityField:
+    """The density ``kind`` = |v|^2 of a complex (nx, ny, nz, 3) field v, C-ordered.
 
     ``planes(g)`` gives v on the x-planes g, and |v| is formed one such group
     at a time.  The components add as ``(a_x + a_y) + a_z``, the order of a
     sum over the trailing axis, without its strided reduction.
     """
-    out = np.empty(shape)
+    out = np.empty(grid.n_per_axis)
 
     def fill(g):
         a = np.abs(planes(g))
@@ -317,20 +353,37 @@ def _squared_norm(planes, shape):
         np.add(a[..., 0], a[..., 1], out=out[g])
         np.add(out[g], a[..., 2], out=out[g])
 
-    _in_plane_groups(fill, shape)
-    return out
+    _in_plane_groups(fill, out.shape)
+    return DensityField(kind, out, t, grid)
 
 
 def bb_energy_density(wf: PhotonWaveFields) -> DensityField:
     """|F|^2: the energy-density reading of the first wave function."""
-    return DensityField("bb_energy", _squared_norm(wf.F_planes, wf.psi.shape[:-1]), wf.t, wf.grid)
+    return _squared_norm("bb_energy", wf.F_planes, wf.t, wf.grid)
 
 
 def lp_number_density(wf: PhotonWaveFields) -> DensityField:
     """|psi|^2: the number-density reading of the second wave function."""
     psi = wf.psi
-    return DensityField("lp_number", _squared_norm(lambda g: psi[g], psi.shape[:-1]), wf.t,
-                        wf.grid)
+    return _squared_norm("lp_number", lambda g: psi[g], wf.t, wf.grid)
+
+
+def wave_densities(f: fs.FieldSnapshot) -> tuple[DensityField, DensityField]:
+    """|F|^2 and |psi|^2 of a pure-helicity snapshot, with psi and B+ held one at a time.
+
+    |psi|^2 is formed first and the snapshot's psi dropped before B+ is
+    transformed for |F|^2; B+ stays kept, and nothing else is.  Each density
+    is bitwise its :func:`photon_wave_fields` form.  For a reader of these
+    two densities alone: :func:`photon_wave_fields` keeps psi and B+ together.
+    """
+    lam = _pure_helicity(f)
+    psi = f.psi
+    lp = _squared_norm("lp_number", lambda g: psi[g], f.t, f.sgrid)
+    del psi
+    fs._forget(f, "psi")
+    e_plus, b_plus = f.E_plus, f.B_plus
+    bb = _squared_norm("bb_energy", lambda g: _F_planes(lam, e_plus, b_plus, g), f.t, f.sgrid)
+    return bb, lp
 
 
 @dataclass(frozen=True)

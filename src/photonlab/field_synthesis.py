@@ -28,7 +28,10 @@ Omega^{1/2} A+ are transformed on first access and kept, the helicity
 operand and each momentum operand on each call and not kept.  All eight
 output kinds of one snapshot thus cost six inverse FFTs over 21 n^3 points:
 the synthesis (6 components), B+ (3), one 3-component momentum transform per
-direction (9 in all) and Omega^{1/2} A+ (3).
+direction (9 in all) and Omega^{1/2} A+ (3).  Where only A+ . E+ products
+are wanted at a time, :func:`synthesize_pairs` hands out (A+_c, E+_c) one
+component at a time instead, from three 2-component transforms over the
+same 6 n^3 points, holding one pair rather than a snapshot.
 
 Every FFT goes through one :class:`SpectralEngine` per (WaveVectorGrid,
 SpatialGrid) pair; :func:`spectral_engine` is the one place that finds and
@@ -40,7 +43,9 @@ slab rule of :mod:`photonlab.slabs`.  The per-mode multipliers (the two FFT
 phases from their per-axis factors, the mode factor omega^{-1/2} and
 exp(-i omega t) from the level table) are per-plane temporaries: each pass
 forms them for one group of x-planes at a time, so neither the engine nor a
-snapshot keeps a full-grid phase.  The FFT path is checked against the
+snapshot keeps a full-grid phase; :func:`synthesize_pairs` alone forms
+exp(-i omega t) phase_k on the full grid, once for its three transforms,
+and frees it with them.  The FFT path is checked against the
 direct quadrature of :mod:`photonlab.oracle`.
 """
 
@@ -261,6 +266,38 @@ class SpectralEngine:
         _in_plane_groups(fill, omega.shape)
         return work
 
+    def pairs(self, amplitude, t: float):
+        """(A+_c, E+_c) at time t for c = 0, 1, 2, each from one (2, nx, ny, nz)
+        inverse FFT.
+
+        Each pair's coefficients are the products :meth:`_coefficients` forms
+        for component c, in their order, so the pair is bitwise component c of
+        :meth:`snapshot`.  exp(-i omega t) phase_k is formed once per call.
+        Both fields of a pair are views of one work array that the next pair
+        overwrites: read each pair before asking for the next.
+        """
+        amp, omega = leading(amplitude), self.kgrid.omega
+        time_phase = self._time_phase(t)
+        multiplier = np.empty(omega.shape, np.complex128)
+        work = np.empty((2,) + omega.shape, np.complex128)
+
+        def phases(g):
+            np.multiply(time_phase(g), _phase(self.phase_k, g), out=multiplier[g])
+
+        _in_plane_groups(phases, omega.shape)
+        for c in range(3):
+
+            def fill(g, c=c):
+                f = multiplier[g]
+                np.multiply(amp[c, g], f, out=work[0, g])
+                i_omega = np.multiply(1j, omega[g], out=work[1, g])
+                np.multiply(f, i_omega, out=i_omega)
+                np.multiply(amp[c, g], i_omega, out=i_omega)
+
+            _in_plane_groups(fill, omega.shape)
+            a_plus, e_plus = self._transform(work)
+            yield a_plus, e_plus
+
 
 @lru_cache(maxsize=2)
 def spectral_engine(kgrid: WaveVectorGrid, sgrid: SpatialGrid) -> SpectralEngine:
@@ -425,3 +462,11 @@ def synthesize(s: PhotonSpectrum, sgrid: SpatialGrid, t: float) -> FieldSnapshot
     """Synthesize A+, E+ and (lazily) B+ at time t on the FFT-paired ``sgrid``."""
     engine = spectral_engine(s.grid, sgrid)
     return engine.snapshot(s, engine.amplitude(s), float(t))
+
+
+def synthesize_pairs(s: PhotonSpectrum, sgrid: SpatialGrid, t: float):
+    """(A+_c, E+_c) at time t for c = 0, 1, 2 without a snapshot: three 2-component
+    transforms, each pair bitwise component c of :func:`synthesize` (see
+    :meth:`SpectralEngine.pairs`, whose work array each pair overwrites)."""
+    engine = spectral_engine(s.grid, sgrid)
+    return engine.pairs(engine.amplitude(s), float(t))

@@ -1,9 +1,10 @@
 """Expectation values and diagnostics computed from the densities.
 
-This module works in real space: it reduces densities and synthesizes a
-snapshot's spectrum at other times, and takes the spectral divergence of
-the continuity residual from the snapshot's engine
-(:meth:`~photonlab.field_synthesis.SpectralEngine.divergence`).
+This module works in real space: it reduces densities, forms the number
+density of a snapshot's spectrum at other times
+(:func:`~photonlab.densities.number_density_at`, no second snapshot), and
+takes the spectral divergence of the continuity residual from the
+snapshot's engine (:meth:`~photonlab.field_synthesis.SpectralEngine.divergence`).
 
 Positions on the periodic box are always taken as circular means (the box is
 mapped to angles per axis) so that centroids and displacements are free of
@@ -17,8 +18,13 @@ reaches the target (see :func:`_containment_radius`).
 
 :func:`expectations` holds an array only while it reduces it: the
 four-momentum density and the H and P its snapshot keeps go once
-integrated (``field_synthesis._forget``), and the snapshot itself before the
-widths, which read the densities alone.
+integrated (``field_synthesis._forget``).  It forms the wave densities
+before the continuity residual, psi and B+ one at a time
+(:func:`~photonlab.densities.wave_densities`), so the current reuses their
+B+; :func:`continuity_residual` forms J, drops B+, takes div J, frees J and
+only then forms the number densities at t +/- dt.  The snapshot goes before
+the transport probe, whose density is formed without one, and the widths
+read the densities alone.
 """
 
 from __future__ import annotations
@@ -110,6 +116,12 @@ def continuity_residual(snap: fs.FieldSnapshot, dt: float) -> float:
     d_t rho is a centered difference of the number densities at t +/- dt
     (exact spectral evolution of the snapshot's spectrum), div J is
     spectral, so the residual isolates the O((omega dt)^2) differencing error.
+
+    J is formed first, and the snapshot's B+ is dropped once it is
+    (``field_synthesis._forget``; a later reader transforms it again).  div J
+    and the norms J is read for come next, and J goes before the two number
+    densities are formed with :func:`~photonlab.densities.number_density_at`,
+    so no second snapshot stands beside ``snap``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -118,14 +130,16 @@ def continuity_residual(snap: fs.FieldSnapshot, dt: float) -> float:
     if dt * omega_max > 0.01:
         warnings.warn("dt too large for the continuity stencil (omega_max dt > 0.01)",
                       stacklevel=2)
-    rho_p = dn.number_density(fs.synthesize(s, sgrid, t + dt)).data
-    rho_m = dn.number_density(fs.synthesize(s, sgrid, t - dt)).data
-    drho = (rho_p - rho_m) / (2.0 * dt)
     cur = dn.photon_current(snap).data
+    fs._forget(snap, "B_plus")
     div = snap.engine.divergence(cur)
-    num = l2_norm(drho + div)
     den = l2_norm(div)
     floor = 1e-12 * l2_norm(cur) * max(omega_max, 1.0)
+    del cur
+    rho_p = dn.number_density_at(s, sgrid, t + dt).data
+    rho_m = dn.number_density_at(s, sgrid, t - dt).data
+    drho = (rho_p - rho_m) / (2.0 * dt)
+    num = l2_norm(drho + div)
     if den <= floor:
         return 0.0 if num <= floor else num / max(den, np.finfo(float).tiny)
     return num / den
@@ -228,8 +242,7 @@ def _wave_densities(snap: fs.FieldSnapshot) -> list[dn.DensityField]:
     """|F|^2 and |psi|^2 of a pure-helicity snapshot; none for a mixed one."""
     if snap.spectrum.pure_helicity() is None:
         return []
-    wf = dn.photon_wave_fields(snap)
-    return [dn.bb_energy_density(wf), dn.lp_number_density(wf)]
+    return list(dn.wave_densities(snap))
 
 
 def expectations(s: PhotonSpectrum, sgrid: SpatialGrid, t: float) -> ObservableReport:
@@ -252,16 +265,15 @@ def expectations(s: PhotonSpectrum, sgrid: SpatialGrid, t: float) -> ObservableR
     momentum = tuple(float(v) for v in integrals[1:])
     helicity = float(np.sum(dn.helicity_density(snap)) * sgrid.cell_volume)
     mean_pos = _circular_mean(rho.data, sgrid)
+    fields = [rho] + _wave_densities(snap)  # the current reuses their B+
 
     omega_max = float(np.max(s.grid.omega))
     dt = 1e-3 / omega_max
     cont = continuity_residual(snap, dt)
+    del snap  # the probe and the widths need no snapshot
 
     probe = 3.0 * max(sgrid.delta_x)
-    speed = transport_speed(rho, dn.number_density(fs.synthesize(s, sgrid, t + probe)))
-
-    fields = [rho] + _wave_densities(snap)
-    del snap  # the widths read the densities alone
+    speed = transport_speed(rho, dn.number_density_at(s, sgrid, t + probe))
     widths = localization_widths(fields)
 
     return ObservableReport(

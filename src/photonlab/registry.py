@@ -343,7 +343,7 @@ def translation_check_1d(s: PhotonSpectrum, dt: float) -> float:
 
 def check_transport() -> tuple[Metric, ...]:
     packet, spatial = transport_packet(), desk_spatial()
-    rho = [densities.number_density(synthesize(packet, spatial, t)) for t in (0.0, 2.0)]
+    rho = [densities.number_density_at(packet, spatial, t) for t in (0.0, 2.0)]
     speed = observables.transport_speed(*rho)
     _, packet_line = collinear_pair()
     residual = translation_check_1d(packet_line, 5.0)
@@ -526,7 +526,7 @@ def check_negative_density() -> tuple[Metric, ...]:
     highest = (a + b) * (omega_1 * a + omega_2 * b)
     min_err = max_err = 0.0
     for t in (0.0, 4.0 * spatial.delta_x[2]):
-        rho = densities.number_density(synthesize(spectrum, spatial, t)).data
+        rho = densities.number_density_at(spectrum, spatial, t).data
         min_err = max(min_err, abs(float(rho.min()) - lowest) / abs(lowest))
         max_err = max(max_err, abs(float(rho.max()) - highest) / abs(highest))
     return (Metric("min_err", min_err, 1e-12), Metric("max_err", max_err, 1e-12))

@@ -329,6 +329,28 @@ def test_wave_densities_and_F_equal_their_full_grid_forms_bitwise(monkeypatch, t
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0)], ids=["plus", "minus"])
+def test_wave_densities_hold_psi_and_b_plus_one_at_a_time(monkeypatch, threads, weights,
+                                                          planar_snapshot):
+    """|F|^2 and |psi|^2 without the kept wave fields: bitwise their
+    photon_wave_fields forms, with psi dropped and B+ kept afterwards."""
+    monkeypatch.setenv("PHOTONLAB_THREADS", threads)
+    snap = planar_snapshot(weights)
+    bb, lp = densities.wave_densities(snap)
+    wave = photon_wave_fields(planar_snapshot(weights))
+    for got, want in ((bb, bb_energy_density(wave)), (lp, lp_number_density(wave))):
+        assert (got.kind, got.t, got.grid) == (want.kind, want.t, want.grid)
+        assert got.data.tobytes() == want.data.tobytes()
+    assert "psi" not in vars(snap) and "_wave_fields" not in vars(snap)
+    assert "B_plus" in vars(snap)
+
+
+def test_wave_densities_need_a_pure_helicity(planar_snapshot):
+    with pytest.raises(ValueError, match="mixed-helicity"):
+        densities.wave_densities(planar_snapshot((0.6, 0.8)))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
 def test_current_and_spin_equal_their_np_cross_forms_bitwise(monkeypatch, threads,
                                                              planar_snapshot):
     monkeypatch.setenv("PHOTONLAB_THREADS", threads)

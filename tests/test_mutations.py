@@ -44,6 +44,8 @@ MUTATIONS = (
      "energy-momentum", "momentum_rel_err"),
     ("momentum-operand-k-x", "field_synthesis.py", "k_vectors[..., j]", "k_vectors[..., 0]",
      "energy-momentum", "momentum_rel_err"),
+    ("pairs-time-reversed", "field_synthesis.py", "engine.pairs(engine.amplitude(s), float(t))",
+     "engine.pairs(engine.amplitude(s), float(-t))", "continuity", "residual"),
     ("a-f-unconjugated", "densities.py", "np.conj(f.A_plus), g.E_plus", "f.A_plus, g.E_plus",
      "number-norm", "offdiag_err"),
     ("mode-factor-one-over-omega", "field_synthesis.py", "1.0 / np.sqrt(safe)", "1.0 / safe",

@@ -433,8 +433,10 @@ def test_a_warm_report_peaks_below_six_and_a_half_vector_fields(monkeypatch, tra
 
     The report keeps integrals, not arrays: the four-momentum density and the
     snapshot's H and P go once integrated, F is never kept, and |F|^2 and
-    |psi|^2 are formed per group of x-planes.  Its highest stage is then the
-    9-component momentum transform, 6.0 fields; keeping those arrays read 7.3.
+    |psi|^2 are formed per group of x-planes.  Its highest stage is the
+    number density at t - dt of the continuity residual, 4.5 fields; keeping
+    those arrays read 7.3, and full snapshots at t +/- dt and at the
+    transport probe 5.5.
     """
     monkeypatch.setenv("PHOTONLAB_THREADS", "1")
     grid = WaveVectorGrid.centered((32, 32, 32), (0.75, 0.75, 0.75))
@@ -444,3 +446,24 @@ def test_a_warm_report_peaks_below_six_and_a_half_vector_fields(monkeypatch, tra
     warm, _, peak = traced(lambda: expectations(packet, spatial, 0.2))
     assert warm == cold
     assert peak / (32**3 * 48) <= 6.5
+
+
+def test_a_warm_48_cubed_report_peaks_below_four_point_six_vector_fields(monkeypatch, traced):
+    """One warm 48^3 report on one thread, in complex 3-vector fields (n^3 48 B).
+
+    No second snapshot stands beside the report's own: psi goes before B+ is
+    transformed, B+ once the current is formed, the current once div J is,
+    and the number densities at t +/- dt and at the transport probe come from
+    three 2-component transforms each.  Its highest stage is the density at
+    t - dt, 4.26 fields; with a full snapshot for each of those densities and
+    B+ beside psi it read 5.35.  48^3, because on a 32^3 grid one group of
+    x-planes is a quarter of the grid.
+    """
+    monkeypatch.setenv("PHOTONLAB_THREADS", "1")
+    grid = WaveVectorGrid.centered((48, 48, 48), (0.75, 0.75, 0.75))
+    spatial = SpatialGrid.paired(grid)
+    packet = gaussian_spectrum(grid, (0.0, 6.0, 8.0), 1.0, (1.0, 0.0))
+    cold = expectations(packet, spatial, 0.2)
+    warm, _, peak = traced(lambda: expectations(packet, spatial, 0.2))
+    assert warm == cold
+    assert peak / (48**3 * 48) <= 4.6

@@ -16,7 +16,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonlab import config, densities, oracle, registry, runner, slabs
+from photonlab import config, densities, observables, oracle, registry, runner, slabs
 from photonlab.field_synthesis import (
     SpatialGrid,
     spectral_engine,
@@ -223,6 +223,49 @@ def test_fft_counts_per_density(fft_calls, small_grid, small_spatial, small_pack
     densities.photon_current(snap)  # reuses B+
     assert len(fft_calls["ifftn"]) == 6
     assert fft_calls["fftn"] == []
+
+
+def test_a_number_density_at_another_time_makes_three_two_component_transforms(
+        fft_calls, small_grid, small_spatial, small_packet):
+    densities.number_density_at(small_packet, small_spatial, 0.7)
+    assert fft_calls["ifftn"] == [(2,) + small_grid.n_per_axis] * 3
+    assert fft_calls["fftn"] == []
+
+
+@pytest.mark.parametrize("weights", [(1.0, 0.0), (0.6, 0.8)], ids=["pure", "mixed"])
+def test_an_observables_report_transforms_43_fields_in_17_inverse_calls(
+        fft_calls, weights):
+    """A pure-helicity report: the snapshot (6 components), the momentum operands
+    (3 x 3), the helicity operand, psi and B+ (3 each), div J (1 inverse, 3
+    forward) and three number densities at other times (3 x 2 each).  A mixed
+    one has no psi, and transforms B+ for the current instead."""
+    grid = WaveVectorGrid.centered((20, 20, 20), (0.75, 0.75, 0.75))
+    packet = gaussian_spectrum(grid, (4.0, 0.0, 0.0), 0.8, weights)
+    observables.expectations(packet, SpatialGrid.paired(grid), 0.1)
+    components = [shape[0] if len(shape) == 4 else 1 for shape in fft_calls["ifftn"]]
+    pure = weights == (1.0, 0.0)
+    assert len(components) == (17 if pure else 16)
+    assert sum(components) == (43 if pure else 40)
+    assert components.count(2) == 9 and 6 not in components[1:]
+    assert fft_calls["fftn"] == [(3,) + grid.n_per_axis]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("shape", [(48, 48, 48), (37, 40, 33)], ids=["48", "37x40x33"])
+def test_a_number_density_at_another_time_is_the_snapshots_bitwise(monkeypatch, threads,
+                                                                    shape):
+    """Three 2-component transforms give the 6-component synthesis's components,
+    and their contraction the snapshot's, bit for bit (signed zeros included)."""
+    monkeypatch.setenv("PHOTONLAB_THREADS", threads)
+    grid = WaveVectorGrid.centered(shape, (0.6, 0.6, 0.6))
+    spatial = SpatialGrid.paired(grid)
+    for weights in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8)):
+        packet = gaussian_spectrum(grid, (1.0, -2.0, 6.0), 1.1, weights)
+        for t in (0.37, -1.3):
+            want = densities.number_density(synthesize(packet, spatial, t))
+            got = densities.number_density_at(packet, spatial, t)
+            assert (got.kind, got.t, got.grid) == (want.kind, want.t, want.grid)
+            assert got.data.tobytes() == want.data.tobytes(), (weights, t)
 
 
 ALL_KINDS = ("number", "current", "energy", "momentum",
