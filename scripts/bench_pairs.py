@@ -96,13 +96,16 @@ def summarize(runs, better, control=()):
     """Per metric: each side's spread, their median ratio, the pairs the change wins
     and whether the ratio is resolved against the ``control`` pairs.
 
-    ``resolved`` is true when both hold: the change lies on one side of the
-    parent in at least 90% of the completed pairs (ties count for neither
-    side), and the median ratio lies outside the full range of the control
-    pairs' per-pair ratios (change over parent), not only outside their
-    quartiles, which a median of few pairs crosses by drift alone.  It is
-    false otherwise, and None when fewer than ``MIN_CONTROL_PAIRS`` control
-    pairs completed (with a nonzero parent value, so a ratio).
+    ``resolved`` is true when all three hold: the change lies on one side of
+    the parent in at least 90% of the completed pairs (ties count for
+    neither side); the median ratio lies outside the full range of the
+    control pairs' per-pair ratios (change over parent), not only outside
+    their quartiles, which a median of few pairs crosses by drift alone; and
+    the two medians differ by more than the parent's quartile spread
+    (q3 - q1), so a shift no larger than the parent's own scatter is not a
+    result.  It is false otherwise, and None when fewer than
+    ``MIN_CONTROL_PAIRS`` control pairs completed (with a nonzero parent
+    value, so a ratio).
     """
     out = {}
     complete, controls = _complete(runs), _complete(control)
@@ -121,7 +124,8 @@ def summarize(runs, better, control=()):
         resolved = None
         if len(noise) >= MIN_CONTROL_PAIRS and ratio is not None:
             one_sided = max(wins, losses) >= 0.9 * len(complete)
-            resolved = one_sided and not min(noise) <= ratio <= max(noise)
+            apart = abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"]
+            resolved = one_sided and apart and not min(noise) <= ratio <= max(noise)
         out[name] = {
             "better": direction,
             "parent": parent,

@@ -37,12 +37,7 @@ from __future__ import annotations
 import argparse
 import math
 
-from photonlab.densities import (
-    bb_energy_density,
-    lp_number_density,
-    number_density,
-    photon_wave_fields,
-)
+from photonlab.densities import bb_energy_density, lp_number_density, number_density
 from photonlab.field_synthesis import SpatialGrid, synthesize
 from photonlab.mode_space import WaveVectorGrid, gaussian_spectrum
 from photonlab.observables import is_box_limited, localization_widths, negative_mass
@@ -82,9 +77,8 @@ def main() -> None:
     for sigma in args.sigmas:
         spectrum = gaussian_spectrum(kgrid, k0, sigma)
         snap = synthesize(spectrum, sgrid, 0.0)
-        wave = photon_wave_fields(snap)
         rho = number_density(snap)
-        widths = localization_widths((rho, bb_energy_density(wave), lp_number_density(wave)))
+        widths = localization_widths((rho, bb_energy_density(snap), lp_number_density(snap)))
         flags = {
             kind: " (box-limited)" if is_box_limited(w, sgrid) else ""
             for kind, w in widths.items()

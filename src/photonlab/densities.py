@@ -35,19 +35,17 @@ tautology.
 
 What several output kinds need is computed once per snapshot and kept
 read-only in its instance dict by ``field_synthesis._memo``, so it is freed
-with the snapshot: the energy density H, the real momentum density P and
-the wave fields, which keep psi but not F: F is formed read-only from the
-snapshot's E+ and B+ on each access, and |F|^2 one group of x-planes at a
-time.  P costs three inverse FFTs over the 9 n^3 points of the three
-operands (k_j A)+, one 3-component transform per direction, each
-contracted into P_j before the next is formed and none kept.
-``energy_density`` and ``momentum_density`` return the kept H and P, so copy
-their data before modifying it; ``field_synthesis._forget`` drops them, and
-``photonlab run`` drops each intermediate a :class:`DensityKind` ``reads``
-after its last requested reader.  Two readers that need less than a
-snapshot's worth have their own paths: :func:`number_density_at` forms rho
-at a time without a snapshot, and :func:`wave_densities` forms |F|^2 and
-|psi|^2 holding psi and B+ one at a time.
+with the snapshot: the energy density H and the real momentum density P.
+P costs three inverse FFTs over the 9 n^3 points of the three operands
+(k_j A)+, one 3-component transform per direction, each contracted into P_j
+before the next is formed and none kept.  ``energy_density`` and
+``momentum_density`` return the kept H and P, so copy their data before
+modifying it; ``field_synthesis._forget`` drops them, and ``photonlab run``
+drops each intermediate a :class:`DensityKind` ``reads`` after its last
+requested reader.  The two wave densities read one field each: |F|^2 forms
+F from the snapshot's E+ and B+ one group of x-planes at a time, and
+|psi|^2 reads the snapshot's psi.  :func:`number_density_at` forms rho at a
+time without a snapshot.
 
 The contractions, cross products and squared norms follow the slab rule of
 :mod:`photonlab.slabs`: each forms its scratch for one group of x-planes,
@@ -286,8 +284,8 @@ def angular_momentum_density(f: fs.FieldSnapshot, origin) -> DensityField:
 class PhotonWaveFields:
     """Pure-helicity comparison wave functions F and psi (see module docs).
 
-    psi is kept; F = Re E+ + i lambda Re B+ is formed from the snapshot's
-    ``E_plus`` and ``B_plus`` on each access.
+    psi is the snapshot's; F = Re E+ + i lambda Re B+ is formed from the
+    snapshot's ``E_plus`` and ``B_plus`` on each access.
     """
 
     helicity: int
@@ -297,14 +295,10 @@ class PhotonWaveFields:
     t: float
     grid: SpatialGrid
 
-    def F_planes(self, g=slice(None)):
-        """F on the x-planes ``g``, in a fresh C-ordered array."""
-        return _F_planes(self.helicity, self.E_plus, self.B_plus, g)
-
     @property
     def F(self):
         """F on the whole grid, formed read-only on each access and not kept."""
-        return _read_only(self.F_planes())
+        return _read_only(_F_planes(self.helicity, self.E_plus, self.B_plus, slice(None)))
 
 
 def _F_planes(helicity, e_plus, b_plus, g):
@@ -324,18 +318,15 @@ def _pure_helicity(f: fs.FieldSnapshot) -> int:
 
 
 def photon_wave_fields(f: fs.FieldSnapshot) -> PhotonWaveFields:
-    """psi = Omega^{1/2} A+ and the real fields E and B behind F, kept per snapshot.
+    """psi = Omega^{1/2} A+ and the fields E+ and B+ behind F, read from the snapshot.
 
-    The helicity is the snapshot spectrum's.
+    The helicity is the snapshot spectrum's.  Built on each call: the
+    snapshot keeps B+ and psi, and nothing else is kept.
     """
-
-    def build():
-        lam = _pure_helicity(f)
-        b_plus = f.B_plus  # transformed before psi
-        return PhotonWaveFields(helicity=lam, psi=_read_only(f.psi), E_plus=f.E_plus,
-                                B_plus=b_plus, t=f.t, grid=f.sgrid)
-
-    return fs._memo(f, "_wave_fields", build)
+    lam = _pure_helicity(f)
+    b_plus = f.B_plus  # transformed before psi
+    return PhotonWaveFields(helicity=lam, psi=_read_only(f.psi), E_plus=f.E_plus, B_plus=b_plus,
+                            t=f.t, grid=f.sgrid)
 
 
 def _squared_norm(kind, planes, t, grid: SpatialGrid) -> DensityField:
@@ -357,33 +348,25 @@ def _squared_norm(kind, planes, t, grid: SpatialGrid) -> DensityField:
     return DensityField(kind, out, t, grid)
 
 
-def bb_energy_density(wf: PhotonWaveFields) -> DensityField:
-    """|F|^2: the energy-density reading of the first wave function."""
-    return _squared_norm("bb_energy", wf.F_planes, wf.t, wf.grid)
+def bb_energy_density(f: fs.FieldSnapshot) -> DensityField:
+    """|F|^2: the energy-density reading of the first wave function.
 
-
-def lp_number_density(wf: PhotonWaveFields) -> DensityField:
-    """|psi|^2: the number-density reading of the second wave function."""
-    psi = wf.psi
-    return _squared_norm("lp_number", lambda g: psi[g], wf.t, wf.grid)
-
-
-def wave_densities(f: fs.FieldSnapshot) -> tuple[DensityField, DensityField]:
-    """|F|^2 and |psi|^2 of a pure-helicity snapshot, with psi and B+ held one at a time.
-
-    |psi|^2 is formed first and the snapshot's psi dropped before B+ is
-    transformed for |F|^2; B+ stays kept, and nothing else is.  Each density
-    is bitwise its :func:`photon_wave_fields` form.  For a reader of these
-    two densities alone: :func:`photon_wave_fields` keeps psi and B+ together.
+    F is formed from the snapshot's E+ and B+ one group of x-planes at a
+    time; psi is not transformed.
     """
     lam = _pure_helicity(f)
-    psi = f.psi
-    lp = _squared_norm("lp_number", lambda g: psi[g], f.t, f.sgrid)
-    del psi
-    fs._forget(f, "psi")
     e_plus, b_plus = f.E_plus, f.B_plus
-    bb = _squared_norm("bb_energy", lambda g: _F_planes(lam, e_plus, b_plus, g), f.t, f.sgrid)
-    return bb, lp
+    return _squared_norm("bb_energy", lambda g: _F_planes(lam, e_plus, b_plus, g), f.t, f.sgrid)
+
+
+def lp_number_density(f: fs.FieldSnapshot) -> DensityField:
+    """|psi|^2: the number-density reading of the second wave function.
+
+    It reads the snapshot's psi; B+ is not transformed.
+    """
+    _pure_helicity(f)
+    psi = f.psi
+    return _squared_norm("lp_number", lambda g: psi[g], f.t, f.sgrid)
 
 
 @dataclass(frozen=True)
@@ -398,14 +381,12 @@ class DensityKind:
     reads: tuple[str, ...] = ()
 
 
-_WAVE_READS = ("_wave_fields", "B_plus", "psi")
-
 # The builders look each density function up in this module when they run,
 # so a rebound module attribute (a tracer's wrapper, say) is the one called.
 # The box center is the reference point of the orbital angular momentum.
 # ``run`` builds a time's kinds in this order, which holds the least at once: the
-# kinds that read P, then rho and |E+|^2, then the wave fields' kinds (B+ and psi),
-# and last the current, which keeps only B+ once psi has gone.
+# kinds that read P, then rho and |E+|^2, then the readers of B+ (|F|^2 and the
+# current), and last |psi|^2, so B+ and psi are never held together.
 DENSITY_TABLE = {
     "momentum": DensityKind(lambda f: momentum_density(f), "xyz", reads=("_momentum",)),
     "angular_momentum": DensityKind(lambda f: angular_momentum_density(f, (0, 0, 0)), "xyz",
@@ -414,10 +395,8 @@ DENSITY_TABLE = {
                                  reads=("_energy", "_momentum")),
     "number": DensityKind(lambda f: number_density(f)),
     "energy": DensityKind(lambda f: energy_density(f), reads=("_energy",)),
-    "bb_energy": DensityKind(lambda f: bb_energy_density(photon_wave_fields(f)), "", True,
-                             _WAVE_READS),
-    "lp_number": DensityKind(lambda f: lp_number_density(photon_wave_fields(f)), "", True,
-                             _WAVE_READS),
+    "bb_energy": DensityKind(lambda f: bb_energy_density(f), "", True, ("B_plus",)),
     "current": DensityKind(lambda f: photon_current(f), "xyz", reads=("B_plus",)),
+    "lp_number": DensityKind(lambda f: lp_number_density(f), "", True, ("psi",)),
 }
 DENSITY_KINDS = frozenset(DENSITY_TABLE)

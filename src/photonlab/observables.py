@@ -18,13 +18,13 @@ reaches the target (see :func:`_containment_radius`).
 
 :func:`expectations` holds an array only while it reduces it: the
 four-momentum density and the H and P its snapshot keeps go once
-integrated (``field_synthesis._forget``).  It forms the wave densities
-before the continuity residual, psi and B+ one at a time
-(:func:`~photonlab.densities.wave_densities`), so the current reuses their
-B+; :func:`continuity_residual` forms J, drops B+, takes div J, frees J and
-only then forms the number densities at t +/- dt.  The snapshot goes before
-the transport probe, whose density is formed without one, and the widths
-read the densities alone.
+integrated (``field_synthesis._forget``).  It forms |F|^2 before the
+continuity residual, so the current reuses its B+;
+:func:`continuity_residual` forms J, drops B+, takes div J, frees J and only
+then forms the number densities at t +/- dt.  |psi|^2 comes after, so B+
+and psi are never held together.  The snapshot goes before the transport
+probe, whose density is formed without one, and the widths read the
+densities alone.
 """
 
 from __future__ import annotations
@@ -238,13 +238,6 @@ def is_box_limited(width: float, sgrid: SpatialGrid) -> bool:
     return width >= 0.5 * min(sgrid.box_lengths)
 
 
-def _wave_densities(snap: fs.FieldSnapshot) -> list[dn.DensityField]:
-    """|F|^2 and |psi|^2 of a pure-helicity snapshot; none for a mixed one."""
-    if snap.spectrum.pure_helicity() is None:
-        return []
-    return list(dn.wave_densities(snap))
-
-
 def expectations(s: PhotonSpectrum, sgrid: SpatialGrid, t: float) -> ObservableReport:
     """Assemble the standard observable report at time t.
 
@@ -265,11 +258,14 @@ def expectations(s: PhotonSpectrum, sgrid: SpatialGrid, t: float) -> ObservableR
     momentum = tuple(float(v) for v in integrals[1:])
     helicity = float(np.sum(dn.helicity_density(snap)) * sgrid.cell_volume)
     mean_pos = _circular_mean(rho.data, sgrid)
-    fields = [rho] + _wave_densities(snap)  # the current reuses their B+
+    pure = s.pure_helicity() is not None
+    fields = [rho, dn.bb_energy_density(snap)] if pure else [rho]  # the current reuses its B+
 
     omega_max = float(np.max(s.grid.omega))
     dt = 1e-3 / omega_max
     cont = continuity_residual(snap, dt)
+    if pure:
+        fields.append(dn.lp_number_density(snap))
     del snap  # the probe and the widths need no snapshot
 
     probe = 3.0 * max(sgrid.delta_x)

@@ -84,11 +84,10 @@ def test_single_mode_matches_wave_function_reading_pointwise():
     state = single_mode_spectrum(grid, (4, 2, 5), +1)
     snap = synthesize(state, spatial, 0.0)
     rho = number_density(snap).data
-    wave = photon_wave_fields(snap)
     omega = grid.omega[4, 2, 5]
-    energy_reading = bb_energy_density(wave).data / omega
+    energy_reading = bb_energy_density(snap).data / omega
     assert np.max(np.abs(energy_reading - rho)) < 1e-12 * np.max(rho)
-    number_reading = lp_number_density(wave).data
+    number_reading = lp_number_density(snap).data
     assert np.max(np.abs(number_reading - rho)) < 1e-12 * np.max(rho)
 
 
@@ -123,9 +122,9 @@ def test_vector_integrals_equal_the_plain_sum_bitwise(small_spatial):
 
 def test_bb_energy_equals_the_summed_squares_bitwise(small_grid, small_spatial):
     packet = gaussian_spectrum(small_grid, (1.0, -0.5, 3.0), 0.55, (0.0, 1.0))
-    wave = photon_wave_fields(synthesize(packet, small_spatial, 0.4))
-    want = np.sum(np.abs(wave.F) ** 2, axis=-1)
-    assert np.array_equal(bb_energy_density(wave).data, want)
+    snap = synthesize(packet, small_spatial, 0.4)
+    want = np.sum(np.abs(photon_wave_fields(snap).F) ** 2, axis=-1)
+    assert np.array_equal(bb_energy_density(snap).data, want)
 
 
 def test_the_cross_density_diagonal_is_the_number_density(small_grid, small_spatial):
@@ -251,10 +250,10 @@ def test_wave_function_closed_forms_for_pure_helicity(small_grid, small_spatial)
 
 
 def test_wave_function_norms(small_packet, small_snapshot):
-    wave = photon_wave_fields(small_snapshot)
     summary = spectral_summary(small_packet)
-    assert bb_energy_density(wave).integral() == pytest.approx(summary.energy, rel=1e-10)
-    assert lp_number_density(wave).integral() == pytest.approx(1.0, abs=1e-10)
+    assert bb_energy_density(small_snapshot).integral() == pytest.approx(summary.energy,
+                                                                          rel=1e-10)
+    assert lp_number_density(small_snapshot).integral() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_wave_fields_require_pure_helicity(small_grid, small_spatial):
@@ -324,30 +323,31 @@ def test_wave_densities_and_F_equal_their_full_grid_forms_bitwise(monkeypatch, t
     np.multiply(wave.helicity, snap.B_plus.real, out=F.imag)
     assert np.array_equal(wave.F, F)
     assert not wave.F.flags.writeable
-    assert np.array_equal(bb_energy_density(wave).data, _full_grid_squared_norm(F))
-    assert np.array_equal(lp_number_density(wave).data, _full_grid_squared_norm(wave.psi))
+    assert np.array_equal(bb_energy_density(snap).data, _full_grid_squared_norm(F))
+    assert np.array_equal(lp_number_density(snap).data, _full_grid_squared_norm(wave.psi))
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0)], ids=["plus", "minus"])
 def test_wave_densities_hold_psi_and_b_plus_one_at_a_time(monkeypatch, threads, weights,
                                                           planar_snapshot):
-    """|F|^2 and |psi|^2 without the kept wave fields: bitwise their
-    photon_wave_fields forms, with psi dropped and B+ kept afterwards."""
+    """|F|^2 and |psi|^2, each on a fresh snapshot: bitwise their forms on a
+    snapshot that holds both fields, with no psi left by |F|^2 and no B+ by |psi|^2."""
     monkeypatch.setenv("PHOTONLAB_THREADS", threads)
-    snap = planar_snapshot(weights)
-    bb, lp = densities.wave_densities(snap)
-    wave = photon_wave_fields(planar_snapshot(weights))
-    for got, want in ((bb, bb_energy_density(wave)), (lp, lp_number_density(wave))):
+    both = planar_snapshot(weights)
+    photon_wave_fields(both)  # B+ and psi
+    for build, absent in ((bb_energy_density, "psi"), (lp_number_density, "B_plus")):
+        snap = planar_snapshot(weights)
+        got, want = build(snap), build(both)
         assert (got.kind, got.t, got.grid) == (want.kind, want.t, want.grid)
         assert got.data.tobytes() == want.data.tobytes()
-    assert "psi" not in vars(snap) and "_wave_fields" not in vars(snap)
-    assert "B_plus" in vars(snap)
+        assert absent not in vars(snap)
 
 
 def test_wave_densities_need_a_pure_helicity(planar_snapshot):
-    with pytest.raises(ValueError, match="mixed-helicity"):
-        densities.wave_densities(planar_snapshot((0.6, 0.8)))
+    for build in (bb_energy_density, lp_number_density):
+        with pytest.raises(ValueError, match="mixed-helicity"):
+            build(planar_snapshot((0.6, 0.8)))
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -14,7 +14,6 @@ from photonlab.densities import (
     lp_number_density,
     number_density,
     photon_current,
-    photon_wave_fields,
 )
 from photonlab.field_synthesis import SpatialGrid, spectral_engine, synthesize
 from photonlab.mode_space import (
@@ -166,7 +165,7 @@ def test_widths_are_finite_and_positive(desk_spatial, desk_snapshot):
 
 
 def test_negative_mass_of_a_non_negative_density_is_zero(desk_snapshot):
-    assert observables.negative_mass(lp_number_density(photon_wave_fields(desk_snapshot))) == 0.0
+    assert observables.negative_mass(lp_number_density(desk_snapshot)) == 0.0
 
 
 def test_negative_mass_of_the_two_mode_line_is_its_mass_below_zero():
@@ -237,9 +236,8 @@ def _assert_radius_is_the_full_sorts(data, sgrid, center=None):
 
 
 def test_radius_of_the_desk_densities_is_the_full_sorts(desk_spatial, desk_snapshot):
-    wave = photon_wave_fields(desk_snapshot)
-    for field in (number_density(desk_snapshot), bb_energy_density(wave),
-                  lp_number_density(wave)):
+    for field in (number_density(desk_snapshot), bb_energy_density(desk_snapshot),
+                  lp_number_density(desk_snapshot)):
         _assert_radius_is_the_full_sorts(field.data, desk_spatial)
 
 
@@ -434,7 +432,7 @@ def test_a_warm_report_peaks_below_six_and_a_half_vector_fields(monkeypatch, tra
     The report keeps integrals, not arrays: the four-momentum density and the
     snapshot's H and P go once integrated, F is never kept, and |F|^2 and
     |psi|^2 are formed per group of x-planes.  Its highest stage is the
-    number density at t - dt of the continuity residual, 4.5 fields; keeping
+    number density at t - dt of the continuity residual, 4.35 fields; keeping
     those arrays read 7.3, and full snapshots at t +/- dt and at the
     transport probe 5.5.
     """
@@ -451,13 +449,14 @@ def test_a_warm_report_peaks_below_six_and_a_half_vector_fields(monkeypatch, tra
 def test_a_warm_48_cubed_report_peaks_below_four_point_six_vector_fields(monkeypatch, traced):
     """One warm 48^3 report on one thread, in complex 3-vector fields (n^3 48 B).
 
-    No second snapshot stands beside the report's own: psi goes before B+ is
-    transformed, B+ once the current is formed, the current once div J is,
-    and the number densities at t +/- dt and at the transport probe come from
-    three 2-component transforms each.  Its highest stage is the density at
-    t - dt, 4.26 fields; with a full snapshot for each of those densities and
-    B+ beside psi it read 5.35.  48^3, because on a 32^3 grid one group of
-    x-planes is a quarter of the grid.
+    No second snapshot stands beside the report's own: B+ goes once the
+    current is formed, the current once div J is, psi is transformed only
+    after the continuity residual, and the number densities at t +/- dt and
+    at the transport probe come from three 2-component transforms each.  Its
+    highest stage is the density at t - dt, 4.09 fields; with |psi|^2 formed
+    before the residual it read 4.26, and with a full snapshot for each of
+    those densities and B+ beside psi 5.35.  48^3, because on a 32^3 grid one
+    group of x-planes is a quarter of the grid.
     """
     monkeypatch.setenv("PHOTONLAB_THREADS", "1")
     grid = WaveVectorGrid.centered((48, 48, 48), (0.75, 0.75, 0.75))

@@ -132,6 +132,35 @@ def test_bench_pairs_does_not_resolve_drift_inside_the_control_range():
     assert out["resolved"] is False
 
 
+def _replayed_summary(number, workload, metric):
+    """``summarize`` of the committed ``BENCH_<number>.json`` runs and control pairs
+    of ``workload``, for ``metric``; also the summary the file holds."""
+    root = SCRIPT_DIR.parent
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    better = {spec["name"]: spec["better"] for spec in bench["end_to_end"]}
+    entry = json.loads((root / f"BENCH_{number}.json").read_text())["workloads"][workload]
+    summary = _bench_pairs()["summarize"](entry["runs"], better, entry["control"]["runs"])
+    return summary[metric], entry["summary"][metric]
+
+
+def test_bench_pairs_does_not_resolve_medians_inside_the_parents_quartile_spread():
+    """BENCH_32's observables_report ops_per_s: x1.089, the change faster in 9 of
+    10 pairs and outside the control range, but the medians 0.1784 apart
+    against the parent's quartile spread of 0.1795.  The memory claims of
+    BENCH_34-36 (gaps of 13.57, 22.10 and 13.62 MB against spreads of 0.19,
+    0.07 and 0.09) stay resolved."""
+    out, recorded = _replayed_summary(32, "observables_report", "ops_per_s")
+    assert recorded["resolved"] is True
+    assert (round(out["median_ratio"], 3), out["change_wins"], out["pairs"]) == (1.089, 9, 10)
+    gap = out["change"]["median"] - out["parent"]["median"]
+    assert 0.178 < gap < out["parent"]["q3"] - out["parent"]["q1"] < 0.18
+    assert out["resolved"] is False
+    for number, workload in ((34, "observables_report"), (35, "all_densities"),
+                             (36, "observables_report")):
+        out, recorded = _replayed_summary(number, workload, "peak_rss_mb")
+        assert out["resolved"] is recorded["resolved"] is True, number
+
+
 def test_bench_pairs_spread_gives_inclusive_quartiles():
     spread = _bench_pairs()["spread"]
     assert spread([5.0, 1.0, 4.0, 2.0, 3.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0}

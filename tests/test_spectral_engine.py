@@ -319,7 +319,6 @@ def test_wave_fields_are_kept_per_helicity(small_grid, small_spatial, small_pack
         assert kept.helicity == s.pure_helicity()
         assert np.array_equal(kept.F, alone.F)
         assert np.array_equal(kept.psi, alone.psi)
-        assert densities.photon_wave_fields(snap) is kept
 
 
 def test_wave_fields_are_built_once_per_snapshot(fft_calls, small_grid, small_spatial,
@@ -330,8 +329,21 @@ def test_wave_fields_are_built_once_per_snapshot(fft_calls, small_grid, small_sp
     assert fft_calls["ifftn"] == [(6,) + n, (3,) + n, (3,) + n]  # synthesis, B+, psi
     for kind in ("bb_energy", "lp_number"):
         densities.DENSITY_TABLE[kind].build(snap)
-    assert densities.photon_wave_fields(snap) is wave
+    again = densities.photon_wave_fields(snap)
+    assert np.array_equal(again.F, wave.F) and np.array_equal(again.psi, wave.psi)
     assert len(fft_calls["ifftn"]) == 3
+
+
+@pytest.mark.parametrize("kind, unread", [("bb_energy", "psi"), ("lp_number", "B_plus")])
+def test_a_wave_density_transforms_only_the_field_it_reads(fft_calls, small_grid, small_spatial,
+                                                           small_packet, kind, unread):
+    """|F|^2 reads B+ and |psi|^2 reads psi: after the synthesis, one 3-component
+    transform each, and the other field is never formed."""
+    snap = synthesize(small_packet, small_spatial, 0.2)
+    densities.DENSITY_TABLE[kind].build(snap)
+    n = small_grid.n_per_axis
+    assert fft_calls["ifftn"] == [(6,) + n, (3,) + n]
+    assert unread not in vars(snap)
 
 
 def test_kept_momentum_and_wave_fields_are_read_only(small_spatial, small_packet):
@@ -620,16 +632,16 @@ def test_the_requested_order_changes_no_artifact(tmp_path):
     assert _run_digests(ALL_KINDS[::-1], tmp_path / "reversed") == forward
 
 
-_INTERMEDIATES = {"_energy", "_momentum", "B_plus", "psi", "_wave_fields"}
+_INTERMEDIATES = {"_energy", "_momentum", "B_plus", "psi"}
 
 
 @pytest.mark.parametrize("kinds, held", [
     (ALL_KINDS, [("momentum", []), ("angular_momentum", ["_momentum"]),
                  ("four_momentum", ["_momentum"]), ("number", ["_energy"]),
-                 ("energy", ["_energy"]), ("bb_energy", []),
-                 ("lp_number", ["B_plus", "_wave_fields", "psi"]), ("current", ["B_plus"])]),
+                 ("energy", ["_energy"]), ("bb_energy", []), ("current", ["B_plus"]),
+                 ("lp_number", [])]),
     (("current", "lp_number", "four_momentum"),
-     [("four_momentum", []), ("lp_number", []), ("current", ["B_plus"])]),
+     [("four_momentum", []), ("current", []), ("lp_number", [])]),
 ], ids=["all", "three"])
 def test_a_run_drops_each_intermediate_after_its_last_reader(monkeypatch, tmp_path, kinds,
                                                              held):
@@ -658,16 +670,7 @@ def test_a_run_peaks_below_six_vector_fields(tmp_path):
     buffers: 4.4-4.5 fields on two threads.  Holding the previous snapshot
     during the next synthesis reads 6.3.
     """
-    text = RUN_CONFIG.format(n=32, dk=0.75, k0=10, sigma=1.0, kinds="number")
-    cfg = config.parse_scenario(text, "memory.cfg")
-    assert runner.run_scenario(cfg, str(tmp_path / "cold")).ok
-    tracemalloc.start()
-    try:
-        assert runner.run_scenario(cfg, str(tmp_path / "warm")).ok
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / (32**3 * 48) <= 6.0
+    assert _warm_run_peak(tmp_path, 32, ("number",)) <= 6.0
 
 
 def test_a_warm_all_kinds_run_peaks_below_seven_vector_fields(tmp_path):
@@ -675,12 +678,18 @@ def test_a_warm_all_kinds_run_peaks_below_seven_vector_fields(tmp_path):
 
     Beyond the spectrum, its amplitude and the snapshot (3.7 fields), one
     direction's momentum operand is held at a time, and each intermediate
-    only until its last reader: 6.50 fields on two threads, at |F|^2, while
-    the snapshot keeps B+ and psi.  The one 9-component momentum transform,
-    with B+ and H kept from the current and the energy built before it,
-    read 8.71.
+    only until its last reader, B+ and psi never together: 5.55 fields on
+    one thread and 5.72 on two.  |F|^2 with B+ and psi kept together read
+    6.50, and the one 9-component momentum transform, with B+ and H kept
+    from the current and the energy built before it, 8.71.
     """
-    text = RUN_CONFIG.format(n=32, dk=0.75, k0=10, sigma=1.0, kinds=", ".join(ALL_KINDS))
+    assert _warm_run_peak(tmp_path, 32, ALL_KINDS) <= 7.0
+
+
+def _warm_run_peak(tmp_path, n, kinds):
+    """The tracemalloc peak of a warm n^3 run of ``kinds`` at three times, in
+    complex 3-vector fields (n^3 * 48 B)."""
+    text = RUN_CONFIG.format(n=n, dk=0.75, k0=10, sigma=1.0, kinds=", ".join(kinds))
     cfg = config.parse_scenario(text, "memory.cfg")
     assert runner.run_scenario(cfg, str(tmp_path / "cold")).ok
     tracemalloc.start()
@@ -689,7 +698,28 @@ def test_a_warm_all_kinds_run_peaks_below_seven_vector_fields(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / (32**3 * 48) <= 7.0
+    return peak / (n**3 * 48)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_warm_48_cubed_all_kinds_run_peaks_below_five_point_eight_vector_fields(
+        monkeypatch, tmp_path, threads):
+    """48^3, because on a 32^3 grid one group of x-planes is a quarter of the
+    grid.  5.51 fields on one and two threads; with B+ and psi kept together
+    from |F|^2 to |psi|^2 it read 6.00-6.04."""
+    monkeypatch.setenv("PHOTONLAB_THREADS", threads)
+    assert _warm_run_peak(tmp_path, 48, ALL_KINDS) <= 5.8
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("kind", ["bb_energy", "lp_number"])
+def test_a_warm_48_cubed_wave_density_run_peaks_below_five_point_four_vector_fields(
+        monkeypatch, tmp_path, threads, kind):
+    """A run of |F|^2 or |psi|^2 alone transforms only the field it reads:
+    4.87-5.03 fields on one and two threads.  Transforming both B+ and psi
+    for either kind read 5.87-6.03."""
+    monkeypatch.setenv("PHOTONLAB_THREADS", threads)
+    assert _warm_run_peak(tmp_path, 48, (kind,)) <= 5.4
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
