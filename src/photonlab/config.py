@@ -41,8 +41,8 @@ from .mode_space import WaveVectorGrid
 PACKET_KINDS = ("gaussian", "single_mode", "localized")
 # Largest time.steps accepted: every time costs one full-grid synthesis
 MAX_TIME_STEPS = 10_000
-# Largest grid accepted (128^3): a cold run of all densities peaks at ~0.49 KB
-# per point (tracemalloc, 64^3 and 96^3), ~1.03 GB
+# Largest grid accepted (128^3): a cold run of all eight densities at two times
+# peaks at 347 B per point (tracemalloc, 64^3 and 96^3), ~0.73 GB
 MAX_GRID_POINTS = 128**3
 UNIT_SYSTEMS = ("natural", "si")
 

@@ -33,19 +33,20 @@ sqrt(omega), with no forward transform.  The half-power identity
 F = i Omega^{1/2} psi then tests the two constructions; it is not a
 tautology.
 
-What several output kinds need is computed once per snapshot and kept
-read-only in its instance dict by ``field_synthesis._memo``, so it is freed
-with the snapshot: the energy density H and the real momentum density P.
-P costs three inverse FFTs over the 9 n^3 points of the three operands
-(k_j A)+, one 3-component transform per direction, each contracted into P_j
-before the next is formed and none kept.  ``energy_density`` and
+A snapshot keeps nothing it forms.  What several output kinds read is kept
+by this module alone, once per snapshot and read-only in its instance dict
+(``field_synthesis._memo``), so it is freed with the snapshot: B+, the
+energy density H and the real momentum density P, under the keys each kind
+``reads`` in :data:`DENSITY_TABLE`.  P costs three inverse FFTs over the
+9 n^3 points of the three operands (k_j A)+, one 3-component transform per
+direction, each contracted into P_j before the next is formed and none
+kept.  ``energy_density`` and
 ``momentum_density`` return the kept H and P, so copy their data before
 modifying it; ``field_synthesis._forget`` drops them, and ``photonlab run``
-drops each intermediate a :class:`DensityKind` ``reads`` after its last
-requested reader.  The two wave densities read one field each: |F|^2 forms
-F from the snapshot's E+ and B+ one group of x-planes at a time, and
-|psi|^2 reads the snapshot's psi.  :func:`number_density_at` forms rho at a
-time without a snapshot.
+drops what a kind ``reads`` after its last requested reader.  The two wave
+densities read one field each: |F|^2 forms F from E+ and the kept B+ one
+group of x-planes at a time, and |psi|^2 transforms psi and keeps nothing.
+:func:`number_density_at` forms rho at a time without a snapshot.
 
 The contractions, cross products and squared norms follow the slab rule of
 :mod:`photonlab.slabs`: each forms its scratch for one group of x-planes,
@@ -186,9 +187,14 @@ def cross_number_density(f: fs.FieldSnapshot, g: fs.FieldSnapshot) -> np.ndarray
     return (SIGMA / 2) * (-1j * first + 1j * second)
 
 
+def _b_plus(f: fs.FieldSnapshot):
+    """The snapshot's B+, transformed once and kept read-only per snapshot."""
+    return fs._memo(f, "_b_plus", lambda: _read_only(f.B_plus()))
+
+
 def photon_current(f: fs.FieldSnapshot) -> DensityField:
     """J = sigma/2 (-i A+ x cB- + c.c.) = sigma Im(A+ x conj(cB+)) (c = 1 here)."""
-    a_plus, b_plus = f.A_plus, f.B_plus
+    a_plus, b_plus = f.A_plus, _b_plus(f)
     cur = _cross_pair((a_plus.imag, b_plus.real), (a_plus.real, b_plus.imag), np.subtract)
     cur *= SIGMA
     return DensityField("current", cur, f.t, f.sgrid)
@@ -280,27 +286,6 @@ def angular_momentum_density(f: fs.FieldSnapshot, origin) -> DensityField:
     return DensityField("angular_momentum", total, f.t, f.sgrid)
 
 
-@dataclass(frozen=True)
-class PhotonWaveFields:
-    """Pure-helicity comparison wave functions F and psi (see module docs).
-
-    psi is the snapshot's; F = Re E+ + i lambda Re B+ is formed from the
-    snapshot's ``E_plus`` and ``B_plus`` on each access.
-    """
-
-    helicity: int
-    psi: np.ndarray
-    E_plus: np.ndarray
-    B_plus: np.ndarray
-    t: float
-    grid: SpatialGrid
-
-    @property
-    def F(self):
-        """F on the whole grid, formed read-only on each access and not kept."""
-        return _read_only(_F_planes(self.helicity, self.E_plus, self.B_plus, slice(None)))
-
-
 def _F_planes(helicity, e_plus, b_plus, g):
     """F = Re E+ + i lambda Re B+ on the x-planes ``g``, in a fresh C-ordered array."""
     e_plus = e_plus[g]
@@ -317,16 +302,16 @@ def _pure_helicity(f: fs.FieldSnapshot) -> int:
     return lam
 
 
-def photon_wave_fields(f: fs.FieldSnapshot) -> PhotonWaveFields:
-    """psi = Omega^{1/2} A+ and the fields E+ and B+ behind F, read from the snapshot.
+def photon_wave_fields(f: fs.FieldSnapshot):
+    """The comparison wave functions (F, psi) of a pure-helicity snapshot (see
+    module docs), read-only, formed on each call and not kept.
 
-    The helicity is the snapshot spectrum's.  Built on each call: the
-    snapshot keeps B+ and psi, and nothing else is kept.
+    The helicity is the snapshot spectrum's; F reads the kept B+, which is
+    transformed before psi.
     """
     lam = _pure_helicity(f)
-    b_plus = f.B_plus  # transformed before psi
-    return PhotonWaveFields(helicity=lam, psi=_read_only(f.psi), E_plus=f.E_plus, B_plus=b_plus,
-                            t=f.t, grid=f.sgrid)
+    F = _read_only(_F_planes(lam, f.E_plus, _b_plus(f), slice(None)))
+    return F, _read_only(f.psi())
 
 
 def _squared_norm(kind, planes, t, grid: SpatialGrid) -> DensityField:
@@ -351,21 +336,21 @@ def _squared_norm(kind, planes, t, grid: SpatialGrid) -> DensityField:
 def bb_energy_density(f: fs.FieldSnapshot) -> DensityField:
     """|F|^2: the energy-density reading of the first wave function.
 
-    F is formed from the snapshot's E+ and B+ one group of x-planes at a
-    time; psi is not transformed.
+    F is formed from the snapshot's E+ and the kept B+ one group of x-planes
+    at a time; psi is not transformed.
     """
     lam = _pure_helicity(f)
-    e_plus, b_plus = f.E_plus, f.B_plus
+    e_plus, b_plus = f.E_plus, _b_plus(f)
     return _squared_norm("bb_energy", lambda g: _F_planes(lam, e_plus, b_plus, g), f.t, f.sgrid)
 
 
 def lp_number_density(f: fs.FieldSnapshot) -> DensityField:
     """|psi|^2: the number-density reading of the second wave function.
 
-    It reads the snapshot's psi; B+ is not transformed.
+    psi is transformed here and not kept; B+ is not transformed.
     """
     _pure_helicity(f)
-    psi = f.psi
+    psi = f.psi()
     return _squared_norm("lp_number", lambda g: psi[g], f.t, f.sgrid)
 
 
@@ -376,8 +361,8 @@ class DensityKind:
     build: Callable[[fs.FieldSnapshot], DensityField]
     labels: str = ""  # components of a vector kind, in summaries and CSV headers
     pure_helicity: bool = False  # F and psi exist for one helicity only
-    # the snapshot intermediates it reads (``field_synthesis._memo`` keys and kept
-    # fields), which ``run`` drops after their last requested reader
+    # the keys of what this module keeps on a snapshot that it reads
+    # (``field_synthesis._memo``), which ``run`` drops after their last requested reader
     reads: tuple[str, ...] = ()
 
 
@@ -386,7 +371,8 @@ class DensityKind:
 # The box center is the reference point of the orbital angular momentum.
 # ``run`` builds a time's kinds in this order, which holds the least at once: the
 # kinds that read P, then rho and |E+|^2, then the readers of B+ (|F|^2 and the
-# current), and last |psi|^2, so B+ and psi are never held together.
+# current), and last |psi|^2, which keeps nothing, so B+ and psi are never held
+# together.
 DENSITY_TABLE = {
     "momentum": DensityKind(lambda f: momentum_density(f), "xyz", reads=("_momentum",)),
     "angular_momentum": DensityKind(lambda f: angular_momentum_density(f, (0, 0, 0)), "xyz",
@@ -395,8 +381,8 @@ DENSITY_TABLE = {
                                  reads=("_energy", "_momentum")),
     "number": DensityKind(lambda f: number_density(f)),
     "energy": DensityKind(lambda f: energy_density(f), reads=("_energy",)),
-    "bb_energy": DensityKind(lambda f: bb_energy_density(f), "", True, ("B_plus",)),
-    "current": DensityKind(lambda f: photon_current(f), "xyz", reads=("B_plus",)),
-    "lp_number": DensityKind(lambda f: lp_number_density(f), "", True, ("psi",)),
+    "bb_energy": DensityKind(lambda f: bb_energy_density(f), "", True, ("_b_plus",)),
+    "current": DensityKind(lambda f: photon_current(f), "xyz", reads=("_b_plus",)),
+    "lp_number": DensityKind(lambda f: lp_number_density(f), "", True),
 }
 DENSITY_KINDS = frozenset(DENSITY_TABLE)

@@ -23,15 +23,15 @@ momentum operands (k_j A)+, the spectral divergence of
 :meth:`SpectralEngine.divergence` and the frequency powers of
 :func:`apply_frequency_operator`.  :mod:`photonlab.densities` and
 :mod:`photonlab.observables` take these fields from a snapshot and work in
-real space.  A snapshot synthesizes A+ and E+ together; B+ and
-Omega^{1/2} A+ are transformed on first access and kept, the helicity
-operand and each momentum operand on each call and not kept.  All eight
-output kinds of one snapshot thus cost six inverse FFTs over 21 n^3 points:
-the synthesis (6 components), B+ (3), one 3-component momentum transform per
-direction (9 in all) and Omega^{1/2} A+ (3).  Where only A+ . E+ products
-are wanted at a time, :func:`synthesize_pairs` hands out (A+_c, E+_c) one
-component at a time instead, from three 2-component transforms over the
-same 6 n^3 points, holding one pair rather than a snapshot.
+real space.  A snapshot synthesizes A+ and E+ together, read-only; B+,
+Omega^{1/2} A+ and the operands are transformed on each call, and
+:mod:`photonlab.densities` alone keeps any of them.  All eight output kinds
+of one snapshot cost six inverse FFTs over 21 n^3 points: the synthesis
+(6 components), B+ (3), one 3-component momentum transform per direction
+(9 in all) and Omega^{1/2} A+ (3).  Where only A+ . E+ products are wanted
+at a time, :func:`synthesize_pairs` hands out (A+_c, E+_c) one component at
+a time instead, from three 2-component transforms over the same 6 n^3
+points, holding one pair rather than a snapshot.
 
 Every FFT goes through one :class:`SpectralEngine` per (WaveVectorGrid,
 SpatialGrid) pair; :func:`spectral_engine` is the one place that finds and
@@ -52,7 +52,7 @@ direct quadrature of :mod:`photonlab.oracle`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy import fft as _sfft
@@ -75,7 +75,7 @@ def _memo(owner, key: str, build):
     """``build()`` once per ``owner``, kept in its instance dict and freed with it.
 
     The package's one cache of derived values: a spectrum keeps its amplitude
-    here, a snapshot the intermediates of :mod:`photonlab.densities`.
+    here, a snapshot the intermediates :mod:`photonlab.densities` names.
     """
     kept = vars(owner)
     if key not in kept:
@@ -155,10 +155,6 @@ class SpectralEngine:
         _in_plane_groups(fill, self.kgrid.n_per_axis)
         return out
 
-    def _evolve(self, coeffs, t: float, out):
-        """out = coeffs * exp(-i omega t), per group of x-planes."""
-        return self._scale(coeffs, self._time_phase(t), out)
-
     def to_field(self, coeffs):
         """sum_k coeffs(k) exp(i k.x) on the spatial grid with one inverse FFT.
 
@@ -237,64 +233,57 @@ class SpectralEngine:
         return trailing(amp, 1)
 
     def snapshot(self, s: PhotonSpectrum, amplitude, t: float) -> FieldSnapshot:
-        """A+ and E+ of ``s`` at time t from one inverse FFT of their six components."""
-        fields = trailing(self._transform(self._coefficients(leading(amplitude), t)), 1)
+        """A+ and E+ of ``s`` at time t from one inverse FFT of their six
+        components, read-only."""
+        time_phase = self._time_phase(t)
+        work = np.empty((6,) + self.kgrid.n_per_axis, np.complex128)
+        self._coefficients(leading(amplitude),
+                           lambda g: time_phase(g) * _phase(self.phase_k, g), work)
+        fields = _read_only(trailing(self._transform(work), 1))
         return FieldSnapshot(
             t=t, A_plus=fields[..., :3], E_plus=fields[..., 3:],
             amplitude=amplitude, spectrum=s, engine=self,
         )
 
-    def _coefficients(self, amp, t: float):
-        """(6, nx, ny, nz) mode amplitudes of A+ and E+ at time t, times ``phase_k``.
-
-        Its per-mode multipliers are formed one group of x-planes at a time.
-        """
-        omega = self.kgrid.omega
-        time_phase = self._time_phase(t)
-        work = np.empty((6,) + omega.shape, dtype=np.complex128)
+    def _coefficients(self, amp, multiplier, work):
+        """work[:m] = amp f and work[m:] = amp (f i omega) for the m components of
+        ``amp``, with f = ``multiplier(g)`` (exp(-i omega t) phase_k, read and
+        not written) on each group g of x-planes: the mode amplitudes of A+
+        and E+ that the transform takes."""
+        m, omega = amp.shape[0], self.kgrid.omega
 
         def fill(g):
-            # exp(-i omega t) and phase_k as one per-mode multiplier
-            f = time_phase(g)
-            f *= _phase(self.phase_k, g)
-            np.multiply(amp[:, g], f, out=work[:3, g])
-            # i omega in the first E+ slot, which the last product overwrites
-            i_omega = np.multiply(1j, omega[g], out=work[3, g])
-            f *= i_omega
-            np.multiply(amp[:, g], f, out=work[3:, g])
+            f = multiplier(g)
+            np.multiply(amp[:, g], f, out=work[:m, g])
+            # f i omega in the first E+ slot, which the last product overwrites
+            f_i_omega = np.multiply(1j, omega[g], out=work[m, g])
+            np.multiply(f, f_i_omega, out=f_i_omega)
+            for c in reversed(range(m)):
+                np.multiply(amp[c, g], f_i_omega, out=work[m + c, g])
 
         _in_plane_groups(fill, omega.shape)
-        return work
 
     def pairs(self, amplitude, t: float):
         """(A+_c, E+_c) at time t for c = 0, 1, 2, each from one (2, nx, ny, nz)
         inverse FFT.
 
-        Each pair's coefficients are the products :meth:`_coefficients` forms
-        for component c, in their order, so the pair is bitwise component c of
-        :meth:`snapshot`.  exp(-i omega t) phase_k is formed once per call.
-        Both fields of a pair are views of one work array that the next pair
-        overwrites: read each pair before asking for the next.
+        Each pair's coefficients are those :meth:`_coefficients` forms for
+        :meth:`snapshot`, of component c alone, so the pair is bitwise
+        component c of the snapshot.  exp(-i omega t) phase_k is formed once
+        per call.  Both fields of a pair are views of one work array that the
+        next pair overwrites: read each pair before asking for the next.
         """
-        amp, omega = leading(amplitude), self.kgrid.omega
+        amp, shape = leading(amplitude), self.kgrid.n_per_axis
         time_phase = self._time_phase(t)
-        multiplier = np.empty(omega.shape, np.complex128)
-        work = np.empty((2,) + omega.shape, np.complex128)
+        multiplier = np.empty(shape, np.complex128)
+        work = np.empty((2,) + shape, np.complex128)
 
         def phases(g):
             np.multiply(time_phase(g), _phase(self.phase_k, g), out=multiplier[g])
 
-        _in_plane_groups(phases, omega.shape)
+        _in_plane_groups(phases, shape)
         for c in range(3):
-
-            def fill(g, c=c):
-                f = multiplier[g]
-                np.multiply(amp[c, g], f, out=work[0, g])
-                i_omega = np.multiply(1j, omega[g], out=work[1, g])
-                np.multiply(f, i_omega, out=i_omega)
-                np.multiply(amp[c, g], i_omega, out=i_omega)
-
-            _in_plane_groups(fill, omega.shape)
+            self._coefficients(amp[c:c + 1], lambda g: multiplier[g], work)
             a_plus, e_plus = self._transform(work)
             yield a_plus, e_plus
 
@@ -355,15 +344,17 @@ class FieldSnapshot:
     """Positive-frequency A, E, B of ``spectrum`` at one instant, with the
     ``engine`` that synthesized it.
 
+    A value: ``A_plus`` and ``E_plus`` are read-only, and ``B_plus()``,
+    ``psi()``, the operands and ``a_coeffs`` (the amplitude times
+    exp(-i omega t)) are formed in fresh arrays on each call and not kept
+    (:mod:`photonlab.densities` keeps what several kinds read).
     ``amplitude`` is the time-independent vector mode amplitude of A+, so
-    that spectral operators can be applied later without a forward FFT;
-    it is the spectrum's own, except in the corrupted-convention control.
-    ``B_plus`` and ``psi`` are formed on first access, so number-only runs
-    never transform B+; ``a_coeffs`` (the amplitude times exp(-i omega t))
-    is formed on each.  B+ and the helicity operand form i v x (amplitude
-    exp(-i omega t)) one group of x-planes at a time, straight into the
-    transform's work array.  No time phase is kept: each pass gathers it per
-    group of x-planes from the engine's level table.
+    that spectral operators can be applied later without a forward FFT; it
+    is the spectrum's own, except in the corrupted-convention control.  B+
+    and the helicity operand form i v x (amplitude exp(-i omega t)) one group
+    of x-planes at a time, straight into the transform's work array.  No time
+    phase is kept: each pass gathers it per group of x-planes from the
+    engine's level table.
     """
 
     t: float
@@ -383,8 +374,9 @@ class FieldSnapshot:
 
     @property
     def a_coeffs(self):
-        amp = leading(self.amplitude)
-        return trailing(self.engine._evolve(amp, self.t, np.empty(amp.shape, np.complex128)), 1)
+        amp, engine = leading(self.amplitude), self.engine
+        return trailing(engine._scale(amp, engine._time_phase(self.t),
+                                      np.empty(amp.shape, np.complex128)), 1)
 
     def _curl_coeffs(self, vectors):
         """i v x (amplitude exp(-i omega t)) in a fresh component-major work array.
@@ -408,16 +400,14 @@ class FieldSnapshot:
         _in_plane_groups(fill, self.kgrid.n_per_axis)
         return trailing(coeffs, 1)
 
-    @cached_property
     def B_plus(self):
-        """curl A+ = (i k x A)+: one inverse FFT."""
+        """curl A+ = (i k x A)+: one inverse FFT on each call, not kept."""
         k = self.kgrid.k_vectors
         return self.engine.to_field(self._curl_coeffs(lambda g: k[g]))
 
-    @cached_property
     def psi(self):
-        """Omega^{1/2} A+: one inverse FFT of the mode amplitudes scaled by sqrt(omega),
-        which is formed one group of x-planes at a time."""
+        """Omega^{1/2} A+: one inverse FFT on each call, not kept, of the mode
+        amplitudes scaled by sqrt(omega), formed one group of x-planes at a time."""
         psi_coeffs = leading(self.a_coeffs)  # a fresh array, scaled in place
         omega = self.kgrid.omega
         self.engine._scale(psi_coeffs, lambda g: np.sqrt(omega[g]), psi_coeffs)
@@ -459,7 +449,7 @@ class FieldSnapshot:
 
 
 def synthesize(s: PhotonSpectrum, sgrid: SpatialGrid, t: float) -> FieldSnapshot:
-    """Synthesize A+, E+ and (lazily) B+ at time t on the FFT-paired ``sgrid``."""
+    """Synthesize A+ and E+ at time t on the FFT-paired ``sgrid``."""
     engine = spectral_engine(s.grid, sgrid)
     return engine.snapshot(s, engine.amplitude(s), float(t))
 

@@ -17,14 +17,14 @@ in ascending distance from the centroid, at which the cumulative mass
 reaches the target (see :func:`_containment_radius`).
 
 :func:`expectations` holds an array only while it reduces it: the
-four-momentum density and the H and P its snapshot keeps go once
-integrated (``field_synthesis._forget``).  It forms |F|^2 before the
-continuity residual, so the current reuses its B+;
+four-momentum density and the H and P kept for it go once integrated
+(``field_synthesis._forget`` of what the kind ``reads``).  It forms |F|^2
+before the continuity residual, so the current reuses its B+;
 :func:`continuity_residual` forms J, drops B+, takes div J, frees J and only
-then forms the number densities at t +/- dt.  |psi|^2 comes after, so B+
-and psi are never held together.  The snapshot goes before the transport
-probe, whose density is formed without one, and the widths read the
-densities alone.
+then forms the number densities at t +/- dt.  |psi|^2 comes after and keeps
+nothing, so B+ and psi are never held together.  The snapshot goes before
+the transport probe, whose density is formed without one, and the widths
+read the densities alone.
 """
 
 from __future__ import annotations
@@ -117,9 +117,9 @@ def continuity_residual(snap: fs.FieldSnapshot, dt: float) -> float:
     (exact spectral evolution of the snapshot's spectrum), div J is
     spectral, so the residual isolates the O((omega dt)^2) differencing error.
 
-    J is formed first, and the snapshot's B+ is dropped once it is
-    (``field_synthesis._forget``; a later reader transforms it again).  div J
-    and the norms J is read for come next, and J goes before the two number
+    J is formed first, and the B+ kept for it is dropped once it is (what the
+    current ``reads``; a later reader transforms it again).  div J and the
+    norms J is read for come next, and J goes before the two number
     densities are formed with :func:`~photonlab.densities.number_density_at`,
     so no second snapshot stands beside ``snap``.
     """
@@ -131,7 +131,7 @@ def continuity_residual(snap: fs.FieldSnapshot, dt: float) -> float:
         warnings.warn("dt too large for the continuity stencil (omega_max dt > 0.01)",
                       stacklevel=2)
     cur = dn.photon_current(snap).data
-    fs._forget(snap, "B_plus")
+    fs._forget(snap, *dn.DENSITY_TABLE["current"].reads)
     div = snap.engine.divergence(cur)
     den = l2_norm(div)
     floor = 1e-12 * l2_norm(cur) * max(omega_max, 1.0)
@@ -253,7 +253,7 @@ def expectations(s: PhotonSpectrum, sgrid: SpatialGrid, t: float) -> ObservableR
     rho = dn.number_density(snap)
     number = float(rho.integral())
     integrals = dn.four_momentum_density(snap).integral()
-    fs._forget(snap, "_energy", "_momentum")  # the snapshot's H and P: only integrals are read
+    fs._forget(snap, *dn.DENSITY_TABLE["four_momentum"].reads)  # H and P: integrals only
     energy = float(integrals[0])
     momentum = tuple(float(v) for v in integrals[1:])
     helicity = float(np.sum(dn.helicity_density(snap)) * sgrid.cell_volume)

@@ -356,10 +356,9 @@ def check_transport() -> tuple[Metric, ...]:
 def check_omega_identity() -> tuple[Metric, ...]:
     snap = desk_snapshot()
     grid, spatial = desk_grid(), desk_spatial()
-    wave = densities.photon_wave_fields(snap)
-    half_power = densities.apply_frequency_operator(wave.psi, grid, spatial, 0.5)
+    F, psi = densities.photon_wave_fields(snap)
+    half_power = densities.apply_frequency_operator(psi, grid, spatial, 0.5)
     predicted = 1j * half_power
-    F = wave.F  # formed on each access
     scale = float(np.max(np.abs(F)))
     err = float(np.max(np.abs(F - predicted))) / scale
     return (Metric("rel_err", err, DEFAULT_TOLERANCES["omega_identity"]),)

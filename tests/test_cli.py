@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import photonlab
-from photonlab import __version__, cli, config, densities, runner, slabs
+from photonlab import __version__, cli, config, densities, observables, runner, slabs
 from photonlab.cli import main
-from photonlab.mode_space import WaveVectorGrid
+from photonlab.field_synthesis import SpatialGrid
+from photonlab.mode_space import WaveVectorGrid, gaussian_spectrum
 from photonlab.runner import read_array, write_array
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -597,6 +598,64 @@ def test_the_desk_run_writes_the_recorded_artifacts(tmp_path):
     assert report.ok and report.artifacts == DESK_DIGESTS
     for name, digest in DESK_DIGESTS.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+WAVE_CONFIG = """\
+grid.n_per_axis = 12
+grid.delta_k = 0.9
+packet.k0 = 1.2, -0.8, 3.2
+packet.sigma = 0.55
+packet.helicity_weights = 1, 0
+time.t_list = 0.0, 0.7
+outputs.densities = number, current, energy, momentum, four_momentum, angular_momentum, \
+bb_energy, lp_number
+"""
+
+# sha256 of each artifact of WAVE_CONFIG, as written while the snapshot kept
+# B+ and psi itself
+WAVE_DIGESTS = {
+    "angular_momentum_t0.f64": "9964e73780c9c0dceb07d93dd659fc567c18bb00d5e0445206b4fd909d719bd0",
+    "angular_momentum_t1.f64": "228a626a97d56d7a0726107c71e7f333bcf2135ecf709314c6e205972efdc5dc",
+    "bb_energy_t0.f64": "0fae1889fb8c08763ae3e670c8c0e86690ee201c04c884c508691a33f773be71",
+    "bb_energy_t1.f64": "3bc75633e0275014beb57c331b917343ce0ee1daec403fc9fbd6ac7f73498be1",
+    "current_t0.f64": "de1aeafb2467c18795f5e966f15c664b8a2ab9b1e8dbf1a2dfea7cd2f0ffe572",
+    "current_t1.f64": "76490a596c15120da6a2b186e027d1c73f8e9080e57e29aff01a2f4117cc0ece",
+    "energy_t0.f64": "aa11431bc1e9b827b4d16c97b2a19655bc33948ad07735a722c433558a4e47e4",
+    "energy_t1.f64": "0d3e1818dae62e360de735af0db51faab45ba3c05e75657e9585582e788d46b9",
+    "four_momentum_t0.f64": "00992427806d22207608a3f2df649cf15991bcc7d099be28bfdfb37248ee1421",
+    "four_momentum_t1.f64": "359bd58a8dfc205598cf87f242573f55fffa90d835160c51cc0ad454037eabf5",
+    "lp_number_t0.f64": "10304c4b8a403921538f88ed0ad5dd9b26d79af72d04db8d061e4231e3f38864",
+    "lp_number_t1.f64": "2a19faaaae3beef3b867a9a75523b0ac2d86bd4c8e7b8920c933a3ea59efecd0",
+    "momentum_t0.f64": "4ffb6811d5614a1ab46c9201b69741b08c5614ba8747accbc371d0382c361ff9",
+    "momentum_t1.f64": "a54a49449861bc0edf2d4b765c82e3e1da62056e2e5301bc123ba0b84671cc8a",
+    "number_t0.f64": "d853b5d6aeb9bcfca9f9821e7e670aa52432dc29b73dadef63ed05194ed9f804",
+    "number_t1.f64": "3b10f31c3c98ed782e7d42939660d5d7e13d11fd1242010b6227bb4898d2f52a",
+}
+
+# the observable report of the 20^3 packet of tests/test_observables.py at t = 0,
+# as formed while the snapshot kept B+ and psi itself
+WAVE_REPORT = (
+    "ObservableReport(number=0.9999999999999999, energy=4.15991018232474, "
+    "momentum=(3.999908256707055, 1.2896937401670533e-18, -5.7270089868989716e-18), "
+    "helicity=0.9999999999999999, mean_position=(0.0, 0.0, 0.0), "
+    "continuity_residual_rel=8.767335898832152e-06, group_speed=0.9597151345957315, "
+    "localization_widths={'number': 2.1358722992552126, 'bb_energy': 2.135872299255212, "
+    "'lp_number': 2.1358722992552126})"
+)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_an_all_kinds_wave_run_writes_the_recorded_artifacts(monkeypatch, tmp_path, threads):
+    """Every kind, |F|^2 and |psi|^2 included, of an off-axis pure-helicity
+    packet at t = 0 and t = 0.7, and one observable report, bit for bit."""
+    monkeypatch.setenv("PHOTONLAB_THREADS", threads)
+    report = runner.run_scenario(config.parse_scenario(WAVE_CONFIG, "wave.cfg"), str(tmp_path))
+    assert report.ok and report.artifacts == WAVE_DIGESTS
+    for name, digest in WAVE_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    grid = WaveVectorGrid.centered((20, 20, 20), (0.75, 0.75, 0.75))
+    packet = gaussian_spectrum(grid, (4.0, 0.0, 0.0), 0.8, (1.0, 0.0))
+    assert repr(observables.expectations(packet, SpatialGrid.paired(grid), 0.0)) == WAVE_REPORT
 
 
 def test_the_desk_summary_has_one_negative_mass_per_time(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -123,7 +125,7 @@ def test_vector_integrals_equal_the_plain_sum_bitwise(small_spatial):
 def test_bb_energy_equals_the_summed_squares_bitwise(small_grid, small_spatial):
     packet = gaussian_spectrum(small_grid, (1.0, -0.5, 3.0), 0.55, (0.0, 1.0))
     snap = synthesize(packet, small_spatial, 0.4)
-    want = np.sum(np.abs(photon_wave_fields(snap).F) ** 2, axis=-1)
+    want = np.sum(np.abs(photon_wave_fields(snap)[0]) ** 2, axis=-1)
     assert np.array_equal(bb_energy_density(snap).data, want)
 
 
@@ -239,14 +241,14 @@ def test_wave_function_closed_forms_for_pure_helicity(small_grid, small_spatial)
     for helicity, weights in ((+1, (1.0, 0.0)), (-1, (0.0, 1.0))):
         packet = gaussian_spectrum(small_grid, (0.0, 0.0, 3.2), 0.55, weights)
         snap = synthesize(packet, small_spatial, 0.3)
-        wave = photon_wave_fields(snap)
-        assert wave.helicity == helicity
+        F, psi = photon_wave_fields(snap)
+        assert densities._pure_helicity(snap) == helicity  # the helicity F is formed with
         scale = np.max(np.abs(snap.E_plus))
-        assert np.max(np.abs(wave.F - snap.E_plus)) < 1e-11 * scale
+        assert np.max(np.abs(F - snap.E_plus)) < 1e-11 * scale
         psi_oracle = -1j * apply_frequency_operator(
             snap.E_plus, small_grid, small_spatial, -0.5
         )
-        assert np.max(np.abs(wave.psi - psi_oracle)) < 1e-11 * np.max(np.abs(psi_oracle))
+        assert np.max(np.abs(psi - psi_oracle)) < 1e-11 * np.max(np.abs(psi_oracle))
 
 
 def test_wave_function_norms(small_packet, small_snapshot):
@@ -265,9 +267,9 @@ def test_wave_fields_require_pure_helicity(small_grid, small_spatial):
 
 def test_frequency_operator_identity(small_grid, small_spatial, small_packet):
     snap = synthesize(small_packet, small_spatial, 0.0)
-    wave = photon_wave_fields(snap)
-    predicted = 1j * apply_frequency_operator(wave.psi, small_grid, small_spatial, 0.5)
-    assert np.max(np.abs(wave.F - predicted)) < 1e-11 * np.max(np.abs(wave.F))
+    F, psi = photon_wave_fields(snap)
+    predicted = 1j * apply_frequency_operator(psi, small_grid, small_spatial, 0.5)
+    assert np.max(np.abs(F - predicted)) < 1e-11 * np.max(np.abs(F))
 
 
 def test_frequency_operator_powers_compose(small_grid, small_spatial, small_snapshot):
@@ -313,18 +315,19 @@ def _full_grid_squared_norm(v):
 @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0)], ids=["plus", "minus"])
 def test_wave_densities_and_F_equal_their_full_grid_forms_bitwise(monkeypatch, threads,
                                                                    weights, planar_snapshot):
-    """F on access, |F|^2 and |psi|^2, formed per group of x-planes, against one
-    full-grid F (Re E+ copied, lambda Re B+ multiplied) and full-grid |v|^2."""
+    """F of photon_wave_fields, |F|^2 and |psi|^2, formed per group of x-planes,
+    against one full-grid F (Re E+ copied, lambda Re B+ multiplied) and
+    full-grid |v|^2."""
     monkeypatch.setenv("PHOTONLAB_THREADS", threads)
     snap = planar_snapshot(weights)
-    wave = photon_wave_fields(snap)
-    F = np.empty(snap.E_plus.shape, np.complex128)
-    np.copyto(F.real, snap.E_plus.real)
-    np.multiply(wave.helicity, snap.B_plus.real, out=F.imag)
-    assert np.array_equal(wave.F, F)
-    assert not wave.F.flags.writeable
-    assert np.array_equal(bb_energy_density(snap).data, _full_grid_squared_norm(F))
-    assert np.array_equal(lp_number_density(snap).data, _full_grid_squared_norm(wave.psi))
+    F, psi = photon_wave_fields(snap)
+    want = np.empty(snap.E_plus.shape, np.complex128)
+    np.copyto(want.real, snap.E_plus.real)
+    np.multiply(densities._pure_helicity(snap), snap.B_plus().real, out=want.imag)
+    assert np.array_equal(F, want)
+    assert not F.flags.writeable
+    assert np.array_equal(bb_energy_density(snap).data, _full_grid_squared_norm(want))
+    assert np.array_equal(lp_number_density(snap).data, _full_grid_squared_norm(psi))
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -332,16 +335,18 @@ def test_wave_densities_and_F_equal_their_full_grid_forms_bitwise(monkeypatch, t
 def test_wave_densities_hold_psi_and_b_plus_one_at_a_time(monkeypatch, threads, weights,
                                                           planar_snapshot):
     """|F|^2 and |psi|^2, each on a fresh snapshot: bitwise their forms on a
-    snapshot that holds both fields, with no psi left by |F|^2 and no B+ by |psi|^2."""
+    snapshot that has formed both fields, with only B+ kept by |F|^2 and
+    nothing by |psi|^2."""
     monkeypatch.setenv("PHOTONLAB_THREADS", threads)
     both = planar_snapshot(weights)
-    photon_wave_fields(both)  # B+ and psi
-    for build, absent in ((bb_energy_density, "psi"), (lp_number_density, "B_plus")):
+    photon_wave_fields(both)  # B+ kept, psi formed
+    fields = {field.name for field in dataclasses.fields(both)}
+    for build, kept in ((bb_energy_density, {"_b_plus"}), (lp_number_density, set())):
         snap = planar_snapshot(weights)
         got, want = build(snap), build(both)
         assert (got.kind, got.t, got.grid) == (want.kind, want.t, want.grid)
         assert got.data.tobytes() == want.data.tobytes()
-        assert absent not in vars(snap)
+        assert set(vars(snap)) - fields == kept
 
 
 def test_wave_densities_need_a_pure_helicity(planar_snapshot):
@@ -355,7 +360,7 @@ def test_current_and_spin_equal_their_np_cross_forms_bitwise(monkeypatch, thread
                                                              planar_snapshot):
     monkeypatch.setenv("PHOTONLAB_THREADS", threads)
     snap = planar_snapshot((0.6, 0.8))
-    a_plus, b_plus, e_plus = snap.A_plus, snap.B_plus, snap.E_plus
+    a_plus, b_plus, e_plus = snap.A_plus, snap.B_plus(), snap.E_plus
     current = np.cross(a_plus.imag, b_plus.real) - np.cross(a_plus.real, b_plus.imag)
     current *= densities.SIGMA
     spin = np.cross(e_plus.real, a_plus.real) + np.cross(e_plus.imag, a_plus.imag)
@@ -373,7 +378,7 @@ def test_a_cross_product_density_holds_no_second_full_grid_array(monkeypatch, tr
     group's; full-grid cross products added 1.33 real 3-vector fields."""
     monkeypatch.setenv("PHOTONLAB_THREADS", "1")
     snap = planar_snapshot((1.0, 0.0))
-    assert snap.B_plus.size  # transformed and kept before the trace
+    assert densities._b_plus(snap).size  # transformed and kept before the trace
     field = snap.kgrid.omega.size * 24
     density, held, peak = traced(lambda: build(snap))
     assert held >= density.data.nbytes

@@ -104,6 +104,37 @@ def test_densities_and_observables_name_nothing_of_k_space(module):
     assert not named & K_SPACE, named & K_SPACE
 
 
+def test_densities_alone_spells_what_a_snapshot_keeps():
+    """The keys of what is kept on a snapshot (every kind's ``reads``, and the
+    names of the fields the snapshot once kept itself) are string literals of
+    densities alone among the package modules and scripts; field_synthesis
+    defines no cached_property; runner and observables drop only what a
+    kind reads."""
+    keys = {key for entry in densities.DENSITY_TABLE.values() for key in entry.reads}
+    assert {"_b_plus", "_energy", "_momentum"} <= keys  # the scan knows the keys
+    keys |= {"B_plus", "psi"}
+    spelled = {}
+    paths = [*Path(photonlab.__file__).parent.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in keys:
+                spelled.setdefault(path.name, set()).add(node.value)
+    assert list(spelled) == ["densities.py"], spelled
+    assert "cached_property" not in _named(field_synthesis)
+    for module in (runner, observables):
+        calls = [node for node in ast.walk(_tree(module)) if isinstance(node, ast.Call)
+                 and "_forget" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+        assert calls, module.__name__
+        for call in calls:
+            assert len(call.args) == 2 and not call.keywords, ast.unparse(call)
+            dropped = call.args[1]
+            assert isinstance(dropped, ast.Starred), ast.unparse(call)
+            source = dropped.value
+            if isinstance(source, ast.GeneratorExp):
+                source = source.generators[0].iter
+            assert isinstance(source, ast.Attribute) and source.attr == "reads", ast.unparse(call)
+
+
 def test_only_the_engine_imports_the_fft():
     """field_synthesis is the one package module that imports any scipy name, in
     any of its functions, and all it imports is ``scipy.fft`` (as ``import

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from photonlab import config, densities, observables, oracle, registry, runner, slabs
 from photonlab.field_synthesis import (
+    FieldSnapshot,
     SpatialGrid,
     spectral_engine,
     spectrum_to_field,
@@ -34,6 +35,10 @@ from photonlab.mode_space import (
     trailing,
 )
 from photonlab.oracle import synthesize_at_points
+
+
+# what a snapshot holds as a value; anything else in its instance dict is kept
+_FIELDS = {field.name for field in dataclasses.fields(FieldSnapshot)}
 
 
 def _random_spectrum(grid, seed):
@@ -71,8 +76,8 @@ def test_fft_fields_match_direct_quadrature(pair, seed, t1, t2):
     for t in (t1, t2):  # the second time reuses the spectrum's amplitude
         snap = synthesize(s, sgrid, t)
         A, E, B = synthesize_at_points(s, points, t)
-        assert "B_plus" not in vars(snap)
-        for fast, slow in ((snap.A_plus, A), (snap.E_plus, E), (snap.B_plus, B)):
+        assert vars(snap).keys() == _FIELDS  # the synthesis keeps nothing more
+        for fast, slow in ((snap.A_plus, A), (snap.E_plus, E), (snap.B_plus(), B)):
             assert _close(fast.reshape(-1, 3), slow)
     # the separable-phase oracle against the plain exp(i k.x) mode sum
     coeffs = oracle._direct_amplitude(s, t1)
@@ -90,7 +95,7 @@ def test_time_phase_equals_the_plain_exponential(pair, t):
     kgrid, sgrid = pair
     engine = spectral_engine(kgrid, sgrid)
     ones = np.ones(kgrid.n_per_axis, np.complex128)
-    evolved = engine._evolve(ones, t, np.empty_like(ones))
+    evolved = engine._scale(ones, engine._time_phase(t), np.empty_like(ones))
     assert np.array_equal(evolved, np.exp(-1j * kgrid.omega * t))
 
 
@@ -133,12 +138,12 @@ def test_psi_matches_the_real_field_round_trip(packet):
     s = packet()
     sgrid = SpatialGrid.paired(s.grid)
     snap = synthesize(s, sgrid, 0.3)
-    wave = densities.photon_wave_fields(snap)
+    _, psi = densities.photon_wave_fields(snap)
     A, E = 2.0 * np.real(snap.A_plus), 2.0 * np.real(snap.E_plus)  # the real fields
     half_a = densities.apply_frequency_operator(A, s.grid, sgrid, 0.5)
     inv_half_e = densities.apply_frequency_operator(E, s.grid, sgrid, -0.5)
     old_psi = 0.5 * (half_a - 1j * inv_half_e)
-    assert _close(wave.psi, old_psi, 1e-12)
+    assert _close(psi, old_psi, 1e-12)
 
 
 def test_interleaved_grid_pairs_use_their_own_engine():
@@ -156,7 +161,7 @@ def test_interleaved_grid_pairs_use_their_own_engine():
         snap = synthesize(s, sgrid, 0.4)
         A, _, B = synthesize_at_points(s, sgrid.coordinates.reshape(-1, 3), 0.4)
         assert _close(snap.A_plus.reshape(-1, 3), A)
-        assert _close(snap.B_plus.reshape(-1, 3), B)
+        assert _close(snap.B_plus().reshape(-1, 3), B)
     assert spectral_engine(*pairs[0]) is spectral_engine(first, SpatialGrid.paired(first))
 
 
@@ -219,7 +224,7 @@ def test_fft_counts_per_density(fft_calls, small_grid, small_spatial, small_pack
     assert len(fft_calls["ifftn"]) == 1
     densities.momentum_density(snap)  # one 3-component transform per direction
     assert fft_calls["ifftn"][1:] == [(3,) + small_grid.n_per_axis] * 3
-    densities.photon_wave_fields(snap)  # B+ on first access, then psi
+    densities.photon_wave_fields(snap)  # B+, kept, then psi
     densities.photon_current(snap)  # reuses B+
     assert len(fft_calls["ifftn"]) == 6
     assert fft_calls["fftn"] == []
@@ -314,24 +319,26 @@ def test_wave_fields_are_kept_per_helicity(small_grid, small_spatial, small_pack
     minus = gaussian_spectrum(small_grid, (0.0, 0.0, 3.2), 0.55, (0.0, 1.0))
     for s in (small_packet, minus):
         snap = synthesize(s, small_spatial, 0.2)
-        kept = densities.photon_wave_fields(snap)
-        alone = densities.photon_wave_fields(synthesize(s, small_spatial, 0.2))
-        assert kept.helicity == s.pure_helicity()
-        assert np.array_equal(kept.F, alone.F)
-        assert np.array_equal(kept.psi, alone.psi)
+        F, psi = densities.photon_wave_fields(snap)
+        F_alone, psi_alone = densities.photon_wave_fields(synthesize(s, small_spatial, 0.2))
+        assert densities._pure_helicity(snap) == s.pure_helicity()
+        assert np.array_equal(F, F_alone)
+        assert np.array_equal(psi, psi_alone)
 
 
 def test_wave_fields_are_built_once_per_snapshot(fft_calls, small_grid, small_spatial,
                                                  small_packet):
+    """B+ is transformed once per snapshot and kept; psi, which nothing keeps,
+    once per reader: |psi|^2 and each photon_wave_fields call."""
     snap = synthesize(small_packet, small_spatial, 0.2)
-    wave = densities.photon_wave_fields(snap)
+    F, psi = densities.photon_wave_fields(snap)
     n = small_grid.n_per_axis
     assert fft_calls["ifftn"] == [(6,) + n, (3,) + n, (3,) + n]  # synthesis, B+, psi
     for kind in ("bb_energy", "lp_number"):
         densities.DENSITY_TABLE[kind].build(snap)
-    again = densities.photon_wave_fields(snap)
-    assert np.array_equal(again.F, wave.F) and np.array_equal(again.psi, wave.psi)
-    assert len(fft_calls["ifftn"]) == 3
+    F_again, psi_again = densities.photon_wave_fields(snap)
+    assert np.array_equal(F_again, F) and np.array_equal(psi_again, psi)
+    assert fft_calls["ifftn"] == [(6,) + n] + [(3,) + n] * 4  # and psi twice more
 
 
 @pytest.mark.parametrize("kind, unread", [("bb_energy", "psi"), ("lp_number", "B_plus")])
@@ -344,16 +351,32 @@ def test_a_wave_density_transforms_only_the_field_it_reads(fft_calls, small_grid
     n = small_grid.n_per_axis
     assert fft_calls["ifftn"] == [(6,) + n, (3,) + n]
     assert unread not in vars(snap)
+    assert vars(snap).keys() - _FIELDS == set(densities.DENSITY_TABLE[kind].reads)
 
 
 def test_kept_momentum_and_wave_fields_are_read_only(small_spatial, small_packet):
     snap = synthesize(small_packet, small_spatial, 0.2)
     momentum = densities.momentum_density(snap).data
     assert densities.momentum_density(snap).data is momentum
-    wave = densities.photon_wave_fields(snap)
-    for arr in (momentum, wave.F, wave.psi):
+    for arr in (momentum, *densities.photon_wave_fields(snap)):
         with pytest.raises(ValueError):
             arr[0, 0, 0] = 1.0
+
+
+def test_a_snapshot_and_what_is_kept_on_it_are_read_only(small_spatial, small_packet):
+    """The cached desk snapshot, which every check shares: writing into its A+,
+    its E+ or the B+ kept on it raises.  Two photon_wave_fields calls on a
+    fresh snapshot keep one array on it, B+."""
+    desk = registry.desk_snapshot()
+    densities.photon_current(desk)
+    (key,) = densities.DENSITY_TABLE["current"].reads
+    for arr in (desk.A_plus, desk.E_plus, vars(desk)[key]):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 0.0
+    snap = synthesize(small_packet, small_spatial, 0.2)
+    densities.photon_wave_fields(snap)
+    densities.photon_wave_fields(snap)
+    assert vars(snap).keys() - _FIELDS == {key}
 
 
 def test_zero_spot_check_tolerance_fails_the_quadrature_check(tmp_path):
@@ -385,7 +408,7 @@ def test_kinds_are_c_ordered_and_fields_keep_their_shape(small_grid, small_spati
                                                          small_packet):
     snap = synthesize(small_packet, small_spatial, 0.2)
     shape = small_grid.n_per_axis + (3,)
-    for field in (snap.A_plus, snap.E_plus, snap.B_plus):
+    for field in (snap.A_plus, snap.E_plus, snap.B_plus()):
         assert field.shape == shape
     for kind in ALL_KINDS:
         data = densities.DENSITY_TABLE[kind].build(snap).data
@@ -414,10 +437,10 @@ def test_a_corrupted_level_index_fails_the_spot_check(tmp_path):
 def test_a_snapshot_keeps_no_time_phase(small_grid, small_spatial, small_packet):
     """B+, psi and the momentum operands gather exp(-i omega t) per group of x-planes."""
     snap = synthesize(small_packet, small_spatial, 0.2)
-    snap.B_plus, snap.psi
+    densities.photon_wave_fields(snap)
     densities.momentum_density(snap)
     kept = vars(snap)
-    assert {"B_plus", "psi", "_momentum"} <= kept.keys() and "time_phase" not in kept
+    assert kept.keys() - _FIELDS == {"_b_plus", "_momentum"}
     phases = [key for key, value in kept.items() if isinstance(value, np.ndarray)
               and np.iscomplexobj(value) and value.shape == small_grid.n_per_axis]
     assert phases == []
@@ -454,7 +477,7 @@ def test_fields_do_not_depend_on_the_thread_count(monkeypatch):
         arrays = []
         for s in (mixed, pure):
             snap = synthesize(s, sgrid, 0.4)
-            arrays += [snap.A_plus, snap.E_plus, snap.B_plus, densities.helicity_density(snap)]
+            arrays += [snap.A_plus, snap.E_plus, snap.B_plus(), densities.helicity_density(snap)]
             arrays += [entry.build(snap).data for entry in densities.DENSITY_TABLE.values()
                        if s is pure or not entry.pure_helicity]
             arrays.append(oracle._direct_amplitude(s, 0.4))
@@ -581,12 +604,12 @@ def test_wave_fields_equal_their_real_field_and_multiplier_forms(small_grid, sma
     for weights in ((1.0, 0.0), (0.0, 1.0)):
         s = gaussian_spectrum(small_grid, (1.0, -0.5, 3.0), 0.55, weights)
         snap = synthesize(s, small_spatial, 0.35)
-        wave = densities.photon_wave_fields(snap)
-        lam = wave.helicity
-        F = 0.5 * (2.0 * np.real(snap.E_plus) + 1j * lam * (2.0 * np.real(snap.B_plus)))
+        F_got, psi_got = densities.photon_wave_fields(snap)
+        lam = s.pure_helicity()
+        F = 0.5 * (2.0 * np.real(snap.E_plus) + 1j * lam * (2.0 * np.real(snap.B_plus())))
         psi = engine.to_field(np.sqrt(small_grid.omega)[..., None] * snap.a_coeffs)
-        assert np.array_equal(wave.F, F)
-        assert np.array_equal(wave.psi, psi)
+        assert np.array_equal(F_got, F)
+        assert np.array_equal(psi_got, psi)
 
 
 RUN_CONFIG = """\
@@ -632,26 +655,25 @@ def test_the_requested_order_changes_no_artifact(tmp_path):
     assert _run_digests(ALL_KINDS[::-1], tmp_path / "reversed") == forward
 
 
-_INTERMEDIATES = {"_energy", "_momentum", "B_plus", "psi"}
 
 
 @pytest.mark.parametrize("kinds, held", [
     (ALL_KINDS, [("momentum", []), ("angular_momentum", ["_momentum"]),
                  ("four_momentum", ["_momentum"]), ("number", ["_energy"]),
-                 ("energy", ["_energy"]), ("bb_energy", []), ("current", ["B_plus"]),
+                 ("energy", ["_energy"]), ("bb_energy", []), ("current", ["_b_plus"]),
                  ("lp_number", [])]),
     (("current", "lp_number", "four_momentum"),
      [("four_momentum", []), ("current", []), ("lp_number", [])]),
 ], ids=["all", "three"])
 def test_a_run_drops_each_intermediate_after_its_last_reader(monkeypatch, tmp_path, kinds,
                                                              held):
-    """The snapshot intermediates each kind finds when its build starts, at every
-    time, and none left after the last kind of a time."""
+    """What a snapshot keeps beyond its fields when each kind's build starts, at
+    every time, and nothing left after the last kind of a time."""
     seen, snaps = [], []
     for kind, entry in densities.DENSITY_TABLE.items():
 
         def build(f, _kind=kind, _build=entry.build):
-            seen.append((_kind, sorted(_INTERMEDIATES & vars(f).keys())))
+            seen.append((_kind, sorted(vars(f).keys() - _FIELDS)))
             snaps.append(f)
             return _build(f)
 
@@ -659,7 +681,7 @@ def test_a_run_drops_each_intermediate_after_its_last_reader(monkeypatch, tmp_pa
     text = RUN_CONFIG.format(n=12, dk=0.9, k0=3.2, sigma=0.55, kinds=", ".join(kinds))
     assert runner.run_scenario(config.parse_scenario(text, "drops.cfg"), str(tmp_path)).ok
     assert seen == held * 3
-    assert [sorted(_INTERMEDIATES & vars(snap).keys()) for snap in snaps] == [[]] * len(seen)
+    assert [sorted(vars(snap).keys() - _FIELDS) for snap in snaps] == [[]] * len(seen)
 
 
 def test_a_run_peaks_below_six_vector_fields(tmp_path):
@@ -732,7 +754,7 @@ def test_curl_operands_equal_their_np_cross_forms_bitwise(monkeypatch, threads, 
     snap = synthesize(packet, planar_spatial, 0.3)
     k, omega, mask = planar_grid.k_vectors, planar_grid.omega, planar_grid.exclusion_mask
     khat = np.where(mask[..., None], 0.0, k / np.where(mask, 1.0, omega)[..., None])
-    for vectors, field in ((k, snap.B_plus), (khat, snap.helicity_operand())):
+    for vectors, field in ((k, snap.B_plus()), (khat, snap.helicity_operand())):
         want = spectrum_to_field(np.cross(vectors, snap.a_coeffs) * 1j, planar_grid,
                                  planar_spatial)
         assert np.array_equal(field, want)
@@ -748,7 +770,7 @@ def test_psi_equals_its_full_grid_form_bitwise(monkeypatch, threads, planar_grid
     snap = synthesize(packet, planar_spatial, 0.3)
     psi_coeffs = leading(snap.a_coeffs)
     np.multiply(np.sqrt(planar_grid.omega), psi_coeffs, out=psi_coeffs)
-    assert np.array_equal(snap.psi, snap.engine.to_field(trailing(psi_coeffs, 1)))
+    assert np.array_equal(snap.psi(), snap.engine.to_field(trailing(psi_coeffs, 1)))
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -760,7 +782,7 @@ def test_momentum_operands_equal_one_nine_component_transform_bitwise(
     packet = gaussian_spectrum(planar_grid, (2.0, -1.0, 6.0), 1.0, (0.6, 0.8))
     snap = synthesize(packet, planar_spatial, 0.3)
     coeffs = leading(planar_grid.k_vectors)[:, None] * leading(snap.amplitude)[None, :]
-    snap.engine._evolve(coeffs, snap.t, coeffs)
+    snap.engine._scale(coeffs, snap.engine._time_phase(snap.t), coeffs)
     operands = snap.engine.to_field(trailing(coeffs, 2))
     for j in range(3):
         assert np.array_equal(snap.momentum_operand(j), operands[..., j, :])
@@ -779,6 +801,6 @@ def test_b_plus_holds_no_second_full_grid_array(monkeypatch, traced, planar_grid
     packet = gaussian_spectrum(planar_grid, (2.0, -1.0, 6.0), 1.0, (1.0, 0.0))
     snap = synthesize(packet, planar_spatial, 0.3)
     field = planar_grid.omega.size * 48
-    b_plus, held, peak = traced(lambda: snap.B_plus)
+    b_plus, held, peak = traced(snap.B_plus)
     assert held >= b_plus.nbytes
     assert (peak - held) / field <= 0.5
